@@ -274,13 +274,39 @@ def _check_alpha(alpha: float) -> None:
         raise ValueError("--alpha must lie strictly between 0 and 1")
 
 
-def _run_single_test(config: RunConfig, allow_large: bool) -> dict:
+def _group_doc(group) -> dict:
+    return {"mode": group.mode, "size": group.size, "draws": group.draws, "seed": group.seed}
+
+
+def _prepare(config: RunConfig, allow_large: bool):
+    """Ingest, resolve the contrast, build the sign group, fit every cluster.
+
+    The stage order fixes which error wins: a group that is too large is
+    reported before an identification failure in the fits.
+    """
     data, names = ingest(config.input_path, config)
     contrast = resolve_contrast(config, names)
     group = enumerate_group(
         data.q, config.group_mode, config.draws, config.seed, allow_large=allow_large
     )
-    estimates = fit_per_cluster(data)
+    return names, contrast, group, fit_per_cluster(data)
+
+
+def _per_block_count(run_single, config: RunConfig, args) -> dict:
+    """One result, or a ``by_blocks`` list with one result per ``--blocks`` Q."""
+    blocks = _blocks_list(args)
+    if len(blocks) == 1:
+        return run_single(config, args.allow_large_group)
+    return {
+        "by_blocks": [
+            {"blocks": q, **run_single(replace(config, blocks_q=q), args.allow_large_group)}
+            for q in blocks
+        ]
+    }
+
+
+def _run_single_test(config: RunConfig, allow_large: bool) -> dict:
+    names, contrast, group, estimates = _prepare(config, allow_large)
     hypothesis = LinearHypothesis(contrast=contrast, value=config.null_value)
     scores = scores_from_estimates(estimates, hypothesis, config.scaling)
     result = run_test_from_scores(
@@ -301,12 +327,7 @@ def _run_single_test(config: RunConfig, allow_large: bool) -> dict:
         "alpha": result.alpha,
         "variant": result.variant,
         "scaling": result.scaling,
-        "group": {
-            "mode": group.mode,
-            "size": group.size,
-            "draws": group.draws,
-            "seed": group.seed,
-        },
+        "group": _group_doc(group),
         "per_cluster": [
             {
                 "label": str(estimates.labels[j]),
@@ -345,11 +366,9 @@ def _ci_table(result: dict) -> str:
     runs = result.get("by_blocks") or [result]
     lines = [f"{'blocks':>8} {'center':>12} {'lower':>12} {'upper':>12}"]
     for run in runs:
-        lo, hi = run["lower"], run["upper"]
         lines.append(
             f"{_fmt(run.get('blocks', '-')):>8} {_fmt(run['lambda0']):>12} "
-            f"{_fmt(lo.as_float() if hasattr(lo, 'as_float') else lo):>12} "
-            f"{_fmt(hi.as_float() if hasattr(hi, 'as_float') else hi):>12}"
+            f"{_fmt(run['lower'].as_float()):>12} {_fmt(run['upper'].as_float()):>12}"
         )
     return "\n".join(lines) + "\n"
 
@@ -362,28 +381,14 @@ def cmd_test(args) -> int:
         variant=args.variant,
         scaling=_scaling(args.scaling),
     )
-    blocks = _blocks_list(args)
-    if len(blocks) == 1:
-        result = _run_single_test(config, args.allow_large_group)
-    else:
-        result = {
-            "by_blocks": [
-                {"blocks": q, **_run_single_test(replace(config, blocks_q=q), args.allow_large_group)}
-                for q in blocks
-            ]
-        }
+    result = _per_block_count(_run_single_test, config, args)
     text = _test_table(result) if args.table else render_report("test", config, result)
     _emit(text, args.output)
     return EXIT_OK
 
 
 def _run_single_ci(config: RunConfig, allow_large: bool) -> dict:
-    data, names = ingest(config.input_path, config)
-    contrast = resolve_contrast(config, names)
-    group = enumerate_group(
-        data.q, config.group_mode, config.draws, config.seed, allow_large=allow_large
-    )
-    estimates = fit_per_cluster(data)
+    names, contrast, group, estimates = _prepare(config, allow_large)
     inputs = interval_inputs(estimates, contrast, group)
     ci = interval(inputs, config.alpha)
 
@@ -399,12 +404,7 @@ def _run_single_ci(config: RunConfig, allow_large: bool) -> dict:
         "upper": ci.upper,
         "alpha": ci.alpha,
         "bounded": ci.is_bounded,
-        "group": {
-            "mode": group.mode,
-            "size": group.size,
-            "draws": group.draws,
-            "seed": group.seed,
-        },
+        "group": _group_doc(group),
         "covariates": names,
         "warnings": notes,
     }
@@ -413,16 +413,7 @@ def _run_single_ci(config: RunConfig, allow_large: bool) -> dict:
 def cmd_ci(args) -> int:
     _check_alpha(args.alpha)
     config = _config_from_args(args)
-    blocks = _blocks_list(args)
-    if len(blocks) == 1:
-        result = _run_single_ci(config, args.allow_large_group)
-    else:
-        result = {
-            "by_blocks": [
-                {"blocks": q, **_run_single_ci(replace(config, blocks_q=q), args.allow_large_group)}
-                for q in blocks
-            ]
-        }
+    result = _per_block_count(_run_single_ci, config, args)
     text = _ci_table(result) if args.table else render_report("ci", config, result)
     _emit(text, args.output)
     return EXIT_OK
@@ -490,14 +481,7 @@ def cmd_simulate(args) -> int:
             "covariate_law": dgp.covariate_law,
             "seed": dgp.seed,
         },
-        "group": None
-        if group is None
-        else {
-            "mode": group.mode,
-            "size": group.size,
-            "draws": group.draws,
-            "seed": group.seed,
-        },
+        "group": None if group is None else _group_doc(group),
     }
     payload = {
         "rate": report.rate,

@@ -1,51 +1,23 @@
 """Hot numeric kernels: sweeping statistics over the whole sign group.
 
-Each kernel exists twice: an ``*_numpy`` reference implementation and a
-numba ``@njit`` version compiled at import time.  The public names
-(:func:`group_means`, :func:`group_wald_quadratic`,
-:func:`interval_bounds`) point at the jit path when numba imported
-cleanly, and at the numpy path otherwise.  Setting the environment
-variable ``ARTCLUSTER_NO_NUMBA=1`` before import forces the numpy path.
+Each kernel is a vectorized NumPy sweep over the rows of an int8 sign
+matrix: :func:`group_means` (signed means), :func:`group_wald_quadratic`
+(the multi-row quadratic form) and :func:`interval_bounds` (per-row
+crossing points of the confidence-interval maps).
 
-Both paths accumulate in the same element order (columns left to right,
-then the quadratic form row by row), so they return bitwise-identical
-arrays; ``benchmarks/bench_kernels.py`` compares their speed.
+The accumulation order is fixed -- columns left to right, then the
+quadratic form row by row -- so results are reproducible bit for bit.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 __all__ = [
-    "NUMBA_ENABLED",
-    "backend_name",
     "group_means",
-    "group_means_numpy",
     "group_wald_quadratic",
-    "group_wald_quadratic_numpy",
     "interval_bounds",
-    "interval_bounds_numpy",
 ]
-
-
-def _numba_disabled_by_env() -> bool:
-    return os.environ.get("ARTCLUSTER_NO_NUMBA", "").strip().lower() in {"1", "true", "yes"}
-
-
-try:
-    if _numba_disabled_by_env():
-        raise ImportError("numba disabled via ARTCLUSTER_NO_NUMBA")
-    from numba import njit
-
-    NUMBA_ENABLED = True
-except ImportError:
-    NUMBA_ENABLED = False
-
-
-def backend_name() -> str:
-    return "numba" if NUMBA_ENABLED else "numpy"
 
 
 # ------------------------------------------------------------------ #
@@ -53,22 +25,13 @@ def backend_name() -> str:
 # ------------------------------------------------------------------ #
 
 
-def group_means_numpy(signs: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Mean of sign-flipped values for every group row (numpy path)."""
+def group_means(signs: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Mean of sign-flipped values for every group row."""
     m, q = signs.shape
     acc = np.zeros(m, dtype=np.float64)
     for j in range(q):
         acc += signs[:, j] * values[j]
     return acc / q
-
-
-def _group_means_loop(signs, values, out):
-    m, q = signs.shape
-    for i in range(m):
-        acc = 0.0
-        for j in range(q):
-            acc += signs[i, j] * values[j]
-        out[i] = acc / q
 
 
 # ------------------------------------------------------------------ #
@@ -77,7 +40,7 @@ def _group_means_loop(signs, values, out):
 # ------------------------------------------------------------------ #
 
 
-def group_wald_quadratic_numpy(
+def group_wald_quadratic(
     signs: np.ndarray, scores: np.ndarray, sigma_inv: np.ndarray
 ) -> np.ndarray:
     m, q = signs.shape
@@ -95,28 +58,6 @@ def group_wald_quadratic_numpy(
     return out * q
 
 
-def _group_wald_loop(signs, scores, sigma_inv, out):
-    m, q = signs.shape
-    p = scores.shape[1]
-    mean = np.empty(p, dtype=np.float64)
-    for i in range(m):
-        for c in range(p):
-            mean[c] = 0.0
-        for j in range(q):
-            s = signs[i, j]
-            for c in range(p):
-                mean[c] += s * scores[j, c]
-        for c in range(p):
-            mean[c] /= q
-        val = 0.0
-        for r in range(p):
-            acc = 0.0
-            for c in range(p):
-                acc += mean[c] * sigma_inv[c, r]
-            val += acc * mean[r]
-        out[i] = val * q
-
-
 # ------------------------------------------------------------------ #
 # Per-group interval bounds (crossing points of the V-shaped maps)
 # ------------------------------------------------------------------ #
@@ -131,7 +72,7 @@ def _group_wald_loop(signs, scores, sigma_inv, out):
 # likewise cross-multiplied to b*sgn(a)*a0 <= b0*|a|.
 
 
-def interval_bounds_numpy(
+def interval_bounds(
     a: np.ndarray, b: np.ndarray, a0: float, b0: float, pm_iota: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     sgn = np.where(a >= 0.0, 1.0, -1.0)
@@ -152,69 +93,3 @@ def interval_bounds_numpy(
     lo = np.where(pm_iota, -np.inf, lo)
     hi = np.where(pm_iota, np.inf, hi)
     return lo, hi
-
-
-def _interval_bounds_loop(a, b, a0, b0, pm_iota, lo, hi):
-    m = a.shape[0]
-    for i in range(m):
-        if pm_iota[i]:
-            lo[i] = -np.inf
-            hi[i] = np.inf
-        elif a[i] == 0.0:
-            lo[i] = (b0 - abs(b[i])) / a0
-            hi[i] = (b0 + abs(b[i])) / a0
-        else:
-            sgn = 1.0 if a[i] >= 0.0 else -1.0
-            aabs = abs(a[i])
-            babs = b[i] * sgn
-            plus_val = (b0 + babs) / (a0 + aabs)
-            minus_val = (b0 - babs) / (a0 - aabs)
-            lo[i] = plus_val if babs * a0 <= b0 * aabs else minus_val
-            hi[i] = plus_val if babs * a0 >= b0 * aabs else minus_val
-
-
-# ------------------------------------------------------------------ #
-# Backend selection
-# ------------------------------------------------------------------ #
-
-if NUMBA_ENABLED:
-    _group_means_jit = njit(cache=True)(_group_means_loop)
-    _group_wald_jit = njit(cache=True)(_group_wald_loop)
-    _interval_bounds_jit = njit(cache=True)(_interval_bounds_loop)
-
-    def group_means_numba(signs: np.ndarray, values: np.ndarray) -> np.ndarray:
-        out = np.empty(signs.shape[0], dtype=np.float64)
-        _group_means_jit(signs, np.ascontiguousarray(values, dtype=np.float64), out)
-        return out
-
-    def group_wald_quadratic_numba(signs, scores, sigma_inv):
-        out = np.empty(signs.shape[0], dtype=np.float64)
-        _group_wald_jit(
-            signs,
-            np.ascontiguousarray(scores, dtype=np.float64),
-            np.ascontiguousarray(sigma_inv, dtype=np.float64),
-            out,
-        )
-        return out
-
-    def interval_bounds_numba(a, b, a0, b0, pm_iota):
-        lo = np.empty(a.shape[0], dtype=np.float64)
-        hi = np.empty(a.shape[0], dtype=np.float64)
-        _interval_bounds_jit(
-            np.ascontiguousarray(a, dtype=np.float64),
-            np.ascontiguousarray(b, dtype=np.float64),
-            float(a0),
-            float(b0),
-            np.ascontiguousarray(pm_iota, dtype=np.bool_),
-            lo,
-            hi,
-        )
-        return lo, hi
-
-    group_means = group_means_numba
-    group_wald_quadratic = group_wald_quadratic_numba
-    interval_bounds = interval_bounds_numba
-else:
-    group_means = group_means_numpy
-    group_wald_quadratic = group_wald_quadratic_numpy
-    interval_bounds = interval_bounds_numpy

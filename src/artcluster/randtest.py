@@ -153,12 +153,11 @@ def statistic_wald(
     estimates: ClusterEstimates,
     hypothesis: MultiHypothesis,
     g,
-    n_total: int | None = None,
     scaling: str = "root_n",
 ) -> float:
     """Quadratic-form statistic for a multi-row restriction, at one g."""
     signs = as_sign_vector(g, estimates.q)
-    scores, sigma_inv = _wald_ingredients(estimates, hypothesis, n_total, scaling)
+    scores, sigma_inv = _wald_ingredients(estimates, hypothesis, scaling)
     if sigma_inv is None:
         return 0.0
     mean = (signs[:, None] * scores).mean(axis=0)
@@ -168,7 +167,6 @@ def statistic_wald(
 def _wald_ingredients(
     estimates: ClusterEstimates,
     hypothesis: MultiHypothesis,
-    n_total: int | None,
     scaling: str,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Per-cluster multi-row scores and the inverse outer-product matrix.
@@ -179,14 +177,7 @@ def _wald_ingredients(
     """
     if hypothesis.restriction.shape[1] != estimates.d_z:
         raise ValueError("restriction width must equal the covariate count")
-    if n_total is None:
-        n_total = estimates.n
-    if scaling == "root_n":
-        w = np.full(estimates.q, math.sqrt(float(n_total)))
-    elif scaling == "root_nj":
-        w = np.sqrt(estimates.sizes.astype(np.float64))
-    else:
-        raise ValueError(f"unknown scaling {scaling!r}")
+    w = _scale_weights(estimates.sizes, scaling)
     diffs = estimates.betas @ hypothesis.restriction.T - hypothesis.values
     scores = w[:, None] * diffs  # (q, p)
     if not scores.any():
@@ -299,18 +290,11 @@ class TestResult:
             )
 
 
-def run_test_from_scores(
-    scores: ScoreVector,
-    alpha: float,
-    group: SignGroup,
-    variant: str = "unstudentized",
-    scaling: str = "root_nj",
+def _result_from_statistics(
+    stats: np.ndarray, alpha: float, group: SignGroup, variant: str, scaling: str
 ) -> TestResult:
-    """Core engine: sweep the group, take the quantile, count the ties."""
-    stats = group_statistics(scores, group, variant)
+    """Critical value, p-value and provenance of a swept group (row 0 observed)."""
     observed = float(stats[0])
-    if not math.isfinite(observed) and variant == "studentized":
-        raise DegenerateVariance("observed signed scores have zero spread")
     crit = critical_value(stats, 1.0 - alpha)
     return TestResult(
         statistic=observed,
@@ -325,6 +309,20 @@ def run_test_from_scores(
         variant=variant,
         scaling=scaling,
     )
+
+
+def run_test_from_scores(
+    scores: ScoreVector,
+    alpha: float,
+    group: SignGroup,
+    variant: str = "unstudentized",
+    scaling: str = "root_nj",
+) -> TestResult:
+    """Core engine: sweep the group, take the quantile, count the ties."""
+    stats = group_statistics(scores, group, variant)
+    if not math.isfinite(stats[0]) and variant == "studentized":
+        raise DegenerateVariance("observed signed scores have zero spread")
+    return _result_from_statistics(stats, alpha, group, variant, scaling)
 
 
 def run_test(
@@ -369,23 +367,9 @@ def run_wald_test(
     if group is None:
         group = enumerate_group(data.q, mode="auto", seed=0)
     estimates = fit_per_cluster(data)
-    scores, sigma_inv = _wald_ingredients(estimates, hypothesis, None, scaling)
+    scores, sigma_inv = _wald_ingredients(estimates, hypothesis, scaling)
     if sigma_inv is None:
         stats = np.zeros(group.size, dtype=np.float64)
     else:
         stats = kernels.group_wald_quadratic(group.signs, scores, sigma_inv)
-    observed = float(stats[0])
-    crit = critical_value(stats, 1.0 - alpha)
-    return TestResult(
-        statistic=observed,
-        critical_value=crit,
-        p_value=pvalue_from_statistics(stats, observed),
-        reject=bool(observed > crit),
-        alpha=float(alpha),
-        group_size=group.size,
-        group_mode=group.mode,
-        group_seed=group.seed,
-        group_draws=group.draws,
-        variant="wald",
-        scaling=scaling,
-    )
+    return _result_from_statistics(stats, alpha, group, "wald", scaling)

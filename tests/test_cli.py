@@ -211,6 +211,65 @@ class TestTestCommand:
         assert json.loads(out_env)["result"] == json.loads(out_explicit)["result"]
 
 
+def _rows_csv(header, rows):
+    return header + "\n" + "".join(f"{row}\n" for row in rows)
+
+
+# Documented failures with no other CLI test: (CSV, extra argv, exit code,
+# a fragment of the error message naming the failure).
+EXIT_CODE_CASES = [
+    pytest.param(
+        _rows_csv("cluster,y,x", ["a,1.0,1.0", "a,2.0,1.0", "a,3.0,1.0"]),
+        ["--cluster", "cluster"],
+        3,
+        "at least 2 clusters",
+        id="too-few-clusters",
+    ),
+    pytest.param(
+        _rows_csv("cluster,y,x", ["a,1.0,1.0", "a,nan,1.0", "b,2.0,1.0", "b,1.0,1.0"]),
+        ["--cluster", "cluster"],
+        3,
+        "non-finite",
+        id="non-finite-value",
+    ),
+    pytest.param(
+        _rows_csv("cluster,y,x", [f"{lab},1.0,1.0" for lab in "aabbcc"]),
+        ["--cluster", "cluster", "--variant", "studentized"],
+        2,
+        "zero spread",
+        id="degenerate-variance",
+    ),
+    pytest.param(
+        _rows_csv(
+            "cluster,y,x",
+            [f"g{j},{float(j + k)!r},1.0" for j in range(21) for k in range(2)],
+        ),
+        ["--cluster", "cluster", "--group-mode", "exhaustive"],
+        1,
+        "2^21",
+        id="group-too-large",
+    ),
+    pytest.param(
+        _rows_csv("t,y,x", [f"{i},{float(i % 3)!r},1.0" for i in range(10)]),
+        ["--blocks", "11", "--time", "t"],
+        1,
+        "11 blocks from 10 observations",
+        id="too-few-observations",
+    ),
+]
+
+
+@pytest.mark.parametrize("csv_text, extra, expected_code, message", EXIT_CODE_CASES)
+def test_documented_failure_exit_codes(tmp_path, capsys, csv_text, extra, expected_code, message):
+    path = tmp_path / "data.csv"
+    path.write_text(csv_text)
+    argv = ["test", "--input", str(path), "--outcome", "y", "--covariates", "x", "--coef", "x"]
+    code, out, err = run_cli(capsys, argv + extra)
+    assert code == expected_code
+    assert out == ""
+    assert message in err
+
+
 class TestCiCommand:
     def test_micro_interval(self, micro_file, capsys):
         code, out, _ = run_cli(

@@ -1,8 +1,4 @@
-"""Kernel correctness: numba and numpy paths must agree bit for bit."""
-
-import os
-import subprocess
-import sys
+"""Kernel correctness against dense oracles and the literal interval formulas."""
 
 import numpy as np
 import pytest
@@ -23,13 +19,6 @@ def payload():
 
 
 class TestGroupMeans:
-    def test_paths_bitwise_identical(self, payload):
-        group, values, _, _, _ = payload
-        assert np.array_equal(
-            kernels.group_means(group.signs, values),
-            kernels.group_means_numpy(group.signs, values),
-        )
-
     def test_matches_dense_oracle(self, payload):
         group, values, _, _, _ = payload
         oracle = (group.signs.astype(float) @ values) / group.q
@@ -44,13 +33,6 @@ class TestGroupMeans:
 
 
 class TestWaldQuadratic:
-    def test_paths_bitwise_identical(self, payload):
-        group, _, _, scores, sigma_inv = payload
-        assert np.array_equal(
-            kernels.group_wald_quadratic(group.signs, scores, sigma_inv),
-            kernels.group_wald_quadratic_numpy(group.signs, scores, sigma_inv),
-        )
-
     def test_matches_dense_oracle(self, payload):
         group, _, _, scores, sigma_inv = payload
         q = group.q
@@ -81,23 +63,12 @@ def _literal_bounds(a, b, a0, b0, pm):
 
 
 class TestIntervalBounds:
-    def test_paths_bitwise_identical(self, payload):
-        group, _, weights, _, _ = payload
-        rng = np.random.default_rng(11)
-        wb = weights * rng.standard_normal(group.q)
-        a = kernels.group_means_numpy(group.signs, weights)
-        b = kernels.group_means_numpy(group.signs, wb)
-        pm = np.all(group.signs == group.signs[:, :1], axis=1)
-        got = kernels.interval_bounds(a, b, a[0], b[0], pm)
-        ref = kernels.interval_bounds_numpy(a, b, a[0], b[0], pm)
-        assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
-
     def test_matches_literal_formulas(self, payload):
         group, _, weights, _, _ = payload
         rng = np.random.default_rng(12)
         wb = weights * rng.standard_normal(group.q)
-        a = kernels.group_means_numpy(group.signs, weights)
-        b = kernels.group_means_numpy(group.signs, wb)
+        a = kernels.group_means(group.signs, weights)
+        b = kernels.group_means(group.signs, wb)
         pm = np.all(group.signs == group.signs[:, :1], axis=1)
         lo, hi = kernels.interval_bounds(a, b, a[0], b[0], pm)
         lo_ref, hi_ref = _literal_bounds(a, b, float(a[0]), float(b[0]), pm)
@@ -109,8 +80,8 @@ class TestIntervalBounds:
         group = exhaustive_group(4)
         w = np.full(4, 2.0)
         wb = w * np.array([1.0, 3.0, -2.0, 0.5])
-        a = kernels.group_means_numpy(group.signs, w)
-        b = kernels.group_means_numpy(group.signs, wb)
+        a = kernels.group_means(group.signs, w)
+        b = kernels.group_means(group.signs, wb)
         pm = np.all(group.signs == group.signs[:, :1], axis=1)
         lo, hi = kernels.interval_bounds(a, b, a[0], b[0], pm)
         zero_rows = (a == 0.0) & ~pm
@@ -119,19 +90,3 @@ class TestIntervalBounds:
         assert np.allclose(lo[zero_rows], lam0 - np.abs(b[zero_rows]) / a[0])
         assert np.allclose(hi[zero_rows], lam0 + np.abs(b[zero_rows]) / a[0])
 
-
-@pytest.mark.skipif(not kernels.NUMBA_ENABLED, reason="numba path already disabled")
-def test_env_flag_selects_numpy_backend():
-    code = (
-        "from artcluster import kernels\n"
-        "import numpy as np\n"
-        "assert kernels.backend_name() == 'numpy'\n"
-        "signs = np.array([[1, 1], [1, -1]], dtype=np.int8)\n"
-        "print(kernels.group_means(signs, np.array([2.0, 4.0])).tolist())\n"
-    )
-    env = dict(os.environ, ARTCLUSTER_NO_NUMBA="1")
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True
-    )
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "[3.0, -1.0]"
