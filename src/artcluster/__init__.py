@@ -44,14 +44,10 @@ from artcluster.intervals import (
     interval,
     interval_by_inversion,
     interval_inputs,
-    per_g_bounds,
     pvalue_profile,
 )
 from artcluster.model import (
-    NEG_INF,
-    POS_INF,
     ClusteredDataset,
-    ExtendedReal,
     LinearHypothesis,
     MultiHypothesis,
     canonicalize,
@@ -88,7 +84,6 @@ __all__ = [
     "DegenerateVariance",
     "DgpSpec",
     "EmptyCluster",
-    "ExtendedReal",
     "GridTooCoarse",
     "GroupTooLarge",
     "IdentificationFailure",
@@ -97,9 +92,7 @@ __all__ = [
     "MissingColumn",
     "MonteCarloReport",
     "MultiHypothesis",
-    "NEG_INF",
     "NonFiniteValue",
-    "POS_INF",
     "ParseError",
     "RestrictedFit",
     "ScoreVector",
@@ -123,7 +116,6 @@ __all__ = [
     "interval_by_inversion",
     "interval_inputs",
     "merge_clusters",
-    "per_g_bounds",
     "plan_blocks",
     "power_study",
     "pvalue_profile",

@@ -165,11 +165,6 @@ def _add_group_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--seed", type=int, default=None, help="sampling seed (default: ARTCLUSTER_SEED or 0)"
     )
-    parser.add_argument(
-        "--allow-large-group",
-        action="store_true",
-        help="permit exhaustive enumeration beyond q = 20",
-    )
 
 
 def _add_contrast_options(parser: argparse.ArgumentParser) -> None:
@@ -278,7 +273,7 @@ def _group_doc(group) -> dict:
     return {"mode": group.mode, "size": group.size, "draws": group.draws, "seed": group.seed}
 
 
-def _prepare(config: RunConfig, allow_large: bool):
+def _prepare(config: RunConfig):
     """Ingest, resolve the contrast, build the sign group, fit every cluster.
 
     The stage order fixes which error wins: a group that is too large is
@@ -286,9 +281,7 @@ def _prepare(config: RunConfig, allow_large: bool):
     """
     data, names = ingest(config.input_path, config)
     contrast = resolve_contrast(config, names)
-    group = enumerate_group(
-        data.q, config.group_mode, config.draws, config.seed, allow_large=allow_large
-    )
+    group = enumerate_group(data.q, config.group_mode, config.draws, config.seed)
     return names, contrast, group, fit_per_cluster(data)
 
 
@@ -296,17 +289,14 @@ def _per_block_count(run_single, config: RunConfig, args) -> dict:
     """One result, or a ``by_blocks`` list with one result per ``--blocks`` Q."""
     blocks = _blocks_list(args)
     if len(blocks) == 1:
-        return run_single(config, args.allow_large_group)
+        return run_single(config)
     return {
-        "by_blocks": [
-            {"blocks": q, **run_single(replace(config, blocks_q=q), args.allow_large_group)}
-            for q in blocks
-        ]
+        "by_blocks": [{"blocks": q, **run_single(replace(config, blocks_q=q))} for q in blocks]
     }
 
 
-def _run_single_test(config: RunConfig, allow_large: bool) -> dict:
-    names, contrast, group, estimates = _prepare(config, allow_large)
+def _run_single_test(config: RunConfig) -> dict:
+    names, contrast, group, estimates = _prepare(config)
     hypothesis = LinearHypothesis(contrast=contrast, value=config.null_value)
     scores = scores_from_estimates(estimates, hypothesis, config.scaling)
     result = run_test_from_scores(
@@ -368,7 +358,7 @@ def _ci_table(result: dict) -> str:
     for run in runs:
         lines.append(
             f"{_fmt(run.get('blocks', '-')):>8} {_fmt(run['lambda0']):>12} "
-            f"{_fmt(run['lower'].as_float()):>12} {_fmt(run['upper'].as_float()):>12}"
+            f"{_fmt(run['lower']):>12} {_fmt(run['upper']):>12}"
         )
     return "\n".join(lines) + "\n"
 
@@ -387,8 +377,8 @@ def cmd_test(args) -> int:
     return EXIT_OK
 
 
-def _run_single_ci(config: RunConfig, allow_large: bool) -> dict:
-    names, contrast, group, estimates = _prepare(config, allow_large)
+def _run_single_ci(config: RunConfig) -> dict:
+    names, contrast, group, estimates = _prepare(config)
     inputs = interval_inputs(estimates, contrast, group)
     ci = interval(inputs, config.alpha)
 

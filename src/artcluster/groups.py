@@ -99,18 +99,18 @@ class SignGroup:
         return self.size
 
 
-def exhaustive_group(q: int, *, allow_large: bool = False) -> SignGroup:
+def exhaustive_group(q: int) -> SignGroup:
     """All 2^q sign vectors in lexicographic order (+1 sorts before -1).
 
     Row 0 is the identity, row 2^q - 1 its negation.  Raises
-    :class:`GroupTooLarge` above q = 20 unless ``allow_large`` is set.
+    :class:`GroupTooLarge` above q = 20; use sampled mode there.
     """
     if q < 2:
         raise ValueError("need q >= 2")
-    if q > MAX_EXHAUSTIVE_Q and not allow_large:
+    if q > MAX_EXHAUSTIVE_Q:
         raise GroupTooLarge(
             f"exhaustive enumeration of 2^{q} sign vectors exceeds the "
-            f"q <= {MAX_EXHAUSTIVE_Q} ceiling; use sampled mode or allow_large=True"
+            f"q <= {MAX_EXHAUSTIVE_Q} ceiling; use sampled mode"
         )
     idx = np.arange(1 << q, dtype=np.uint64)
     shifts = (q - 1 - np.arange(q, dtype=np.uint64))
@@ -143,8 +143,6 @@ def enumerate_group(
     mode: str = "auto",
     draws: int = DEFAULT_DRAWS,
     seed: int = 0,
-    *,
-    allow_large: bool = False,
 ) -> SignGroup:
     """Build the sign group used by the test engine.
 
@@ -154,7 +152,7 @@ def enumerate_group(
     if mode == "auto":
         mode = "exhaustive" if q <= AUTO_SAMPLED_ABOVE else "sampled"
     if mode == "exhaustive":
-        return exhaustive_group(q, allow_large=allow_large)
+        return exhaustive_group(q)
     if mode == "sampled":
         return sampled_group(q, draws, seed)
     raise ValueError(f"unknown group mode {mode!r}")

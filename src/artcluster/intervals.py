@@ -18,8 +18,8 @@ import numpy as np
 from artcluster import kernels
 from artcluster.errors import ArtClusterError, GridTooCoarse
 from artcluster.estimation import ClusterEstimates, fit_per_cluster
-from artcluster.groups import SignGroup, as_sign_vector
-from artcluster.model import ClusteredDataset, ExtendedReal, _frozen
+from artcluster.groups import SignGroup
+from artcluster.model import ClusteredDataset, _frozen
 from artcluster.randtest import (
     ScoreVector,
     order_statistic_index,
@@ -35,7 +35,6 @@ __all__ = [
     "interval_inputs",
     "inversion_scan",
     "default_inversion_grid",
-    "per_g_bounds",
     "per_group_bounds",
     "pvalue_profile",
 ]
@@ -49,6 +48,21 @@ GRID_HALF_WIDTHS = 10.0
 # ------------------------------------------------------------------ #
 
 
+def _cluster_terms(
+    estimates: ClusterEstimates, contrast: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-cluster weights sqrt(n_j) and contrasts c'beta_j."""
+    c = np.asarray(contrast, dtype=np.float64).reshape(-1)
+    if c.shape[0] != estimates.d_z:
+        raise ValueError("contrast length must equal the covariate count")
+    return np.sqrt(estimates.sizes.astype(np.float64)), estimates.betas @ c
+
+
+def _center(w: np.ndarray, cbeta: np.ndarray) -> float:
+    """The p-value-1 point: the sqrt(n_j)-weighted mean of c'beta_j."""
+    return float(w @ cbeta) / float(w.sum())
+
+
 @dataclass(frozen=True)
 class IntervalInputs:
     """Slope/offset summaries a(g), b(g) for every group element.
@@ -56,34 +70,24 @@ class IntervalInputs:
     a(g) = mean_j sqrt(n_j) g_j and b(g) = mean_j sqrt(n_j) g_j c'beta_j,
     stored aligned with ``group.signs``; row 0 is the identity, so
     ``a[0] > 0`` and the p-value-1 center is ``lambda0 = b[0] / a[0]``.
-    ``weights``/``weighted`` keep the per-cluster ingredients so bounds
-    can be evaluated for arbitrary sign vectors.
     """
 
-    weights: np.ndarray  # (q,) sqrt(n_j)
-    weighted: np.ndarray  # (q,) sqrt(n_j) * c'beta_j
     a: np.ndarray  # (m,)
     b: np.ndarray  # (m,)
     group: SignGroup
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=np.float64).reshape(-1)
-        wb = np.asarray(self.weighted, dtype=np.float64).reshape(-1)
         a = np.asarray(self.a, dtype=np.float64).reshape(-1)
         b = np.asarray(self.b, dtype=np.float64).reshape(-1)
-        if w.shape != wb.shape or w.shape[0] != self.group.q:
-            raise ValueError("weights must have one entry per cluster")
         if a.shape != b.shape or a.shape[0] != self.group.size:
             raise ValueError("a and b must have one entry per group element")
         if not (a[0] > 0.0):
             raise ValueError("identity row must have positive weight mean")
         if np.any(np.abs(a) > a[0] * (1.0 + 1e-12)):
             raise ValueError("|a(g)| cannot exceed a(identity)")
-        for name, arr in (("weights", w), ("weighted", wb), ("a", a), ("b", b)):
+        for name, arr in (("a", a), ("b", b)):
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name} must be finite")
-        object.__setattr__(self, "weights", _frozen(w))
-        object.__setattr__(self, "weighted", _frozen(wb))
         object.__setattr__(self, "a", _frozen(a))
         object.__setattr__(self, "b", _frozen(b))
 
@@ -104,16 +108,12 @@ def interval_inputs(
     estimates: ClusterEstimates, contrast: np.ndarray, group: SignGroup
 ) -> IntervalInputs:
     """Compute a(g), b(g) for every group element from per-cluster fits."""
-    c = np.asarray(contrast, dtype=np.float64).reshape(-1)
-    if c.shape[0] != estimates.d_z:
-        raise ValueError("contrast length must equal the covariate count")
+    w, cbeta = _cluster_terms(estimates, contrast)
     if group.q != estimates.q:
         raise ValueError("group and estimates disagree on the number of clusters")
-    w = np.sqrt(estimates.sizes.astype(np.float64))
-    wb = w * (estimates.betas @ c)
     a = kernels.group_means(group.signs, w)
-    b = kernels.group_means(group.signs, wb)
-    return IntervalInputs(weights=w, weighted=wb, a=a, b=b, group=group)
+    b = kernels.group_means(group.signs, w * cbeta)
+    return IntervalInputs(a=a, b=b, group=group)
 
 
 # ------------------------------------------------------------------ #
@@ -134,68 +134,39 @@ def per_group_bounds(inputs: IntervalInputs) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
-def per_g_bounds(inputs: IntervalInputs, g) -> tuple[ExtendedReal, ExtendedReal]:
-    """Bounds contributed by a single sign vector, as extended reals.
-
-    The +-identity vectors contribute (-inf, +inf); a vector with zero
-    weight mean contributes a symmetric band around the center; the
-    generic case is the pair of V-crossing points.
-    """
-    signs = as_sign_vector(g, inputs.group.q).reshape(1, -1)
-    a = kernels.group_means(signs, inputs.weights)
-    b = kernels.group_means(signs, inputs.weighted)
-    pm = _pm_iota_mask(signs)
-    lo, hi = kernels.interval_bounds(a, b, inputs.a_iota, inputs.b_iota, pm)
-    return ExtendedReal.from_float(float(lo[0])), ExtendedReal.from_float(float(hi[0]))
-
-
 # ------------------------------------------------------------------ #
 # The interval
 # ------------------------------------------------------------------ #
 
 
+def _rounding_tol(lambda0: float) -> float:
+    # degenerate instances (all cluster estimates equal) can leave the
+    # endpoints an ulp out of order; tolerate rounding-scale noise only
+    return 4e-16 * max(1.0, abs(lambda0))
+
+
 @dataclass(frozen=True)
 class ConfidenceInterval:
-    """A closed interval [lower, upper] over the extended reals.
+    """A closed interval [lower, upper] of floats; -inf/+inf when unbounded."""
 
-    ``lower_per_g``/``upper_per_g`` hold the per-group crossing points
-    (aligned with the group) when the interval came from the closed
-    form; the grid-inversion oracle leaves them ``None``.
-    """
-
-    lower: ExtendedReal
-    upper: ExtendedReal
+    lower: float
+    upper: float
     alpha: float
     lambda0: float
-    lower_per_g: np.ndarray | None = None
-    upper_per_g: np.ndarray | None = None
-    group_size: int | None = None
-    group_mode: str | None = None
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
-        # degenerate instances (all cluster estimates equal) can leave the
-        # endpoints an ulp out of order; tolerate rounding-scale noise only
-        tol = 4e-16 * max(1.0, abs(self.lambda0))
-        if self.upper.as_float() < self.lower.as_float() - tol:
+        object.__setattr__(self, "lower", float(self.lower))
+        object.__setattr__(self, "upper", float(self.upper))
+        if math.isnan(self.lower) or math.isnan(self.upper):
+            raise ValueError("interval endpoints must not be NaN")
+        if self.upper < self.lower - _rounding_tol(self.lambda0):
             raise ValueError("interval endpoints out of order")
-        if self.lower_per_g is not None:
-            lo = _frozen(np.asarray(self.lower_per_g, dtype=np.float64))
-            hi = _frozen(np.asarray(self.upper_per_g, dtype=np.float64))
-            object.__setattr__(self, "lower_per_g", lo)
-            object.__setattr__(self, "upper_per_g", hi)
-            if not (lo[0] == -math.inf and hi[0] == math.inf):
-                raise ValueError("identity row must contribute (-inf, +inf)")
-            if (
-                self.lower.as_float() > self.lambda0 + tol
-                or self.upper.as_float() < self.lambda0 - tol
-            ):
-                raise ValueError("the center point must lie inside the interval")
 
     @property
     def is_bounded(self) -> bool:
-        return self.lower.is_finite and self.upper.is_finite
+        return math.isfinite(self.lower) and math.isfinite(self.upper)
 
 
 def interval(inputs: IntervalInputs, alpha: float) -> ConfidenceInterval:
@@ -210,22 +181,19 @@ def interval(inputs: IntervalInputs, alpha: float) -> ConfidenceInterval:
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
     lo_all, hi_all = per_group_bounds(inputs)
+    if not (lo_all[0] == -math.inf and hi_all[0] == math.inf):
+        raise ValueError("identity row must contribute (-inf, +inf)")
     m = inputs.group.size
     k = order_statistic_index(m, alpha)
     lower = float(np.sort(lo_all)[k - 1])
     upper = float(np.sort(hi_all)[m - k])
     if lower > upper:  # ulp inversion on degenerate (point) intervals
         lower, upper = upper, lower
-    return ConfidenceInterval(
-        lower=ExtendedReal.from_float(lower),
-        upper=ExtendedReal.from_float(upper),
-        alpha=float(alpha),
-        lambda0=inputs.lambda0,
-        lower_per_g=lo_all,
-        upper_per_g=hi_all,
-        group_size=m,
-        group_mode=inputs.group.mode,
-    )
+    lam0 = inputs.lambda0
+    tol = _rounding_tol(lam0)
+    if lower > lam0 + tol or upper < lam0 - tol:
+        raise ValueError("the center point must lie inside the interval")
+    return ConfidenceInterval(lower=lower, upper=upper, alpha=float(alpha), lambda0=lam0)
 
 
 # ------------------------------------------------------------------ #
@@ -285,10 +253,8 @@ def default_inversion_grid(
     points: int = GRID_POINTS_DEFAULT,
 ) -> np.ndarray:
     """Symmetric grid around the center, wide enough to bracket the interval."""
-    c = np.asarray(contrast, dtype=np.float64).reshape(-1)
-    w = np.sqrt(estimates.sizes.astype(np.float64))
-    cbeta = estimates.betas @ c
-    lam0 = float(w @ cbeta) / float(w.sum())
+    w, cbeta = _cluster_terms(estimates, contrast)
+    lam0 = _center(w, cbeta)
     span = float(np.max(np.abs(cbeta - lam0)))
     span = max(span, 1e-8 * max(1.0, abs(lam0)))
     half = GRID_HALF_WIDTHS * span
@@ -308,9 +274,7 @@ def inversion_scan(
     reused; everything downstream (scores, sweep, quantile) is the real
     test engine.
     """
-    c = np.asarray(contrast, dtype=np.float64).reshape(-1)
-    w = np.sqrt(estimates.sizes.astype(np.float64))
-    cbeta = estimates.betas @ c
+    w, cbeta = _cluster_terms(estimates, contrast)
     keep = np.empty(grid.shape[0], dtype=bool)
     for i, value in enumerate(grid):
         scores = ScoreVector(values=w * (cbeta - value), sizes=estimates.sizes)
@@ -342,9 +306,7 @@ def interval_by_inversion(
     grid = np.asarray(grid, dtype=np.float64).reshape(-1)
     if grid.size < 2 or not np.all(np.isfinite(grid)):
         raise ValueError("grid must contain at least two finite values")
-    c = np.asarray(contrast, dtype=np.float64).reshape(-1)
-    w = np.sqrt(estimates.sizes.astype(np.float64))
-    lam0 = float(w @ (estimates.betas @ c)) / float(w.sum())
+    lam0 = _center(*_cluster_terms(estimates, contrast))
     if not grid[0] <= lam0 <= grid[-1]:
         raise ValueError("grid must contain the center point")
     keep = inversion_scan(estimates, contrast, alpha, group, grid)
@@ -352,10 +314,5 @@ def interval_by_inversion(
         raise GridTooCoarse("no grid value survived test inversion")
     kept = grid[keep]
     return ConfidenceInterval(
-        lower=ExtendedReal.finite(float(kept[0])),
-        upper=ExtendedReal.finite(float(kept[-1])),
-        alpha=float(alpha),
-        lambda0=lam0,
-        group_size=group.size,
-        group_mode=group.mode,
+        lower=float(kept[0]), upper=float(kept[-1]), alpha=float(alpha), lambda0=lam0
     )

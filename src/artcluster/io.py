@@ -18,7 +18,7 @@ import numpy as np
 
 from artcluster.blocks import blockify
 from artcluster.errors import MissingColumn, ParseError
-from artcluster.model import ClusteredDataset, ExtendedReal, canonicalize
+from artcluster.model import ClusteredDataset, canonicalize
 
 __all__ = [
     "REPORT_SCHEMA_VERSION",
@@ -200,12 +200,10 @@ def export_csv(
 
 
 def _jsonable(obj):
-    """Convert numpy/domain values into plain JSON types.
+    """Convert numpy values into plain JSON types.
 
-    Infinities (tagged or IEEE) become the tokens "-inf" / "+inf".
+    Infinities become the tokens "-inf" / "+inf".
     """
-    if isinstance(obj, ExtendedReal):
-        return _jsonable(obj.as_float())
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

@@ -1,4 +1,4 @@
-"""Core domain types: clustered datasets, linear hypotheses, extended reals.
+"""Core domain types: clustered datasets and linear hypotheses.
 
 Everything here is immutable after construction (frozen dataclasses over
 read-only arrays), so instances can be shared freely across threads.
@@ -21,11 +21,8 @@ from artcluster.errors import (
 
 __all__ = [
     "ClusteredDataset",
-    "ExtendedReal",
     "LinearHypothesis",
     "MultiHypothesis",
-    "NEG_INF",
-    "POS_INF",
     "canonicalize",
 ]
 
@@ -219,90 +216,3 @@ class MultiHypothesis:
     @property
     def p(self) -> int:
         return self.restriction.shape[0]
-
-
-# ------------------------------------------------------------------ #
-# Extended reals
-# ------------------------------------------------------------------ #
-
-
-@dataclass(frozen=True, order=False)
-class ExtendedReal:
-    """A real number extended with explicit -inf / +inf tags.
-
-    Kept as a tagged value (not an IEEE infinity) so that the total
-    order -inf < finite < +inf and the quantile conventions built on it
-    are unambiguous.  ``kind`` is -1, 0 or +1; ``value`` is only
-    meaningful when ``kind == 0``.
-    """
-
-    kind: int
-    value: float = 0.0
-
-    def __post_init__(self):
-        if self.kind not in (-1, 0, 1):
-            raise ValueError("kind must be -1, 0 or +1")
-        if self.kind == 0:
-            if not math.isfinite(self.value):
-                raise ValueError("finite ExtendedReal needs a finite value")
-            object.__setattr__(self, "value", float(self.value))
-        else:
-            object.__setattr__(self, "value", 0.0)
-
-    # -- constructors ---------------------------------------------------
-
-    @classmethod
-    def finite(cls, x: float) -> "ExtendedReal":
-        return cls(0, float(x))
-
-    @classmethod
-    def from_float(cls, x: float) -> "ExtendedReal":
-        """Map an IEEE float (possibly +-inf) onto the tagged form."""
-        if math.isnan(x):
-            raise ValueError("NaN has no extended-real counterpart")
-        if x == math.inf:
-            return POS_INF
-        if x == -math.inf:
-            return NEG_INF
-        return cls(0, float(x))
-
-    # -- queries ---------------------------------------------------------
-
-    @property
-    def is_finite(self) -> bool:
-        return self.kind == 0
-
-    def as_float(self) -> float:
-        if self.kind < 0:
-            return -math.inf
-        if self.kind > 0:
-            return math.inf
-        return self.value
-
-    # -- total order -----------------------------------------------------
-
-    def _key(self) -> tuple[int, float]:
-        return (self.kind, self.value if self.kind == 0 else 0.0)
-
-    def __lt__(self, other: "ExtendedReal") -> bool:
-        return self._key() < other._key()
-
-    def __le__(self, other: "ExtendedReal") -> bool:
-        return self._key() <= other._key()
-
-    def __gt__(self, other: "ExtendedReal") -> bool:
-        return other < self
-
-    def __ge__(self, other: "ExtendedReal") -> bool:
-        return other <= self
-
-    def __str__(self) -> str:
-        if self.kind < 0:
-            return "-inf"
-        if self.kind > 0:
-            return "+inf"
-        return repr(self.value)
-
-
-NEG_INF = ExtendedReal(-1)
-POS_INF = ExtendedReal(1)

@@ -174,14 +174,14 @@ def test_criterion_3_interval_matches_inversion(ci_instances):
         oracle = interval_by_inversion(
             inst["estimates"], inst["contrast"], inst["alpha"], inst["group"], grid
         )
-        if closed.lower.is_finite:
-            assert abs(closed.lower.as_float() - oracle.lower.as_float()) <= step
+        if np.isfinite(closed.lower):
+            assert abs(closed.lower - oracle.lower) <= step
         else:
-            assert oracle.lower.as_float() == grid[0]
-        if closed.upper.is_finite:
-            assert abs(closed.upper.as_float() - oracle.upper.as_float()) <= step
+            assert oracle.lower == grid[0]
+        if np.isfinite(closed.upper):
+            assert abs(closed.upper - oracle.upper) <= step
         else:
-            assert oracle.upper.as_float() == grid[-1]
+            assert oracle.upper == grid[-1]
 
         # direct vs piecewise profile evaluation at 200 points
         inputs = inst["inputs"]

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from artcluster.cli import main
+from artcluster.errors import DuplicateTimeKeyWarning
 from artcluster.io import RunConfig, ingest
 
 MICRO_CSV = "cluster,y,x\n" + "".join(
@@ -256,6 +257,48 @@ EXIT_CODE_CASES = [
         "11 blocks from 10 observations",
         id="too-few-observations",
     ),
+    pytest.param(
+        _rows_csv("cluster,y,x", ["a,1.0,1.0", "b,2.0,1.0"]),
+        ["--cluster", "cluster", "--input", "no-such-input.csv"],
+        3,
+        "No such file or directory",
+        id="missing-input",
+    ),
+    pytest.param(
+        _rows_csv("cluster,y,x", ["a,1.0,1.0", "a,2.0", "b,3.0,1.0", "b,1.0,2.0"]),
+        ["--cluster", "cluster"],
+        3,
+        "expected 3 fields, found 2",
+        id="ragged-row",
+    ),
+    pytest.param(
+        _rows_csv("t,y,x", [f"{i},{float(i % 3)!r},1.0" for i in range(10)]),
+        ["--blocks", "2"],
+        1,
+        "requires a time column",
+        id="blocks-without-time",
+    ),
+    pytest.param(
+        MICRO_CSV,
+        ["--cluster", "cluster", "--contrast", "1"],
+        1,
+        "not both",
+        id="contrast-and-coef",
+    ),
+    pytest.param(
+        MICRO_CSV,
+        ["--cluster", "cluster", "--group-mode", "sampled", "--draws", "1"],
+        1,
+        "at least 2 vectors",
+        id="too-few-draws",
+    ),
+    pytest.param(
+        MICRO_CSV,
+        [],
+        1,
+        "cluster column is required",
+        id="no-cluster-or-blocks",
+    ),
 ]
 
 
@@ -268,6 +311,18 @@ def test_documented_failure_exit_codes(tmp_path, capsys, csv_text, extra, expect
     assert code == expected_code
     assert out == ""
     assert message in err
+
+
+def test_duplicate_time_keys_warn_and_still_report(tmp_path, capsys):
+    rows = [f"{i // 2},{float(i % 5)!r},{float(i % 3)!r}" for i in range(40)]
+    path = tmp_path / "series.csv"
+    path.write_text(_rows_csv("t,y,x", rows))
+    argv = ["test", "--input", str(path), "--outcome", "y", "--covariates", "x",
+            "--coef", "x", "--blocks", "4", "--time", "t"]
+    with pytest.warns(DuplicateTimeKeyWarning):
+        code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    assert json.loads(out)["result"]["group"]["size"] == 16
 
 
 class TestCiCommand:

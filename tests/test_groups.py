@@ -38,11 +38,6 @@ class TestExhaustive:
         with pytest.raises(GroupTooLarge):
             exhaustive_group(21)
 
-    def test_override_allows_large(self):
-        g = exhaustive_group(21, allow_large=True)
-        assert g.size == 2**21
-        assert np.all(g.signs[0] == 1)
-
 
 class TestSampled:
     def test_identity_forced_first(self):

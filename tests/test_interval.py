@@ -5,13 +5,13 @@ import pytest
 
 from artcluster import (
     ArtClusterError,
+    ConfidenceInterval,
     GridTooCoarse,
     LinearHypothesis,
     fit_per_cluster,
     interval,
     interval_by_inversion,
     interval_inputs,
-    per_g_bounds,
     pvalue_profile,
     run_test,
 )
@@ -70,17 +70,18 @@ class TestIntervalInputs:
 
 
 class TestPerGBounds:
+    # the q=2 group in lexicographic order: (1,1), (1,-1), (-1,1), (-1,-1)
     def test_hand_example_zero_slope_case(self, micro_estimates, group_cache):
         inputs = interval_inputs(micro_estimates, [1.0], group_cache(2))
-        lo, hi = per_g_bounds(inputs, [1, -1])
-        assert lo.as_float() == 1.0
-        assert hi.as_float() == 3.0
+        lo_all, hi_all = per_group_bounds(inputs)
+        assert lo_all[1] == 1.0
+        assert hi_all[1] == 3.0
 
     def test_negated_identity_unbounded(self, micro_estimates, group_cache):
         inputs = interval_inputs(micro_estimates, [1.0], group_cache(2))
-        lo, hi = per_g_bounds(inputs, [-1, -1])
-        assert not lo.is_finite and lo.as_float() == -np.inf
-        assert not hi.is_finite and hi.as_float() == np.inf
+        lo_all, hi_all = per_group_bounds(inputs)
+        assert not np.isfinite(lo_all[3]) and lo_all[3] == -np.inf
+        assert not np.isfinite(hi_all[3]) and hi_all[3] == np.inf
 
     def test_crossing_behavior(self, rng, group_cache):
         # just below the upper bound the flipped statistic dominates,
@@ -128,15 +129,26 @@ class TestInterval:
     def test_hand_example_alpha_06(self, micro_estimates, group_cache):
         inputs = interval_inputs(micro_estimates, [1.0], group_cache(2))
         ci = interval(inputs, 0.6)
-        assert ci.lower.as_float() == 1.0
-        assert ci.upper.as_float() == 3.0
+        assert ci.lower == 1.0
+        assert ci.upper == 3.0
+        assert type(ci.lower) is float and type(ci.upper) is float
 
     def test_hand_example_alpha_03_unbounded(self, micro_estimates, group_cache):
         inputs = interval_inputs(micro_estimates, [1.0], group_cache(2))
         ci = interval(inputs, 0.3)
-        assert not ci.lower.is_finite
-        assert not ci.upper.is_finite
+        assert not np.isfinite(ci.lower)
+        assert not np.isfinite(ci.upper)
         assert not ci.is_bounded
+        assert (str(ci.lower), str(ci.upper)) == ("-inf", "inf")
+
+    @pytest.mark.parametrize(
+        "lower, upper",
+        [(np.nan, 1.0), (1.0, np.nan), (1.0, 1.0 - 1e-9)],
+        ids=["nan-lower", "nan-upper", "out-of-order"],
+    )
+    def test_invalid_endpoints_rejected(self, lower, upper):
+        with pytest.raises(ValueError):
+            ConfidenceInterval(lower=lower, upper=upper, alpha=0.1, lambda0=1.0)
 
     def test_center_always_covered(self, rng, group_cache):
         for _ in range(10):
@@ -147,7 +159,7 @@ class TestInterval:
             )
             for alpha in (0.05, 0.3, 0.9):
                 ci = interval(inputs, alpha)
-                assert ci.lower.as_float() <= inputs.lambda0 <= ci.upper.as_float()
+                assert ci.lower <= inputs.lambda0 <= ci.upper
 
     def test_shift_equivariance(self, rng, group_cache):
         data = random_dataset(rng, q=6, d=3)
@@ -160,12 +172,8 @@ class TestInterval:
             interval_inputs(shift_contrast_estimates(est, c, delta), c, group), 0.1
         )
         assert shifted.lambda0 == pytest.approx(base.lambda0 + delta, rel=1e-9)
-        assert shifted.lower.as_float() == pytest.approx(
-            base.lower.as_float() + delta, rel=1e-9
-        )
-        assert shifted.upper.as_float() == pytest.approx(
-            base.upper.as_float() + delta, rel=1e-9
-        )
+        assert shifted.lower == pytest.approx(base.lower + delta, rel=1e-9)
+        assert shifted.upper == pytest.approx(base.upper + delta, rel=1e-9)
 
     def test_scale_equivariance(self, rng, group_cache):
         data = random_dataset(rng, q=6, d=2)
@@ -179,12 +187,8 @@ class TestInterval:
         )
         scaled = interval(interval_inputs(scaled_est, c, group), 0.1)
         assert scaled.lambda0 == pytest.approx(kappa * base.lambda0, rel=1e-9)
-        assert scaled.lower.as_float() == pytest.approx(
-            kappa * base.lower.as_float(), rel=1e-9
-        )
-        assert scaled.upper.as_float() == pytest.approx(
-            kappa * base.upper.as_float(), rel=1e-9
-        )
+        assert scaled.lower == pytest.approx(kappa * base.lower, rel=1e-9)
+        assert scaled.upper == pytest.approx(kappa * base.upper, rel=1e-9)
 
     def test_degenerate_equal_estimates_collapse_to_point(self, group_cache):
         # identical rows in every cluster but unequal sizes: the interval
@@ -202,8 +206,8 @@ class TestInterval:
         inputs = interval_inputs(fit_per_cluster(data), [0.0, 1.0], group_cache(4))
         ci = interval(inputs, 0.4)
         scale = max(1.0, abs(inputs.lambda0))
-        assert abs(ci.lower.as_float() - inputs.lambda0) < 1e-12 * scale
-        assert abs(ci.upper.as_float() - inputs.lambda0) < 1e-12 * scale
+        assert abs(ci.lower - inputs.lambda0) < 1e-12 * scale
+        assert abs(ci.upper - inputs.lambda0) < 1e-12 * scale
         assert ci.lower <= ci.upper
 
     def test_duality_with_test(self, rng, group_cache):
@@ -212,7 +216,7 @@ class TestInterval:
         group = group_cache(7)
         alpha = 0.1
         ci = interval(interval_inputs(fit_per_cluster(data), c, group), alpha)
-        lo, hi = ci.lower.as_float(), ci.upper.as_float()
+        lo, hi = ci.lower, ci.upper
         width = hi - lo
         inside = [lo + 0.25 * width, ci.lambda0, hi - 0.25 * width]
         outside = [lo - 0.05 * width, hi + 0.05 * width]
@@ -233,9 +237,11 @@ class TestProfile:
     def test_tail_limit(self, rng, group_cache):
         data = random_dataset(rng, q=6, d=2)
         group = group_cache(6)
-        inputs = interval_inputs(fit_per_cluster(data), random_contrast(rng, 2), group)
+        est, c = fit_per_cluster(data), random_contrast(rng, 2)
+        inputs = interval_inputs(est, c, group)
         # far enough out only +-identity survive
-        span = float(np.max(np.abs(inputs.weighted))) + 1.0
+        weighted = np.sqrt(est.sizes.astype(float)) * (est.betas @ c)
+        span = float(np.max(np.abs(weighted))) + 1.0
         for value in (inputs.lambda0 - 1e6 * span, inputs.lambda0 + 1e6 * span):
             assert pvalue_profile(inputs, value) == 2.0 / group.size
 
@@ -275,8 +281,8 @@ class TestInversionOracle:
             grid = default_inversion_grid(est, c, points=2001)
             inv = interval_by_inversion(est, c, 0.1, group, grid)
             step = grid[1] - grid[0]
-            assert abs(ci.lower.as_float() - inv.lower.as_float()) <= step
-            assert abs(ci.upper.as_float() - inv.upper.as_float()) <= step
+            assert abs(ci.lower - inv.lower) <= step
+            assert abs(ci.upper - inv.upper) <= step
 
     def test_nested_grid_containment(self, rng, group_cache):
         data = random_dataset(rng, q=6, d=2)
@@ -288,15 +294,15 @@ class TestInversionOracle:
         coarse = interval_by_inversion(est, c, 0.1, group, coarse_grid)
         fine = interval_by_inversion(est, c, 0.1, group, fine_grid)
         coarse_step = coarse_grid[1] - coarse_grid[0]
-        assert fine.lower.as_float() >= coarse.lower.as_float() - coarse_step
-        assert fine.upper.as_float() <= coarse.upper.as_float() + coarse_step
+        assert fine.lower >= coarse.lower - coarse_step
+        assert fine.upper <= coarse.upper + coarse_step
 
     def test_reasonable_alpha_bounded(self, rng, group_cache):
         data = random_dataset(rng, q=7, d=2)
         est = fit_per_cluster(data)
         c = random_contrast(rng, 2)
         inv = interval_by_inversion(est, c, 0.2, group_cache(7))
-        assert inv.lower.is_finite and inv.upper.is_finite
+        assert np.isfinite(inv.lower) and np.isfinite(inv.upper)
 
     def test_grid_too_coarse(self, rng, group_cache):
         data = random_dataset(rng, q=6, d=2)
@@ -304,7 +310,7 @@ class TestInversionOracle:
         c = random_contrast(rng, 2)
         inputs = interval_inputs(est, c, group_cache(6))
         ci = interval(inputs, 0.2)
-        lo, hi = ci.lower.as_float(), ci.upper.as_float()
+        lo, hi = ci.lower, ci.upper
         # two points bracketing the center but far outside the interval
         width = hi - lo
         grid = np.array([lo - 60 * width, hi + 60 * width])

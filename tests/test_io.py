@@ -13,7 +13,6 @@ from artcluster.io import (
     render_report,
     resolve_contrast,
 )
-from artcluster.model import NEG_INF, POS_INF, ExtendedReal
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -117,7 +116,7 @@ class TestRenderReport:
         text = render_report(
             "ci",
             {"alpha": 0.1},
-            {"lower": NEG_INF, "upper": POS_INF, "mid": ExtendedReal.finite(2.0)},
+            {"lower": -np.inf, "upper": np.inf, "mid": 2.0},
         )
         doc = json.loads(text)
         assert doc["result"]["lower"] == "-inf"
