@@ -1,18 +1,23 @@
 """Sign-flip group construction: exhaustive enumeration and seeded sampling.
 
 A sign vector is a plain 1-D int8 array of +-1 entries; a
-:class:`SignGroup` stacks the whole collection into an ``(m, q)`` int8
-matrix with the identity vector (all +1) always in row 0.  Sampling uses
-numpy's Philox generator, a counter-based RNG whose streams are
-reproducible across platforms for a given integer seed.
+:class:`SignGroup` is an ordered collection of them with the identity
+vector (all +1) always in row 0.  An exhaustive group is defined by q
+alone and is swept without materializing its rows; a sampled group
+stores its ``(draws, q)`` int8 matrix.  Sampling uses numpy's Philox
+generator, a counter-based RNG whose streams are reproducible across
+platforms for a given integer seed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
+from artcluster import kernels
 from artcluster.errors import GroupTooLarge
 
 __all__ = [
@@ -26,7 +31,8 @@ __all__ = [
     "sampled_group",
 ]
 
-# 2^20 vectors (~21 MB of int8 signs) is the enumeration ceiling; the
+# 2^20 vectors is the enumeration ceiling: an exhaustive sweep holds a
+# few float64 arrays of 2^q entries (8 MB each at q = 20).  The
 # automatic mode switches to sampling well before that.
 MAX_EXHAUSTIVE_Q = 20
 AUTO_SAMPLED_ABOVE = 14
@@ -52,51 +58,99 @@ class SignGroup:
 
     Attributes
     ----------
-    signs : (m, q) int8
-        One sign vector per row; row 0 is always the identity.
+    q : int
+        Length of each sign vector (the number of clusters).
     mode : str
         ``"exhaustive"`` (all 2^q vectors, lexicographic with +1 first)
         or ``"sampled"`` (identity first, then seeded Rademacher draws;
         duplicates permitted).
     seed, draws
         Sampling provenance; ``None`` in exhaustive mode.
+    matrix : (draws, q) int8 or None
+        The rows of a sampled group; ``None`` in exhaustive mode, whose
+        rows are implied by q.
     """
 
-    signs: np.ndarray
+    q: int
     mode: str
     seed: int | None = None
     draws: int | None = None
+    matrix: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        signs = np.asarray(self.signs, dtype=np.int8)
-        if signs.ndim != 2:
-            raise ValueError("signs must be an (m, q) matrix")
-        if not np.all(np.abs(signs) == 1):
-            raise ValueError("sign entries must be +1 or -1")
-        if not np.all(signs[0] == 1):
-            raise ValueError("row 0 must be the identity vector")
+        object.__setattr__(self, "q", operator.index(self.q))
         if self.mode == "exhaustive":
-            if signs.shape[0] != 1 << signs.shape[1]:
-                raise ValueError("exhaustive group must contain exactly 2^q vectors")
+            if self.matrix is not None or self.seed is not None or self.draws is not None:
+                raise ValueError("an exhaustive group is defined by q alone")
+            if self.q < 2:
+                raise ValueError("need q >= 2")
+            if self.q > MAX_EXHAUSTIVE_Q:
+                raise GroupTooLarge(
+                    f"exhaustive enumeration of 2^{self.q} sign vectors exceeds the "
+                    f"q <= {MAX_EXHAUSTIVE_Q} ceiling; use sampled mode"
+                )
         elif self.mode == "sampled":
+            if self.matrix is None:
+                raise ValueError("a sampled group needs its sign matrix")
+            signs = np.asarray(self.matrix, dtype=np.int8)
+            if signs.ndim != 2 or signs.shape[1] != self.q:
+                raise ValueError("signs must be an (m, q) matrix")
+            if not np.all(np.abs(signs) == 1):
+                raise ValueError("sign entries must be +1 or -1")
+            if not np.all(signs[0] == 1):
+                raise ValueError("row 0 must be the identity vector")
             if self.draws is None or signs.shape[0] != self.draws:
                 raise ValueError("sampled group must record its draw count")
+            signs = np.ascontiguousarray(signs)
+            signs.flags.writeable = False
+            object.__setattr__(self, "matrix", signs)
         else:
             raise ValueError(f"unknown mode {self.mode!r}")
-        signs = np.ascontiguousarray(signs)
-        signs.flags.writeable = False
-        object.__setattr__(self, "signs", signs)
 
     @property
     def size(self) -> int:
-        return self.signs.shape[0]
-
-    @property
-    def q(self) -> int:
-        return self.signs.shape[1]
+        return 1 << self.q if self.matrix is None else self.matrix.shape[0]
 
     def __len__(self) -> int:
         return self.size
+
+    @cached_property
+    def signs(self) -> np.ndarray:
+        """The (m, q) int8 sign matrix, row 0 the identity.
+
+        Built on first access for an exhaustive group (2^q * q bytes);
+        the package's sweeps never ask for it.
+        """
+        if self.matrix is not None:
+            return self.matrix
+        # row i is i in binary, most significant of q bits first; 1 -> -1
+        idx = np.arange(self.size, dtype=">u4").view(np.uint8).reshape(-1, 4)
+        bits = np.unpackbits(idx, axis=1)[:, 32 - self.q :]
+        signs = 1 - 2 * bits.astype(np.int8)
+        signs.flags.writeable = False
+        return signs
+
+    def sweep(self, values: np.ndarray) -> np.ndarray:
+        """Signed means (1/q) sum_j g_j v_j for every row g, in row order.
+
+        ``values`` is (q,) or (q, p); the result is (m,) or (m, p).
+        """
+        values = np.asarray(values, dtype=np.float64)
+        if values.shape[0] != self.q:
+            raise ValueError(
+                f"values have {values.shape[0]} entries but the group acts on q = {self.q}"
+            )
+        if self.matrix is None:
+            return kernels.exhaustive_means(values)
+        return kernels.group_means(self.matrix, values)
+
+    def pm_identity(self) -> np.ndarray:
+        """Boolean mask of the rows equal to +-identity (all entries equal)."""
+        if self.matrix is None:
+            mask = np.zeros(self.size, dtype=bool)
+            mask[[0, -1]] = True
+            return mask
+        return np.all(self.matrix == self.matrix[:, :1], axis=1)
 
 
 def exhaustive_group(q: int) -> SignGroup:
@@ -105,18 +159,7 @@ def exhaustive_group(q: int) -> SignGroup:
     Row 0 is the identity, row 2^q - 1 its negation.  Raises
     :class:`GroupTooLarge` above q = 20; use sampled mode there.
     """
-    if q < 2:
-        raise ValueError("need q >= 2")
-    if q > MAX_EXHAUSTIVE_Q:
-        raise GroupTooLarge(
-            f"exhaustive enumeration of 2^{q} sign vectors exceeds the "
-            f"q <= {MAX_EXHAUSTIVE_Q} ceiling; use sampled mode"
-        )
-    idx = np.arange(1 << q, dtype=np.uint64)
-    shifts = (q - 1 - np.arange(q, dtype=np.uint64))
-    bits = (idx[:, None] >> shifts[None, :]) & 1
-    signs = (1 - 2 * bits).astype(np.int8)
-    return SignGroup(signs=signs, mode="exhaustive")
+    return SignGroup(q=q, mode="exhaustive")
 
 
 def sampled_group(q: int, draws: int, seed: int) -> SignGroup:
@@ -135,7 +178,7 @@ def sampled_group(q: int, draws: int, seed: int) -> SignGroup:
     signs = np.empty((draws, q), dtype=np.int8)
     signs[0] = 1
     signs[1:] = 1 - 2 * flips
-    return SignGroup(signs=signs, mode="sampled", seed=int(seed), draws=int(draws))
+    return SignGroup(q=q, mode="sampled", seed=int(seed), draws=int(draws), matrix=signs)
 
 
 def enumerate_group(

@@ -68,7 +68,7 @@ class IntervalInputs:
     """Slope/offset summaries a(g), b(g) for every group element.
 
     a(g) = mean_j sqrt(n_j) g_j and b(g) = mean_j sqrt(n_j) g_j c'beta_j,
-    stored aligned with ``group.signs``; row 0 is the identity, so
+    stored in group row order; row 0 is the identity, so
     ``a[0] > 0`` and the p-value-1 center is ``lambda0 = b[0] / a[0]``.
     """
 
@@ -109,11 +109,7 @@ def interval_inputs(
 ) -> IntervalInputs:
     """Compute a(g), b(g) for every group element from per-cluster fits."""
     w, cbeta = _cluster_terms(estimates, contrast)
-    if group.q != estimates.q:
-        raise ValueError("group and estimates disagree on the number of clusters")
-    a = kernels.group_means(group.signs, w)
-    b = kernels.group_means(group.signs, w * cbeta)
-    return IntervalInputs(a=a, b=b, group=group)
+    return IntervalInputs(a=group.sweep(w), b=group.sweep(w * cbeta), group=group)
 
 
 # ------------------------------------------------------------------ #
@@ -121,16 +117,10 @@ def interval_inputs(
 # ------------------------------------------------------------------ #
 
 
-def _pm_iota_mask(signs: np.ndarray) -> np.ndarray:
-    """Rows equal to +-identity, i.e. with all entries equal."""
-    return np.all(signs == signs[:, :1], axis=1)
-
-
 def per_group_bounds(inputs: IntervalInputs) -> tuple[np.ndarray, np.ndarray]:
     """Lower/upper crossing points for every group row (floats, +-inf)."""
-    pm = _pm_iota_mask(inputs.group.signs)
     return kernels.interval_bounds(
-        inputs.a, inputs.b, inputs.a_iota, inputs.b_iota, pm
+        inputs.a, inputs.b, inputs.a_iota, inputs.b_iota, inputs.group.pm_identity()
     )
 
 
@@ -185,8 +175,8 @@ def interval(inputs: IntervalInputs, alpha: float) -> ConfidenceInterval:
         raise ValueError("identity row must contribute (-inf, +inf)")
     m = inputs.group.size
     k = order_statistic_index(m, alpha)
-    lower = float(np.sort(lo_all)[k - 1])
-    upper = float(np.sort(hi_all)[m - k])
+    lower = float(np.partition(lo_all, k - 1)[k - 1])
+    upper = float(np.partition(hi_all, m - k)[m - k])
     if lower > upper:  # ulp inversion on degenerate (point) intervals
         lower, upper = upper, lower
     lam0 = inputs.lambda0

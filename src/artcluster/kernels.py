@@ -1,12 +1,16 @@
 """Hot numeric kernels: sweeping statistics over the whole sign group.
 
-Each kernel is a vectorized NumPy sweep over the rows of an int8 sign
-matrix: :func:`group_means` (signed means), :func:`group_wald_quadratic`
-(the multi-row quadratic form) and :func:`interval_bounds` (per-row
-crossing points of the confidence-interval maps).
+:func:`exhaustive_means` sweeps the full group of 2^q sign vectors by
+prefix-sum doubling, without ever building its (2^q, q) sign matrix;
+:func:`group_means` sweeps the rows of an explicit int8 sign matrix (a
+sampled group).  Both return the signed means of (q,) or (q, p) values.
+:func:`group_wald_quadratic` turns swept (m, p) means into the
+multi-row quadratic form and :func:`interval_bounds` gives the per-row
+crossing points of the confidence-interval maps.
 
-The accumulation order is fixed -- columns left to right, then the
-quadratic form row by row -- so results are reproducible bit for bit.
+The accumulation order is fixed -- columns left to right starting from
++0.0, then the quadratic form row by row -- so results are reproducible
+bit for bit, and the two sweeps agree bit for bit on the same rows.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
+    "exhaustive_means",
     "group_means",
     "group_wald_quadratic",
     "interval_bounds",
@@ -23,32 +28,59 @@ __all__ = [
 # ------------------------------------------------------------------ #
 # Signed means:  out[i] = (1/q) * sum_j signs[i, j] * values[j]
 # ------------------------------------------------------------------ #
+#
+# Exhaustive rows are in lexicographic order with +1 before -1, so the
+# sums over the first k+1 columns are the sums over the first k columns
+# with +v_k and -v_k appended, interleaved:
+#     level[2i] = prev[i] + v_k,   level[2i + 1] = prev[i] - v_k.
+# Starting from +0.0 this is the column loop's left-to-right order, and
+# x - v equals x + (-v) exactly, so both sweeps give the same bits.  The
+# first levels (up to 2^6 sums) use Python floats -- the same IEEE
+# double arithmetic -- where a NumPy call per level costs more than the
+# work it does.
+
+_PYTHON_LEVELS = 6
+
+
+def exhaustive_means(values: np.ndarray) -> np.ndarray:
+    """Mean of sign-flipped values for all 2^q sign vectors, in order."""
+    v = np.asarray(values, dtype=np.float64)
+    if v.ndim == 2:
+        return np.stack([exhaustive_means(column) for column in v.T], axis=1)
+    q = v.shape[0]
+    head = [0.0]
+    for x in v[:_PYTHON_LEVELS].tolist():
+        head = [s for prev in head for s in (prev + x, prev - x)]
+    sums = np.array(head)
+    for x in v[_PYTHON_LEVELS:]:
+        level = np.empty(2 * sums.shape[0])
+        np.add(sums, x, out=level[0::2])
+        np.subtract(sums, x, out=level[1::2])
+        sums = level
+    sums /= q
+    return sums
 
 
 def group_means(signs: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Mean of sign-flipped values for every group row."""
+    """Mean of sign-flipped values for every row of an explicit sign matrix."""
     m, q = signs.shape
-    acc = np.zeros(m, dtype=np.float64)
+    v = np.asarray(values, dtype=np.float64)
+    # trailing unit axes let one sign column scale a whole (p,) row
+    columns = signs.reshape(m, q, *([1] * (v.ndim - 1)))
+    acc = np.zeros((m, *v.shape[1:]), dtype=np.float64)
     for j in range(q):
-        acc += signs[:, j] * values[j]
+        acc += columns[:, j] * v[j]
     return acc / q
 
 
 # ------------------------------------------------------------------ #
 # Wald quadratic form:  out[i] = q * mean_i' sigma_inv mean_i
-# where mean_i = (1/q) * sum_j signs[i, j] * scores[j, :]
+# where mean_i is row i of the swept (m, p) means
 # ------------------------------------------------------------------ #
 
 
-def group_wald_quadratic(
-    signs: np.ndarray, scores: np.ndarray, sigma_inv: np.ndarray
-) -> np.ndarray:
-    m, q = signs.shape
-    p = scores.shape[1]
-    means = np.zeros((m, p), dtype=np.float64)
-    for j in range(q):
-        means += signs[:, j, None] * scores[j][None, :]
-    means /= q
+def group_wald_quadratic(means: np.ndarray, sigma_inv: np.ndarray, q: int) -> np.ndarray:
+    m, p = means.shape
     out = np.zeros(m, dtype=np.float64)
     for r in range(p):
         acc = np.zeros(m, dtype=np.float64)

@@ -7,7 +7,7 @@ read-only arrays), so instances can be shared freely across threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Hashable, Sequence
 
 import numpy as np
@@ -56,12 +56,16 @@ class ClusteredDataset:
     labels : tuple
         Original cluster labels; position in the tuple is the canonical
         cluster index.
+    offsets : (q + 1,) int64
+        Row offset of each cluster's first observation, plus the end;
+        derived from ``sizes`` at construction.
     """
 
     outcomes: np.ndarray
     covariates: np.ndarray
     sizes: np.ndarray
     labels: tuple
+    offsets: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "outcomes", _frozen(np.asarray(self.outcomes, dtype=np.float64)))
@@ -84,6 +88,7 @@ class ClusteredDataset:
             raise NonFiniteValue("outcomes contain non-finite values")
         if not np.all(np.isfinite(self.covariates)):
             raise NonFiniteValue("covariates contain non-finite values")
+        object.__setattr__(self, "offsets", _frozen(np.concatenate([[0], np.cumsum(self.sizes)])))
 
     # -- shape helpers -------------------------------------------------
 
@@ -98,11 +103,6 @@ class ClusteredDataset:
     @property
     def d_z(self) -> int:
         return self.covariates.shape[1]
-
-    @property
-    def offsets(self) -> np.ndarray:
-        """Row offset of each cluster's first observation, plus the end."""
-        return np.concatenate([[0], np.cumsum(self.sizes)])
 
     def cluster_slice(self, j: int) -> slice:
         off = self.offsets

@@ -200,9 +200,7 @@ def group_statistics(
     the closure of the monotone transform linking the two variants; the
     single-vector :func:`statistic_studentized` raises instead.
     """
-    if group.q != scores.q:
-        raise ValueError("group and scores disagree on the number of clusters")
-    means = kernels.group_means(group.signs, scores.values)
+    means = group.sweep(scores.values)
     t = np.abs(means)
     if variant == "unstudentized":
         return t
@@ -242,12 +240,13 @@ def critical_value(values, level: float) -> float:
     inf{u : fraction of values <= u is >= level}; equals the
     ceil(m*level)-th smallest value.
     """
-    arr = np.sort(np.asarray(values, dtype=np.float64).reshape(-1))
+    arr = np.asarray(values, dtype=np.float64).reshape(-1)
     if arr.size == 0:
         raise ValueError("need a nonempty multiset")
     if not 0.0 < level < 1.0:
         raise ValueError("level must lie in (0, 1)")
-    return float(arr[order_statistic_index(arr.size, level) - 1])
+    k = order_statistic_index(arr.size, level)
+    return float(np.partition(arr, k - 1)[k - 1])
 
 
 def pvalue_from_statistics(statistics: np.ndarray, observed: float) -> float:
@@ -371,5 +370,5 @@ def run_wald_test(
     if sigma_inv is None:
         stats = np.zeros(group.size, dtype=np.float64)
     else:
-        stats = kernels.group_wald_quadratic(group.signs, scores, sigma_inv)
+        stats = kernels.group_wald_quadratic(group.sweep(scores), sigma_inv, estimates.q)
     return _result_from_statistics(stats, alpha, group, "wald", scaling)

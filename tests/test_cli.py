@@ -1,10 +1,14 @@
 """End-to-end CLI behavior: reports, exit codes, determinism, round trips."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import artcluster
 from artcluster.cli import main
 from artcluster.errors import DuplicateTimeKeyWarning
 from artcluster.io import RunConfig, ingest
@@ -613,3 +617,41 @@ class TestReportShape:
         assert code == 0
         assert out == ""
         assert json.loads(dest.read_text())["command"] == "test"
+
+
+# The child reads its own high-water RSS: a parent's ru_maxrss for a
+# spawned child starts from the parent's own peak, so it cannot show a
+# child peak below that.
+_PEAK_RSS_CHILD = """
+import sys
+from artcluster.cli import main
+code = main(sys.argv[1:])
+with open("/proc/self/status") as fh:
+    hwm = next(line for line in fh if line.startswith("VmHWM:"))
+print(code, int(hwm.split()[1]) // 1024)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
+@pytest.mark.parametrize("command", ["test", "ci"])
+def test_exhaustive_q20_peak_memory(tmp_path, rng, command):
+    # the 2^20 group is swept without its sign matrix: ~50-140 MB, not ~520 MB
+    path = write_random_csv(tmp_path, rng, q=20, n_j=100)
+    argv = [
+        command,
+        "--input", path,
+        "--cluster", "cluster",
+        "--outcome", "y",
+        "--covariates", "x1,x2",
+        "--coef", "x1",
+        "--group-mode", "exhaustive",
+        "--output", str(tmp_path / "report.json"),
+    ]
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(artcluster.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-c", _PEAK_RSS_CHILD, *argv],
+        capture_output=True, text=True, env=env, timeout=120, check=True,
+    )
+    code, peak_mb = (int(v) for v in done.stdout.split())
+    assert code == 0
+    assert peak_mb < 200, f"{command}: peak RSS {peak_mb} MB"

@@ -38,7 +38,7 @@ class TestWaldQuadratic:
         q = group.q
         means = group.signs.astype(float) @ scores / q
         oracle = q * np.einsum("ij,jk,ik->i", means, sigma_inv, means)
-        got = kernels.group_wald_quadratic(group.signs, scores, sigma_inv)
+        got = kernels.group_wald_quadratic(group.sweep(scores), sigma_inv, q)
         assert np.allclose(got, oracle, rtol=1e-11, atol=1e-13)
 
 
