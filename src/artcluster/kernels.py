@@ -34,30 +34,20 @@ __all__ = [
 # with +v_k and -v_k appended, interleaved:
 #     level[2i] = prev[i] + v_k,   level[2i + 1] = prev[i] - v_k.
 # Starting from +0.0 this is the column loop's left-to-right order, and
-# x - v equals x + (-v) exactly, so both sweeps give the same bits.  The
-# first levels (up to 2^6 sums) use Python floats -- the same IEEE
-# double arithmetic -- where a NumPy call per level costs more than the
-# work it does.
-
-_PYTHON_LEVELS = 6
+# x - v equals x + (-v) exactly, so both sweeps give the same bits.
+# (q, p) values broadcast: each level row holds p sums.
 
 
 def exhaustive_means(values: np.ndarray) -> np.ndarray:
     """Mean of sign-flipped values for all 2^q sign vectors, in order."""
     v = np.asarray(values, dtype=np.float64)
-    if v.ndim == 2:
-        return np.stack([exhaustive_means(column) for column in v.T], axis=1)
-    q = v.shape[0]
-    head = [0.0]
-    for x in v[:_PYTHON_LEVELS].tolist():
-        head = [s for prev in head for s in (prev + x, prev - x)]
-    sums = np.array(head)
-    for x in v[_PYTHON_LEVELS:]:
-        level = np.empty(2 * sums.shape[0])
+    sums = np.zeros((1, *v.shape[1:]))
+    for x in v:
+        level = np.empty((2 * sums.shape[0], *v.shape[1:]))
         np.add(sums, x, out=level[0::2])
         np.subtract(sums, x, out=level[1::2])
         sums = level
-    sums /= q
+    sums /= v.shape[0]
     return sums
 
 
