@@ -17,7 +17,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -122,10 +121,6 @@ def _emit(text: str, output: str | None) -> None:
     else:
         with open(output, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
-
-
-def _scaling(flag: str) -> str:
-    return {"root-nj": "root_nj", "root-n": "root_n"}[flag]
 
 
 # ------------------------------------------------------------------ #
@@ -273,30 +268,58 @@ def _group_doc(group) -> dict:
     return {"mode": group.mode, "size": group.size, "draws": group.draws, "seed": group.seed}
 
 
-def _prepare(config: RunConfig):
-    """Ingest, resolve the contrast, build the sign group, fit every cluster.
+def _run_command(args, command: str, build_result, columns, **overrides) -> int:
+    """Shared body of ``test`` and ``ci``: parse once, then analyse each block count.
 
-    The stage order fixes which error wins: a group that is too large is
+    Per block count the stages run dataset -> contrast -> group -> fit, and
+    that order fixes which error wins: a group that is too large is
     reported before an identification failure in the fits.
     """
-    data, names = ingest(config.input_path, config)
-    contrast = resolve_contrast(config, names)
-    group = enumerate_group(data.q, config.group_mode, config.draws, config.seed)
-    return names, contrast, group, fit_per_cluster(data)
-
-
-def _per_block_count(run_single, config: RunConfig, args) -> dict:
-    """One result, or a ``by_blocks`` list with one result per ``--blocks`` Q."""
+    _check_alpha(args.alpha)
+    config = _config_from_args(args, **overrides)
+    table = ingest(config.input_path, config)
     blocks = _blocks_list(args)
-    if len(blocks) == 1:
-        return run_single(config)
-    return {
-        "by_blocks": [{"blocks": q, **run_single(replace(config, blocks_q=q))} for q in blocks]
-    }
+    runs = []
+    for q in blocks:
+        data = table.dataset(q)
+        contrast = resolve_contrast(config, table.names)
+        group = enumerate_group(data.q, config.group_mode, config.draws, config.seed)
+        estimates = fit_per_cluster(data)
+        runs.append(build_result(config, table.names, contrast, group, estimates))
+    if len(blocks) > 1:
+        runs = [{"blocks": q, **run} for q, run in zip(blocks, runs)]
+    if args.table:
+        text = _table(runs, columns)
+    else:
+        text = render_report(command, config, runs[0] if len(runs) == 1 else {"by_blocks": runs})
+    _emit(text, args.output)
+    return EXIT_OK
 
 
-def _run_single_test(config: RunConfig) -> dict:
-    names, contrast, group, estimates = _prepare(config)
+def _fmt(x) -> str:
+    if isinstance(x, bool):
+        return "yes" if x else "no"
+    if isinstance(x, float):
+        return f"{x:.6g}"
+    return str(x)
+
+
+# Text-table columns: (title, key, width); a missing key prints as "-".
+_TEST_COLUMNS = (("blocks", "blocks", 8), ("statistic", "statistic", 12),
+                 ("crit", "critical_value", 12), ("p-value", "p_value", 10), ("reject", "reject", 7))
+_CI_COLUMNS = (("blocks", "blocks", 8), ("center", "lambda0", 12), ("lower", "lower", 12),
+               ("upper", "upper", 12))
+_BLOCKS_COLUMNS = (("q", "q", 6), ("base", "base_size", 8), ("last", "last_size", 8))
+
+
+def _table(rows: list, columns) -> str:
+    lines = [" ".join(f"{title:>{width}}" for title, _, width in columns)]
+    for row in rows:
+        lines.append(" ".join(f"{_fmt(row.get(key, '-')):>{width}}" for _, key, width in columns))
+    return "\n".join(lines) + "\n"
+
+
+def _test_result(config: RunConfig, names, contrast, group, estimates) -> dict:
     hypothesis = LinearHypothesis(contrast=contrast, value=config.null_value)
     scores = scores_from_estimates(estimates, hypothesis, config.scaling)
     result = run_test_from_scores(
@@ -332,53 +355,7 @@ def _run_single_test(config: RunConfig) -> dict:
     }
 
 
-def _fmt(x) -> str:
-    if isinstance(x, bool):
-        return "yes" if x else "no"
-    if isinstance(x, float):
-        return f"{x:.6g}"
-    return str(x)
-
-
-def _test_table(result: dict) -> str:
-    runs = result.get("by_blocks") or [result]
-    lines = [f"{'blocks':>8} {'statistic':>12} {'crit':>12} {'p-value':>10} {'reject':>7}"]
-    for run in runs:
-        lines.append(
-            f"{_fmt(run.get('blocks', '-')):>8} {_fmt(run['statistic']):>12} "
-            f"{_fmt(run['critical_value']):>12} {_fmt(run['p_value']):>10} "
-            f"{_fmt(run['reject']):>7}"
-        )
-    return "\n".join(lines) + "\n"
-
-
-def _ci_table(result: dict) -> str:
-    runs = result.get("by_blocks") or [result]
-    lines = [f"{'blocks':>8} {'center':>12} {'lower':>12} {'upper':>12}"]
-    for run in runs:
-        lines.append(
-            f"{_fmt(run.get('blocks', '-')):>8} {_fmt(run['lambda0']):>12} "
-            f"{_fmt(run['lower']):>12} {_fmt(run['upper']):>12}"
-        )
-    return "\n".join(lines) + "\n"
-
-
-def cmd_test(args) -> int:
-    _check_alpha(args.alpha)
-    config = _config_from_args(
-        args,
-        null_value=args.null,
-        variant=args.variant,
-        scaling=_scaling(args.scaling),
-    )
-    result = _per_block_count(_run_single_test, config, args)
-    text = _test_table(result) if args.table else render_report("test", config, result)
-    _emit(text, args.output)
-    return EXIT_OK
-
-
-def _run_single_ci(config: RunConfig) -> dict:
-    names, contrast, group, estimates = _prepare(config)
+def _ci_result(config: RunConfig, names, contrast, group, estimates) -> dict:
     inputs = interval_inputs(estimates, contrast, group)
     ci = interval(inputs, config.alpha)
 
@@ -400,13 +377,14 @@ def _run_single_ci(config: RunConfig) -> dict:
     }
 
 
+def cmd_test(args) -> int:
+    scaling = args.scaling.replace("-", "_")
+    return _run_command(args, "test", _test_result, _TEST_COLUMNS,
+                        null_value=args.null, variant=args.variant, scaling=scaling)
+
+
 def cmd_ci(args) -> int:
-    _check_alpha(args.alpha)
-    config = _config_from_args(args)
-    result = _per_block_count(_run_single_ci, config, args)
-    text = _ci_table(result) if args.table else render_report("ci", config, result)
-    _emit(text, args.output)
-    return EXIT_OK
+    return _run_command(args, "ci", _ci_result, _CI_COLUMNS)
 
 
 def _require(spec: dict, key: str):
@@ -415,40 +393,61 @@ def _require(spec: dict, key: str):
     return spec[key]
 
 
+def _spec_field(name: str, convert, value):
+    """``convert(value)``; a spec field of the wrong type is a usage error naming it."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"simulation spec field {name!r} is invalid: {value!r}") from None
+
+
+def _int_tuple(values) -> tuple:
+    return tuple(int(v) for v in values)
+
+
+def _float_tuple(values) -> tuple:
+    return tuple(float(v) for v in values)
+
+
 def cmd_simulate(args) -> int:
     with open(args.spec, "r", encoding="utf-8") as fh:
         spec_doc = json.load(fh)
+    if not isinstance(spec_doc, dict):
+        raise ValueError("simulation spec must be a JSON object")
 
-    dgp_doc = dict(_require(spec_doc, "dgp"))
+    dgp_doc = _spec_field("dgp", dict, _require(spec_doc, "dgp"))
     dgp = DgpSpec(
-        sizes=tuple(_require(dgp_doc, "sizes")),
-        beta=tuple(_require(dgp_doc, "beta")),
-        sigma=tuple(_require(dgp_doc, "sigma")),
-        rho=float(dgp_doc.get("rho", 0.0)),
+        sizes=_spec_field("dgp.sizes", _int_tuple, _require(dgp_doc, "sizes")),
+        beta=_spec_field("dgp.beta", _float_tuple, _require(dgp_doc, "beta")),
+        sigma=_spec_field("dgp.sigma", _float_tuple, _require(dgp_doc, "sigma")),
+        rho=_spec_field("dgp.rho", float, dgp_doc.get("rho", 0.0)),
         covariate_law=dgp_doc.get("covariate_law", "normal"),
-        seed=int(dgp_doc.get("seed", _default_seed())),
+        seed=_spec_field("dgp.seed", int, dgp_doc.get("seed", _default_seed())),
     )
     study = _require(spec_doc, "study")
-    contrast = np.asarray(_require(spec_doc, "contrast"), dtype=np.float64)
-    alpha = float(_require(spec_doc, "alpha"))
+    contrast = _spec_field(
+        "contrast", lambda v: np.asarray(v, dtype=np.float64), _require(spec_doc, "contrast")
+    )
+    alpha = _spec_field("alpha", float, _require(spec_doc, "alpha"))
     _check_alpha(alpha)
-    replications = int(_require(spec_doc, "replications"))
+    replications = _spec_field("replications", int, _require(spec_doc, "replications"))
     variant = spec_doc.get("variant", "unstudentized")
 
     group = None
     group_doc = spec_doc.get("group")
     if group_doc is not None:
+        group_doc = _spec_field("group", dict, group_doc)
         group = enumerate_group(
             dgp.q,
             group_doc.get("mode", "auto"),
-            int(group_doc.get("draws", 1000)),
-            int(group_doc.get("seed", dgp.seed)),
+            _spec_field("group.draws", int, group_doc.get("draws", 1000)),
+            _spec_field("group.seed", int, group_doc.get("seed", dgp.seed)),
         )
 
     if study == "size":
         report = size_study(dgp, contrast, alpha, replications, group=group, variant=variant)
     elif study == "power":
-        null_value = float(_require(spec_doc, "null_value"))
+        null_value = _spec_field("null_value", float, _require(spec_doc, "null_value"))
         report = power_study(
             dgp, contrast, null_value, alpha, replications, group=group, variant=variant
         )
@@ -485,26 +484,21 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_blocks(args) -> int:
-    plans = [plan_blocks(args.n, q) for q in _ints(args.q)]
+    plans = [
+        {
+            "q": plan.q,
+            "base_size": plan.base_size,
+            "last_size": plan.last_size,
+            "boundaries": [list(pair) for pair in plan.boundaries],
+        }
+        for plan in (plan_blocks(args.n, q) for q in _ints(args.q))
+    ]
     if args.table:
-        lines = [f"{'q':>6} {'base':>8} {'last':>8}"]
-        for plan in plans:
-            lines.append(f"{plan.q:>6} {plan.base_size:>8} {plan.last_size:>8}")
-        _emit("\n".join(lines) + "\n", args.output)
-        return EXIT_OK
-    payload = {
-        "n": args.n,
-        "plans": [
-            {
-                "q": plan.q,
-                "base_size": plan.base_size,
-                "last_size": plan.last_size,
-                "boundaries": [list(pair) for pair in plan.boundaries],
-            }
-            for plan in plans
-        ],
-    }
-    _emit(render_report("blocks", {"n": args.n, "q": list(_ints(args.q))}, payload), args.output)
+        text = _table(plans, _BLOCKS_COLUMNS)
+    else:
+        config = {"n": args.n, "q": list(_ints(args.q))}
+        text = render_report("blocks", config, {"n": args.n, "plans": plans})
+    _emit(text, args.output)
     return EXIT_OK
 
 
@@ -512,10 +506,11 @@ def cmd_export(args) -> int:
     if len(_blocks_list(args)) != 1:
         raise ValueError("export accepts a single --blocks value")
     config = _config_from_args(args)
-    data, names = ingest(config.input_path, config)
+    table = ingest(config.input_path, config)
+    data = table.dataset(config.blocks_q)
     export_csv(
         data,
-        names,
+        table.names,
         args.output,
         cluster_name=config.cluster_col or "cluster",
         outcome_name=config.outcome_col,
@@ -523,7 +518,7 @@ def cmd_export(args) -> int:
     payload = {
         "rows": data.n,
         "clusters": data.q,
-        "covariates": names,
+        "covariates": table.names,
         "output": args.output,
     }
     _emit(render_report("export", config, payload), None)

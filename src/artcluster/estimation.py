@@ -93,9 +93,7 @@ class RestrictedFit:
         object.__setattr__(self, "residuals", _frozen(resid))
 
 
-def fit_per_cluster(
-    data: ClusteredDataset, *, rcond_threshold: float = RCOND_THRESHOLD
-) -> ClusterEstimates:
+def fit_per_cluster(data: ClusteredDataset) -> ClusterEstimates:
     """Run one least squares regression inside every cluster.
 
     Returns the stacked coefficient vectors together with each cluster's
@@ -105,7 +103,7 @@ def fit_per_cluster(
     ------
     IdentificationFailure
         When a cluster's second-moment matrix is singular below
-        ``rcond_threshold`` -- e.g. a covariate constant within the
+        ``RCOND_THRESHOLD`` -- e.g. a covariate constant within the
         cluster, or n_j < d_z.  The exception names the cluster and its
         reciprocal condition number.
     """
@@ -116,19 +114,14 @@ def fit_per_cluster(
         y_j, Z_j = data.cluster_rows(j)
         gram = Z_j.T @ Z_j / Z_j.shape[0]
         rc = reciprocal_condition(gram)
-        if not np.isfinite(rc) or rc < rcond_threshold:
+        if not np.isfinite(rc) or rc < RCOND_THRESHOLD:
             raise IdentificationFailure(data.labels[j], rc)
         betas[j], _, _, _ = np.linalg.lstsq(Z_j, y_j, rcond=None)
         grams[j] = gram
     return ClusterEstimates(betas=betas, sizes=data.sizes, grams=grams, labels=data.labels)
 
 
-def fit_restricted(
-    data: ClusteredDataset,
-    hypothesis: LinearHypothesis,
-    *,
-    rcond_threshold: float = RCOND_THRESHOLD,
-) -> RestrictedFit:
+def fit_restricted(data: ClusteredDataset, hypothesis: LinearHypothesis) -> RestrictedFit:
     """Full-sample least squares subject to contrast'beta = value.
 
     Computed in closed form by projecting the unrestricted solution:
@@ -146,7 +139,7 @@ def fit_restricted(
         raise ValueError("contrast length must equal the covariate count")
     A = Z.T @ Z
     rc = reciprocal_condition(A)
-    if not np.isfinite(rc) or rc < rcond_threshold:
+    if not np.isfinite(rc) or rc < RCOND_THRESHOLD:
         raise SingularFullGram(
             f"full-sample Gram matrix is numerically singular (rcond {rc:.3e})"
         )

@@ -23,8 +23,8 @@ from artcluster.model import ClusteredDataset, _frozen
 from artcluster.randtest import (
     ScoreVector,
     order_statistic_index,
+    pvalue_from_statistics,
     run_test_from_scores,
-    snap_tolerance,
 )
 
 __all__ = [
@@ -196,12 +196,11 @@ def _profile_direct(inputs: IntervalInputs, value: float) -> float:
 
     Uses the engine's tie-snapping rule, so at the center point (where
     the reference statistic is a rounding residue of order 1e-16) every
-    group element still counts and the profile equals 1 exactly.
+    group element still counts and the profile equals 1 exactly.  Row 0
+    of the group is the identity, so ``t[0]`` is the observed statistic.
     """
     t = np.abs(inputs.b - value * inputs.a)
-    ref = abs(inputs.b_iota - value * inputs.a_iota)
-    thresh = ref - snap_tolerance(ref)
-    return float(np.count_nonzero(t >= thresh)) / inputs.group.size
+    return pvalue_from_statistics(t, float(t[0]))
 
 
 def pvalue_profile(inputs: IntervalInputs, value: float) -> float:

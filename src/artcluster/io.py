@@ -23,6 +23,7 @@ from artcluster.model import ClusteredDataset, canonicalize
 __all__ = [
     "REPORT_SCHEMA_VERSION",
     "RunConfig",
+    "Table",
     "export_csv",
     "ingest",
     "render_report",
@@ -128,13 +129,31 @@ def _parse_float(cell: str, lineno: int, column: str) -> float:
         ) from None
 
 
-def ingest(path: str, config: RunConfig) -> tuple[ClusteredDataset, list[str]]:
-    """Read a delimited file into a canonical dataset.
+@dataclass(frozen=True)
+class Table:
+    """The model columns of one input file, parsed but not yet clustered.
 
-    Regular mode groups rows by the cluster column; blocks mode
-    (``config.blocks_q`` set) sorts rows by the time column and labels
-    them by consecutive blocks instead.  Returns the dataset together
-    with the covariate names (intercept included when configured).
+    ``keys`` holds the cluster labels, or in blocks mode the time keys;
+    ``names`` are the covariate names, intercept included when configured.
+    """
+
+    outcomes: np.ndarray
+    covariates: np.ndarray
+    keys: list | np.ndarray
+    names: list[str]
+
+    def dataset(self, blocks_q: int | None = None) -> ClusteredDataset:
+        """Group rows by cluster label, or by ``blocks_q`` consecutive time blocks."""
+        if blocks_q is None:
+            return canonicalize(self.keys, self.outcomes, self.covariates)
+        return blockify(self.keys, self.outcomes, self.covariates, blocks_q)
+
+
+def ingest(path: str, config: RunConfig) -> Table:
+    """Read and parse a delimited file once; :meth:`Table.dataset` clusters it.
+
+    Blocks mode (``config.blocks_q`` set) keys the rows by the parsed
+    time column, regular mode by the cluster column's labels.
     """
     header, rows = _read_table(path)
     if config.outcome_col is None:
@@ -162,14 +181,12 @@ def ingest(path: str, config: RunConfig) -> tuple[ClusteredDataset, list[str]]:
         keys = np.array(
             [_parse_float(row[t_idx], i + 2, config.time_col) for i, row in enumerate(rows)]
         )
-        data = blockify(keys, y, Z, config.blocks_q)
     else:
         if config.cluster_col is None:
             raise ValueError("a cluster column is required (or use blocks mode)")
         c_idx = _column(header, config.cluster_col)
-        labels = [row[c_idx] for row in rows]
-        data = canonicalize(labels, y, Z)
-    return data, config.covariate_names()
+        keys = [row[c_idx] for row in rows]
+    return Table(y, Z, keys, config.covariate_names())
 
 
 def export_csv(

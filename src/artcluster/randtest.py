@@ -332,25 +332,16 @@ def run_test(
     variant: str = "unstudentized",
     *,
     scaling: str = "root_nj",
-    route: str = "estimates",
 ) -> TestResult:
     """Test contrast'beta = value by sign-flip randomization.
 
-    ``route="estimates"`` builds scores from per-cluster fits;
-    ``route="scores"`` uses the restricted-residual formulation.  Both
-    yield identical results.  When ``group`` is omitted an automatic one
-    is enumerated (exhaustive for q <= 14, else 1000 seeded draws).
+    Scores come from per-cluster fits (:func:`scores_from_estimates`).
+    When ``group`` is omitted an automatic one is enumerated (exhaustive
+    for q <= 14, else 1000 seeded draws).
     """
     if group is None:
         group = enumerate_group(data.q, mode="auto", seed=0)
-    if route == "estimates":
-        scores = scores_from_estimates(fit_per_cluster(data), hypothesis, scaling)
-    elif route == "scores":
-        if scaling != "root_nj":
-            raise ValueError("the restricted-score route defines root_nj scaling only")
-        scores = scores_via_restricted(data, hypothesis)
-    else:
-        raise ValueError(f"unknown route {route!r}")
+    scores = scores_from_estimates(fit_per_cluster(data), hypothesis, scaling)
     return run_test_from_scores(scores, alpha, group, variant, scaling)
 
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import artcluster
+import artcluster.io
 from artcluster.cli import main
 from artcluster.errors import DuplicateTimeKeyWarning
 from artcluster.io import RunConfig, ingest
@@ -255,11 +256,28 @@ EXIT_CODE_CASES = [
         id="group-too-large",
     ),
     pytest.param(
+        _rows_csv(
+            "cluster,y,x",
+            [f"g{j},{float(j + k)!r},0.0" for j in range(21) for k in range(2)],
+        ),
+        ["--cluster", "cluster", "--group-mode", "exhaustive"],
+        1,
+        "2^21",
+        id="group-too-large-before-identification",
+    ),
+    pytest.param(
         _rows_csv("t,y,x", [f"{i},{float(i % 3)!r},1.0" for i in range(10)]),
         ["--blocks", "11", "--time", "t"],
         1,
         "11 blocks from 10 observations",
         id="too-few-observations",
+    ),
+    pytest.param(
+        _rows_csv("t,y,x", [f"{i},{float(i % 3)!r},1.0" for i in range(10)]),
+        ["--blocks", "2,11", "--time", "t"],
+        1,
+        "11 blocks from 10 observations",
+        id="later-block-count-too-large",
     ),
     pytest.param(
         _rows_csv("cluster,y,x", ["a,1.0,1.0", "b,2.0,1.0"]),
@@ -327,6 +345,50 @@ def test_duplicate_time_keys_warn_and_still_report(tmp_path, capsys):
         code, out, _ = run_cli(capsys, argv)
     assert code == 0
     assert json.loads(out)["result"]["group"]["size"] == 16
+
+
+def _series_file(tmp_path, rng, n=120):
+    rows = [f"{i},{float(rng.standard_normal())!r},{float(rng.standard_normal())!r}"
+            for i in range(n)]
+    path = tmp_path / "series.csv"
+    path.write_text(_rows_csv("t,y,x", rows))
+    return str(path)
+
+
+class TestBlocksPipeline:
+    """A ``--blocks`` list parses once and runs dataset -> group -> fit per Q."""
+
+    @staticmethod
+    def argv(command, path, blocks):
+        return [command, "--input", path, "--outcome", "y", "--covariates", "x",
+                "--coef", "x", "--alpha", "0.2", "--blocks", blocks, "--time", "t"]
+
+    @pytest.mark.parametrize("command", ["test", "ci"])
+    def test_input_parsed_once(self, tmp_path, rng, capsys, monkeypatch, command):
+        reads = []
+        read_table = artcluster.io._read_table
+
+        def counting(path):
+            reads.append(path)
+            return read_table(path)
+
+        monkeypatch.setattr(artcluster.io, "_read_table", counting)
+        path = _series_file(tmp_path, rng)
+        code, out, _ = run_cli(capsys, self.argv(command, path, "8,10,16"))
+        assert code == 0
+        assert len(json.loads(out)["result"]["by_blocks"]) == 3
+        assert reads == [path]
+
+    @pytest.mark.parametrize("command", ["test", "ci"])
+    def test_sweep_entries_equal_single_runs(self, tmp_path, rng, capsys, command):
+        path = _series_file(tmp_path, rng)
+        code, out, _ = run_cli(capsys, self.argv(command, path, "8,10,16"))
+        assert code == 0
+        for entry in json.loads(out)["result"]["by_blocks"]:
+            q = entry.pop("blocks")
+            code, single, _ = run_cli(capsys, self.argv(command, path, str(q)))
+            assert code == 0
+            assert entry == json.loads(single)["result"]
 
 
 class TestCiCommand:
@@ -493,11 +555,11 @@ class TestExportCommand:
         config = RunConfig(
             cluster_col="cluster", outcome_col="y", covariate_cols=("x1", "x2")
         )
-        original, _ = ingest(src, config)
-        exported, _ = ingest(
+        original = ingest(src, config).dataset()
+        exported = ingest(
             out_path,
             RunConfig(cluster_col="cluster", outcome_col="y", covariate_cols=("x1", "x2")),
-        )
+        ).dataset()
         assert np.array_equal(original.outcomes, exported.outcomes)
         assert np.array_equal(original.covariates, exported.covariates)
         assert np.array_equal(original.sizes, exported.sizes)
@@ -554,6 +616,42 @@ class TestSimulateCommand:
         code, _, err = run_cli(capsys, ["simulate", "--spec", str(path)])
         assert code == 1
         assert "null_value" in err
+
+    @pytest.mark.parametrize(
+        "message, edit",
+        [
+            ("'null_value'", lambda spec: {**spec, "null_value": [0.0, 0.8]}),
+            ("'alpha'", lambda spec: {**spec, "alpha": [0.1]}),
+            ("'replications'", lambda spec: {**spec, "replications": None}),
+            ("'dgp.sizes'", lambda spec: {**spec, "dgp": {**spec["dgp"], "sizes": 10}}),
+            ("'dgp.sizes'", lambda spec: {**spec, "dgp": {**spec["dgp"], "sizes": [None] * 4}}),
+            ("'group'", lambda spec: {**spec, "group": [1]}),
+            ("a JSON object", lambda spec: 5),
+        ],
+        ids=["list-null-value", "list-alpha", "null-replications", "scalar-sizes",
+             "null-size-entries", "list-group", "scalar-spec"],
+    )
+    def test_wrong_typed_field_is_usage_error(self, tmp_path, message, edit):
+        spec = {
+            "dgp": {"sizes": [10] * 4, "beta": [0.0], "sigma": [1.0] * 4},
+            "study": "power",
+            "contrast": [1.0],
+            "alpha": 0.1,
+            "replications": 5,
+            "null_value": 0.5,
+        }
+        path = tmp_path / "study.json"
+        path.write_text(json.dumps(edit(spec)))
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(artcluster.__file__)))
+        done = subprocess.run(
+            [sys.executable, "-m", "artcluster.cli", "simulate", "--spec", str(path)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode == 1
+        assert done.stdout == ""
+        assert "artcluster: error:" in done.stderr
+        assert message in done.stderr
+        assert "Traceback" not in done.stderr
 
     def test_malformed_json_exit_3(self, tmp_path, capsys):
         path = tmp_path / "broken.json"

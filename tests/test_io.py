@@ -27,9 +27,10 @@ BASIC = RunConfig(cluster_col="g", outcome_col="y", covariate_cols=("x",))
 class TestIngest:
     def test_smoke_two_clusters(self, tmp_path):
         path = write(tmp_path, "g,y,x\na,1,0.5\na,2,1.5\nb,3,2.5\nb,4,3.5\na,5,4.5\nb,6,5.5\n")
-        data, names = ingest(path, BASIC)
+        table = ingest(path, BASIC)
+        data = table.dataset()
         assert data.q == 2
-        assert names == ["x"]
+        assert table.names == ["x"]
         assert data.sizes.tolist() == [3, 3]
 
     def test_missing_column_named(self, tmp_path):
@@ -60,13 +61,14 @@ class TestIngest:
         config = RunConfig(
             cluster_col="g", outcome_col="y", covariate_cols=("x",), intercept=True
         )
-        data, names = ingest(path, config)
-        assert names == ["intercept", "x"]
+        table = ingest(path, config)
+        data = table.dataset()
+        assert table.names == ["intercept", "x"]
         assert np.all(data.covariates[:, 0] == 1.0)
 
     def test_trailing_blank_line_tolerated(self, tmp_path):
         path = write(tmp_path, "g,y,x\na,1,2\nb,3,4\n\n")
-        data, _ = ingest(path, BASIC)
+        data = ingest(path, BASIC).dataset()
         assert data.n == 2
 
     def test_round_trip_exact(self, tmp_path, rng):
@@ -77,10 +79,11 @@ class TestIngest:
                     f"c{j},{float(rng.standard_normal())!r},{float(rng.standard_normal())!r}"
                 )
         src = write(tmp_path, "\n".join(rows) + "\n")
-        data, names = ingest(src, BASIC)
+        table = ingest(src, BASIC)
+        data = table.dataset()
         out = str(tmp_path / "out.csv")
-        export_csv(data, names, out, cluster_name="g", outcome_name="y")
-        again, _ = ingest(out, BASIC)
+        export_csv(data, table.names, out, cluster_name="g", outcome_name="y")
+        again = ingest(out, BASIC).dataset()
         assert np.array_equal(data.outcomes, again.outcomes)
         assert np.array_equal(data.covariates, again.covariates)
         assert data.labels == again.labels

@@ -16,6 +16,7 @@ from artcluster import (
     run_test,
     run_wald_test,
     scores_from_estimates,
+    scores_via_restricted,
     statistic,
     statistic_studentized,
     statistic_wald,
@@ -209,9 +210,10 @@ class TestRunTest:
             c = random_contrast(rng, d)
             h = LinearHypothesis(contrast=c, value=float(rng.standard_normal()))
             g = group_cache(q)
+            restricted = scores_via_restricted(data, h)
             assert (
-                run_test(data, h, 0.1, g, route="estimates").p_value
-                == run_test(data, h, 0.1, g, route="scores").p_value
+                run_test(data, h, 0.1, g).p_value
+                == run_test_from_scores(restricted, 0.1, g).p_value
             )
 
     def test_studentization_invariance(self, rng, group_cache):
