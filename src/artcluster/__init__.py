@@ -60,9 +60,6 @@ from artcluster.randtest import (
     run_wald_test,
     scores_from_estimates,
     scores_via_restricted,
-    statistic,
-    statistic_studentized,
-    statistic_wald,
 )
 from artcluster.simulation import (
     DgpSpec,
@@ -125,7 +122,4 @@ __all__ = [
     "scores_from_estimates",
     "scores_via_restricted",
     "size_study",
-    "statistic",
-    "statistic_studentized",
-    "statistic_wald",
 ]

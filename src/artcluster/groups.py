@@ -25,7 +25,6 @@ __all__ = [
     "DEFAULT_DRAWS",
     "MAX_EXHAUSTIVE_Q",
     "SignGroup",
-    "as_sign_vector",
     "enumerate_group",
     "exhaustive_group",
     "sampled_group",
@@ -38,18 +37,10 @@ MAX_EXHAUSTIVE_Q = 20
 AUTO_SAMPLED_ABOVE = 14
 DEFAULT_DRAWS = 1000
 
-
-def as_sign_vector(g, q: int | None = None) -> np.ndarray:
-    """Validate and return ``g`` as a 1-D int8 array of +-1 entries."""
-    arr = np.asarray(g)
-    if arr.ndim != 1:
-        raise ValueError("sign vector must be 1-D")
-    out = arr.astype(np.int8)
-    if not np.all(np.abs(out) == 1) or not np.array_equal(out, arr):
-        raise ValueError("sign vector entries must be +1 or -1")
-    if q is not None and out.shape[0] != q:
-        raise ValueError(f"sign vector has length {out.shape[0]}, expected {q}")
-    return out
+# A sampled group of B draws holds about B * (2q + 40) bytes at its
+# peak: the int8 flips and sign matrix, and a few float64 (B,) arrays
+# of the sweep.  Larger requests are refused before anything is drawn.
+_MAX_SAMPLED_BYTES = 2**30
 
 
 @dataclass(frozen=True)
@@ -168,11 +159,18 @@ def sampled_group(q: int, draws: int, seed: int) -> SignGroup:
     Draws come from ``Philox(key=seed)`` as a flat stream of fair coin
     flips filling the (draws-1, q) block row by row, so a given (q,
     draws, seed) triple yields the same group on every platform.
+    Raises ``ValueError`` when the group would need more than 1 GiB.
     """
     if q < 2:
         raise ValueError("need q >= 2")
     if draws < 2:
         raise ValueError("sampled mode needs at least 2 vectors")
+    need = draws * (2 * q + 40)
+    if need > _MAX_SAMPLED_BYTES:
+        raise ValueError(
+            f"--draws {draws} at q = {q} needs about {need / 2**30:.1f} GiB, "
+            f"above the {_MAX_SAMPLED_BYTES / 2**30:.0f} GiB limit"
+        )
     rng = np.random.Generator(np.random.Philox(key=int(seed)))
     flips = rng.integers(0, 2, size=(draws - 1, q), dtype=np.int8)
     signs = np.empty((draws, q), dtype=np.int8)

@@ -20,12 +20,7 @@ from artcluster.errors import ArtClusterError, GridTooCoarse
 from artcluster.estimation import ClusterEstimates, fit_per_cluster
 from artcluster.groups import SignGroup
 from artcluster.model import ClusteredDataset, _frozen
-from artcluster.randtest import (
-    ScoreVector,
-    order_statistic_index,
-    pvalue_from_statistics,
-    run_test_from_scores,
-)
+from artcluster.randtest import order_statistic_index, pvalue_from_statistics, run_test_columns
 
 __all__ = [
     "ConfidenceInterval",
@@ -260,15 +255,12 @@ def inversion_scan(
     """Run the full test at every grid value; True where not rejected.
 
     The per-cluster fits do not depend on the null value, so they are
-    reused; everything downstream (scores, sweep, quantile) is the real
-    test engine.
+    reused; the scores of all grid values go through the real test
+    engine as the columns of one block.
     """
     w, cbeta = _cluster_terms(estimates, contrast)
-    keep = np.empty(grid.shape[0], dtype=bool)
-    for i, value in enumerate(grid):
-        scores = ScoreVector(values=w * (cbeta - value), sizes=estimates.sizes)
-        keep[i] = not run_test_from_scores(scores, alpha, group).reject
-    return keep
+    statistic, crit, _ = run_test_columns(w[:, None] * (cbeta[:, None] - grid), alpha, group)
+    return ~(statistic > crit)
 
 
 def interval_by_inversion(

@@ -4,6 +4,8 @@ The test statistic is the absolute mean of per-cluster scores; the
 reference distribution comes from flipping the score signs with every
 element of a :class:`~artcluster.groups.SignGroup` (whose row 0 is the
 identity, so the observed statistic is always ``statistics[0]``).
+One engine, :func:`run_test_columns`, tests a (q, k) block of score
+vectors -- k null values or k replications -- in a single sweep.
 
 Tie handling: indicator comparisons use exact ``>=`` on doubles after
 snapping values within ``1e-12 * max(1, |T|)`` of the observed statistic
@@ -27,7 +29,7 @@ from artcluster.estimation import (
     fit_restricted,
     reciprocal_condition,
 )
-from artcluster.groups import SignGroup, as_sign_vector, enumerate_group
+from artcluster.groups import SignGroup, enumerate_group
 from artcluster.model import ClusteredDataset, LinearHypothesis, MultiHypothesis, _frozen
 
 __all__ = [
@@ -42,16 +44,13 @@ __all__ = [
     "run_wald_test",
     "scores_from_estimates",
     "scores_via_restricted",
-    "statistic",
-    "statistic_studentized",
-    "statistic_wald",
 ]
 
 SNAP_RTOL = 1e-12
 
 
-def snap_tolerance(reference: float) -> float:
-    return SNAP_RTOL * max(1.0, abs(reference))
+def snap_tolerance(reference):
+    return SNAP_RTOL * np.maximum(1.0, np.abs(reference))
 
 
 # ------------------------------------------------------------------ #
@@ -127,43 +126,6 @@ def scores_via_restricted(
 # ------------------------------------------------------------------ #
 
 
-def statistic(scores: ScoreVector, g) -> float:
-    """Absolute mean of the sign-flipped scores for one sign vector."""
-    signs = as_sign_vector(g, scores.q)
-    return abs(float(signs @ scores.values) / scores.q)
-
-
-def statistic_studentized(scores: ScoreVector, g) -> float:
-    """Studentized variant: sqrt(q) * |mean| / sd of the signed scores.
-
-    Raises :class:`DegenerateVariance` when all signed scores are equal.
-    A strictly increasing function of the unstudentized statistic, so it
-    ranks sign vectors identically.
-    """
-    signs = as_sign_vector(g, scores.q)
-    flipped = signs * scores.values
-    mean = float(flipped.mean())
-    sd = math.sqrt(float(np.mean((flipped - mean) ** 2)))
-    if sd == 0.0:
-        raise DegenerateVariance("signed scores have zero spread")
-    return math.sqrt(scores.q) * abs(mean) / sd
-
-
-def statistic_wald(
-    estimates: ClusterEstimates,
-    hypothesis: MultiHypothesis,
-    g,
-    scaling: str = "root_n",
-) -> float:
-    """Quadratic-form statistic for a multi-row restriction, at one g."""
-    signs = as_sign_vector(g, estimates.q)
-    scores, sigma_inv = _wald_ingredients(estimates, hypothesis, scaling)
-    if sigma_inv is None:
-        return 0.0
-    mean = (signs[:, None] * scores).mean(axis=0)
-    return float(estimates.q * mean @ sigma_inv @ mean)
-
-
 def _wald_ingredients(
     estimates: ClusterEstimates,
     hypothesis: MultiHypothesis,
@@ -192,34 +154,36 @@ def _wald_ingredients(
 
 
 def group_statistics(
-    scores: ScoreVector, group: SignGroup, variant: str = "unstudentized"
+    values: np.ndarray, group: SignGroup, variant: str = "unstudentized"
 ) -> np.ndarray:
     """Evaluate the statistic at every group element (row 0 = observed).
 
-    The studentized sweep maps zero-spread sign patterns to ``+inf``,
-    the closure of the monotone transform linking the two variants; the
-    single-vector :func:`statistic_studentized` raises instead.
+    ``values`` is one score vector, (q,), or a (q, k) block whose columns
+    are score vectors; the result is (m,) or (m, k).  The studentized
+    sweep maps zero-spread sign patterns to ``+inf``, the closure of the
+    monotone transform linking the two variants.
     """
-    means = group.sweep(scores.values)
-    t = np.abs(means)
+    means = group.sweep(values)
+    t = np.abs(means, out=means)
     if variant == "unstudentized":
         return t
     if variant == "studentized":
-        v = scores.values
-        acc = 0.0
-        for j in range(scores.q):
-            acc += v[j] * v[j]
-        vn = acc / scores.q
+        v = np.asarray(values, dtype=np.float64)
+        q = v.shape[0]
+        acc = np.zeros(v.shape[1:])
+        for x in v:
+            acc += x * x
+        vn = acc / q
         var = vn - t * t
-        out = np.full(t.shape[0], np.inf)
+        out = np.full(t.shape, np.inf)
         ok = var > 0.0
-        out[ok] = math.sqrt(scores.q) * t[ok] / np.sqrt(var[ok])
+        out[ok] = math.sqrt(q) * t[ok] / np.sqrt(var[ok])
         return out
     raise ValueError(f"unknown variant {variant!r}")
 
 
 # ------------------------------------------------------------------ #
-# Critical values and p-values
+# Critical values and p-values, along axis 0
 # ------------------------------------------------------------------ #
 
 # Guard against float fuzz in m*level before taking the ceiling: when
@@ -234,30 +198,75 @@ def order_statistic_index(m: int, level: float) -> int:
     return min(max(k, 1), m)
 
 
-def critical_value(values, level: float) -> float:
+def critical_value(values, level: float):
     """The ``level``-quantile of a multiset of reals.
 
     inf{u : fraction of values <= u is >= level}; equals the
-    ceil(m*level)-th smallest value.
+    ceil(m*level)-th smallest value.  (m,) values give a float; (m, k)
+    values give the quantile of each column.
     """
-    arr = np.asarray(values, dtype=np.float64).reshape(-1)
+    arr = np.asarray(values, dtype=np.float64)
     if arr.size == 0:
         raise ValueError("need a nonempty multiset")
     if not 0.0 < level < 1.0:
         raise ValueError("level must lie in (0, 1)")
-    k = order_statistic_index(arr.size, level)
-    return float(np.partition(arr, k - 1)[k - 1])
+    k = order_statistic_index(arr.shape[0], level)
+    crit = np.partition(arr, k - 1, axis=0)[k - 1]
+    return float(crit) if arr.ndim == 1 else crit
 
 
-def pvalue_from_statistics(statistics: np.ndarray, observed: float) -> float:
-    """Fraction of group statistics >= the observed one (tie-snapped)."""
+def pvalue_from_statistics(statistics: np.ndarray, observed):
+    """Fraction of group statistics >= the observed one (tie-snapped).
+
+    (m,) statistics and a float observed value give a float; (m, k)
+    statistics and (k,) observed values give the p-value of each column.
+    """
     thresh = observed - snap_tolerance(observed)
-    return float(np.count_nonzero(statistics >= thresh)) / statistics.shape[0]
+    p = np.count_nonzero(statistics >= thresh, axis=0) / statistics.shape[0]
+    return float(p) if statistics.ndim == 1 else p
 
 
 # ------------------------------------------------------------------ #
 # Test runner
 # ------------------------------------------------------------------ #
+
+# The engine sweeps at most this many statistics at once, i.e. chunks
+# of max(1, 2^14 // m) score columns, so that each of a chunk's
+# temporaries stays near 128 kB whatever the group size.
+_CHUNK_STATISTICS = 2**14
+
+
+def _decide(stats: np.ndarray, alpha: float) -> tuple:
+    """Observed statistic, critical value and p-value of swept statistics."""
+    observed = stats[0]
+    return observed, critical_value(stats, 1.0 - alpha), pvalue_from_statistics(stats, observed)
+
+
+def run_test_columns(
+    values: np.ndarray,
+    alpha: float,
+    group: SignGroup,
+    variant: str = "unstudentized",
+) -> np.ndarray:
+    """The randomization test of each column of a (q, k) block of scores.
+
+    Returns a (3, k) array: the observed statistics, the critical values
+    and the tie-snapped p-values; a column is rejected where its
+    statistic exceeds its critical value.  Each column gets the same
+    arithmetic as a test of that column alone, so one null value or
+    replication and many give the same bits.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    if not np.all(np.isfinite(values)):
+        raise ValueError("scores must be finite")
+    width = max(1, _CHUNK_STATISTICS // group.size)
+    out = np.empty((3, values.shape[1]))
+    for start in range(0, values.shape[1], width):
+        stats = group_statistics(values[:, start : start + width], group, variant)
+        if variant == "studentized" and not np.all(np.isfinite(stats[0])):
+            raise DegenerateVariance("observed signed scores have zero spread")
+        out[:, start : start + width] = _decide(stats, alpha)
+    return out
 
 
 @dataclass(frozen=True)
@@ -289,17 +298,15 @@ class TestResult:
             )
 
 
-def _result_from_statistics(
-    stats: np.ndarray, alpha: float, group: SignGroup, variant: str, scaling: str
+def _result(
+    statistic, crit, p_value, alpha: float, group: SignGroup, variant: str, scaling: str
 ) -> TestResult:
-    """Critical value, p-value and provenance of a swept group (row 0 observed)."""
-    observed = float(stats[0])
-    crit = critical_value(stats, 1.0 - alpha)
+    """A test's outcome with the provenance of its group."""
     return TestResult(
-        statistic=observed,
-        critical_value=crit,
-        p_value=pvalue_from_statistics(stats, observed),
-        reject=bool(observed > crit),
+        statistic=float(statistic),
+        critical_value=float(crit),
+        p_value=float(p_value),
+        reject=bool(statistic > crit),
         alpha=float(alpha),
         group_size=group.size,
         group_mode=group.mode,
@@ -317,11 +324,9 @@ def run_test_from_scores(
     variant: str = "unstudentized",
     scaling: str = "root_nj",
 ) -> TestResult:
-    """Core engine: sweep the group, take the quantile, count the ties."""
-    stats = group_statistics(scores, group, variant)
-    if not math.isfinite(stats[0]) and variant == "studentized":
-        raise DegenerateVariance("observed signed scores have zero spread")
-    return _result_from_statistics(stats, alpha, group, variant, scaling)
+    """The engine for one score vector: sweep the group, take the quantile, count the ties."""
+    column = run_test_columns(scores.values[:, None], alpha, group, variant)[:, 0]
+    return _result(*column, alpha, group, variant, scaling)
 
 
 def run_test(
@@ -362,4 +367,4 @@ def run_wald_test(
         stats = np.zeros(group.size, dtype=np.float64)
     else:
         stats = kernels.group_wald_quadratic(group.sweep(scores), sigma_inv, estimates.q)
-    return _result_from_statistics(stats, alpha, group, "wald", scaling)
+    return _result(*_decide(stats, alpha), alpha, group, "wald", scaling)

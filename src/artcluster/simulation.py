@@ -15,9 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from artcluster.estimation import fit_per_cluster
 from artcluster.groups import SignGroup, enumerate_group
-from artcluster.model import ClusteredDataset, LinearHypothesis, _frozen, canonicalize
-from artcluster.randtest import run_test
+from artcluster.model import ClusteredDataset, LinearHypothesis, _frozen
+from artcluster.randtest import run_test_columns, scores_from_estimates
 
 __all__ = ["DgpSpec", "MonteCarloReport", "generate", "power_study", "size_study"]
 
@@ -98,8 +99,10 @@ def generate(spec: DgpSpec, replication: int) -> ClusteredDataset:
         math.sqrt(spec.rho) * factor_rows + math.sqrt(1.0 - spec.rho) * noise
     )
     y = Z @ np.asarray(spec.beta) + eps
-    labels = np.repeat(np.arange(1, spec.q + 1), spec.sizes)
-    return canonicalize(labels, y, Z)
+    # rows are already contiguous in cluster order, labelled 1..q
+    return ClusteredDataset(
+        outcomes=y, covariates=Z, sizes=spec.sizes, labels=tuple(np.arange(1, spec.q + 1))
+    )
 
 
 @dataclass(frozen=True)
@@ -134,15 +137,17 @@ def _study(
     group: SignGroup | None,
     variant: str,
 ) -> MonteCarloReport:
+    if replications < 1:
+        raise ValueError("need at least one replication")
     if group is None:
         group = enumerate_group(spec.q, mode="auto", seed=spec.seed)
     hypothesis = LinearHypothesis(contrast=contrast, value=null_value)
-    p_values = np.empty(replications, dtype=np.float64)
-    rejections = 0
+    scores = np.empty((spec.q, replications))
     for r in range(replications):
-        result = run_test(generate(spec, r), hypothesis, alpha, group, variant)
-        p_values[r] = result.p_value
-        rejections += result.reject
+        fits = fit_per_cluster(generate(spec, r))
+        scores[:, r] = scores_from_estimates(fits, hypothesis).values
+    statistic, crit, p_values = run_test_columns(scores, alpha, group, variant)
+    rejections = int(np.count_nonzero(statistic > crit))
     rate = rejections / replications
     return MonteCarloReport(
         replications=replications,

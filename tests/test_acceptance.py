@@ -166,7 +166,7 @@ def test_criterion_2_studentization_irrelevant(score_instances):
         )
 
 
-@criterion(3, "closed-form CI vs inversion oracle", limit_seconds=120)
+@criterion(3, "closed-form CI vs inversion oracle", limit_seconds=30)
 def test_criterion_3_interval_matches_inversion(ci_instances):
     for inst in ci_instances:
         grid, keep, closed = inst["grid"], inst["keep"], inst["closed"]

@@ -316,6 +316,13 @@ EXIT_CODE_CASES = [
     ),
     pytest.param(
         MICRO_CSV,
+        ["--cluster", "cluster", "--group-mode", "sampled", "--draws", "1000000000"],
+        1,
+        "--draws 1000000000",
+        id="draws-beyond-memory-bound",
+    ),
+    pytest.param(
+        MICRO_CSV,
         [],
         1,
         "cluster column is required",

@@ -1,0 +1,131 @@
+"""The batched test engine against the one-null-at-a-time oracle, bit for bit.
+
+``run_test_columns`` tests every column of a (q, k) score block, sweeping
+chunks of columns at once.  Each column must get exactly the decision
+that ``tests/oracles.decision_loop`` reaches for that column alone: the
+same statistic, critical value and tie-snapped p-value, compared on the
+float64 bit patterns.
+"""
+
+from functools import lru_cache
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from artcluster import DegenerateVariance, fit_per_cluster
+from artcluster.groups import exhaustive_group, sampled_group
+from artcluster.intervals import _cluster_terms, default_inversion_grid, inversion_scan
+from artcluster.randtest import _CHUNK_STATISTICS, run_test_columns
+from tests.oracles import bit_expansion_signs, bits, decision_loop
+from tests.test_acceptance import make_instance
+
+
+@lru_cache(maxsize=None)
+def exhaustive(q: int):
+    return exhaustive_group(q), bit_expansion_signs(q)
+
+
+def chunk_width(group) -> int:
+    return max(1, _CHUNK_STATISTICS // group.size)
+
+
+def score_block(rng, q: int, k: int, kind: str) -> np.ndarray:
+    """Integer scores tie exactly; tenths make near-ties that only snapping merges."""
+    if kind == "normal":
+        return rng.standard_normal((q, k))
+    ints = rng.integers(-3, 4, size=(q, k)).astype(np.float64)
+    return ints if kind == "integer" else 0.1 * ints
+
+
+@st.composite
+def instances(draw):
+    q = draw(st.integers(2, 12))
+    if draw(st.booleans()):
+        group, signs = exhaustive(q)
+    else:
+        group = sampled_group(q, draws=draw(st.integers(300, 3000)), seed=draw(st.integers(0, 99)))
+        signs = group.signs
+    step = chunk_width(group)
+    k = draw(st.sampled_from([1, step - 1, step, step + 1, 3 * step + 2]))
+    kind = draw(st.sampled_from(["integer", "tenths", "normal"]))
+    variant = draw(st.sampled_from(["unstudentized", "studentized"]))
+    values = score_block(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), q, k, kind)
+    if variant == "studentized":
+        # an all-equal column has zero spread at the identity; that case has its own test
+        flat = np.all(values == values[:1], axis=0)
+        values[0, flat] += 1.0
+    else:
+        values[:, -1] = 0.0
+    alpha = draw(st.sampled_from([0.05, 0.1, 0.32]))
+    return group, signs, values, alpha, variant
+
+
+class TestEngineMatchesOracle:
+    @settings(max_examples=30, deadline=None)
+    @given(instance=instances())
+    def test_columns_match_decision_loop(self, instance):
+        group, signs, values, alpha, variant = instance
+        got = run_test_columns(values, alpha, group, variant)
+        expected = decision_loop(signs, values, alpha, variant)
+        assert got.shape == expected.shape
+        assert np.array_equal(bits(got), bits(expected))
+
+    @pytest.mark.parametrize("q", range(2, 13))
+    def test_every_chunk_edge_exhaustive(self, q):
+        group, signs = exhaustive(q)
+        step = chunk_width(group)
+        values = score_block(np.random.default_rng(q), q, 3 * step + 2, "tenths")
+        expected = decision_loop(signs, values, 0.1)
+        for k in (1, step - 1, step, step + 1, 3 * step + 2):
+            got = run_test_columns(values[:, :k], 0.1, group)
+            assert np.array_equal(bits(got), bits(expected[:, :k])), f"k={k}"
+
+    def test_near_ties_are_snapped(self):
+        # the identity sums to 0.1 + 0.1 + 0.1 - 0.1 = 0.20000000000000004;
+        # six other sign vectors sum to +-0.2, an ulp below in absolute
+        # value.  Snapped, 10 of 16 count; by exact >=, only 4 would.
+        values = np.array([[0.1], [0.1], [0.1], [-0.1]])
+        group, signs = exhaustive(4)
+        got = run_test_columns(values, 0.1, group)
+        assert np.array_equal(bits(got), bits(decision_loop(signs, values, 0.1)))
+        assert got[2, 0] == 10 / 16
+
+
+class TestDegenerateColumns:
+    @pytest.mark.parametrize("position", ["first", "later-chunk"])
+    def test_zero_column_studentized_raises(self, position):
+        group, _ = exhaustive(6)
+        step = chunk_width(group)
+        values = score_block(np.random.default_rng(6), 6, 2 * step, "normal")
+        values[:, 0 if position == "first" else step + 1] = 0.0
+        with pytest.raises(DegenerateVariance):
+            run_test_columns(values, 0.1, group, "studentized")
+
+    def test_zero_column_unstudentized_accepts(self):
+        group, signs = exhaustive(6)
+        values = np.zeros((6, 3))
+        values[:, 1] = np.arange(1.0, 7.0)
+        got = run_test_columns(values, 0.1, group)
+        assert got[2, 0] == got[2, 2] == 1.0
+        assert np.array_equal(bits(got), bits(decision_loop(signs, values, 0.1)))
+
+    def test_non_finite_scores_rejected(self):
+        with pytest.raises(ValueError):
+            run_test_columns(np.array([[1.0], [np.inf]]), 0.1, exhaustive(2)[0])
+
+
+def test_inversion_scan_matches_oracle_loop():
+    """Criterion 3's first 20 instances: batched keep masks equal the per-null loop."""
+    alphas = (0.05, 0.10, 0.32)
+    for i in range(20):
+        q, d, alpha = 5 + i % 6, 1 + i % 3, alphas[i % 3]
+        data, c, _ = make_instance(7000 + i, q, d)
+        estimates = fit_per_cluster(data)
+        group, signs = exhaustive(q)
+        grid = default_inversion_grid(estimates, c)
+        w, cbeta = _cluster_terms(estimates, c)
+        expected = decision_loop(signs, w[:, None] * (cbeta[:, None] - grid), alpha)
+        keep = inversion_scan(estimates, c, alpha, group, grid)
+        assert np.array_equal(keep, ~(expected[0] > expected[1])), f"instance {i}"

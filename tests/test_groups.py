@@ -4,12 +4,8 @@ import numpy as np
 import pytest
 
 from artcluster import GroupTooLarge
-from artcluster.groups import (
-    as_sign_vector,
-    enumerate_group,
-    exhaustive_group,
-    sampled_group,
-)
+from artcluster.groups import enumerate_group, exhaustive_group, sampled_group
+from tests.oracles import as_sign_vector
 
 
 class TestExhaustive:

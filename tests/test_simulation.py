@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from artcluster import DgpSpec, fit_per_cluster, generate, power_study, size_study
+from artcluster import (
+    DgpSpec,
+    canonicalize,
+    fit_per_cluster,
+    generate,
+    power_study,
+    size_study,
+)
 
 
 def spec(q=6, size=24, d=2, rho=0.0, sigma=None, seed=11, beta=None):
@@ -37,6 +44,22 @@ class TestGenerate:
         b = generate(s, 3)
         assert np.array_equal(a.outcomes, b.outcomes)
         assert np.array_equal(a.covariates, b.covariates)
+
+    @pytest.mark.parametrize(
+        "s",
+        [spec(), spec(q=4, size=10, d=3), DgpSpec(sizes=(7, 12, 9), beta=(1.0,), sigma=(1.0,) * 3)],
+    )
+    def test_equals_canonicalized_rows(self, s):
+        for r in range(5):
+            data = generate(s, r)
+            labels = np.repeat(np.arange(1, s.q + 1), s.sizes)
+            ref = canonicalize(labels, data.outcomes, data.covariates)
+            assert np.all(data.outcomes == ref.outcomes)
+            assert np.all(data.covariates == ref.covariates)
+            assert np.all(data.sizes == ref.sizes) and data.sizes.dtype == ref.sizes.dtype
+            assert np.all(data.offsets == ref.offsets)
+            assert data.labels == ref.labels
+            assert [type(x) for x in data.labels] == [type(x) for x in ref.labels]
 
     def test_replications_differ(self):
         s = spec()
@@ -142,6 +165,11 @@ class TestStudies:
         slack = 3.0 * np.sqrt(0.25 / 300)
         for t in grid:
             assert (report.p_values <= t + 1e-12).mean() <= t + slack
+
+    @pytest.mark.parametrize("replications", [0, -3])
+    def test_needs_a_replication(self, replications):
+        with pytest.raises(ValueError, match="at least one replication"):
+            size_study(spec(q=4), [0.0, 1.0], 0.1, replications)
 
     def test_mcse_definition(self):
         report = size_study(spec(q=6, seed=88), [0.0, 1.0], 0.1, 64)
