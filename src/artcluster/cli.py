@@ -437,12 +437,16 @@ def cmd_simulate(args) -> int:
     group_doc = spec_doc.get("group")
     if group_doc is not None:
         group_doc = _spec_field("group", dict, group_doc)
-        group = enumerate_group(
-            dgp.q,
-            group_doc.get("mode", "auto"),
-            _spec_field("group.draws", int, group_doc.get("draws", 1000)),
-            _spec_field("group.seed", int, group_doc.get("seed", dgp.seed)),
-        )
+        try:
+            group = enumerate_group(
+                dgp.q,
+                group_doc.get("mode", "auto"),
+                _spec_field("group.draws", int, group_doc.get("draws", 1000)),
+                _spec_field("group.seed", int, group_doc.get("seed", dgp.seed)),
+            )
+        except ValueError as exc:
+            # the draw-count bound names the CLI flag; here the spec field set it
+            raise ValueError(str(exc).replace("--draws ", "group.draws ", 1)) from None
 
     if study == "size":
         report = size_study(dgp, contrast, alpha, replications, group=group, variant=variant)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -104,22 +103,6 @@ class SignGroup:
 
     def __len__(self) -> int:
         return self.size
-
-    @cached_property
-    def signs(self) -> np.ndarray:
-        """The (m, q) int8 sign matrix, row 0 the identity.
-
-        Built on first access for an exhaustive group (2^q * q bytes);
-        the package's sweeps never ask for it.
-        """
-        if self.matrix is not None:
-            return self.matrix
-        # row i is i in binary, most significant of q bits first; 1 -> -1
-        idx = np.arange(self.size, dtype=">u4").view(np.uint8).reshape(-1, 4)
-        bits = np.unpackbits(idx, axis=1)[:, 32 - self.q :]
-        signs = 1 - 2 * bits.astype(np.int8)
-        signs.flags.writeable = False
-        return signs
 
     def sweep(self, values: np.ndarray) -> np.ndarray:
         """Signed means (1/q) sum_j g_j v_j for every row g, in row order.

@@ -6,6 +6,14 @@ with ``repr`` (shortest round-trip form), so export -> ingest reproduces
 a dataset bit for bit.  Reports are JSON documents with sorted keys and
 no timestamps, so identical runs produce identical bytes; infinite
 endpoints are rendered as the literal tokens "-inf" / "+inf".
+
+A file is read once into one string.  When it holds no '"' and no CR,
+and every non-blank line has as many fields as the header, one
+``np.loadtxt`` call parses the numeric model columns.  Otherwise (a
+quote, CRLF line ends, a ragged row, no data rows, or a cell
+``np.loadtxt`` rejects, such as ``1_0``) the ``csv`` row path parses the
+same string with ``float()`` per cell.  Both paths give the same values,
+and a bad cell is reported by line and column.
 """
 
 from __future__ import annotations
@@ -90,25 +98,9 @@ def resolve_contrast(config: RunConfig, names: list[str]) -> np.ndarray:
 # ------------------------------------------------------------------ #
 
 
-def _read_table(path: str) -> tuple[list[str], list[list[str]]]:
+def _read_text(path: str) -> str:
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(1, "<header>", f"{path}: empty file, header required")
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue  # tolerate a trailing blank line
-            if len(row) != len(header):
-                raise ParseError(
-                    lineno,
-                    "<row>",
-                    f"line {lineno}: expected {len(header)} fields, found {len(row)}",
-                )
-            rows.append(row)
-    return header, rows
+        return fh.read()
 
 
 def _column(header: list[str], name: str) -> int:
@@ -118,6 +110,26 @@ def _column(header: list[str], name: str) -> int:
         raise MissingColumn(
             f"column {name!r} not found in header ({', '.join(header)})"
         ) from None
+
+
+def _model_columns(header: list[str], config: RunConfig) -> tuple[int, list[int]]:
+    if config.outcome_col is None:
+        raise ValueError("an outcome column is required")
+    if not config.covariate_cols:
+        raise ValueError("at least one covariate column is required")
+    return _column(header, config.outcome_col), [
+        _column(header, name) for name in config.covariate_cols
+    ]
+
+
+def _key_column(header: list[str], config: RunConfig) -> int:
+    if config.blocks_q is not None:
+        if config.time_col is None:
+            raise ValueError("blocks mode requires a time column")
+        return _column(header, config.time_col)
+    if config.cluster_col is None:
+        raise ValueError("a cluster column is required (or use blocks mode)")
+    return _column(header, config.cluster_col)
 
 
 def _parse_float(cell: str, lineno: int, column: str) -> float:
@@ -149,20 +161,74 @@ class Table:
         return blockify(self.keys, self.outcomes, self.covariates, blocks_q)
 
 
-def ingest(path: str, config: RunConfig) -> Table:
-    """Read and parse a delimited file once; :meth:`Table.dataset` clusters it.
+def _table(y: np.ndarray, Z: np.ndarray, keys, config: RunConfig) -> Table:
+    if config.intercept:
+        Z = np.column_stack([np.ones(y.shape[0]), Z])
+    return Table(y, Z, keys, config.covariate_names())
 
-    Blocks mode (``config.blocks_q`` set) keys the rows by the parsed
-    time column, regular mode by the cluster column's labels.
+
+def _fast_table(text: str, config: RunConfig) -> Table | None:
+    """Parse a plain file with one ``np.loadtxt`` call, or return None.
+
+    It returns None, leaving the file to the row path, on a quote or CR,
+    a line whose comma count differs from the header's (``loadtxt`` with
+    ``usecols`` would accept an extra field), no data rows, or any error,
+    which the row path then reports in its own order.
     """
-    header, rows = _read_table(path)
-    if config.outcome_col is None:
-        raise ValueError("an outcome column is required")
-    if not config.covariate_cols:
-        raise ValueError("at least one covariate column is required")
-    y_idx = _column(header, config.outcome_col)
-    z_idx = [_column(header, name) for name in config.covariate_cols]
+    if '"' in text or "\r" in text:
+        return None
+    head, _, body = text.partition("\n")
+    header = head.split(",")
+    lines = [line for line in body.split("\n") if line]
+    width = len(header) - 1
+    if not head or not lines or any(line.count(",") != width for line in lines):
+        return None
+    blocks = config.blocks_q is not None
+    try:
+        y_idx, z_idx = _model_columns(header, config)
+        key_idx = _key_column(header, config)
+        usecols = [y_idx, *z_idx, key_idx] if blocks else [y_idx, *z_idx]
+        values = np.loadtxt(
+            lines, delimiter=",", comments=None, usecols=usecols, dtype=np.float64, ndmin=2
+        )
+    except (ValueError, MissingColumn):
+        return None
+    k = len(z_idx)
+    if blocks:
+        keys = np.ascontiguousarray(values[:, k + 1])
+    else:
+        keys = [line.split(",", key_idx + 1)[key_idx] for line in lines]
+    y = np.ascontiguousarray(values[:, 0])
+    Z = np.ascontiguousarray(values[:, 1 : k + 1])
+    return _table(y, Z, keys, config)
 
+
+def _row_table(text: str, config: RunConfig, path: str) -> Table:
+    """Parse with ``csv.reader`` and ``float()`` cell by cell.
+
+    Errors carry their line and column; on a file the fast path accepts,
+    the result is the same.
+    """
+    from io import StringIO  # the stdlib module; this module shares its name
+
+    reader = csv.reader(StringIO(text, newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ParseError(1, "<header>", f"{path}: empty file, header required")
+    rows = []
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue  # tolerate a trailing blank line
+        if len(row) != len(header):
+            raise ParseError(
+                lineno,
+                "<row>",
+                f"line {lineno}: expected {len(header)} fields, found {len(row)}",
+            )
+        rows.append(row)
+
+    y_idx, z_idx = _model_columns(header, config)
     n = len(rows)
     y = np.empty(n, dtype=np.float64)
     Z = np.empty((n, len(z_idx)), dtype=np.float64)
@@ -171,22 +237,27 @@ def ingest(path: str, config: RunConfig) -> Table:
         y[i] = _parse_float(row[y_idx], lineno, config.outcome_col)
         for k, idx in enumerate(z_idx):
             Z[i, k] = _parse_float(row[idx], lineno, config.covariate_cols[k])
-    if config.intercept:
-        Z = np.column_stack([np.ones(n), Z])
 
+    key_idx = _key_column(header, config)
     if config.blocks_q is not None:
-        if config.time_col is None:
-            raise ValueError("blocks mode requires a time column")
-        t_idx = _column(header, config.time_col)
         keys = np.array(
-            [_parse_float(row[t_idx], i + 2, config.time_col) for i, row in enumerate(rows)]
+            [_parse_float(row[key_idx], i + 2, config.time_col) for i, row in enumerate(rows)]
         )
     else:
-        if config.cluster_col is None:
-            raise ValueError("a cluster column is required (or use blocks mode)")
-        c_idx = _column(header, config.cluster_col)
-        keys = [row[c_idx] for row in rows]
-    return Table(y, Z, keys, config.covariate_names())
+        keys = [row[key_idx] for row in rows]
+    return _table(y, Z, keys, config)
+
+
+def ingest(path: str, config: RunConfig) -> Table:
+    """Read a delimited file once and parse its model columns.
+
+    :meth:`Table.dataset` clusters the result.  Blocks mode
+    (``config.blocks_q`` set) keys the rows by the parsed time column,
+    regular mode by the cluster column's labels.
+    """
+    text = _read_text(path)
+    table = _fast_table(text, config)
+    return _row_table(text, config, path) if table is None else table
 
 
 def export_csv(

@@ -370,17 +370,34 @@ class TestBlocksPipeline:
         return [command, "--input", path, "--outcome", "y", "--covariates", "x",
                 "--coef", "x", "--alpha", "0.2", "--blocks", blocks, "--time", "t"]
 
-    @pytest.mark.parametrize("command", ["test", "ci"])
-    def test_input_parsed_once(self, tmp_path, rng, capsys, monkeypatch, command):
+    @staticmethod
+    def count_reads(monkeypatch):
         reads = []
-        read_table = artcluster.io._read_table
+        read_text = artcluster.io._read_text
 
         def counting(path):
             reads.append(path)
-            return read_table(path)
+            return read_text(path)
 
-        monkeypatch.setattr(artcluster.io, "_read_table", counting)
+        monkeypatch.setattr(artcluster.io, "_read_text", counting)
+        return reads
+
+    @pytest.mark.parametrize("command", ["test", "ci"])
+    def test_input_parsed_once(self, tmp_path, rng, capsys, monkeypatch, command):
+        reads = self.count_reads(monkeypatch)
         path = _series_file(tmp_path, rng)
+        code, out, _ = run_cli(capsys, self.argv(command, path, "8,10,16"))
+        assert code == 0
+        assert len(json.loads(out)["result"]["by_blocks"]) == 3
+        assert reads == [path]
+
+    @pytest.mark.parametrize("command", ["test", "ci"])
+    def test_quoted_input_read_once(self, tmp_path, rng, capsys, monkeypatch, command):
+        # a quote sends the file down the csv row path, which must reuse the text
+        path = _series_file(tmp_path, rng)
+        series = tmp_path / "series.csv"
+        series.write_text(series.read_text().replace("t,y,x", '"t",y,x', 1))
+        reads = self.count_reads(monkeypatch)
         code, out, _ = run_cli(capsys, self.argv(command, path, "8,10,16"))
         assert code == 0
         assert len(json.loads(out)["result"]["by_blocks"]) == 3
@@ -586,6 +603,14 @@ class TestExportCommand:
         assert open(first).read() == open(second).read()
 
 
+def _simulate_in_subprocess(spec_path):
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(artcluster.__file__)))
+    return subprocess.run(
+        [sys.executable, "-m", "artcluster.cli", "simulate", "--spec", str(spec_path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
 class TestSimulateCommand:
     def test_size_study_smoke(self, tmp_path, capsys):
         spec = {
@@ -649,15 +674,29 @@ class TestSimulateCommand:
         }
         path = tmp_path / "study.json"
         path.write_text(json.dumps(edit(spec)))
-        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(artcluster.__file__)))
-        done = subprocess.run(
-            [sys.executable, "-m", "artcluster.cli", "simulate", "--spec", str(path)],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
+        done = _simulate_in_subprocess(path)
         assert done.returncode == 1
         assert done.stdout == ""
         assert "artcluster: error:" in done.stderr
         assert message in done.stderr
+        assert "Traceback" not in done.stderr
+
+    def test_draws_beyond_memory_bound_names_spec_field(self, tmp_path):
+        spec = {
+            "dgp": {"sizes": [10] * 8, "beta": [0.0], "sigma": [1.0] * 8},
+            "study": "size",
+            "contrast": [1.0],
+            "alpha": 0.1,
+            "replications": 5,
+            "group": {"mode": "sampled", "draws": 1000000000},
+        }
+        path = tmp_path / "study.json"
+        path.write_text(json.dumps(spec))
+        done = _simulate_in_subprocess(path)
+        assert done.returncode == 1
+        assert done.stdout == ""
+        assert "artcluster: error: group.draws 1000000000 at q = 8 needs" in done.stderr
+        assert "--draws" not in done.stderr
         assert "Traceback" not in done.stderr
 
     def test_malformed_json_exit_3(self, tmp_path, capsys):

@@ -46,7 +46,7 @@ def instances(draw):
         group, signs = exhaustive(q)
     else:
         group = sampled_group(q, draws=draw(st.integers(300, 3000)), seed=draw(st.integers(0, 99)))
-        signs = group.signs
+        signs = group.matrix
     step = chunk_width(group)
     k = draw(st.sampled_from([1, step - 1, step, step + 1, 3 * step + 2]))
     kind = draw(st.sampled_from(["integer", "tenths", "normal"]))

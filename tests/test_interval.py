@@ -22,6 +22,7 @@ from artcluster.intervals import (
     per_group_bounds,
 )
 from tests.conftest import random_contrast, random_dataset
+from tests.oracles import bit_expansion_signs
 
 
 def shift_contrast_estimates(est, contrast, delta):
@@ -51,7 +52,7 @@ class TestIntervalInputs:
         inputs = interval_inputs(est, [1.0], group_cache(4))
         half = np.array([1, 1, -1, -1], dtype=np.int8)
         idx = next(
-            i for i, row in enumerate(group_cache(4).signs) if np.array_equal(row, half)
+            i for i, row in enumerate(bit_expansion_signs(4)) if np.array_equal(row, half)
         )
         assert inputs.a[idx] == 0.0
 
@@ -63,8 +64,9 @@ class TestIntervalInputs:
         inputs = interval_inputs(est, c, group)
         w = np.sqrt(est.sizes.astype(float))
         cb = est.betas @ c
+        signs = bit_expansion_signs(6)
         for i in range(0, group.size, 7):
-            g = group.signs[i]
+            g = signs[i]
             assert inputs.a[i] == pytest.approx(np.sum(g * w) / 6, rel=1e-12, abs=1e-14)
             assert inputs.b[i] == pytest.approx(np.sum(g * w * cb) / 6, rel=1e-12, abs=1e-14)
 

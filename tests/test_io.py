@@ -1,13 +1,20 @@
 """Ingestion details and report rendering."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from artcluster import MissingColumn, ParseError
 from artcluster.io import (
     RunConfig,
+    Table,
+    _fast_table,
+    _read_text,
+    _row_table,
     export_csv,
     ingest,
     render_report,
@@ -87,6 +94,126 @@ class TestIngest:
         assert np.array_equal(data.outcomes, again.outcomes)
         assert np.array_equal(data.covariates, again.covariates)
         assert data.labels == again.labels
+
+
+# Number cells that float() and np.loadtxt both accept, and cells that only
+# float() accepts, or neither does; a quoted cell sends the file to the row path.
+PLAIN_CELLS = (" 1.0", "1e400", "nan", "-nan", "inf", "-0.0", "0.1", "1e-320", "\u30001",
+               "+.5", "Infinity")
+ODD_CELLS = ("1_0", "١٢", "", "1.5e", "2#c", "0x1p3", '"2.5"')
+PLAIN_LABELS = ("a", "b", " a", "", "c#")
+CONFIGS = (
+    RunConfig(cluster_col="g", outcome_col="y", covariate_cols=("x",)),
+    RunConfig(cluster_col="g", outcome_col="y", covariate_cols=("x", "t"), intercept=True),
+    RunConfig(outcome_col="y", covariate_cols=("x",), blocks_q=2, time_col="t"),
+    RunConfig(outcome_col="y", covariate_cols=("x", "y"), blocks_q=2, time_col="t",
+              intercept=True),
+    RunConfig(outcome_col="y", covariate_cols=("x",), blocks_q=2),
+    RunConfig(cluster_col="h", outcome_col="y", covariate_cols=("x",)),
+)
+
+
+@st.composite
+def csv_texts(draw):
+    """CSV text over columns g, t, y, x; half the files also get odd cells,
+    ragged rows, whitespace-only lines, a quoted label or CRLF line ends."""
+    odd = draw(st.booleans())
+    header = draw(st.permutations(["g", "t", "y", "x"]))
+    cells = st.one_of(st.floats().map(repr),
+                      st.sampled_from(PLAIN_CELLS + (ODD_CELLS if odd else ())))
+    labels = st.sampled_from(PLAIN_LABELS + (('"a,b"',) if odd else ()))
+    shapes = ["row", "row", "row", "blank"]
+    if odd:
+        shapes += ["extra", "trailing-comma", "short", "spaces"]
+    lines = [",".join(header)]
+    for _ in range(draw(st.integers(0, 5))):
+        row = [draw(labels) if name == "g" else draw(cells) for name in header]
+        shape = draw(st.sampled_from(shapes))
+        if shape == "extra":
+            row.append("1")
+        elif shape == "trailing-comma":
+            row.append("")
+        elif shape == "short":
+            row.pop()
+        elif shape == "blank":
+            row = []
+        elif shape == "spaces":
+            row = ["  "]
+        lines.append(",".join(row))
+    newline = draw(st.sampled_from(["\n", "\r\n"] if odd else ["\n"]))
+    return newline.join(lines) + draw(st.sampled_from(["", newline, newline * 2]))
+
+
+def outcome(parse):
+    """What ``parse()`` returns or raises, with any warning raised as an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return parse()
+        except Exception as exc:  # compared by type and message below
+            return exc
+
+
+def assert_same_outcome(got, expected):
+    assert type(got) is type(expected)
+    if isinstance(expected, Exception):
+        assert str(got) == str(expected)
+        if isinstance(expected, ParseError):
+            assert (got.line, got.column) == (expected.line, expected.column)
+        return
+    for name in ("outcomes", "covariates"):
+        a, b = getattr(got, name), getattr(expected, name)
+        assert a.dtype == b.dtype == np.float64 and a.shape == b.shape
+        assert np.array_equal(a.view(np.int64), b.view(np.int64))
+    assert type(got.keys) is type(expected.keys)
+    if isinstance(expected.keys, np.ndarray):
+        assert got.keys.dtype == expected.keys.dtype
+        assert np.array_equal(got.keys.view(np.int64), expected.keys.view(np.int64))
+    else:
+        assert got.keys == expected.keys
+        assert [type(k) for k in got.keys] == [type(k) for k in expected.keys]
+    assert got.names == expected.names
+
+
+class TestParsePaths:
+    """``ingest`` (one ``np.loadtxt`` call when it can) equals the csv row path."""
+
+    @given(text=st.one_of(st.just(""), csv_texts()), config=st.sampled_from(CONFIGS))
+    @settings(max_examples=300, deadline=None)
+    def test_ingest_equals_row_path(self, tmp_path_factory, text, config):
+        path = tmp_path_factory.mktemp("parity") / "data.csv"
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        event("fast path" if _fast_table(text, config) is not None else "row path")
+        got = outcome(lambda: ingest(str(path), config))
+        expected = outcome(lambda: _row_table(_read_text(str(path)), config, str(path)))
+        assert_same_outcome(got, expected)
+
+    @pytest.mark.parametrize("config", CONFIGS[:4])
+    def test_plain_file_takes_fast_path(self, config):
+        text = "g,t,y,x\na,1,0.5,2\nb,2,1e400,-0.0\n\na,3, 7,1e-320\n"
+        table = _fast_table(text, config)
+        assert isinstance(table, Table)
+        assert_same_outcome(table, _row_table(text, config, "data.csv"))
+
+    @pytest.mark.parametrize("line", ["b,2,3,4,5", "b,2,3,4,"])
+    def test_extra_field_rejected_like_csv(self, tmp_path, line):
+        path = write(tmp_path, f"g,t,y,x\na,1,2,3\n{line}\n")
+        with pytest.raises(ParseError) as err:
+            ingest(path, CONFIGS[0])
+        assert err.value.line == 3 and "found 5" in str(err.value)
+
+    def test_header_only_file_warns_nothing(self, tmp_path):
+        path = write(tmp_path, "g,t,y,x\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            table = ingest(path, CONFIGS[0])
+        assert caught == []
+        assert table.outcomes.shape == (0,) and table.covariates.shape == (0, 1)
+
+    def test_quoted_label_keeps_its_comma(self, tmp_path):
+        path = write(tmp_path, 'g,t,y,x\n"a,b",1,2,3\nc,2,3,4\n')
+        assert ingest(path, CONFIGS[0]).keys == ["a,b", "c"]
 
 
 class TestResolveContrast:

@@ -5,38 +5,40 @@ import pytest
 
 from artcluster import kernels
 from artcluster.groups import exhaustive_group
+from tests.oracles import bit_expansion_signs
 
 
 @pytest.fixture(scope="module")
 def payload():
     rng = np.random.default_rng(5150)
     group = exhaustive_group(9)
+    signs = bit_expansion_signs(9)
     values = rng.standard_normal(9)
     weights = np.sqrt(rng.integers(2, 60, size=9).astype(float))
     scores = rng.standard_normal((9, 3))
     sigma_inv = np.linalg.inv(scores.T @ scores / 9)
-    return group, values, weights, scores, sigma_inv
+    return group, signs, values, weights, scores, sigma_inv
 
 
 class TestGroupMeans:
     def test_matches_dense_oracle(self, payload):
-        group, values, _, _, _ = payload
-        oracle = (group.signs.astype(float) @ values) / group.q
-        got = kernels.group_means(group.signs, values)
+        group, signs, values, _, _, _ = payload
+        oracle = (signs.astype(float) @ values) / group.q
+        got = kernels.group_means(signs, values)
         assert np.allclose(got, oracle, rtol=1e-13, atol=1e-15)
 
     def test_identity_row_is_plain_mean(self, payload):
-        group, values, _, _, _ = payload
-        assert kernels.group_means(group.signs, values)[0] == pytest.approx(
+        _, signs, values, _, _, _ = payload
+        assert kernels.group_means(signs, values)[0] == pytest.approx(
             values.mean(), rel=1e-13
         )
 
 
 class TestWaldQuadratic:
     def test_matches_dense_oracle(self, payload):
-        group, _, _, scores, sigma_inv = payload
+        group, signs, _, _, scores, sigma_inv = payload
         q = group.q
-        means = group.signs.astype(float) @ scores / q
+        means = signs.astype(float) @ scores / q
         oracle = q * np.einsum("ij,jk,ik->i", means, sigma_inv, means)
         got = kernels.group_wald_quadratic(group.sweep(scores), sigma_inv, q)
         assert np.allclose(got, oracle, rtol=1e-11, atol=1e-13)
@@ -64,12 +66,12 @@ def _literal_bounds(a, b, a0, b0, pm):
 
 class TestIntervalBounds:
     def test_matches_literal_formulas(self, payload):
-        group, _, weights, _, _ = payload
+        group, signs, _, weights, _, _ = payload
         rng = np.random.default_rng(12)
         wb = weights * rng.standard_normal(group.q)
-        a = kernels.group_means(group.signs, weights)
-        b = kernels.group_means(group.signs, wb)
-        pm = np.all(group.signs == group.signs[:, :1], axis=1)
+        a = kernels.group_means(signs, weights)
+        b = kernels.group_means(signs, wb)
+        pm = np.all(signs == signs[:, :1], axis=1)
         lo, hi = kernels.interval_bounds(a, b, a[0], b[0], pm)
         lo_ref, hi_ref = _literal_bounds(a, b, float(a[0]), float(b[0]), pm)
         assert np.allclose(lo, lo_ref, rtol=1e-10, atol=1e-12)
@@ -77,12 +79,12 @@ class TestIntervalBounds:
 
     def test_zero_slope_rows(self):
         # equal weights, half the signs flipped: a(g) is exactly zero
-        group = exhaustive_group(4)
+        signs = bit_expansion_signs(4)
         w = np.full(4, 2.0)
         wb = w * np.array([1.0, 3.0, -2.0, 0.5])
-        a = kernels.group_means(group.signs, w)
-        b = kernels.group_means(group.signs, wb)
-        pm = np.all(group.signs == group.signs[:, :1], axis=1)
+        a = kernels.group_means(signs, w)
+        b = kernels.group_means(signs, wb)
+        pm = np.all(signs == signs[:, :1], axis=1)
         lo, hi = kernels.interval_bounds(a, b, a[0], b[0], pm)
         zero_rows = (a == 0.0) & ~pm
         assert zero_rows.any()

@@ -26,7 +26,7 @@ from artcluster.randtest import (
     run_test_from_scores,
 )
 from tests.conftest import random_contrast, random_dataset
-from tests.oracles import statistic, statistic_studentized, statistic_wald
+from tests.oracles import bit_expansion_signs, statistic, statistic_studentized, statistic_wald
 
 
 def score_vector(values, sizes=None):
@@ -108,7 +108,7 @@ class TestWaldStatistic:
         assert statistic_wald(zero_est, mh_exact, np.ones(5, dtype=np.int8)) == 0.0
         assert statistic_wald(est, mh0, np.ones(5, dtype=np.int8)) > 0.0
 
-    def test_matches_dense_oracle(self, rng, group_cache):
+    def test_matches_dense_oracle(self, rng):
         data = random_dataset(rng, q=6, d=3)
         est = fit_per_cluster(data)
         mh = MultiHypothesis(
@@ -117,7 +117,7 @@ class TestWaldStatistic:
         n = est.n
         S = np.sqrt(n) * (est.betas @ mh.restriction.T - mh.values)
         sigma = S.T @ S / 6
-        for g in group_cache(6).signs[:16]:
+        for g in bit_expansion_signs(6)[:16]:
             mean = (g[:, None] * S).mean(axis=0)
             oracle = 6 * mean @ np.linalg.inv(sigma) @ mean
             assert statistic_wald(est, mh, g) == pytest.approx(oracle, rel=1e-9)

@@ -1,8 +1,8 @@
 """Fast sweeps and order statistics against the reference oracles, bit for bit.
 
-The exhaustive group is swept by prefix-sum doubling, its sign matrix is
-built only on request, its +-identity rows are known by position, and
-quantiles come from ``np.partition``.  Each must reproduce the reference
+The exhaustive group is swept by prefix-sum doubling and never holds its
+sign matrix, its +-identity rows are known by position, and quantiles
+come from ``np.partition``.  Each must reproduce the reference
 in ``tests/oracles.py`` exactly, compared on the float64 bit patterns.
 """
 
@@ -94,14 +94,14 @@ class TestDoublingSweep:
         values[[3, 7]] = 0.0, -0.0
         values[12] = values[11]
         group = exhaustive_group(20)
-        expected = column_loop_means(group.signs, values)
+        expected = column_loop_means(bit_expansion_signs(20), values)
         assert np.array_equal(bits(group.sweep(values)), bits(expected))
 
     @settings(max_examples=40, deadline=None)
     @given(values=st.one_of(vectors(2, 8), matrices(2, 8)), seed=st.integers(0, 2**31))
     def test_sampled_sweep_matches_column_loop(self, values, seed):
         group = sampled_group(values.shape[0], draws=300, seed=seed)
-        expected = column_loop_means(group.signs, values)
+        expected = column_loop_means(group.matrix, values)
         assert np.array_equal(bits(group.sweep(values)), bits(expected))
 
     def test_wrong_length_rejected(self):
@@ -117,32 +117,38 @@ class TestWald:
         rng = np.random.default_rng(q * 10 + p)
         scores = rng.standard_normal((q, p))
         sigma_inv = np.linalg.inv(scores.T @ scores / q)
-        for group in (exhaustive_group(q), sampled_group(q, draws=500, seed=p)):
+        sampled = sampled_group(q, draws=500, seed=p)
+        for group, signs in ((exhaustive_group(q), oracle_signs(q)), (sampled, sampled.matrix)):
             got = kernels.group_wald_quadratic(group.sweep(scores), sigma_inv, q)
-            expected = wald_quadratic_loop(group.signs, scores, sigma_inv)
+            expected = wald_quadratic_loop(signs, scores, sigma_inv)
             assert np.array_equal(bits(got), bits(expected))
 
     @pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
     def test_run_wald_test_matches_loop(self, rng, mode):
         data = random_dataset(rng, q=9, d=3)
         mh = MultiHypothesis(restriction=rng.standard_normal((2, 3)), values=rng.standard_normal(2))
-        group = exhaustive_group(9) if mode == "exhaustive" else sampled_group(9, 700, seed=4)
+        if mode == "exhaustive":
+            group, signs = exhaustive_group(9), oracle_signs(9)
+        else:
+            group = sampled_group(9, 700, seed=4)
+            signs = group.matrix
         result = run_wald_test(data, mh, 0.1, group)
         scores, sigma_inv = _wald_ingredients(fit_per_cluster(data), mh, "root_n")
-        stats = wald_quadratic_loop(group.signs, scores, sigma_inv)
+        stats = wald_quadratic_loop(signs, scores, sigma_inv)
         assert bits(result.statistic) == bits(stats[0])
         assert bits(result.critical_value) == bits(sort_critical_value(stats, 0.9))
 
 
 class TestLazySigns:
+    """An exhaustive group holds q alone; its rows exist only inside the sweep."""
+
     @pytest.mark.parametrize("q", range(2, 17))
     def test_matches_bit_expansion(self, q):
         group = exhaustive_group(q)
         assert group.matrix is None
-        signs = group.signs
-        assert signs.dtype == np.int8 and not signs.flags.writeable
-        assert np.array_equal(signs, oracle_signs(q))
-        assert group.signs is signs  # built once
+        # sweeping the unit vectors gives row i scaled by 1/q: the signs of row i
+        rows = np.sign(group.sweep(np.eye(q))).astype(np.int8)
+        assert np.array_equal(rows, oracle_signs(q))
 
     def test_engine_never_builds_exhaustive_matrix(self, rng):
         data = random_dataset(rng, q=8, d=2)
@@ -155,7 +161,7 @@ class TestLazySigns:
         inputs = interval_inputs(fit_per_cluster(data), c, group)
         ci = interval(inputs, 0.1)
         pvalue_profile(inputs, ci.lower)
-        assert "signs" not in vars(group)
+        assert group.matrix is None and not hasattr(group, "signs")
 
 
 class TestPmIdentity:
@@ -167,7 +173,7 @@ class TestPmIdentity:
     @given(q=st.integers(2, 6), draws=st.integers(2, 200), seed=st.integers(0, 2**31))
     def test_sampled_matches_mask(self, q, draws, seed):
         group = sampled_group(q, draws, seed)
-        assert np.array_equal(group.pm_identity(), pm_iota_mask(group.signs))
+        assert np.array_equal(group.pm_identity(), pm_iota_mask(group.matrix))
 
 
 QUANTILE_ENTRY = st.one_of(
