@@ -53,7 +53,6 @@ from artcluster.model import (
     canonicalize,
 )
 from artcluster.randtest import (
-    ScoreVector,
     TestResult,
     critical_value,
     run_test,
@@ -92,7 +91,6 @@ __all__ = [
     "NonFiniteValue",
     "ParseError",
     "RestrictedFit",
-    "ScoreVector",
     "SignGroup",
     "SingularFullGram",
     "SingularSigma",

@@ -346,7 +346,7 @@ def _test_result(config: RunConfig, names, contrast, group, estimates) -> dict:
                 "label": str(estimates.labels[j]),
                 "size": int(estimates.sizes[j]),
                 "beta": estimates.betas[j],
-                "score": float(scores.values[j]),
+                "score": float(scores[j]),
             }
             for j in range(estimates.q)
         ],

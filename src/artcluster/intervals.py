@@ -172,7 +172,7 @@ def interval(inputs: IntervalInputs, alpha: float) -> ConfidenceInterval:
     k = order_statistic_index(m, alpha)
     lower = float(np.partition(lo_all, k - 1)[k - 1])
     upper = float(np.partition(hi_all, m - k)[m - k])
-    if lower > upper:  # ulp inversion on degenerate (point) intervals
+    if lower > upper:  # ulp inversion on point intervals (equal estimates and sizes)
         lower, upper = upper, lower
     lam0 = inputs.lambda0
     tol = _rounding_tol(lam0)

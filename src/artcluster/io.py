@@ -206,8 +206,8 @@ def _fast_table(text: str, config: RunConfig) -> Table | None:
 def _row_table(text: str, config: RunConfig, path: str) -> Table:
     """Parse with ``csv.reader`` and ``float()`` cell by cell.
 
-    Errors carry their line and column; on a file the fast path accepts,
-    the result is the same.
+    Errors carry the reader's line and column, blank lines counted; on a
+    file the fast path accepts, the result is the same.
     """
     from io import StringIO  # the stdlib module; this module shares its name
 
@@ -226,14 +226,13 @@ def _row_table(text: str, config: RunConfig, path: str) -> Table:
                 "<row>",
                 f"line {lineno}: expected {len(header)} fields, found {len(row)}",
             )
-        rows.append(row)
+        rows.append((lineno, row))
 
     y_idx, z_idx = _model_columns(header, config)
     n = len(rows)
     y = np.empty(n, dtype=np.float64)
     Z = np.empty((n, len(z_idx)), dtype=np.float64)
-    for i, row in enumerate(rows):
-        lineno = i + 2
+    for i, (lineno, row) in enumerate(rows):
         y[i] = _parse_float(row[y_idx], lineno, config.outcome_col)
         for k, idx in enumerate(z_idx):
             Z[i, k] = _parse_float(row[idx], lineno, config.covariate_cols[k])
@@ -241,10 +240,10 @@ def _row_table(text: str, config: RunConfig, path: str) -> Table:
     key_idx = _key_column(header, config)
     if config.blocks_q is not None:
         keys = np.array(
-            [_parse_float(row[key_idx], i + 2, config.time_col) for i, row in enumerate(rows)]
+            [_parse_float(row[key_idx], lineno, config.time_col) for lineno, row in rows]
         )
     else:
-        keys = [row[key_idx] for row in rows]
+        keys = [row[key_idx] for _, row in rows]
     return _table(y, Z, keys, config)
 
 

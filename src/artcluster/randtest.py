@@ -11,6 +11,12 @@ Tie handling: indicator comparisons use exact ``>=`` on doubles after
 snapping values within ``1e-12 * max(1, |T|)`` of the observed statistic
 onto it.  The equivalence theorems behind the engine hold exactly in
 real arithmetic; snapping keeps rounding noise from breaking them.
+
+Both variants are decided on the one ``|mean|`` sweep, and ties are
+snapped on that scale.  The studentized statistic is an increasing
+function of ``|mean|`` under every sign change, so the engine maps only
+the observed statistic and the critical value onto the studentized
+scale; its p-value is the unstudentized one by construction.
 """
 
 from __future__ import annotations
@@ -30,14 +36,12 @@ from artcluster.estimation import (
     reciprocal_condition,
 )
 from artcluster.groups import SignGroup, enumerate_group
-from artcluster.model import ClusteredDataset, LinearHypothesis, MultiHypothesis, _frozen
+from artcluster.model import ClusteredDataset, LinearHypothesis, MultiHypothesis
 
 __all__ = [
     "SNAP_RTOL",
-    "ScoreVector",
     "TestResult",
     "critical_value",
-    "group_statistics",
     "pvalue_from_statistics",
     "run_test",
     "run_test_from_scores",
@@ -58,28 +62,6 @@ def snap_tolerance(reference):
 # ------------------------------------------------------------------ #
 
 
-@dataclass(frozen=True)
-class ScoreVector:
-    """Per-cluster scores and the cluster sizes they were scaled by."""
-
-    values: np.ndarray  # (q,)
-    sizes: np.ndarray  # (q,)
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64).reshape(-1)
-        s = np.asarray(self.sizes, dtype=np.int64).reshape(-1)
-        if v.shape != s.shape:
-            raise ValueError("scores and sizes must align")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("scores must be finite")
-        object.__setattr__(self, "values", _frozen(v))
-        object.__setattr__(self, "sizes", _frozen(s))
-
-    @property
-    def q(self) -> int:
-        return self.values.shape[0]
-
-
 def _scale_weights(sizes: np.ndarray, scaling: str) -> np.ndarray:
     if scaling == "root_nj":
         return np.sqrt(sizes.astype(np.float64))
@@ -92,8 +74,8 @@ def scores_from_estimates(
     estimates: ClusterEstimates,
     hypothesis: LinearHypothesis,
     scaling: str = "root_nj",
-) -> ScoreVector:
-    """Centered per-cluster estimates: sqrt(n_j) * (c'beta_j - value).
+) -> np.ndarray:
+    """Centered per-cluster estimates, (q,): sqrt(n_j) * (c'beta_j - value).
 
     ``scaling="root_n"`` replaces sqrt(n_j) with the uniform sqrt(n)
     factor used by the multi-row statistic.
@@ -102,14 +84,13 @@ def scores_from_estimates(
     if c.shape[0] != estimates.d_z:
         raise ValueError("contrast length must equal the covariate count")
     w = _scale_weights(estimates.sizes, scaling)
-    values = w * (estimates.betas @ c - hypothesis.value)
-    return ScoreVector(values=values, sizes=estimates.sizes)
+    return w * (estimates.betas @ c - hypothesis.value)
 
 
 def scores_via_restricted(
     data: ClusteredDataset, hypothesis: LinearHypothesis
-) -> ScoreVector:
-    """Scores from the restricted-residual route (single full-sample fit).
+) -> np.ndarray:
+    """Scores, (q,), from the restricted-residual route (single full-sample fit).
 
     Numerically equivalent to :func:`scores_from_estimates` on the
     per-cluster fits; exposed separately so the two routes can be
@@ -117,8 +98,7 @@ def scores_via_restricted(
     """
     fit = fit_restricted(data, hypothesis)
     estimates = fit_per_cluster(data)
-    values = cluster_scores(data, fit, estimates, hypothesis)
-    return ScoreVector(values=values, sizes=data.sizes)
+    return cluster_scores(data, fit, estimates, hypothesis)
 
 
 # ------------------------------------------------------------------ #
@@ -151,35 +131,6 @@ def _wald_ingredients(
             f"score outer-product matrix is numerically singular (rcond {rc:.3e})"
         )
     return scores, np.linalg.inv(sigma)
-
-
-def group_statistics(
-    values: np.ndarray, group: SignGroup, variant: str = "unstudentized"
-) -> np.ndarray:
-    """Evaluate the statistic at every group element (row 0 = observed).
-
-    ``values`` is one score vector, (q,), or a (q, k) block whose columns
-    are score vectors; the result is (m,) or (m, k).  The studentized
-    sweep maps zero-spread sign patterns to ``+inf``, the closure of the
-    monotone transform linking the two variants.
-    """
-    means = group.sweep(values)
-    t = np.abs(means, out=means)
-    if variant == "unstudentized":
-        return t
-    if variant == "studentized":
-        v = np.asarray(values, dtype=np.float64)
-        q = v.shape[0]
-        acc = np.zeros(v.shape[1:])
-        for x in v:
-            acc += x * x
-        vn = acc / q
-        var = vn - t * t
-        out = np.full(t.shape, np.inf)
-        ok = var > 0.0
-        out[ok] = math.sqrt(q) * t[ok] / np.sqrt(var[ok])
-        return out
-    raise ValueError(f"unknown variant {variant!r}")
 
 
 # ------------------------------------------------------------------ #
@@ -242,6 +193,24 @@ def _decide(stats: np.ndarray, alpha: float) -> tuple:
     return observed, critical_value(stats, 1.0 - alpha), pvalue_from_statistics(stats, observed)
 
 
+def _studentize(values: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """sqrt(q) * t / sqrt(mean(v^2) - t^2) for |mean| values t of each column.
+
+    ``t`` is (r, k) for the (q, k) score block; zero or negative spread
+    maps to ``+inf``.  Every rounded step is monotone in t, so the map
+    keeps the order of the |mean| statistics.
+    """
+    q = values.shape[0]
+    acc = np.zeros(values.shape[1])
+    for x in values:
+        acc += x * x
+    var = acc / q - t * t
+    out = np.full(t.shape, np.inf)
+    ok = var > 0.0
+    out[ok] = math.sqrt(q) * t[ok] / np.sqrt(var[ok])
+    return out
+
+
 def run_test_columns(
     values: np.ndarray,
     alpha: float,
@@ -254,18 +223,24 @@ def run_test_columns(
     and the tie-snapped p-values; a column is rejected where its
     statistic exceeds its critical value.  Each column gets the same
     arithmetic as a test of that column alone, so one null value or
-    replication and many give the same bits.
+    replication and many give the same bits.  The studentized variant
+    maps the statistic and critical value of the |mean| sweep through
+    :func:`_studentize` and keeps its p-value.
     """
+    if variant not in ("unstudentized", "studentized"):
+        raise ValueError(f"unknown variant {variant!r}")
     values = np.asarray(values, dtype=np.float64)
     if not np.all(np.isfinite(values)):
         raise ValueError("scores must be finite")
     width = max(1, _CHUNK_STATISTICS // group.size)
     out = np.empty((3, values.shape[1]))
     for start in range(0, values.shape[1], width):
-        stats = group_statistics(values[:, start : start + width], group, variant)
-        if variant == "studentized" and not np.all(np.isfinite(stats[0])):
+        stats = group.sweep(values[:, start : start + width])
+        out[:, start : start + width] = _decide(np.abs(stats, out=stats), alpha)
+    if variant == "studentized":
+        out[:2] = _studentize(values, out[:2])
+        if not np.all(np.isfinite(out[0])):
             raise DegenerateVariance("observed signed scores have zero spread")
-        out[:, start : start + width] = _decide(stats, alpha)
     return out
 
 
@@ -318,14 +293,14 @@ def _result(
 
 
 def run_test_from_scores(
-    scores: ScoreVector,
+    scores: np.ndarray,
     alpha: float,
     group: SignGroup,
     variant: str = "unstudentized",
     scaling: str = "root_nj",
 ) -> TestResult:
-    """The engine for one score vector: sweep the group, take the quantile, count the ties."""
-    column = run_test_columns(scores.values[:, None], alpha, group, variant)[:, 0]
+    """The engine for one (q,) score vector: sweep the group, take the quantile, count the ties."""
+    column = run_test_columns(np.reshape(scores, (-1, 1)), alpha, group, variant)[:, 0]
     return _result(*column, alpha, group, variant, scaling)
 
 

@@ -145,7 +145,7 @@ def _study(
     scores = np.empty((spec.q, replications))
     for r in range(replications):
         fits = fit_per_cluster(generate(spec, r))
-        scores[:, r] = scores_from_estimates(fits, hypothesis).values
+        scores[:, r] = scores_from_estimates(fits, hypothesis)
     statistic, crit, p_values = run_test_columns(scores, alpha, group, variant)
     rejections = int(np.count_nonzero(statistic > crit))
     rate = rejections / replications

@@ -125,23 +125,25 @@ def as_sign_vector(g, q: int | None = None) -> np.ndarray:
 
 
 def statistic(scores, g) -> float:
-    """Absolute mean of the sign-flipped scores for one sign vector."""
-    signs = as_sign_vector(g, scores.q)
-    return abs(float(signs @ scores.values) / scores.q)
+    """Absolute mean of the sign-flipped (q,) scores for one sign vector."""
+    q = len(scores)
+    signs = as_sign_vector(g, q)
+    return abs(float(signs @ np.asarray(scores, dtype=np.float64)) / q)
 
 
 def statistic_studentized(scores, g) -> float:
-    """Studentized variant: sqrt(q) * |mean| / sd of the signed scores.
+    """Studentized variant: sqrt(q) * |mean| / sd of the signed (q,) scores.
 
     Raises :class:`DegenerateVariance` when all signed scores are equal.
     """
-    signs = as_sign_vector(g, scores.q)
-    flipped = signs * scores.values
+    q = len(scores)
+    signs = as_sign_vector(g, q)
+    flipped = signs * np.asarray(scores, dtype=np.float64)
     mean = float(flipped.mean())
     sd = math.sqrt(float(np.mean((flipped - mean) ** 2)))
     if sd == 0.0:
         raise DegenerateVariance("signed scores have zero spread")
-    return math.sqrt(scores.q) * abs(mean) / sd
+    return math.sqrt(q) * abs(mean) / sd
 
 
 def statistic_wald(estimates, hypothesis, g, scaling: str = "root_n") -> float:

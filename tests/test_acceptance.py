@@ -144,9 +144,9 @@ def test_criterion_1_score_routes_agree(score_instances):
         h = LinearHypothesis(contrast=c, value=lam)
         s_est = scores_from_estimates(fit_per_cluster(data), h)
         s_res = scores_via_restricted(data, h)
-        scale = max(1.0, float(np.max(np.abs(s_est.values))))
+        scale = max(1.0, float(np.max(np.abs(s_est))))
         assert np.allclose(
-            s_res.values, s_est.values, rtol=1e-9, atol=1e-11 * scale
+            s_res, s_est, rtol=1e-9, atol=1e-11 * scale
         ), f"score routes disagree beyond 1e-9 (q={q})"
         group = group_for(q)
         p_est = run_test_from_scores(s_est, 0.1, group).p_value
@@ -164,6 +164,19 @@ def test_criterion_2_studentization_irrelevant(score_instances):
         assert plain.p_value == stud.p_value, (
             f"studentized p {stud.p_value} != unstudentized {plain.p_value} (q={q})"
         )
+
+
+@criterion(2, "studentization invariance on a constructed near-tie")
+def test_criterion_2_constructed_near_tie():
+    # flipping the first two scores moves the identity's |mean| 1.1 down by
+    # 8e-13, inside the snap tolerance 1.1e-12, so 8 of 32 sign vectors
+    # count; the studentized map stretches that gap to 2.2e-12, past its
+    # own tolerance 1.8e-12, so snapping on that scale would give 6/32
+    scores = np.array([1.0, -1.0 + 2e-12, 2.0, 3.0, 0.5])
+    group = group_for(5)
+    for variant in ("unstudentized", "studentized"):
+        result = run_test_from_scores(scores, 0.1, group, variant)
+        assert result.p_value == 0.25, f"{variant} p {result.p_value} != 0.25"
 
 
 @criterion(3, "closed-form CI vs inversion oracle", limit_seconds=30)

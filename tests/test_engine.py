@@ -4,7 +4,9 @@
 chunks of columns at once.  Each column must get exactly the decision
 that ``tests/oracles.decision_loop`` reaches for that column alone: the
 same statistic, critical value and tie-snapped p-value, compared on the
-float64 bit patterns.
+float64 bit patterns.  The studentized variant takes its statistic and
+critical value from the studentized oracle and its p-value from the
+unstudentized one (the p-value does not depend on studentization).
 """
 
 from functools import lru_cache
@@ -32,9 +34,18 @@ def chunk_width(group) -> int:
 
 
 def score_block(rng, q: int, k: int, kind: str) -> np.ndarray:
-    """Integer scores tie exactly; tenths make near-ties that only snapping merges."""
+    """Integer scores tie exactly; tenths make near-ties that only snapping merges.
+
+    ``near-tie`` sets row 1 to -row 0 + j * 1e-12 (j = 1..5), so sign
+    vectors that flip both rows move |mean| by about 2j * 1e-12 / q: a
+    near-tie that the studentized scale can stretch past the tolerance.
+    """
     if kind == "normal":
         return rng.standard_normal((q, k))
+    if kind == "near-tie":
+        values = rng.standard_normal((q, k))
+        values[1] = -values[0] + rng.integers(1, 6, size=k) * 1e-12
+        return values
     ints = rng.integers(-3, 4, size=(q, k)).astype(np.float64)
     return ints if kind == "integer" else 0.1 * ints
 
@@ -49,7 +60,7 @@ def instances(draw):
         signs = group.matrix
     step = chunk_width(group)
     k = draw(st.sampled_from([1, step - 1, step, step + 1, 3 * step + 2]))
-    kind = draw(st.sampled_from(["integer", "tenths", "normal"]))
+    kind = draw(st.sampled_from(["integer", "tenths", "normal", "near-tie"]))
     variant = draw(st.sampled_from(["unstudentized", "studentized"]))
     values = score_block(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), q, k, kind)
     if variant == "studentized":
@@ -68,7 +79,9 @@ class TestEngineMatchesOracle:
     def test_columns_match_decision_loop(self, instance):
         group, signs, values, alpha, variant = instance
         got = run_test_columns(values, alpha, group, variant)
-        expected = decision_loop(signs, values, alpha, variant)
+        expected = decision_loop(signs, values, alpha)
+        if variant == "studentized":
+            expected[:2] = decision_loop(signs, values, alpha, variant)[:2]
         assert got.shape == expected.shape
         assert np.array_equal(bits(got), bits(expected))
 
@@ -93,6 +106,19 @@ class TestEngineMatchesOracle:
         assert got[2, 0] == 10 / 16
 
 
+    @pytest.mark.parametrize("q", range(3, 11))
+    def test_studentized_pvalue_is_unstudentized_on_near_ties(self, q):
+        group, signs = exhaustive(q)
+        values = score_block(np.random.default_rng(q), q, 200, "near-tie")
+        plain = decision_loop(signs, values, 0.1)
+        studentized = decision_loop(signs, values, 0.1, "studentized")
+        # snapped on the studentized scale, some of these p-values differ
+        assert np.any(plain[2] != studentized[2])
+        got = run_test_columns(values, 0.1, group, "studentized")
+        assert np.array_equal(bits(got[:2]), bits(studentized[:2]))
+        assert np.array_equal(bits(got[2]), bits(plain[2]))
+
+
 class TestDegenerateColumns:
     @pytest.mark.parametrize("position", ["first", "later-chunk"])
     def test_zero_column_studentized_raises(self, position):
@@ -114,6 +140,10 @@ class TestDegenerateColumns:
     def test_non_finite_scores_rejected(self):
         with pytest.raises(ValueError):
             run_test_columns(np.array([[1.0], [np.inf]]), 0.1, exhaustive(2)[0])
+
+    def test_unknown_variant_rejected(self):
+        with pytest.raises(ValueError, match="unknown variant"):
+            run_test_columns(np.array([[1.0], [2.0]]), 0.1, exhaustive(2)[0], "wald")
 
 
 def test_inversion_scan_matches_oracle_loop():

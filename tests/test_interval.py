@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from artcluster import (
     ArtClusterError,
@@ -16,13 +18,14 @@ from artcluster import (
     run_test,
 )
 from artcluster.estimation import ClusterEstimates
+from artcluster.groups import exhaustive_group
 from artcluster.intervals import (
     default_inversion_grid,
     inversion_scan,
     per_group_bounds,
 )
 from tests.conftest import random_contrast, random_dataset
-from tests.oracles import bit_expansion_signs
+from tests.oracles import bit_expansion_signs, bits, sort_interval_endpoints
 
 
 def shift_contrast_estimates(est, contrast, delta):
@@ -32,6 +35,35 @@ def shift_contrast_estimates(est, contrast, delta):
     return ClusterEstimates(
         betas=est.betas + bump, sizes=est.sizes, grams=est.grams, labels=est.labels
     )
+
+
+@st.composite
+def point_instances(draw):
+    """Estimates whose c'beta_j are equal, a few ulps apart or integers.
+
+    These make point and near-point intervals, where rounding could
+    leave the endpoints out of order.
+    """
+    q = draw(st.integers(3, 10))
+    scale = draw(st.sampled_from([1e-8, 1.0, 1e8]))
+    kind = draw(st.sampled_from(["equal", "ulps", "integer"]))
+    if kind == "integer":
+        cbeta = np.array(draw(st.lists(st.integers(-3, 3), min_size=q, max_size=q))) * scale
+    else:
+        base = scale * draw(st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False))
+        steps = [0] * q
+        if kind == "ulps":
+            steps = draw(st.lists(st.integers(-4, 4), min_size=q, max_size=q))
+        cbeta = np.array([base + k * np.spacing(base) for k in steps])
+    if draw(st.booleans()):
+        sizes = [draw(st.integers(1, 60))] * q
+    else:
+        sizes = draw(st.lists(st.integers(1, 60), min_size=q, max_size=q))
+    estimates = ClusterEstimates(
+        betas=cbeta[:, None], sizes=sizes, grams=np.ones((q, 1, 1)), labels=tuple(range(q))
+    )
+    alpha = draw(st.sampled_from([0.05, 0.1, 0.32, 0.5]))
+    return estimates, alpha
 
 
 class TestIntervalInputs:
@@ -211,6 +243,30 @@ class TestInterval:
         assert abs(ci.lower - inputs.lambda0) < 1e-12 * scale
         assert abs(ci.upper - inputs.lambda0) < 1e-12 * scale
         assert ci.lower <= ci.upper
+
+    @settings(max_examples=200, deadline=None)
+    @given(instance=point_instances())
+    def test_point_intervals_keep_endpoint_order(self, instance):
+        estimates, alpha = instance
+        inputs = interval_inputs(estimates, [1.0], exhaustive_group(estimates.q))
+        ci = interval(inputs, alpha)
+        assert ci.lower <= ci.upper
+        expected = sort_interval_endpoints(*per_group_bounds(inputs), alpha)
+        assert np.array_equal(bits([ci.lower, ci.upper]), bits(expected))
+
+    def test_ulp_inverted_point_interval_is_swapped(self, group_cache):
+        # three equal estimates with equal sizes: every finite lower bound
+        # rounds to 0.1 + 1 ulp and every upper bound to 0.1, so the
+        # quantiles come out one ulp out of order and are swapped back
+        estimates = ClusterEstimates(
+            betas=np.full((3, 1), 0.1), sizes=[1, 1, 1], grams=np.ones((3, 1, 1)),
+            labels=(0, 1, 2),
+        )
+        inputs = interval_inputs(estimates, [1.0], group_cache(3))
+        lo_all, hi_all = per_group_bounds(inputs)
+        assert np.sort(lo_all)[3] == 0.10000000000000002 and np.sort(hi_all)[4] == 0.1
+        ci = interval(inputs, 0.5)
+        assert (ci.lower, ci.upper) == (0.1, 0.10000000000000002)
 
     def test_duality_with_test(self, rng, group_cache):
         data = random_dataset(rng, q=7, d=2)

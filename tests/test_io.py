@@ -9,6 +9,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from artcluster import MissingColumn, ParseError
+from artcluster.cli import main as cli_main
 from artcluster.io import (
     RunConfig,
     Table,
@@ -52,6 +53,30 @@ class TestIngest:
             ingest(path, BASIC)
         assert err.value.line == 3
         assert err.value.column == "y"
+
+    @pytest.mark.parametrize(
+        "argv, text, column",
+        [
+            (
+                ["--cluster", "g"],
+                "g,y,x\na,1,2\n\nb,bad,4\nc,3,1\n",
+                "y",
+            ),
+            (
+                ["--blocks", "2", "--time", "t"],
+                "t,y,x\n1,1,2\n\nzz,2,4\n3,3,1\n4,5,2\n",
+                "t",
+            ),
+        ],
+        ids=["cluster-value", "blocks-time-key"],
+    )
+    def test_bad_cell_after_blank_line_names_its_line(self, tmp_path, capsys, argv, text, column):
+        path = write(tmp_path, text)
+        code = cli_main(
+            ["test", "--input", path, "--outcome", "y", "--covariates", "x", "--coef", "x", *argv]
+        )
+        assert code == 3
+        assert f"line 4, column '{column}'" in capsys.readouterr().err
 
     def test_ragged_row_rejected(self, tmp_path):
         path = write(tmp_path, "g,y,x\na,1,2\nb,3\n")

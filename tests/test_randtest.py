@@ -9,7 +9,6 @@ from artcluster import (
     DegenerateVariance,
     LinearHypothesis,
     MultiHypothesis,
-    ScoreVector,
     SingularSigma,
     critical_value,
     fit_per_cluster,
@@ -21,72 +20,78 @@ from artcluster import (
 from artcluster.groups import sampled_group
 from artcluster.randtest import (
     TestResult as RandTestResult,
-    group_statistics,
     pvalue_from_statistics,
+    run_test_columns,
     run_test_from_scores,
 )
 from tests.conftest import random_contrast, random_dataset
-from tests.oracles import bit_expansion_signs, statistic, statistic_studentized, statistic_wald
-
-
-def score_vector(values, sizes=None):
-    values = np.asarray(values, dtype=float)
-    if sizes is None:
-        sizes = np.full(values.shape[0], 4)
-    return ScoreVector(values=values, sizes=sizes)
+from tests.oracles import (
+    bit_expansion_signs,
+    bits,
+    column_loop_means,
+    decision_loop,
+    statistic,
+    statistic_studentized,
+    statistic_wald,
+)
 
 
 class TestScores:
     def test_hand_example(self, micro_estimates):
         h = LinearHypothesis(contrast=[1.0], value=2.0)
         sv = scores_from_estimates(micro_estimates, h)
-        assert sv.values.tolist() == [-2.0, 2.0]
+        assert sv.shape == (2,)
+        assert sv.tolist() == [-2.0, 2.0]
 
     def test_zero_when_value_matches(self, micro_estimates):
         h = LinearHypothesis(contrast=[1.0], value=1.0)
         sv = scores_from_estimates(micro_estimates, h)
-        assert sv.values[0] == 0.0
+        assert sv[0] == 0.0
 
     def test_root_n_scaling(self, micro_estimates):
         h = LinearHypothesis(contrast=[1.0], value=2.0)
         sv = scores_from_estimates(micro_estimates, h, scaling="root_n")
-        assert np.allclose(sv.values, np.sqrt(8.0) * np.array([-1.0, 1.0]))
+        assert np.allclose(sv, np.sqrt(8.0) * np.array([-1.0, 1.0]))
 
 
 class TestStatistic:
     def test_cancellation(self):
-        assert statistic(score_vector([-2.0, 2.0]), [1, 1]) == 0.0
+        assert statistic(np.array([-2.0, 2.0]), [1, 1]) == 0.0
 
     def test_hand_value(self):
-        assert statistic(score_vector([-2.0, 2.0]), [1, -1]) == 2.0
+        assert statistic(np.array([-2.0, 2.0]), [1, -1]) == 2.0
 
     @given(st.integers(min_value=0, max_value=2**6 - 1))
     @settings(max_examples=64, deadline=None)
     def test_negation_symmetry(self, pattern):
         rng = np.random.default_rng(pattern)
-        s = score_vector(rng.standard_normal(6))
+        s = rng.standard_normal(6)
         g = np.array([1 if (pattern >> j) & 1 == 0 else -1 for j in range(6)], dtype=np.int8)
         assert statistic(s, g) == statistic(s, -g)
 
 
 class TestStudentized:
     def test_zero_numerator(self):
-        assert statistic_studentized(score_vector([-2.0, 2.0]), [1, 1]) == 0.0
+        assert statistic_studentized(np.array([-2.0, 2.0]), [1, 1]) == 0.0
 
     def test_degenerate_spread(self):
         with pytest.raises(DegenerateVariance):
-            statistic_studentized(score_vector([3.0, 3.0, 3.0]), [1, 1, 1])
+            statistic_studentized(np.array([3.0, 3.0, 3.0]), [1, 1, 1])
 
     def test_rank_order_preserved(self, rng, group_cache):
-        s = score_vector(rng.standard_normal(7))
-        group = group_cache(7)
-        plain = group_statistics(s.values, group, "unstudentized")
-        stud = group_statistics(s.values, group, "studentized")
+        s = rng.standard_normal(7)
+        signs = bit_expansion_signs(7)
+        plain = np.abs(column_loop_means(signs, s))
+        stud = np.array([statistic_studentized(s, g) for g in signs])
         # identical acceptance indicators against the identity row
         assert np.array_equal(plain >= plain[0], stud >= stud[0])
-        # and identical ordering where both are finite
-        finite = np.isfinite(stud)
-        assert np.array_equal(np.argsort(plain[finite]), np.argsort(stud[finite]))
+        # and identical ordering, ties included
+        assert np.array_equal(np.argsort(plain, kind="stable"), np.argsort(stud, kind="stable"))
+        # so the engine maps only the statistic and critical value of the |mean| sweep
+        got = run_test_columns(s[:, None], 0.1, group_cache(7), "studentized")
+        studentized = decision_loop(signs, s[:, None], 0.1, "studentized")
+        assert np.array_equal(bits(got[:2]), bits(studentized[:2]))
+        assert np.array_equal(bits(got[2]), bits(decision_loop(signs, s[:, None], 0.1)[2]))
 
 
 class TestWaldStatistic:
@@ -196,7 +201,7 @@ class TestRunTest:
         assert res.reject
 
     def test_minimal_statistic_pvalue_one(self, group_cache):
-        res = run_test_from_scores(score_vector([-2.0, 2.0]), 0.3, group_cache(2))
+        res = run_test_from_scores(np.array([-2.0, 2.0]), 0.3, group_cache(2))
         assert res.p_value == 1.0
         assert not res.reject
 
@@ -227,31 +232,30 @@ class TestRunTest:
     def test_sign_symmetry_exhaustive(self, rng, group_cache):
         g = group_cache(6)
         s = rng.standard_normal(6)
-        sizes = rng.integers(3, 20, size=6)
-        p_pos = run_test_from_scores(score_vector(s, sizes), 0.1, g).p_value
-        p_neg = run_test_from_scores(score_vector(-s, sizes), 0.1, g).p_value
+        p_pos = run_test_from_scores(s, 0.1, g).p_value
+        p_neg = run_test_from_scores(-s, 0.1, g).p_value
         assert p_pos == p_neg
 
     def test_scale_invariance(self, rng, group_cache):
         g = group_cache(7)
         s = rng.standard_normal(7)
-        base = run_test_from_scores(score_vector(s), 0.1, g)
+        base = run_test_from_scores(s, 0.1, g)
         for kappa in (1e-6, 0.5, 3.0, 1e7):
-            scaled = run_test_from_scores(score_vector(kappa * s), 0.1, g)
+            scaled = run_test_from_scores(kappa * s, 0.1, g)
             assert scaled.p_value == base.p_value
             assert scaled.reject == base.reject
 
     def test_pvalue_count_is_integer(self, rng, group_cache):
         g = group_cache(8)
         for _ in range(5):
-            res = run_test_from_scores(score_vector(rng.standard_normal(8)), 0.05, g)
+            res = run_test_from_scores(rng.standard_normal(8), 0.05, g)
             count = res.p_value * g.size
             assert count == round(count)
             assert 2 <= count <= g.size
 
     def test_sampled_group_provenance(self, rng):
         group = sampled_group(12, draws=500, seed=42)
-        res = run_test_from_scores(score_vector(rng.standard_normal(12)), 0.05, group)
+        res = run_test_from_scores(rng.standard_normal(12), 0.05, group)
         assert res.group_mode == "sampled"
         assert res.group_seed == 42
         assert res.group_draws == 500
