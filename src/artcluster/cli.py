@@ -49,7 +49,7 @@ from artcluster.io import (
 )
 from artcluster.model import LinearHypothesis
 from artcluster.randtest import run_test_from_scores, scores_from_estimates
-from artcluster.simulation import DgpSpec, power_study, size_study
+from artcluster.simulation import DgpSpec, check_replications, power_study, size_study
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -431,6 +431,7 @@ def cmd_simulate(args) -> int:
     alpha = _spec_field("alpha", float, _require(spec_doc, "alpha"))
     _check_alpha(alpha)
     replications = _spec_field("replications", int, _require(spec_doc, "replications"))
+    check_replications(dgp.q, replications)  # before a spec's group is drawn
     variant = spec_doc.get("variant", "unstudentized")
 
     group = None

@@ -18,6 +18,7 @@ __all__ = [
     "ClusterEstimates",
     "RestrictedFit",
     "cluster_scores",
+    "fit_clusters",
     "fit_per_cluster",
     "fit_restricted",
     "reciprocal_condition",
@@ -28,12 +29,16 @@ __all__ = [
 RCOND_THRESHOLD = 1e-10
 
 
-def reciprocal_condition(matrix: np.ndarray) -> float:
-    """sigma_min / sigma_max of ``matrix`` (0.0 for the zero matrix)."""
+def reciprocal_condition(matrix: np.ndarray):
+    """sigma_min / sigma_max of ``matrix`` (0.0 for the zero matrix).
+
+    A (..., d, d) stack gives one value per matrix from a single ``svd``
+    call; a single (d, d) matrix gives a float.
+    """
     sv = np.linalg.svd(matrix, compute_uv=False)
-    if sv[0] == 0.0:
-        return 0.0
-    return float(sv[-1] / sv[0])
+    top = sv[..., 0]
+    rc = np.divide(sv[..., -1], top, out=np.zeros_like(top), where=top != 0.0)
+    return float(rc) if rc.ndim == 0 else rc
 
 
 @dataclass(frozen=True)
@@ -93,11 +98,18 @@ class RestrictedFit:
         object.__setattr__(self, "residuals", _frozen(resid))
 
 
-def fit_per_cluster(data: ClusteredDataset) -> ClusterEstimates:
-    """Run one least squares regression inside every cluster.
+def fit_clusters(
+    outcomes: np.ndarray, covariates: np.ndarray, offsets: np.ndarray, labels
+) -> tuple[np.ndarray, np.ndarray]:
+    """Least squares inside every cluster of R datasets with shared clusters.
 
-    Returns the stacked coefficient vectors together with each cluster's
-    second-moment matrix (1/n_j) * Z_j' Z_j.
+    ``outcomes`` is (R, n) and ``covariates`` (R, n, d_z); cluster j holds
+    rows ``offsets[j]:offsets[j + 1]`` of every dataset.  Returns the
+    coefficient vectors, (R, q, d_z), and each cluster's second-moment
+    matrix (1/n_j) * Z_j' Z_j, (R, q, d_z, d_z).  Per cluster, the Gram
+    matrices of all R datasets come from one ``matmul``; the conditioning
+    of all R * q of them from one ``svd`` call, and each coefficient
+    vector from its own ``lstsq`` call.
 
     Raises
     ------
@@ -105,20 +117,39 @@ def fit_per_cluster(data: ClusteredDataset) -> ClusterEstimates:
         When a cluster's second-moment matrix is singular below
         ``RCOND_THRESHOLD`` -- e.g. a covariate constant within the
         cluster, or n_j < d_z.  The exception names the cluster and its
-        reciprocal condition number.
+        reciprocal condition number; with several failures it is the
+        first in (dataset, cluster) order, so fitting the datasets one
+        at a time would raise the same one.
     """
-    q, d = data.q, data.d_z
-    betas = np.empty((q, d), dtype=np.float64)
-    grams = np.empty((q, d, d), dtype=np.float64)
+    reps, q, d = outcomes.shape[0], len(labels), covariates.shape[2]
+    grams = np.empty((reps, q, d, d), dtype=np.float64)
     for j in range(q):
-        y_j, Z_j = data.cluster_rows(j)
-        gram = Z_j.T @ Z_j / Z_j.shape[0]
-        rc = reciprocal_condition(gram)
-        if not np.isfinite(rc) or rc < RCOND_THRESHOLD:
-            raise IdentificationFailure(data.labels[j], rc)
-        betas[j], _, _, _ = np.linalg.lstsq(Z_j, y_j, rcond=None)
-        grams[j] = gram
-    return ClusterEstimates(betas=betas, sizes=data.sizes, grams=grams, labels=data.labels)
+        Z_j = covariates[:, offsets[j] : offsets[j + 1]]
+        grams[:, j] = np.matmul(Z_j.transpose(0, 2, 1), Z_j) / Z_j.shape[1]
+    rcond = reciprocal_condition(grams)
+    singular = ~np.isfinite(rcond) | (rcond < RCOND_THRESHOLD)
+    if singular.any():
+        r, j = divmod(int(np.argmax(singular)), q)
+        raise IdentificationFailure(labels[j], rcond[r, j])
+    betas = np.empty((reps, q, d), dtype=np.float64)
+    for r in range(reps):
+        for j in range(q):
+            rows = slice(offsets[j], offsets[j + 1])
+            betas[r, j] = np.linalg.lstsq(covariates[r, rows], outcomes[r, rows], rcond=None)[0]
+    return betas, grams
+
+
+def fit_per_cluster(data: ClusteredDataset) -> ClusterEstimates:
+    """Run one least squares regression inside every cluster.
+
+    Returns the stacked coefficient vectors together with each cluster's
+    second-moment matrix (1/n_j) * Z_j' Z_j; the one-dataset case of
+    :func:`fit_clusters`, whose ``IdentificationFailure`` it raises.
+    """
+    betas, grams = fit_clusters(
+        data.outcomes[None], data.covariates[None], data.offsets, data.labels
+    )
+    return ClusterEstimates(betas=betas[0], sizes=data.sizes, grams=grams[0], labels=data.labels)
 
 
 def fit_restricted(data: ClusteredDataset, hypothesis: LinearHypothesis) -> RestrictedFit:

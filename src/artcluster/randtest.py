@@ -333,7 +333,13 @@ def run_wald_test(
     *,
     scaling: str = "root_n",
 ) -> TestResult:
-    """Randomization test of a multi-row restriction (quadratic form)."""
+    """Randomization test of a multi-row restriction (quadratic form).
+
+    A one-row restriction's quadratic form is an increasing function of
+    the |mean| statistic, so its p-value is taken from the |mean| sweep
+    of the same scores, with ties snapped on that scale; the statistic
+    and critical value stay on the quadratic scale.
+    """
     if group is None:
         group = enumerate_group(data.q, mode="auto", seed=0)
     estimates = fit_per_cluster(data)
@@ -342,4 +348,7 @@ def run_wald_test(
         stats = np.zeros(group.size, dtype=np.float64)
     else:
         stats = kernels.group_wald_quadratic(group.sweep(scores), sigma_inv, estimates.q)
-    return _result(*_decide(stats, alpha), alpha, group, "wald", scaling)
+    statistic, crit, p_value = _decide(stats, alpha)
+    if hypothesis.p == 1:
+        p_value = run_test_columns(scores, alpha, group)[2, 0]
+    return _result(statistic, crit, p_value, alpha, group, "wald", scaling)

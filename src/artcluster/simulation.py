@@ -5,7 +5,8 @@ scales and tunable within-cluster correlation.  Replication r of a study
 uses the Philox stream ``Philox(key=seed).jumped(r + 1)``, so every
 replication is reproducible in isolation, results do not depend on
 execution order, and no replication shares the base stream that
-sign-group sampling draws from.
+sign-group sampling draws from.  Studies draw and fit the replications
+in chunks of stacked arrays; the chunking does not change any draw.
 """
 
 from __future__ import annotations
@@ -15,10 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from artcluster.estimation import fit_per_cluster
+from artcluster.errors import NonFiniteValue
+from artcluster.estimation import fit_clusters
 from artcluster.groups import SignGroup, enumerate_group
 from artcluster.model import ClusteredDataset, LinearHypothesis, _frozen
-from artcluster.randtest import run_test_columns, scores_from_estimates
+from artcluster.randtest import run_test_columns
 
 __all__ = ["DgpSpec", "MonteCarloReport", "generate", "power_study", "size_study"]
 
@@ -79,29 +81,47 @@ class DgpSpec:
         return sum(self.sizes)
 
 
-def generate(spec: DgpSpec, replication: int) -> ClusteredDataset:
-    """Draw one dataset; fully determined by (spec.seed, replication)."""
-    if replication < 0:
-        raise ValueError("replication index must be >= 0")
-    rng = np.random.Generator(np.random.Philox(key=spec.seed).jumped(replication + 1))
-    n, d = spec.n, spec.d_z
-    Z = np.ones((n, d), dtype=np.float64)
+def _draw(spec: DgpSpec, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+    """Outcomes (R, n) and covariates (R, n, d_z) of replications start..stop-1.
+
+    Replication r draws its covariates, cluster factors and noise, in
+    that order, from ``Philox(key=spec.seed).jumped(r + 1)``; the
+    arithmetic after the draws runs on the whole stack at once.
+    """
+    reps, n, d = stop - start, spec.n, spec.d_z
+    base = np.random.Philox(key=spec.seed)
+    draws = np.empty((reps, n, d - 1), dtype=np.float64)
+    factors = np.empty((reps, spec.q), dtype=np.float64)
+    noise = np.empty((reps, n), dtype=np.float64)
+    for i in range(reps):
+        rng = np.random.Generator(base.jumped(start + i + 1))
+        if d > 1:
+            rng.standard_normal(out=draws[i])
+        rng.standard_normal(out=factors[i])
+        rng.standard_normal(out=noise[i])
+    Z = np.ones((reps, n, d), dtype=np.float64)
     if d > 1:
-        if spec.covariate_law == "normal":
-            Z[:, 1:] = rng.standard_normal((n, d - 1))
-        else:
-            Z[:, 1:] = np.exp(rng.standard_normal((n, d - 1)))
-    factors = rng.standard_normal(spec.q)
-    noise = rng.standard_normal(n)
+        Z[:, :, 1:] = draws if spec.covariate_law == "normal" else np.exp(draws, out=draws)
     sigma_rows = np.repeat(np.asarray(spec.sigma), spec.sizes)
-    factor_rows = np.repeat(factors, spec.sizes)
+    factor_rows = np.repeat(factors, spec.sizes, axis=1)
     eps = sigma_rows * (
         math.sqrt(spec.rho) * factor_rows + math.sqrt(1.0 - spec.rho) * noise
     )
     y = Z @ np.asarray(spec.beta) + eps
+    if not np.all(np.isfinite(y)):
+        # non-finite covariates always make the outcome non-finite too
+        raise NonFiniteValue("outcomes contain non-finite values")
+    return y, Z
+
+
+def generate(spec: DgpSpec, replication: int) -> ClusteredDataset:
+    """Draw one dataset; fully determined by (spec.seed, replication)."""
+    if replication < 0:
+        raise ValueError("replication index must be >= 0")
+    y, Z = _draw(spec, replication, replication + 1)
     # rows are already contiguous in cluster order, labelled 1..q
     return ClusteredDataset(
-        outcomes=y, covariates=Z, sizes=spec.sizes, labels=tuple(np.arange(1, spec.q + 1))
+        outcomes=y[0], covariates=Z[0], sizes=spec.sizes, labels=tuple(np.arange(1, spec.q + 1))
     )
 
 
@@ -128,6 +148,43 @@ class MonteCarloReport:
         )
 
 
+# Replications are drawn and fitted in chunks whose covariate block
+# holds about this many bytes, so the stacked arrays stay small.
+_CHUNK_BYTES = 2**18
+
+# A study of R replications at q clusters keeps about R * 8 * (q + 12)
+# bytes: its (q, R) scores, the engine's (3, R) results, the report's
+# p-values and their rendering.  Larger studies are refused up front.
+_MAX_STUDY_BYTES = 2**30
+
+
+def check_replications(q: int, replications: int) -> None:
+    """Refuse a study with no replication or whose arrays would pass 1 GiB."""
+    if replications < 1:
+        raise ValueError("need at least one replication")
+    need = replications * 8 * (q + 12)
+    if need > _MAX_STUDY_BYTES:
+        raise ValueError(
+            f"replications {replications} at q = {q} needs about "
+            f"{need / 2**30:.1f} GiB, above the {_MAX_STUDY_BYTES / 2**30:.0f} GiB limit"
+        )
+
+
+def _study_scores(spec: DgpSpec, hypothesis: LinearHypothesis, replications: int) -> np.ndarray:
+    """The (q, replications) block of per-cluster scores, chunk by chunk."""
+    sizes = np.asarray(spec.sizes, dtype=np.int64)
+    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    labels = tuple(np.arange(1, spec.q + 1))
+    weights = np.sqrt(sizes.astype(np.float64))
+    chunk = max(1, _CHUNK_BYTES // (8 * spec.n * spec.d_z))
+    scores = np.empty((spec.q, replications))
+    for start in range(0, replications, chunk):
+        stop = min(start + chunk, replications)
+        betas, _ = fit_clusters(*_draw(spec, start, stop), offsets, labels)
+        scores[:, start:stop] = (weights * (betas @ hypothesis.contrast - hypothesis.value)).T
+    return scores
+
+
 def _study(
     spec: DgpSpec,
     contrast,
@@ -137,15 +194,13 @@ def _study(
     group: SignGroup | None,
     variant: str,
 ) -> MonteCarloReport:
-    if replications < 1:
-        raise ValueError("need at least one replication")
+    check_replications(spec.q, replications)
     if group is None:
         group = enumerate_group(spec.q, mode="auto", seed=spec.seed)
     hypothesis = LinearHypothesis(contrast=contrast, value=null_value)
-    scores = np.empty((spec.q, replications))
-    for r in range(replications):
-        fits = fit_per_cluster(generate(spec, r))
-        scores[:, r] = scores_from_estimates(fits, hypothesis)
+    if hypothesis.contrast.shape[0] != spec.d_z:
+        raise ValueError("contrast length must equal the covariate count")
+    scores = _study_scores(spec, hypothesis, replications)
     statistic, crit, p_values = run_test_columns(scores, alpha, group, variant)
     rejections = int(np.count_nonzero(statistic > crit))
     rate = rejections / replications

@@ -4,16 +4,18 @@ These are the package's earlier kernels, kept verbatim in arithmetic:
 the explicit uint64 bit-expansion of the exhaustive sign matrix, the
 column-by-column signed-mean sweep over a sign matrix, the Wald
 quadratic form over that sweep, the all-entries-equal +-identity mask,
-the full-sort order statistics, the one-null-at-a-time test decision
-and the statistics at a single sign vector.  The production code must
-match them bit for bit.
+the full-sort order statistics, the one-null-at-a-time test decision,
+the statistics at a single sign vector, and the Monte Carlo study that
+draws, fits and scores one replication at a time.  The production code
+must match them bit for bit.
 """
 
 import math
 
 import numpy as np
 
-from artcluster.errors import DegenerateVariance
+from artcluster.errors import DegenerateVariance, IdentificationFailure
+from artcluster.estimation import RCOND_THRESHOLD
 from artcluster.randtest import _wald_ingredients, order_statistic_index
 
 
@@ -159,3 +161,60 @@ def statistic_wald(estimates, hypothesis, g, scaling: str = "root_n") -> float:
 def bits(x) -> np.ndarray:
     """The float64 bit patterns of ``x``, for exact comparison."""
     return np.asarray(x, dtype=np.float64).view(np.int64)
+
+
+# ------------------------------------------------------------------ #
+# Monte Carlo studies, one replication at a time
+# ------------------------------------------------------------------ #
+
+
+def generate_loop(spec, replication: int) -> tuple[np.ndarray, np.ndarray]:
+    """Outcomes (n,) and covariates (n, d_z) of one replication, drawn alone."""
+    rng = np.random.Generator(np.random.Philox(key=spec.seed).jumped(replication + 1))
+    n, d = spec.n, spec.d_z
+    Z = np.ones((n, d), dtype=np.float64)
+    if d > 1:
+        if spec.covariate_law == "normal":
+            Z[:, 1:] = rng.standard_normal((n, d - 1))
+        else:
+            Z[:, 1:] = np.exp(rng.standard_normal((n, d - 1)))
+    factors = rng.standard_normal(spec.q)
+    noise = rng.standard_normal(n)
+    sigma_rows = np.repeat(np.asarray(spec.sigma), spec.sizes)
+    factor_rows = np.repeat(factors, spec.sizes)
+    eps = sigma_rows * (
+        math.sqrt(spec.rho) * factor_rows + math.sqrt(1.0 - spec.rho) * noise
+    )
+    return Z @ np.asarray(spec.beta) + eps, Z
+
+
+def fit_loop(y, Z, sizes) -> tuple[np.ndarray, np.ndarray]:
+    """Per-cluster betas (q, d_z) and grams (q, d_z, d_z): one svd and lstsq per cluster.
+
+    Raises ``IdentificationFailure`` labelled with the index of the first
+    cluster whose Gram matrix fails the conditioning check.
+    """
+    q, d = len(sizes), Z.shape[1]
+    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    betas = np.empty((q, d))
+    grams = np.empty((q, d, d))
+    for j in range(q):
+        y_j, Z_j = y[offsets[j] : offsets[j + 1]], Z[offsets[j] : offsets[j + 1]]
+        gram = Z_j.T @ Z_j / Z_j.shape[0]
+        sv = np.linalg.svd(gram, compute_uv=False)
+        rc = 0.0 if sv[0] == 0.0 else float(sv[-1] / sv[0])
+        if not np.isfinite(rc) or rc < RCOND_THRESHOLD:
+            raise IdentificationFailure(j, rc)
+        betas[j], _, _, _ = np.linalg.lstsq(Z_j, y_j, rcond=None)
+        grams[j] = gram
+    return betas, grams
+
+
+def study_scores_loop(spec, contrast, value: float, replications: int) -> np.ndarray:
+    """The (q, replications) scores of a study: draw, fit and score each replication."""
+    weights = np.sqrt(np.asarray(spec.sizes, dtype=np.int64).astype(np.float64))
+    scores = np.empty((spec.q, replications))
+    for r in range(replications):
+        betas, _ = fit_loop(*generate_loop(spec, r), spec.sizes)
+        scores[:, r] = weights * (betas @ np.asarray(contrast, dtype=np.float64) - value)
+    return scores

@@ -275,6 +275,25 @@ def test_criterion_8_wald_matches_unstudentized():
         )
 
 
+@criterion(8, "scalar Wald consistency on a constructed near-tie")
+def test_criterion_8_constructed_near_tie():
+    # intercept-only clusters of sizes 1, 1, 1, 1, 5 (n = 9) give root-n
+    # scores within an ulp of [1, -1 + eps, 2, 3, 0.5], the near-tie of
+    # criterion 2; snapping on the squared Wald scale would give 6/32
+    sizes = (1, 1, 1, 1, 5)
+    labels = np.repeat(np.arange(5), sizes)
+    group = group_for(5)
+    for eps in (1.5e-12, 2e-12):
+        y = np.repeat(np.array([1.0, -1.0 + eps, 2.0, 3.0, 0.5]) / 3.0, sizes)
+        data = canonicalize(labels, y, np.ones((9, 1)))
+        plain = run_test(data, LinearHypothesis(contrast=[1.0], value=0.0), 0.1, group,
+                         scaling="root_n")
+        wald = run_wald_test(data, MultiHypothesis(restriction=[[1.0]], values=[0.0]), 0.1, group)
+        assert plain.p_value == wald.p_value == 0.25, (
+            f"eps {eps}: wald p {wald.p_value}, scalar p {plain.p_value}"
+        )
+
+
 @criterion(9, "sampled-group convergence and reproducibility")
 def test_criterion_9_sampled_group(tmp_path, capsys):
     data, c, lam = make_instance(103, q=12, d=2)

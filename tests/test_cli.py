@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import artcluster
+import artcluster.cli
 import artcluster.io
 from artcluster.cli import main
 from artcluster.errors import DuplicateTimeKeyWarning
@@ -611,6 +612,43 @@ def _simulate_in_subprocess(spec_path):
     )
 
 
+# Documented simulate failures, run in process: (spec edits, exit code, a
+# fragment of the error message).  The memory-bound row must never run
+# against code without the bound, which would try to draw 10^10
+# replications.
+SIMULATE_EXIT_CODE_CASES = [
+    pytest.param(
+        {"replications": 10**10},
+        1,
+        "artcluster: error: replications 10000000000 at q = 8 needs about",
+        id="replications-beyond-memory-bound",
+    ),
+    pytest.param(
+        {"study": "power", "null_value": 0.0, "contrast": [0.0, 1.0]},
+        1,
+        "artcluster: error: contrast length must equal the covariate count",
+        id="contrast-length-mismatch",
+    ),
+]
+
+
+@pytest.mark.parametrize("edits, expected_code, message", SIMULATE_EXIT_CODE_CASES)
+def test_documented_simulate_exit_codes(tmp_path, capsys, edits, expected_code, message):
+    spec = {
+        "dgp": {"sizes": [10] * 8, "beta": [0.0], "sigma": [1.0] * 8},
+        "study": "size",
+        "contrast": [1.0],
+        "alpha": 0.1,
+        "replications": 5,
+    }
+    path = tmp_path / "study.json"
+    path.write_text(json.dumps({**spec, **edits}))
+    code, out, err = run_cli(capsys, ["simulate", "--spec", str(path)])
+    assert code == expected_code
+    assert out == ""
+    assert message in err
+
+
 class TestSimulateCommand:
     def test_size_study_smoke(self, tmp_path, capsys):
         spec = {
@@ -698,6 +736,27 @@ class TestSimulateCommand:
         assert "artcluster: error: group.draws 1000000000 at q = 8 needs" in done.stderr
         assert "--draws" not in done.stderr
         assert "Traceback" not in done.stderr
+
+    def test_replications_bound_checked_before_group_is_drawn(self, tmp_path, capsys,
+                                                               monkeypatch):
+        def no_group(*args):
+            raise AssertionError("drew the group of a refused study")
+
+        monkeypatch.setattr(artcluster.cli, "enumerate_group", no_group)
+        spec = {
+            "dgp": {"sizes": [10] * 8, "beta": [0.0], "sigma": [1.0] * 8},
+            "study": "size",
+            "contrast": [1.0],
+            "alpha": 0.1,
+            "replications": 10**10,
+            "group": {"mode": "sampled", "draws": 1000},
+        }
+        path = tmp_path / "study.json"
+        path.write_text(json.dumps(spec))
+        code, out, err = run_cli(capsys, ["simulate", "--spec", str(path)])
+        assert code == 1
+        assert out == ""
+        assert "replications 10000000000 at q = 8 needs about" in err
 
     def test_malformed_json_exit_3(self, tmp_path, capsys):
         path = tmp_path / "broken.json"

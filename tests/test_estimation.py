@@ -11,7 +11,9 @@ from artcluster import (
     fit_per_cluster,
     fit_restricted,
 )
+from artcluster.estimation import fit_clusters
 from tests.conftest import random_contrast, random_dataset
+from tests.oracles import bits, fit_loop
 
 
 class TestFitPerCluster:
@@ -190,3 +192,55 @@ class TestClusterScores:
             gram = Z_j.T @ Z_j / n_j
             oracle = c @ np.linalg.inv(gram) @ (Z_j.T @ fit.residuals[s]) / np.sqrt(n_j)
             assert got[j] == pytest.approx(oracle, rel=1e-9)
+
+
+class TestFitClusters:
+    """The stacked fitter behind ``fit_per_cluster`` and the Monte Carlo studies."""
+
+    @staticmethod
+    def stack(rng, reps, sizes, d):
+        n = int(np.sum(sizes))
+        y = rng.standard_normal((reps, n))
+        Z = np.ones((reps, n, d))
+        Z[:, :, 1:] = rng.standard_normal((reps, n, d - 1))
+        return y, Z, np.concatenate([[0], np.cumsum(sizes)])
+
+    def test_stack_matches_one_dataset_at_a_time(self, rng):
+        sizes = np.array([7, 12, 5, 30])
+        y, Z, offsets = self.stack(rng, 5, sizes, 3)
+        betas, grams = fit_clusters(y, Z, offsets, ("a", "b", "c", "d"))
+        for r in range(5):
+            want_betas, want_grams = fit_loop(y[r], Z[r], sizes)
+            assert np.array_equal(bits(betas[r]), bits(want_betas))
+            assert np.array_equal(bits(grams[r]), bits(want_grams))
+
+    def test_cli_sized_clusters_match_loop(self, rng):
+        # thousands of rows per cluster, d_z = 4, as a CSV run would give
+        sizes = rng.integers(1000, 4001, size=6)
+        n = int(sizes.sum())
+        Z = np.column_stack([np.ones(n), rng.standard_normal((n, 3))])
+        y = Z @ rng.standard_normal(4) + rng.standard_normal(n)
+        data = canonicalize(np.repeat(np.arange(6), sizes), y, Z)
+        est = fit_per_cluster(data)
+        want_betas, want_grams = fit_loop(data.outcomes, data.covariates, data.sizes)
+        assert np.array_equal(bits(est.betas), bits(want_betas))
+        assert np.array_equal(bits(est.grams), bits(want_grams))
+
+    def test_first_failure_in_dataset_then_cluster_order(self, rng):
+        # dataset 0 is singular in cluster 2 and dataset 1 in cluster 0:
+        # fitting the datasets one at a time stops at dataset 0's cluster 2
+        sizes = np.array([6, 6, 6])
+        y, Z, offsets = self.stack(rng, 2, sizes, 2)
+        Z[0, 12:18, 1] = 4.0
+        Z[1, 0:6, 1] = -1.0
+        labels = ("a", "b", "c")
+        with pytest.raises(IdentificationFailure) as err:
+            fit_clusters(y, Z, offsets, labels)
+        with pytest.raises(IdentificationFailure) as loop:
+            fit_loop(y[0], Z[0], sizes)
+        assert err.value.label == labels[loop.value.label] == "c"
+        assert err.value.rcond == loop.value.rcond
+        data = canonicalize([lab for lab in labels for _ in range(6)], y[0], Z[0])
+        with pytest.raises(IdentificationFailure) as single:
+            fit_per_cluster(data)
+        assert str(single.value) == str(err.value)

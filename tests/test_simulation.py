@@ -2,15 +2,23 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from artcluster import (
     DgpSpec,
+    LinearHypothesis,
     canonicalize,
     fit_per_cluster,
     generate,
     power_study,
     size_study,
 )
+from artcluster import simulation
+from artcluster.groups import enumerate_group
+from artcluster.randtest import run_test_columns
+from artcluster.simulation import COVARIATE_LAWS
+from tests.oracles import bits, generate_loop, study_scores_loop
 
 
 def spec(q=6, size=24, d=2, rho=0.0, sigma=None, seed=11, beta=None):
@@ -176,3 +184,87 @@ class TestStudies:
         assert report.mc_stderr == pytest.approx(
             np.sqrt(report.rate * (1 - report.rate) / 64)
         )
+
+
+@st.composite
+def studies(draw):
+    """A study with its chunk size: unequal sizes, d_z 1..4, both laws and variants."""
+    d = draw(st.integers(1, 4))
+    q = draw(st.integers(2, 7))
+    sizes = draw(st.lists(st.integers(d + 1, 30), min_size=q, max_size=q))
+    finite = st.floats(-3.0, 3.0, allow_nan=False)
+    spec = DgpSpec(
+        sizes=sizes,
+        beta=draw(st.lists(finite, min_size=d, max_size=d)),
+        sigma=draw(st.lists(st.floats(0.1, 10.0), min_size=q, max_size=q)),
+        rho=draw(st.sampled_from([0.0, 0.5, 0.9])),
+        covariate_law=draw(st.sampled_from(COVARIATE_LAWS)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+    contrast = np.zeros(d)
+    contrast[draw(st.integers(0, d - 1))] = draw(st.sampled_from([-1.0, 0.5, 1.0, 2.0]))
+    null_value = draw(st.one_of(st.none(), finite))
+    # a chunk of 1, 3 or 7 replications, or the default budget
+    per_chunk = draw(st.sampled_from([1, 3, 7, None]))
+    chunk_bytes = simulation._CHUNK_BYTES if per_chunk is None else per_chunk * 8 * spec.n * d
+    return {
+        "spec": spec,
+        "contrast": contrast,
+        "null_value": null_value,
+        "variant": draw(st.sampled_from(["unstudentized", "studentized"])),
+        "replications": draw(st.integers(1, 40)),
+        "chunk_bytes": chunk_bytes,
+    }
+
+
+class TestChunkedStudy:
+    """Chunked draws and stacked fits against the one-replication loop."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(study=studies())
+    def test_scores_and_pvalues_match_loop(self, study):
+        spec, c, reps = study["spec"], study["contrast"], study["replications"]
+        null_value, variant = study["null_value"], study["variant"]
+        value = float(c @ np.asarray(spec.beta)) if null_value is None else null_value
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simulation, "_CHUNK_BYTES", study["chunk_bytes"])
+            scores = simulation._study_scores(spec, LinearHypothesis(c, value), reps)
+            if null_value is None:
+                report = size_study(spec, c, 0.1, reps, variant=variant)
+            else:
+                report = power_study(spec, c, null_value, 0.1, reps, variant=variant)
+        want = study_scores_loop(spec, c, value, reps)
+        assert np.array_equal(bits(scores), bits(want))
+        group = enumerate_group(spec.q, mode="auto", seed=spec.seed)
+        statistic, crit, p_values = run_test_columns(want, 0.1, group, variant)
+        assert np.array_equal(bits(report.p_values), bits(p_values))
+        assert report.rejections == np.count_nonzero(statistic > crit)
+
+    @pytest.mark.parametrize(
+        "s",
+        [
+            spec(q=3, size=8, d=1),
+            DgpSpec(sizes=(5, 17, 9, 30), beta=(1.0, -0.5, 2.0, 0.25), sigma=(1.0, 2.0, 0.5, 3.0),
+                    rho=0.9, covariate_law="lognormal", seed=8),
+            DgpSpec(sizes=(40, 12), beta=(0.0, 1.0, 1.0), sigma=(1.0, 4.0), rho=0.5, seed=2**40),
+        ],
+    )
+    def test_generate_is_one_replication_of_the_chunk(self, s):
+        y, Z = simulation._draw(s, 3, 10)
+        for i, r in enumerate(range(3, 10)):
+            data = generate(s, r)
+            want_y, want_Z = generate_loop(s, r)
+            assert np.array_equal(bits(data.outcomes), bits(y[i]))
+            assert np.array_equal(bits(data.covariates), bits(Z[i]))
+            assert np.array_equal(bits(data.outcomes), bits(want_y))
+            assert np.array_equal(bits(data.covariates), bits(want_Z))
+
+    def test_replications_beyond_memory_bound_refused_before_drawing(self, monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("drew replications of a refused study")
+
+        monkeypatch.setattr(simulation, "_draw", no_draws)
+        with pytest.raises(ValueError, match=r"^replications 10000000000 at q = 6 needs about"):
+            size_study(spec(q=6), [0.0, 1.0], 0.1, 10**10)
+        with pytest.raises(ValueError, match="1 GiB limit"):
+            power_study(spec(q=6), [0.0, 1.0], 0.5, 0.1, 10**10)
