@@ -19,7 +19,7 @@ from artcluster.errors import (
     DuplicateTimeKeyWarning,
     TooFewObservations,
 )
-from artcluster.model import ClusteredDataset, canonicalize
+from artcluster.model import ClusteredDataset, _rows, canonicalize
 
 __all__ = ["BlockPlan", "blockify", "merge_clusters", "plan_blocks"]
 
@@ -46,13 +46,6 @@ class BlockPlan:
     def n(self) -> int:
         return self.boundaries[-1][1]
 
-    def labels(self) -> np.ndarray:
-        """Block index (1..q) for each of the n rows."""
-        out = np.empty(self.n, dtype=np.int64)
-        for j, (start, stop) in enumerate(self.boundaries):
-            out[start:stop] = j + 1
-        return out
-
 
 def plan_blocks(n: int, q: int) -> BlockPlan:
     """Split n observations into q consecutive blocks.
@@ -77,15 +70,17 @@ def plan_blocks(n: int, q: int) -> BlockPlan:
 
 
 def blockify(time_keys, outcomes, covariates, q: int) -> ClusteredDataset:
-    """Sort rows by time key and label them by consecutive blocks.
+    """Sort rows by time key and label them by consecutive blocks 1..q.
 
     The sort is stable, so duplicate time keys keep their input order (a
-    :class:`DuplicateTimeKeyWarning` is emitted).
+    :class:`DuplicateTimeKeyWarning` is emitted).  The sorted rows are
+    already in cluster order, and the sizes come from :func:`plan_blocks`.
     """
     keys = np.asarray(time_keys)
     if keys.ndim != 1:
         raise ValueError("time keys must be 1-D")
     plan = plan_blocks(keys.shape[0], q)
+    y, Z = _rows(keys.shape[0], outcomes, covariates, "time keys")
     if np.unique(keys).shape[0] != keys.shape[0]:
         warnings.warn(
             "duplicate time keys; stable input order breaks the ties",
@@ -93,9 +88,12 @@ def blockify(time_keys, outcomes, covariates, q: int) -> ClusteredDataset:
             stacklevel=2,
         )
     order = np.argsort(keys, kind="stable")
-    y = np.asarray(outcomes, dtype=np.float64)[order]
-    Z = np.asarray(covariates, dtype=np.float64)[order]
-    return canonicalize(plan.labels(), y, Z)
+    return ClusteredDataset(
+        outcomes=y[order],
+        covariates=Z[order],
+        sizes=[stop - start for start, stop in plan.boundaries],
+        labels=range(1, q + 1),
+    )
 
 
 def merge_clusters(data: ClusteredDataset, grouping: dict) -> ClusteredDataset:

@@ -8,7 +8,8 @@ stdout (or ``--output``); identical configurations produce identical
 bytes.
 
 Exit codes: 0 success, 1 usage error, 2 identification or estimation
-failure, 3 I/O failure.  ``ARTCLUSTER_SEED`` supplies the default seed.
+failure, 3 I/O failure; each package error carries its own in
+``exit_code``.  ``ARTCLUSTER_SEED`` supplies the default seed.
 """
 
 from __future__ import annotations
@@ -17,26 +18,12 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
 from artcluster.blocks import plan_blocks
-from artcluster.errors import (
-    ArtClusterError,
-    DegenerateGrouping,
-    DegenerateVariance,
-    EmptyCluster,
-    GroupTooLarge,
-    IdentificationFailure,
-    MissingColumn,
-    NonFiniteValue,
-    ParseError,
-    SingularFullGram,
-    SingularSigma,
-    TooFewClusters,
-    TooFewObservations,
-    WidthMismatch,
-)
+from artcluster.errors import ArtClusterError, IdentificationFailure
 from artcluster.estimation import fit_per_cluster
 from artcluster.groups import enumerate_group
 from artcluster.intervals import interval, interval_inputs
@@ -53,27 +40,7 @@ from artcluster.simulation import DgpSpec, check_replications, power_study, size
 
 EXIT_OK = 0
 EXIT_USAGE = 1
-EXIT_ESTIMATION = 2
 EXIT_IO = 3
-
-_IO_ERRORS = (
-    OSError,
-    json.JSONDecodeError,
-    MissingColumn,
-    ParseError,
-    NonFiniteValue,
-    WidthMismatch,
-    TooFewClusters,
-    EmptyCluster,
-)
-_ESTIMATION_ERRORS = (SingularFullGram, DegenerateVariance, SingularSigma)
-_USAGE_ERRORS = (
-    ValueError,
-    KeyError,
-    GroupTooLarge,
-    TooFewObservations,
-    DegenerateGrouping,
-)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -467,14 +434,7 @@ def cmd_simulate(args) -> int:
         "contrast": contrast,
         "null_value": report.null_value,
         "variant": variant,
-        "dgp": {
-            "sizes": dgp.sizes,
-            "beta": dgp.beta,
-            "sigma": dgp.sigma,
-            "rho": dgp.rho,
-            "covariate_law": dgp.covariate_law,
-            "seed": dgp.seed,
-        },
+        "dgp": asdict(dgp),
         "group": None if group is None else _group_doc(group),
     }
     payload = {
@@ -543,27 +503,22 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.handler(args)
-    except IdentificationFailure as exc:
+    except ArtClusterError as exc:
         print(f"artcluster: error: {exc}", file=sys.stderr)
-        print(
-            "artcluster: remedies: merge clusters so the covariate varies within "
-            "the combined groups (clustering more coarsely), or respecify the model",
-            file=sys.stderr,
-        )
-        return EXIT_ESTIMATION
-    except _IO_ERRORS as exc:
+        if isinstance(exc, IdentificationFailure):
+            print(
+                "artcluster: remedies: merge clusters so the covariate varies within "
+                "the combined groups (clustering more coarsely), or respecify the model",
+                file=sys.stderr,
+            )
+        return exc.exit_code
+    except (OSError, json.JSONDecodeError) as exc:
         print(f"artcluster: error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except _ESTIMATION_ERRORS as exc:
-        print(f"artcluster: error: {exc}", file=sys.stderr)
-        return EXIT_ESTIMATION
-    except _USAGE_ERRORS as exc:
+    except (ValueError, KeyError) as exc:
         message = exc.args[0] if exc.args else exc
         print(f"artcluster: error: {message}", file=sys.stderr)
         return EXIT_USAGE
-    except ArtClusterError as exc:
-        print(f"artcluster: error: {exc}", file=sys.stderr)
-        return EXIT_ESTIMATION
 
 
 if __name__ == "__main__":

@@ -3,6 +3,9 @@
 Every error raised on a documented failure path derives from
 :class:`ArtClusterError` so callers can catch package failures with a
 single ``except`` clause while still distinguishing the specific cause.
+Each class carries the command-line exit code of its failure in
+``exit_code``: 1 usage error, 2 identification or estimation failure,
+3 I/O or data-validation failure.
 """
 
 from __future__ import annotations
@@ -11,6 +14,8 @@ from __future__ import annotations
 class ArtClusterError(Exception):
     """Base class for all artcluster errors."""
 
+    exit_code = 2
+
 
 # ------------------------------------------------------------------ #
 # Data construction / validation
@@ -18,11 +23,15 @@ class ArtClusterError(Exception):
 
 
 class WidthMismatch(ArtClusterError):
-    """Observation rows do not share a common covariate width."""
+    """Covariate rows are ragged, or the per-row inputs differ in length."""
+
+    exit_code = 3
 
 
 class NonFiniteValue(ArtClusterError):
     """An outcome or covariate entry is NaN or infinite."""
+
+    exit_code = 3
 
 
 class EmptyCluster(ArtClusterError):
@@ -33,9 +42,13 @@ class EmptyCluster(ArtClusterError):
     hand-built datasets.
     """
 
+    exit_code = 3
+
 
 class TooFewClusters(ArtClusterError):
     """Fewer than two distinct cluster labels were supplied."""
+
+    exit_code = 3
 
 
 # ------------------------------------------------------------------ #
@@ -86,6 +99,8 @@ class SingularSigma(ArtClusterError):
 class GroupTooLarge(ArtClusterError):
     """Exhaustive enumeration was requested beyond the supported size."""
 
+    exit_code = 1
+
 
 class GridTooCoarse(ArtClusterError):
     """No grid point survived test inversion; refine or widen the grid."""
@@ -94,9 +109,13 @@ class GridTooCoarse(ArtClusterError):
 class TooFewObservations(ArtClusterError):
     """Not enough observations to form the requested number of blocks."""
 
+    exit_code = 1
+
 
 class DegenerateGrouping(ArtClusterError):
     """A cluster merge would leave fewer than two clusters."""
+
+    exit_code = 1
 
 
 # ------------------------------------------------------------------ #
@@ -107,9 +126,13 @@ class DegenerateGrouping(ArtClusterError):
 class MissingColumn(ArtClusterError):
     """A configured column name is absent from the input header."""
 
+    exit_code = 3
+
 
 class ParseError(ArtClusterError):
     """A cell could not be parsed; carries 1-based line and column name."""
+
+    exit_code = 3
 
     def __init__(self, line: int, column: str, message: str | None = None):
         self.line = int(line)

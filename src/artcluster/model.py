@@ -45,7 +45,8 @@ class ClusteredDataset:
 
     Rows belonging to the same cluster are contiguous; clusters are
     ordered by first appearance of their label in the source rows.
-    Construct via :func:`canonicalize` rather than directly.
+    Construct via :func:`canonicalize` or :func:`~artcluster.blocks.blockify`
+    rather than directly.
 
     Attributes
     ----------
@@ -118,25 +119,11 @@ class ClusteredDataset:
         return np.repeat(np.array(self.labels, dtype=object), self.sizes)
 
 
-def canonicalize(
-    labels: Sequence[Hashable],
-    outcomes: Sequence[float],
-    covariates,
-) -> ClusteredDataset:
-    """Build a :class:`ClusteredDataset` from labeled observation rows.
+def _rows(n: int, outcomes, covariates, keys: str) -> tuple[np.ndarray, np.ndarray]:
+    """Outcomes (n,) and covariate rows (n, d_z) as float64 arrays.
 
-    Rows are stable-sorted so that all rows sharing a label become
-    contiguous, with clusters ordered by first appearance of their label.
-    Canonicalizing an already-canonical dataset is a no-op (idempotence).
-
-    Raises
-    ------
-    WidthMismatch
-        Ragged covariate rows, or misaligned lengths.
-    TooFewClusters
-        Fewer than two distinct labels.
-    NonFiniteValue
-        Any NaN/inf among outcomes or covariates.
+    1-D covariates become one column; ``keys`` names the per-row keys
+    whose count ``n`` the rows must match.
     """
     y = np.asarray(outcomes, dtype=np.float64)
     try:
@@ -147,18 +134,39 @@ def canonicalize(
         Z = Z.reshape(-1, 1)
     if Z.ndim != 2:
         raise WidthMismatch("covariates must be rows of equal width")
-    labels = list(labels)
-    if not (len(labels) == y.shape[0] == Z.shape[0]):
-        raise WidthMismatch("labels, outcomes and covariates must have equal length")
+    if not (n == y.shape[0] == Z.shape[0]):
+        raise WidthMismatch(f"{keys}, outcomes and covariates must have equal length")
+    return y, Z
 
+
+def canonicalize(
+    labels: Sequence[Hashable],
+    outcomes: Sequence[float],
+    covariates,
+) -> ClusteredDataset:
+    """Build a :class:`ClusteredDataset` from labeled observation rows.
+
+    Rows are stable-sorted so that all rows sharing a label become
+    contiguous, with clusters ordered by first appearance of their label.
+    Canonicalizing an already-canonical dataset is a no-op (idempotence).
+    An ndarray of labels is read with ``tolist()``, so ``labels`` holds
+    plain Python values rather than numpy scalars.
+
+    Raises
+    ------
+    WidthMismatch
+        Ragged covariate rows, or misaligned lengths.
+    TooFewClusters
+        Fewer than two distinct labels.
+    NonFiniteValue
+        Any NaN/inf among outcomes or covariates.
+    """
+    labels = labels.tolist() if isinstance(labels, np.ndarray) else list(labels)
+    y, Z = _rows(len(labels), outcomes, covariates, "labels")
     order: dict[Hashable, int] = {}
-    for lab in labels:
-        if lab not in order:
-            order[lab] = len(order)
+    idx = np.array([order.setdefault(lab, len(order)) for lab in labels], dtype=np.int64)
     if len(order) < 2:
         raise TooFewClusters(f"need at least 2 clusters, found {len(order)}")
-
-    idx = np.array([order[lab] for lab in labels], dtype=np.int64)
     perm = np.argsort(idx, kind="stable")
     sizes = np.bincount(idx, minlength=len(order))
     return ClusteredDataset(

@@ -121,7 +121,7 @@ def generate(spec: DgpSpec, replication: int) -> ClusteredDataset:
     y, Z = _draw(spec, replication, replication + 1)
     # rows are already contiguous in cluster order, labelled 1..q
     return ClusteredDataset(
-        outcomes=y[0], covariates=Z[0], sizes=spec.sizes, labels=tuple(np.arange(1, spec.q + 1))
+        outcomes=y[0], covariates=Z[0], sizes=spec.sizes, labels=range(1, spec.q + 1)
     )
 
 
@@ -174,7 +174,7 @@ def _study_scores(spec: DgpSpec, hypothesis: LinearHypothesis, replications: int
     """The (q, replications) block of per-cluster scores, chunk by chunk."""
     sizes = np.asarray(spec.sizes, dtype=np.int64)
     offsets = np.concatenate([[0], np.cumsum(sizes)])
-    labels = tuple(np.arange(1, spec.q + 1))
+    labels = range(1, spec.q + 1)
     weights = np.sqrt(sizes.astype(np.float64))
     chunk = max(1, _CHUNK_BYTES // (8 * spec.n * spec.d_z))
     scores = np.empty((spec.q, replications))

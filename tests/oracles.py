@@ -5,17 +5,20 @@ the explicit uint64 bit-expansion of the exhaustive sign matrix, the
 column-by-column signed-mean sweep over a sign matrix, the Wald
 quadratic form over that sweep, the all-entries-equal +-identity mask,
 the full-sort order statistics, the one-null-at-a-time test decision,
-the statistics at a single sign vector, and the Monte Carlo study that
-draws, fits and scores one replication at a time.  The production code
-must match them bit for bit.
+the statistics at a single sign vector, the Monte Carlo study that
+draws, fits and scores one replication at a time, and the blocks route
+that labels every row and canonicalizes the time-sorted rows.  The
+production code must match them bit for bit.
 """
 
 import math
 
 import numpy as np
 
+from artcluster.blocks import plan_blocks
 from artcluster.errors import DegenerateVariance, IdentificationFailure
 from artcluster.estimation import RCOND_THRESHOLD
+from artcluster.model import canonicalize
 from artcluster.randtest import _wald_ingredients, order_statistic_index
 
 
@@ -218,3 +221,20 @@ def study_scores_loop(spec, contrast, value: float, replications: int) -> np.nda
         betas, _ = fit_loop(*generate_loop(spec, r), spec.sizes)
         scores[:, r] = weights * (betas @ np.asarray(contrast, dtype=np.float64) - value)
     return scores
+
+
+# ------------------------------------------------------------------ #
+# Time blocks, through per-row labels and canonicalize
+# ------------------------------------------------------------------ #
+
+
+def blockify_via_canonicalize(time_keys, outcomes, covariates, q: int):
+    """Label each row by its block (1..q), then canonicalize the time-sorted rows."""
+    plan = plan_blocks(len(time_keys), q)
+    labels = np.empty(plan.n, dtype=np.int64)
+    for j, (start, stop) in enumerate(plan.boundaries):
+        labels[start:stop] = j + 1
+    order = np.argsort(np.asarray(time_keys), kind="stable")
+    y = np.asarray(outcomes, dtype=np.float64)[order]
+    Z = np.asarray(covariates, dtype=np.float64)[order]
+    return canonicalize(labels, y, Z)

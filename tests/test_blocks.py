@@ -1,12 +1,18 @@
 """Pseudo-cluster blocks and cluster merging."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from artcluster import (
     DegenerateGrouping,
     IdentificationFailure,
     TooFewObservations,
+    WidthMismatch,
     blockify,
     canonicalize,
     fit_per_cluster,
@@ -14,6 +20,7 @@ from artcluster import (
     plan_blocks,
 )
 from artcluster.errors import DuplicateTimeKeyWarning
+from tests.oracles import bits, blockify_via_canonicalize
 
 
 class TestPlanBlocks:
@@ -34,11 +41,12 @@ class TestPlanBlocks:
     def test_partition(self):
         for n, q in [(17, 3), (100, 7), (2631, 16)]:
             plan = plan_blocks(n, q)
-            labels = plan.labels()
-            assert labels.shape[0] == n
-            counts = np.bincount(labels)[1:]
-            assert counts.sum() == n
-            assert counts.tolist() == [plan.base_size] * (q - 1) + [plan.last_size]
+            starts = [start for start, _ in plan.boundaries]
+            stops = [stop for _, stop in plan.boundaries]
+            assert starts == [0] + stops[:-1]
+            assert plan.n == stops[-1] == n
+            sizes = [stop - start for start, stop in plan.boundaries]
+            assert sizes == [plan.base_size] * (q - 1) + [plan.last_size]
 
     def test_too_few_observations(self):
         with pytest.raises(TooFewObservations):
@@ -84,6 +92,35 @@ class TestBlockify:
         b = blockify(keys, y, Z, 5)
         assert np.array_equal(a.outcomes, b.outcomes)
         assert a.labels == b.labels
+
+    @pytest.mark.parametrize("n_y, n_z", [(6, 6), (4, 6), (6, 4), (5, 5)])
+    def test_misaligned_lengths_rejected(self, n_y, n_z):
+        with pytest.raises(WidthMismatch):
+            blockify(np.arange(4.0), np.arange(float(n_y)), np.ones((n_z, 1)), 2)
+
+    @given(
+        keys=st.lists(
+            st.one_of(st.integers(-3, 3).map(float), st.just(math.nan)), min_size=2, max_size=40
+        ),
+        data=st.data(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_canonicalized_block_labels(self, keys, data):
+        n = len(keys)
+        q = data.draw(st.integers(2, n), label="q")
+        d = data.draw(st.integers(0, 3), label="d_z (0: a 1-D covariate)")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        y = rng.standard_normal(n)
+        Z = rng.standard_normal(n) if d == 0 else rng.standard_normal((n, d))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DuplicateTimeKeyWarning)
+            got = blockify(keys, y, Z, q)
+        ref = blockify_via_canonicalize(keys, y, Z, q)
+        assert np.array_equal(bits(got.outcomes), bits(ref.outcomes))
+        assert np.array_equal(bits(got.covariates), bits(ref.covariates))
+        assert np.array_equal(got.sizes, ref.sizes)
+        assert got.labels == ref.labels == tuple(range(1, q + 1))
+        assert all(type(lab) is int for lab in got.labels)
 
 
 class TestMergeClusters:

@@ -4,12 +4,14 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import artcluster
 import artcluster.cli
+import artcluster.errors
 import artcluster.io
 from artcluster.cli import main
 from artcluster.errors import DuplicateTimeKeyWarning
@@ -329,6 +331,15 @@ EXIT_CODE_CASES = [
         "cluster column is required",
         id="no-cluster-or-blocks",
     ),
+    pytest.param(
+        # x is 0 throughout the first block, so block 1's Gram matrix is singular
+        _rows_csv("t,y,x", [f"{i},{float(i % 3)!r},{0.0 if i < 5 else float(i)!r}"
+                            for i in range(10)]),
+        ["--blocks", "2", "--time", "t"],
+        2,
+        "artcluster: error: cluster 1:",
+        id="identification-failure-in-blocks",
+    ),
 ]
 
 
@@ -341,6 +352,41 @@ def test_documented_failure_exit_codes(tmp_path, capsys, csv_text, extra, expect
     assert code == expected_code
     assert out == ""
     assert message in err
+
+
+# The documented exit code of every package error: 3 for I/O and data
+# validation, 1 for usage, 2 for the base class and estimation failures.
+ERROR_EXIT_CODES = {
+    "ArtClusterError": 2,
+    "MissingColumn": 3,
+    "ParseError": 3,
+    "NonFiniteValue": 3,
+    "WidthMismatch": 3,
+    "TooFewClusters": 3,
+    "EmptyCluster": 3,
+    "GroupTooLarge": 1,
+    "TooFewObservations": 1,
+    "DegenerateGrouping": 1,
+    "IdentificationFailure": 2,
+    "SingularFullGram": 2,
+    "DegenerateVariance": 2,
+    "SingularSigma": 2,
+    "GridTooCoarse": 2,
+}
+
+
+@pytest.mark.parametrize("name, code", ERROR_EXIT_CODES.items())
+def test_error_class_exit_code(name, code):
+    assert getattr(artcluster.errors, name).exit_code == code
+
+
+def test_every_error_class_has_a_documented_exit_code():
+    classes = {
+        name
+        for name, obj in vars(artcluster.errors).items()
+        if isinstance(obj, type) and issubclass(obj, artcluster.errors.ArtClusterError)
+    }
+    assert classes == set(ERROR_EXIT_CODES)
 
 
 def test_duplicate_time_keys_warn_and_still_report(tmp_path, capsys):
@@ -601,7 +647,7 @@ class TestExportCommand:
         ]
         assert run_cli(capsys, base + ["--input", src, "--output", first])[0] == 0
         assert run_cli(capsys, base + ["--input", first, "--output", second])[0] == 0
-        assert open(first).read() == open(second).read()
+        assert Path(first).read_text() == Path(second).read_text()
 
 
 def _simulate_in_subprocess(spec_path):

@@ -28,6 +28,21 @@ class TestCanonicalize:
         # rows of each cluster keep their input order
         assert data.outcomes.tolist() == [1.0, 3.0, 2.0, 4.0]
 
+    @pytest.mark.parametrize(
+        "labels, expected",
+        [
+            (np.array([3, 1, 3, 2]), (3, 1, 2)),
+            (np.array(["b", "a", "b", "c"]), ("b", "a", "c")),
+            (np.array(["b", 1, "b", 2.5], dtype=object), ("b", 1, 2.5)),
+        ],
+        ids=["int", "str", "object"],
+    )
+    def test_array_labels_become_python_values(self, labels, expected):
+        data = canonicalize(labels, [1.0, 2.0, 3.0, 4.0], np.ones((4, 1)))
+        assert data.labels == expected
+        assert [type(lab) for lab in data.labels] == [type(lab) for lab in expected]
+        assert data.outcomes.tolist() == [1.0, 3.0, 2.0, 4.0]
+
     def test_single_label_rejected(self):
         with pytest.raises(TooFewClusters):
             canonicalize(["a", "a", "a"], [1.0, 2.0, 3.0], np.ones((3, 1)))
