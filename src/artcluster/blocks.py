@@ -17,6 +17,7 @@ import numpy as np
 from artcluster.errors import (
     DegenerateGrouping,
     DuplicateTimeKeyWarning,
+    NonFiniteValue,
     TooFewObservations,
 )
 from artcluster.model import ClusteredDataset, _rows, canonicalize
@@ -73,14 +74,17 @@ def blockify(time_keys, outcomes, covariates, q: int) -> ClusteredDataset:
     """Sort rows by time key and label them by consecutive blocks 1..q.
 
     The sort is stable, so duplicate time keys keep their input order (a
-    :class:`DuplicateTimeKeyWarning` is emitted).  The sorted rows are
-    already in cluster order, and the sizes come from :func:`plan_blocks`.
+    :class:`DuplicateTimeKeyWarning` is emitted), and a NaN or infinite key
+    raises :class:`NonFiniteValue`.  The sorted rows are already in
+    cluster order, and the sizes come from :func:`plan_blocks`.
     """
     keys = np.asarray(time_keys)
     if keys.ndim != 1:
         raise ValueError("time keys must be 1-D")
     plan = plan_blocks(keys.shape[0], q)
     y, Z = _rows(keys.shape[0], outcomes, covariates, "time keys")
+    if keys.dtype.kind == "f" and not np.all(np.isfinite(keys)):
+        raise NonFiniteValue("time keys contain non-finite values")
     if np.unique(keys).shape[0] != keys.shape[0]:
         warnings.warn(
             "duplicate time keys; stable input order breaks the ties",

@@ -29,7 +29,7 @@ class WidthMismatch(ArtClusterError):
 
 
 class NonFiniteValue(ArtClusterError):
-    """An outcome or covariate entry is NaN or infinite."""
+    """An outcome, covariate or time key is NaN or infinite."""
 
     exit_code = 3
 

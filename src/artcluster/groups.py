@@ -2,17 +2,16 @@
 
 A sign vector is a plain 1-D int8 array of +-1 entries; a
 :class:`SignGroup` is an ordered collection of them with the identity
-vector (all +1) always in row 0.  An exhaustive group is defined by q
-alone and is swept without materializing its rows; a sampled group
-stores its ``(draws, q)`` int8 matrix.  Sampling uses numpy's Philox
-generator, a counter-based RNG whose streams are reproducible across
-platforms for a given integer seed.
+vector (all +1) always in row 0.  A group holds only q, or (q, draws,
+seed) when sampled: each sweep regenerates sampled rows, a chunk at a
+time, from numpy's Philox generator, a counter-based RNG whose streams
+are reproducible across platforms for a given integer seed.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,10 +35,14 @@ MAX_EXHAUSTIVE_Q = 20
 AUTO_SAMPLED_ABOVE = 14
 DEFAULT_DRAWS = 1000
 
-# A sampled group of B draws holds about B * (2q + 40) bytes at its
-# peak: the int8 flips and sign matrix, and a few float64 (B,) arrays
-# of the sweep.  Larger requests are refused before anything is drawn.
+# B draws are refused, before any is drawn, when B * (2q + 40) bytes exceed
+# this; the float64 (B,) arrays of a sweep and its interval bounds cost most.
 _MAX_SAMPLED_BYTES = 2**30
+
+# Sampled rows are regenerated this many at a time.  numpy draws bounded
+# int8 values from 32-bit words and drops a call's unused trailing bytes,
+# so only a multiple of 4 rows continues the one-shot stream at every q.
+_CHUNK_ROWS = 2**14
 
 
 @dataclass(frozen=True)
@@ -55,22 +58,18 @@ class SignGroup:
         or ``"sampled"`` (identity first, then seeded Rademacher draws;
         duplicates permitted).
     seed, draws
-        Sampling provenance; ``None`` in exhaustive mode.
-    matrix : (draws, q) int8 or None
-        The rows of a sampled group; ``None`` in exhaustive mode, whose
-        rows are implied by q.
+        Define the sampled rows; ``None`` in exhaustive mode.
     """
 
     q: int
     mode: str
     seed: int | None = None
     draws: int | None = None
-    matrix: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "q", operator.index(self.q))
         if self.mode == "exhaustive":
-            if self.matrix is not None or self.seed is not None or self.draws is not None:
+            if self.seed is not None or self.draws is not None:
                 raise ValueError("an exhaustive group is defined by q alone")
             if self.q < 2:
                 raise ValueError("need q >= 2")
@@ -80,29 +79,38 @@ class SignGroup:
                     f"q <= {MAX_EXHAUSTIVE_Q} ceiling; use sampled mode"
                 )
         elif self.mode == "sampled":
-            if self.matrix is None:
-                raise ValueError("a sampled group needs its sign matrix")
-            signs = np.asarray(self.matrix, dtype=np.int8)
-            if signs.ndim != 2 or signs.shape[1] != self.q:
-                raise ValueError("signs must be an (m, q) matrix")
-            if not np.all(np.abs(signs) == 1):
-                raise ValueError("sign entries must be +1 or -1")
-            if not np.all(signs[0] == 1):
-                raise ValueError("row 0 must be the identity vector")
-            if self.draws is None or signs.shape[0] != self.draws:
-                raise ValueError("sampled group must record its draw count")
-            signs = np.ascontiguousarray(signs)
-            signs.flags.writeable = False
-            object.__setattr__(self, "matrix", signs)
+            object.__setattr__(self, "draws", operator.index(self.draws))
+            object.__setattr__(self, "seed", operator.index(self.seed))
+            if self.q < 2:
+                raise ValueError("need q >= 2")
+            if self.draws < 2:
+                raise ValueError("sampled mode needs at least 2 vectors")
+            need = self.draws * (2 * self.q + 40)
+            if need > _MAX_SAMPLED_BYTES:
+                raise ValueError(
+                    f"--draws {self.draws} at q = {self.q} needs about {need / 2**30:.1f} GiB, "
+                    f"above the {_MAX_SAMPLED_BYTES / 2**30:.0f} GiB limit"
+                )
+            if not 0 <= self.seed < 2**128:
+                raise ValueError(f"seed must lie in [0, 2**128), got {self.seed}")
         else:
             raise ValueError(f"unknown mode {self.mode!r}")
 
     @property
     def size(self) -> int:
-        return 1 << self.q if self.matrix is None else self.matrix.shape[0]
+        return 1 << self.q if self.mode == "exhaustive" else self.draws
 
-    def __len__(self) -> int:
-        return self.size
+    def _over_sampled_rows(self, kernel) -> np.ndarray:
+        """``kernel(rows)`` stacked over the sampled rows, regenerated a chunk at a time."""
+        first = kernel(np.ones((1, self.q), dtype=np.int8))
+        out = np.empty((self.draws, *first.shape[1:]), dtype=first.dtype)
+        out[:1] = first
+        rng = np.random.Generator(np.random.Philox(key=self.seed))
+        for start in range(1, self.draws, _CHUNK_ROWS):
+            stop = min(start + _CHUNK_ROWS, self.draws)
+            flips = rng.integers(0, 2, size=(stop - start, self.q), dtype=np.int8)
+            out[start:stop] = kernel(1 - 2 * flips)
+        return out
 
     def sweep(self, values: np.ndarray) -> np.ndarray:
         """Signed means (1/q) sum_j g_j v_j for every row g, in row order.
@@ -114,17 +122,17 @@ class SignGroup:
             raise ValueError(
                 f"values have {values.shape[0]} entries but the group acts on q = {self.q}"
             )
-        if self.matrix is None:
+        if self.mode == "exhaustive":
             return kernels.exhaustive_means(values)
-        return kernels.group_means(self.matrix, values)
+        return self._over_sampled_rows(lambda rows: kernels.group_means(rows, values))
 
     def pm_identity(self) -> np.ndarray:
         """Boolean mask of the rows equal to +-identity (all entries equal)."""
-        if self.matrix is None:
-            mask = np.zeros(self.size, dtype=bool)
-            mask[[0, -1]] = True
-            return mask
-        return np.all(self.matrix == self.matrix[:, :1], axis=1)
+        if self.mode == "sampled":
+            return self._over_sampled_rows(lambda rows: np.all(rows == rows[:, :1], axis=1))
+        mask = np.zeros(self.size, dtype=bool)
+        mask[[0, -1]] = True
+        return mask
 
 
 def exhaustive_group(q: int) -> SignGroup:
@@ -144,22 +152,7 @@ def sampled_group(q: int, draws: int, seed: int) -> SignGroup:
     draws, seed) triple yields the same group on every platform.
     Raises ``ValueError`` when the group would need more than 1 GiB.
     """
-    if q < 2:
-        raise ValueError("need q >= 2")
-    if draws < 2:
-        raise ValueError("sampled mode needs at least 2 vectors")
-    need = draws * (2 * q + 40)
-    if need > _MAX_SAMPLED_BYTES:
-        raise ValueError(
-            f"--draws {draws} at q = {q} needs about {need / 2**30:.1f} GiB, "
-            f"above the {_MAX_SAMPLED_BYTES / 2**30:.0f} GiB limit"
-        )
-    rng = np.random.Generator(np.random.Philox(key=int(seed)))
-    flips = rng.integers(0, 2, size=(draws - 1, q), dtype=np.int8)
-    signs = np.empty((draws, q), dtype=np.int8)
-    signs[0] = 1
-    signs[1:] = 1 - 2 * flips
-    return SignGroup(q=q, mode="sampled", seed=int(seed), draws=int(draws), matrix=signs)
+    return SignGroup(q=q, mode="sampled", seed=seed, draws=draws)
 
 
 def enumerate_group(

@@ -2,15 +2,15 @@
 
 :func:`exhaustive_means` sweeps the full group of 2^q sign vectors by
 prefix-sum doubling, without ever building its (2^q, q) sign matrix;
-:func:`group_means` sweeps the rows of an explicit int8 sign matrix (a
-sampled group).  Both return the signed means of (q,) or (q, p) values.
+:func:`group_means` sweeps an int8 sign matrix, such as one chunk of a
+sampled group's rows; both return the signed means of (q,) or (q, p) values.
 :func:`group_wald_quadratic` turns swept (m, p) means into the
 multi-row quadratic form and :func:`interval_bounds` gives the per-row
 crossing points of the confidence-interval maps.
 
 The accumulation order is fixed -- columns left to right starting from
 +0.0, then the quadratic form row by row -- so results are reproducible
-bit for bit, and the two sweeps agree bit for bit on the same rows.
+bit for bit in any row chunks, and both sweeps give equal bits on equal rows.
 """
 
 from __future__ import annotations

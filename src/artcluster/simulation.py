@@ -62,6 +62,8 @@ class DgpSpec:
             raise ValueError("within-cluster correlation must lie in [0, 1)")
         if self.covariate_law not in COVARIATE_LAWS:
             raise ValueError(f"covariate_law must be one of {COVARIATE_LAWS}")
+        if not 0 <= int(self.seed) < 2**128:
+            raise ValueError(f"seed must lie in [0, 2**128), got {self.seed}")
         object.__setattr__(self, "sizes", sizes)
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "sigma", sigma)

@@ -2,6 +2,7 @@
 
 These are the package's earlier kernels, kept verbatim in arithmetic:
 the explicit uint64 bit-expansion of the exhaustive sign matrix, the
+one-shot draw of a sampled group's sign matrix from its seed, the
 column-by-column signed-mean sweep over a sign matrix, the Wald
 quadratic form over that sweep, the all-entries-equal +-identity mask,
 the full-sort order statistics, the one-null-at-a-time test decision,
@@ -28,6 +29,20 @@ def bit_expansion_signs(q: int) -> np.ndarray:
     shifts = q - 1 - np.arange(q, dtype=np.uint64)
     bits = (idx[:, None] >> shifts[None, :]) & 1
     return (1 - 2 * bits).astype(np.int8)
+
+
+def sampled_signs(q: int, draws: int, seed: int) -> np.ndarray:
+    """The (draws, q) int8 rows of a sampled group, drawn in one shot.
+
+    Identity first, then ``draws - 1`` rows of fair coin flips from
+    ``Philox(key=seed)``, filling the block row by row.
+    """
+    rng = np.random.Generator(np.random.Philox(key=int(seed)))
+    flips = rng.integers(0, 2, size=(draws - 1, q), dtype=np.int8)
+    signs = np.empty((draws, q), dtype=np.int8)
+    signs[0] = 1
+    signs[1:] = 1 - 2 * flips
+    return signs
 
 
 def column_loop_means(signs: np.ndarray, values: np.ndarray) -> np.ndarray:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from artcluster import (
     DegenerateGrouping,
     IdentificationFailure,
+    NonFiniteValue,
     TooFewObservations,
     WidthMismatch,
     blockify,
@@ -98,10 +99,15 @@ class TestBlockify:
         with pytest.raises(WidthMismatch):
             blockify(np.arange(4.0), np.arange(float(n_y)), np.ones((n_z, 1)), 2)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_keys_rejected(self, bad):
+        keys = np.arange(40.0)
+        keys[3] = bad
+        with pytest.raises(NonFiniteValue, match="time keys"):
+            blockify(keys, np.zeros(40), np.ones((40, 1)), 4)
+
     @given(
-        keys=st.lists(
-            st.one_of(st.integers(-3, 3).map(float), st.just(math.nan)), min_size=2, max_size=40
-        ),
+        keys=st.lists(st.integers(-3, 3).map(float), min_size=2, max_size=40),
         data=st.data(),
     )
     @settings(max_examples=80, deadline=None)

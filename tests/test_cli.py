@@ -326,10 +326,24 @@ EXIT_CODE_CASES = [
     ),
     pytest.param(
         MICRO_CSV,
+        ["--cluster", "cluster", "--group-mode", "sampled", "--seed", "-1"],
+        1,
+        "artcluster: error: seed must lie in [0, 2**128), got -1",
+        id="seed-outside-philox-keys",
+    ),
+    pytest.param(
+        MICRO_CSV,
         [],
         1,
         "cluster column is required",
         id="no-cluster-or-blocks",
+    ),
+    pytest.param(
+        _rows_csv("t,y,x", [f"{'nan' if i == 3 else i},{float(i % 3)!r},1.0" for i in range(10)]),
+        ["--blocks", "2", "--time", "t"],
+        3,
+        "time keys contain non-finite values",
+        id="non-finite-time-key",
     ),
     pytest.param(
         # x is 0 throughout the first block, so block 1's Gram matrix is singular
@@ -670,6 +684,12 @@ SIMULATE_EXIT_CODE_CASES = [
         id="replications-beyond-memory-bound",
     ),
     pytest.param(
+        {"dgp": {"sizes": [10] * 8, "beta": [0.0], "sigma": [1.0] * 8, "seed": -1}},
+        1,
+        "artcluster: error: seed must lie in [0, 2**128), got -1",
+        id="dgp-seed-outside-philox-keys",
+    ),
+    pytest.param(
         {"study": "power", "null_value": 0.0, "contrast": [0.0, 1.0]},
         1,
         "artcluster: error: contrast length must equal the covariate count",
@@ -882,9 +902,23 @@ print(code, int(hwm.split()[1]) // 1024)
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
-@pytest.mark.parametrize("command", ["test", "ci"])
-def test_exhaustive_q20_peak_memory(tmp_path, rng, command):
-    # the 2^20 group is swept without its sign matrix: ~50-140 MB, not ~520 MB
+@pytest.mark.parametrize(
+    "command, group, bound_mb",
+    [
+        # the 2^20 group is swept without its sign matrix: ~50-140 MB, not ~520 MB
+        pytest.param("test", ["--group-mode", "exhaustive"], 200, id="test"),
+        pytest.param("ci", ["--group-mode", "exhaustive"], 200, id="ci"),
+        # 1M sampled rows are regenerated from the seed in chunks, never held
+        # whole: ~53 MB, against ~112 MB for a (draws, q) int8 matrix
+        pytest.param(
+            "test",
+            ["--group-mode", "sampled", "--draws", "1000000", "--seed", "7"],
+            70,
+            id="test-sampled",
+        ),
+    ],
+)
+def test_q20_peak_memory(tmp_path, rng, command, group, bound_mb):
     path = write_random_csv(tmp_path, rng, q=20, n_j=100)
     argv = [
         command,
@@ -893,7 +927,7 @@ def test_exhaustive_q20_peak_memory(tmp_path, rng, command):
         "--outcome", "y",
         "--covariates", "x1,x2",
         "--coef", "x1",
-        "--group-mode", "exhaustive",
+        *group,
         "--output", str(tmp_path / "report.json"),
     ]
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(artcluster.__file__)))
@@ -903,4 +937,4 @@ def test_exhaustive_q20_peak_memory(tmp_path, rng, command):
     )
     code, peak_mb = (int(v) for v in done.stdout.split())
     assert code == 0
-    assert peak_mb < 200, f"{command}: peak RSS {peak_mb} MB"
+    assert peak_mb < bound_mb, f"{command} {group}: peak RSS {peak_mb} MB"

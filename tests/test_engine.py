@@ -20,7 +20,7 @@ from artcluster import DegenerateVariance, fit_per_cluster
 from artcluster.groups import exhaustive_group, sampled_group
 from artcluster.intervals import _cluster_terms, default_inversion_grid, inversion_scan
 from artcluster.randtest import _CHUNK_STATISTICS, run_test_columns
-from tests.oracles import bit_expansion_signs, bits, decision_loop
+from tests.oracles import bit_expansion_signs, bits, decision_loop, sampled_signs
 from tests.test_acceptance import make_instance
 
 
@@ -56,8 +56,8 @@ def instances(draw):
     if draw(st.booleans()):
         group, signs = exhaustive(q)
     else:
-        group = sampled_group(q, draws=draw(st.integers(300, 3000)), seed=draw(st.integers(0, 99)))
-        signs = group.matrix
+        draws, seed = draw(st.integers(300, 3000)), draw(st.integers(0, 99))
+        group, signs = sampled_group(q, draws, seed), sampled_signs(q, draws, seed)
     step = chunk_width(group)
     k = draw(st.sampled_from([1, step - 1, step, step + 1, 3 * step + 2]))
     kind = draw(st.sampled_from(["integer", "tenths", "normal", "near-tie"]))

@@ -4,8 +4,13 @@ import numpy as np
 import pytest
 
 from artcluster import GroupTooLarge
-from artcluster.groups import enumerate_group, exhaustive_group, sampled_group
-from tests.oracles import as_sign_vector, bit_expansion_signs
+from artcluster.groups import SignGroup, enumerate_group, exhaustive_group, sampled_group
+from tests.oracles import as_sign_vector, bit_expansion_signs, sampled_signs
+
+
+def group_rows(group) -> np.ndarray:
+    """A group's own rows: sweeping the unit vectors gives row i scaled by 1/q."""
+    return np.sign(group.sweep(np.eye(group.q))).astype(np.int8)
 
 
 class TestExhaustive:
@@ -38,29 +43,63 @@ class TestExhaustive:
 class TestSampled:
     def test_identity_forced_first(self):
         g = sampled_group(7, draws=50, seed=3)
-        assert np.all(g.matrix[0] == 1)
+        assert np.all(group_rows(g)[0] == 1)
         assert g.size == 50
         assert g.mode == "sampled"
 
     def test_seed_determinism(self):
         a = sampled_group(12, draws=1000, seed=99)
         b = sampled_group(12, draws=1000, seed=99)
-        assert np.array_equal(a.matrix, b.matrix)
+        assert a == b
+        assert np.array_equal(group_rows(a), group_rows(b))
+        assert np.array_equal(group_rows(a), sampled_signs(12, 1000, 99))
 
     def test_different_seeds_differ(self):
         a = sampled_group(12, draws=1000, seed=1)
         b = sampled_group(12, draws=1000, seed=2)
-        assert not np.array_equal(a.matrix, b.matrix)
+        assert not np.array_equal(group_rows(a), group_rows(b))
 
     def test_coordinate_balance(self):
         # Rademacher coordinates: |mean| stays within 4 / sqrt(B - 1)
         g = sampled_group(12, draws=1000, seed=17)
-        means = g.matrix[1:].mean(axis=0)
+        means = group_rows(g)[1:].mean(axis=0)
         assert np.all(np.abs(means) < 4.0 / np.sqrt(999))
 
     def test_needs_two_vectors(self):
         with pytest.raises(ValueError):
             sampled_group(5, draws=1, seed=0)
+
+    @pytest.mark.parametrize("seed", [-1, 2**128], ids=["negative", "2**128"])
+    def test_seed_outside_philox_keys_named(self, seed):
+        with pytest.raises(ValueError, match=rf"seed must lie in \[0, 2\*\*128\), got {seed}"):
+            sampled_group(5, draws=10, seed=seed)
+
+    @pytest.fixture
+    def no_draws(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("building a group must not draw")
+
+        monkeypatch.setattr(np.random, "Philox", refuse)
+
+    def test_memory_bound_checked_at_construction(self, no_draws):
+        with pytest.raises(ValueError, match="--draws 1000000000000 at q = 20"):
+            SignGroup(q=20, mode="sampled", seed=0, draws=10**12)
+
+    def test_construction_draws_nothing(self, no_draws):
+        g = sampled_group(20, draws=10**6, seed=7)
+        assert (g.q, g.mode, g.seed, g.draws, g.size) == (20, "sampled", 7, 10**6, 10**6)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"q": 5, "mode": "sampled", "seed": 0, "draws": 10.0},
+            {"q": 5, "mode": "sampled", "seed": 1.5, "draws": 10},
+            {"q": 5, "mode": "sampled", "seed": 0},
+        ],
+    )
+    def test_parameters_must_be_integers(self, kwargs):
+        with pytest.raises(TypeError):
+            SignGroup(**kwargs)
 
 
 class TestEnumerateGroup:

@@ -1,11 +1,13 @@
 """Fast sweeps and order statistics against the reference oracles, bit for bit.
 
 The exhaustive group is swept by prefix-sum doubling and never holds its
-sign matrix, its +-identity rows are known by position, and quantiles
-come from ``np.partition``.  Each must reproduce the reference
+sign matrix, its +-identity rows are known by position, a sampled group
+regenerates its rows from the seed in chunks, and quantiles come from
+``np.partition``.  Each must reproduce the reference
 in ``tests/oracles.py`` exactly, compared on the float64 bit patterns.
 """
 
+import dataclasses
 from functools import lru_cache
 
 import numpy as np
@@ -23,7 +25,7 @@ from artcluster import (
 )
 from artcluster import kernels
 from artcluster.estimation import ClusterEstimates
-from artcluster.groups import exhaustive_group, sampled_group
+from artcluster.groups import SignGroup, exhaustive_group, sampled_group
 from artcluster.intervals import interval, interval_inputs, per_group_bounds, pvalue_profile
 from artcluster.randtest import _wald_ingredients
 from tests.conftest import random_contrast, random_dataset
@@ -32,6 +34,7 @@ from tests.oracles import (
     bits,
     column_loop_means,
     pm_iota_mask,
+    sampled_signs,
     sort_critical_value,
     sort_interval_endpoints,
     wald_quadratic_loop,
@@ -101,7 +104,7 @@ class TestDoublingSweep:
     @given(values=st.one_of(vectors(2, 8), matrices(2, 8)), seed=st.integers(0, 2**31))
     def test_sampled_sweep_matches_column_loop(self, values, seed):
         group = sampled_group(values.shape[0], draws=300, seed=seed)
-        expected = column_loop_means(group.matrix, values)
+        expected = column_loop_means(sampled_signs(values.shape[0], 300, seed), values)
         assert np.array_equal(bits(group.sweep(values)), bits(expected))
 
     def test_wrong_length_rejected(self):
@@ -118,7 +121,10 @@ class TestWald:
         scores = rng.standard_normal((q, p))
         sigma_inv = np.linalg.inv(scores.T @ scores / q)
         sampled = sampled_group(q, draws=500, seed=p)
-        for group, signs in ((exhaustive_group(q), oracle_signs(q)), (sampled, sampled.matrix)):
+        for group, signs in (
+            (exhaustive_group(q), oracle_signs(q)),
+            (sampled, sampled_signs(q, 500, p)),
+        ):
             got = kernels.group_wald_quadratic(group.sweep(scores), sigma_inv, q)
             expected = wald_quadratic_loop(signs, scores, sigma_inv)
             assert np.array_equal(bits(got), bits(expected))
@@ -130,8 +136,7 @@ class TestWald:
         if mode == "exhaustive":
             group, signs = exhaustive_group(9), oracle_signs(9)
         else:
-            group = sampled_group(9, 700, seed=4)
-            signs = group.matrix
+            group, signs = sampled_group(9, 700, seed=4), sampled_signs(9, 700, 4)
         result = run_wald_test(data, mh, 0.1, group)
         scores, sigma_inv = _wald_ingredients(fit_per_cluster(data), mh, "root_n")
         stats = wald_quadratic_loop(signs, scores, sigma_inv)
@@ -140,12 +145,11 @@ class TestWald:
 
 
 class TestLazySigns:
-    """An exhaustive group holds q alone; its rows exist only inside the sweep."""
+    """A group holds its parameters alone; its rows exist only inside the sweep."""
 
     @pytest.mark.parametrize("q", range(2, 17))
     def test_matches_bit_expansion(self, q):
         group = exhaustive_group(q)
-        assert group.matrix is None
         # sweeping the unit vectors gives row i scaled by 1/q: the signs of row i
         rows = np.sign(group.sweep(np.eye(q))).astype(np.int8)
         assert np.array_equal(rows, oracle_signs(q))
@@ -161,7 +165,8 @@ class TestLazySigns:
         inputs = interval_inputs(fit_per_cluster(data), c, group)
         ci = interval(inputs, 0.1)
         pvalue_profile(inputs, ci.lower)
-        assert group.matrix is None and not hasattr(group, "signs")
+        assert [f.name for f in dataclasses.fields(SignGroup)] == ["q", "mode", "seed", "draws"]
+        assert vars(group) == {"q": 8, "mode": "exhaustive", "seed": None, "draws": None}
 
 
 class TestPmIdentity:
@@ -173,7 +178,26 @@ class TestPmIdentity:
     @given(q=st.integers(2, 6), draws=st.integers(2, 200), seed=st.integers(0, 2**31))
     def test_sampled_matches_mask(self, q, draws, seed):
         group = sampled_group(q, draws, seed)
-        assert np.array_equal(group.pm_identity(), pm_iota_mask(group.matrix))
+        assert np.array_equal(group.pm_identity(), pm_iota_mask(sampled_signs(q, draws, seed)))
+
+
+class TestSampledChunks:
+    """Sampled rows regenerated chunk by chunk equal the one-shot draw, across chunk edges."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        q=st.integers(2, 21),
+        draws=st.sampled_from([2, 2**14, 2**14 + 1, 2**14 + 2, 2**14 + 3, 2 * 2**14 + 5]),
+        seed=st.integers(0, 2**31),
+        values_seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_one_shot_rows(self, q, draws, seed, values_seed):
+        group, signs = sampled_group(q, draws, seed), sampled_signs(q, draws, seed)
+        rng = np.random.default_rng(values_seed)
+        for values in (rng.standard_normal(q), rng.standard_normal((q, 2))):
+            expected = column_loop_means(signs, values)
+            assert np.array_equal(bits(group.sweep(values)), bits(expected))
+        assert np.array_equal(group.pm_identity(), pm_iota_mask(signs))
 
 
 QUANTILE_ENTRY = st.one_of(
