@@ -328,9 +328,10 @@ def _ci_result(config: RunConfig, names, contrast, group, estimates) -> dict:
 
     notes = []
     if not ci.is_bounded:
+        floor = f"{np.count_nonzero(inputs.pm_identity)}/{group.size}"
         notes.append(
             "unbounded interval: alpha is at or below the smallest attainable "
-            f"p-value 2/{group.size}, so infinite endpoints are forced"
+            f"p-value {floor}, so infinite endpoints are forced"
         )
     return {
         "lambda0": ci.lambda0,

@@ -5,7 +5,8 @@ A sign vector is a plain 1-D int8 array of +-1 entries; a
 vector (all +1) always in row 0.  A group holds only q, or (q, draws,
 seed) when sampled: each sweep regenerates sampled rows, a chunk at a
 time, from numpy's Philox generator, a counter-based RNG whose streams
-are reproducible across platforms for a given integer seed.
+are reproducible across platforms for a given integer seed.  A group
+only sweeps: the +-identity rows are read off the swept weights.
 """
 
 from __future__ import annotations
@@ -37,6 +38,8 @@ DEFAULT_DRAWS = 1000
 
 # B draws are refused, before any is drawn, when B * (2q + 40) bytes exceed
 # this; the float64 (B,) arrays of a sweep and its interval bounds cost most.
+# A sampled ``ci`` peaks about 41 B per draw above the interpreter's
+# floor (77 MB at q = 20 and 1M draws), under the estimate at every q.
 _MAX_SAMPLED_BYTES = 2**30
 
 # Sampled rows are regenerated this many at a time.  numpy draws bounded
@@ -100,18 +103,6 @@ class SignGroup:
     def size(self) -> int:
         return 1 << self.q if self.mode == "exhaustive" else self.draws
 
-    def _over_sampled_rows(self, kernel) -> np.ndarray:
-        """``kernel(rows)`` stacked over the sampled rows, regenerated a chunk at a time."""
-        first = kernel(np.ones((1, self.q), dtype=np.int8))
-        out = np.empty((self.draws, *first.shape[1:]), dtype=first.dtype)
-        out[:1] = first
-        rng = np.random.Generator(np.random.Philox(key=self.seed))
-        for start in range(1, self.draws, _CHUNK_ROWS):
-            stop = min(start + _CHUNK_ROWS, self.draws)
-            flips = rng.integers(0, 2, size=(stop - start, self.q), dtype=np.int8)
-            out[start:stop] = kernel(1 - 2 * flips)
-        return out
-
     def sweep(self, values: np.ndarray) -> np.ndarray:
         """Signed means (1/q) sum_j g_j v_j for every row g, in row order.
 
@@ -124,15 +115,14 @@ class SignGroup:
             )
         if self.mode == "exhaustive":
             return kernels.exhaustive_means(values)
-        return self._over_sampled_rows(lambda rows: kernels.group_means(rows, values))
-
-    def pm_identity(self) -> np.ndarray:
-        """Boolean mask of the rows equal to +-identity (all entries equal)."""
-        if self.mode == "sampled":
-            return self._over_sampled_rows(lambda rows: np.all(rows == rows[:, :1], axis=1))
-        mask = np.zeros(self.size, dtype=bool)
-        mask[[0, -1]] = True
-        return mask
+        out = np.empty((self.draws, *values.shape[1:]))
+        out[:1] = kernels.group_means(np.ones((1, self.q), dtype=np.int8), values)
+        rng = np.random.Generator(np.random.Philox(key=self.seed))
+        for start in range(1, self.draws, _CHUNK_ROWS):
+            stop = min(start + _CHUNK_ROWS, self.draws)
+            flips = rng.integers(0, 2, size=(stop - start, self.q), dtype=np.int8)
+            out[start:stop] = kernels.group_means(1 - 2 * flips, values)
+        return out
 
 
 def exhaustive_group(q: int) -> SignGroup:

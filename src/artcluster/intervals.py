@@ -69,12 +69,11 @@ class IntervalInputs:
 
     a: np.ndarray  # (m,)
     b: np.ndarray  # (m,)
-    group: SignGroup
 
     def __post_init__(self):
         a = np.asarray(self.a, dtype=np.float64).reshape(-1)
         b = np.asarray(self.b, dtype=np.float64).reshape(-1)
-        if a.shape != b.shape or a.shape[0] != self.group.size:
+        if a.shape != b.shape:
             raise ValueError("a and b must have one entry per group element")
         if not (a[0] > 0.0):
             raise ValueError("identity row must have positive weight mean")
@@ -98,13 +97,24 @@ class IntervalInputs:
     def lambda0(self) -> float:
         return self.b_iota / self.a_iota
 
+    @property
+    def pm_identity(self) -> np.ndarray:
+        """Boolean mask of the rows equal to +-identity, read off ``a``.
+
+        Exact: flipping every sign negates a sweep's sum exactly, and
+        rounding is monotone, so no swept |a(g)| exceeds a[0].  Any other
+        row lies at least 2 min_j sqrt(n_j) / q below a[0], which for int64
+        sizes is far above the rounding error of a q-term sum.
+        """
+        return np.abs(self.a) == self.a[0]
+
 
 def interval_inputs(
     estimates: ClusterEstimates, contrast: np.ndarray, group: SignGroup
 ) -> IntervalInputs:
     """Compute a(g), b(g) for every group element from per-cluster fits."""
     w, cbeta = _cluster_terms(estimates, contrast)
-    return IntervalInputs(a=group.sweep(w), b=group.sweep(w * cbeta), group=group)
+    return IntervalInputs(a=group.sweep(w), b=group.sweep(w * cbeta))
 
 
 # ------------------------------------------------------------------ #
@@ -115,7 +125,7 @@ def interval_inputs(
 def per_group_bounds(inputs: IntervalInputs) -> tuple[np.ndarray, np.ndarray]:
     """Lower/upper crossing points for every group row (floats, +-inf)."""
     return kernels.interval_bounds(
-        inputs.a, inputs.b, inputs.a_iota, inputs.b_iota, inputs.group.pm_identity()
+        inputs.a, inputs.b, inputs.a_iota, inputs.b_iota, inputs.pm_identity
     )
 
 
@@ -161,14 +171,12 @@ def interval(inputs: IntervalInputs, alpha: float) -> ConfidenceInterval:
     upper endpoint is minus the alpha-quantile of the negated upper
     bounds (i.e. their ceil(m*alpha)-th largest).  Infinite entries
     participate, so an unbounded interval is a legal return -- forced
-    whenever alpha <= 2/m, since +-identity always contribute infinities.
+    whenever alpha <= the share of +-identity rows, whose bounds are infinite.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
     lo_all, hi_all = per_group_bounds(inputs)
-    if not (lo_all[0] == -math.inf and hi_all[0] == math.inf):
-        raise ValueError("identity row must contribute (-inf, +inf)")
-    m = inputs.group.size
+    m = inputs.a.shape[0]
     k = order_statistic_index(m, alpha)
     lower = float(np.partition(lo_all, k - 1)[k - 1])
     upper = float(np.partition(hi_all, m - k)[m - k])
@@ -212,10 +220,10 @@ def pvalue_profile(inputs: IntervalInputs, value: float) -> float:
     lam0 = inputs.lambda0
     if value < lam0:
         lo_all, _ = per_group_bounds(inputs)
-        piecewise = float(np.count_nonzero(value >= lo_all)) / inputs.group.size
+        piecewise = float(np.count_nonzero(value >= lo_all)) / inputs.a.shape[0]
     elif value > lam0:
         _, hi_all = per_group_bounds(inputs)
-        piecewise = float(np.count_nonzero(value <= hi_all)) / inputs.group.size
+        piecewise = float(np.count_nonzero(value <= hi_all)) / inputs.a.shape[0]
     else:
         piecewise = 1.0
     if piecewise != direct:

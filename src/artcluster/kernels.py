@@ -5,8 +5,9 @@ prefix-sum doubling, without ever building its (2^q, q) sign matrix;
 :func:`group_means` sweeps an int8 sign matrix, such as one chunk of a
 sampled group's rows; both return the signed means of (q,) or (q, p) values.
 :func:`group_wald_quadratic` turns swept (m, p) means into the
-multi-row quadratic form and :func:`interval_bounds` gives the per-row
-crossing points of the confidence-interval maps.
+multi-row quadratic form and :func:`interval_bounds` gives each row's
+interval bounds, the min and max of the two points where its V-shaped
+map crosses the identity's.
 
 The accumulation order is fixed -- columns left to right starting from
 +0.0, then the quadratic form row by row -- so results are reproducible
@@ -85,33 +86,24 @@ def group_wald_quadratic(means: np.ndarray, sigma_inv: np.ndarray, q: int) -> np
 # ------------------------------------------------------------------ #
 #
 # a, b are the slope/offset summaries of each group element; a0 = a[0]
-# and b0 = b[0] belong to the identity vector.  ``pm_iota`` flags rows
-# equal to +-identity, whose bounds are (-inf, +inf) by definition --
-# checking it first keeps the a0 - |a| denominator away from zero.
-# The two finite crossings are evaluated in the cross-multiplied form
-#     (b0 + b*sgn(a)) / (a0 + |a|)   and   (b0 - b*sgn(a)) / (a0 - |a|)
-# which avoids dividing by a itself; the branch test b/a <= b0/a0 is
-# likewise cross-multiplied to b*sgn(a)*a0 <= b0*|a|.
+# and b0 = b[0] belong to the identity vector, and |a| <= a0.  The V's
+# |b - v*a| and |b0 - v*a0| cross where b0 - v*a0 = +-(b - v*a), at
+#     P = (b0 + b) / (a0 + a)   and   M = (b0 - b) / (a0 - a),
+# and the row's bounds are min(P, M) and max(P, M).  Negating a and b
+# swaps P and M, so {P, M} is the same pair for either sign of a, and
+# a = 0 needs no branch: the pair is (b0 +- b) / a0.  The +-identity rows
+# (``pm_iota``) give 0/0 in one quotient; their bounds are (-inf, +inf)
+# by definition, and the mask overwrites the NaN.
 
 
 def interval_bounds(
     a: np.ndarray, b: np.ndarray, a0: float, b0: float, pm_iota: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    sgn = np.where(a >= 0.0, 1.0, -1.0)
-    aabs = np.abs(a)
-    babs = b * sgn
     with np.errstate(divide="ignore", invalid="ignore"):
-        plus_val = (b0 + babs) / (a0 + aabs)
-        minus_val = (b0 - babs) / (a0 - aabs)
-    ratio_le = babs * a0 <= b0 * aabs
-    ratio_ge = babs * a0 >= b0 * aabs
-    zero_a = a == 0.0
-    center_lo = (b0 - np.abs(b)) / a0
-    center_hi = (b0 + np.abs(b)) / a0
-    lo = np.where(ratio_le, plus_val, minus_val)
-    hi = np.where(ratio_ge, plus_val, minus_val)
-    lo = np.where(zero_a, center_lo, lo)
-    hi = np.where(zero_a, center_hi, hi)
-    lo = np.where(pm_iota, -np.inf, lo)
-    hi = np.where(pm_iota, np.inf, hi)
+        plus = (b0 + b) / (a0 + a)
+        minus = (b0 - b) / (a0 - a)
+        lo = np.minimum(plus, minus)
+        hi = np.maximum(plus, minus, out=plus)
+    lo[pm_iota] = -np.inf
+    hi[pm_iota] = np.inf
     return lo, hi

@@ -5,10 +5,11 @@ the explicit uint64 bit-expansion of the exhaustive sign matrix, the
 one-shot draw of a sampled group's sign matrix from its seed, the
 column-by-column signed-mean sweep over a sign matrix, the Wald
 quadratic form over that sweep, the all-entries-equal +-identity mask,
-the full-sort order statistics, the one-null-at-a-time test decision,
-the statistics at a single sign vector, the Monte Carlo study that
-draws, fits and scores one replication at a time, and the blocks route
-that labels every row and canonicalizes the time-sorted rows.  The
+the branch-by-branch interval bounds, the full-sort order statistics,
+the one-null-at-a-time test decision, the statistics at a single sign
+vector, the Monte Carlo study that draws, fits and scores one
+replication at a time, and the blocks route that labels every row and
+canonicalizes the time-sorted rows.  The
 production code must match them bit for bit.
 """
 
@@ -77,6 +78,34 @@ def wald_quadratic_loop(signs, scores, sigma_inv) -> np.ndarray:
 def pm_iota_mask(signs: np.ndarray) -> np.ndarray:
     """Rows equal to +-identity, i.e. with all entries equal."""
     return np.all(signs == signs[:, :1], axis=1)
+
+
+def interval_bounds_branches(a, b, a0, b0, pm_iota):
+    """Per-row interval bounds by the sign, ratio and zero-slope branches.
+
+    The crossings are (b0 + b*sgn(a)) / (a0 + |a|) and
+    (b0 - b*sgn(a)) / (a0 - |a|); the lower bound is the first when
+    b/a <= b0/a0 (cross-multiplied), a = 0 takes (b0 -+ |b|) / a0, and
+    +-identity rows are (-inf, +inf).
+    """
+    sgn = np.where(a >= 0.0, 1.0, -1.0)
+    aabs = np.abs(a)
+    babs = b * sgn
+    with np.errstate(divide="ignore", invalid="ignore"):
+        plus_val = (b0 + babs) / (a0 + aabs)
+        minus_val = (b0 - babs) / (a0 - aabs)
+    ratio_le = babs * a0 <= b0 * aabs
+    ratio_ge = babs * a0 >= b0 * aabs
+    zero_a = a == 0.0
+    center_lo = (b0 - np.abs(b)) / a0
+    center_hi = (b0 + np.abs(b)) / a0
+    lo = np.where(ratio_le, plus_val, minus_val)
+    hi = np.where(ratio_ge, plus_val, minus_val)
+    lo = np.where(zero_a, center_lo, lo)
+    hi = np.where(zero_a, center_hi, hi)
+    lo = np.where(pm_iota, -np.inf, lo)
+    hi = np.where(pm_iota, np.inf, hi)
+    return lo, hi
 
 
 def sort_critical_value(values, level: float) -> float:

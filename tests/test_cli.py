@@ -514,7 +514,41 @@ class TestCiCommand:
         assert doc["result"]["lower"] == "-inf"
         assert doc["result"]["upper"] == "+inf"
         assert doc["result"]["bounded"] is False
-        assert any("unbounded" in w for w in doc["result"]["warnings"])
+        assert doc["result"]["warnings"] == [
+            "unbounded interval: alpha is at or below the smallest attainable "
+            "p-value 2/4, so infinite endpoints are forced"
+        ]
+
+    def test_sampled_unbounded_note_counts_identity_rows(self, tmp_path, rng, capsys):
+        # 30 draws at q = 20 hold only the identity among the +-identity
+        # rows, so alpha = 0.05 (below 2/30) still gives a bounded interval
+        path = write_random_csv(tmp_path, rng, q=20, n_j=6)
+        docs = {}
+        for alpha in ("0.03", "0.05"):
+            code, out, _ = run_cli(
+                capsys,
+                [
+                    "ci",
+                    "--input", path,
+                    "--cluster", "cluster",
+                    "--outcome", "y",
+                    "--covariates", "x1,x2",
+                    "--coef", "x1",
+                    "--group-mode", "sampled",
+                    "--draws", "30",
+                    "--seed", "3",
+                    "--alpha", alpha,
+                ],
+            )
+            assert code == 0
+            docs[alpha] = json.loads(out)["result"]
+        assert docs["0.03"]["bounded"] is False
+        assert docs["0.03"]["warnings"] == [
+            "unbounded interval: alpha is at or below the smallest attainable "
+            "p-value 1/30, so infinite endpoints are forced"
+        ]
+        assert docs["0.05"]["bounded"] is True
+        assert docs["0.05"]["warnings"] == []
 
     def test_blocks_sweep_reports_side_by_side(self, tmp_path, rng, capsys):
         rows = ["t,y,x"]
@@ -905,9 +939,11 @@ print(code, int(hwm.split()[1]) // 1024)
 @pytest.mark.parametrize(
     "command, group, bound_mb",
     [
-        # the 2^20 group is swept without its sign matrix: ~50-140 MB, not ~520 MB
+        # the 2^20 group is swept without its sign matrix: ~50-75 MB, not ~520 MB
         pytest.param("test", ["--group-mode", "exhaustive"], 200, id="test"),
-        pytest.param("ci", ["--group-mode", "exhaustive"], 200, id="ci"),
+        # ci holds a, b and the two bounds: ~73 MB, against ~139 MB when the
+        # bounds took a dozen temporaries of the group's size
+        pytest.param("ci", ["--group-mode", "exhaustive"], 100, id="ci"),
         # 1M sampled rows are regenerated from the seed in chunks, never held
         # whole: ~53 MB, against ~112 MB for a (draws, q) int8 matrix
         pytest.param(
@@ -915,6 +951,12 @@ print(code, int(hwm.split()[1]) // 1024)
             ["--group-mode", "sampled", "--draws", "1000000", "--seed", "7"],
             70,
             id="test-sampled",
+        ),
+        pytest.param(
+            "ci",
+            ["--group-mode", "sampled", "--draws", "1000000", "--seed", "7"],
+            100,
+            id="ci-sampled",
         ),
     ],
 )

@@ -255,17 +255,19 @@ class TestInterval:
         assert np.array_equal(bits([ci.lower, ci.upper]), bits(expected))
 
     def test_ulp_inverted_point_interval_is_swapped(self, group_cache):
-        # three equal estimates with equal sizes: every finite lower bound
-        # rounds to 0.1 + 1 ulp and every upper bound to 0.1, so the
-        # quantiles come out one ulp out of order and are swapped back
+        # three equal estimates: no row's bounds are out of order, but one
+        # finite lower bound rounds to 0.1 + 1 ulp and the upper bounds to
+        # 0.1, so at alpha = 0.8 (k = 7 of 8) the quantiles come out one
+        # ulp out of order and are swapped back
         estimates = ClusterEstimates(
-            betas=np.full((3, 1), 0.1), sizes=[1, 1, 1], grams=np.ones((3, 1, 1)),
+            betas=np.full((3, 1), 0.1), sizes=[2, 4, 3], grams=np.ones((3, 1, 1)),
             labels=(0, 1, 2),
         )
         inputs = interval_inputs(estimates, [1.0], group_cache(3))
         lo_all, hi_all = per_group_bounds(inputs)
-        assert np.sort(lo_all)[3] == 0.10000000000000002 and np.sort(hi_all)[4] == 0.1
-        ci = interval(inputs, 0.5)
+        assert np.all(lo_all <= hi_all)
+        assert np.sort(lo_all)[6] == 0.10000000000000002 and np.sort(hi_all)[1] == 0.1
+        ci = interval(inputs, 0.8)
         assert (ci.lower, ci.upper) == (0.1, 0.10000000000000002)
 
     def test_duality_with_test(self, rng, group_cache):

@@ -1,8 +1,9 @@
 """Fast sweeps and order statistics against the reference oracles, bit for bit.
 
 The exhaustive group is swept by prefix-sum doubling and never holds its
-sign matrix, its +-identity rows are known by position, a sampled group
-regenerates its rows from the seed in chunks, and quantiles come from
+sign matrix, +-identity rows are read off the swept weights, a sampled
+group regenerates its rows from the seed in chunks, interval bounds are
+the min and max of two crossings, and quantiles come from
 ``np.partition``.  Each must reproduce the reference
 in ``tests/oracles.py`` exactly, compared on the float64 bit patterns.
 """
@@ -26,13 +27,21 @@ from artcluster import (
 from artcluster import kernels
 from artcluster.estimation import ClusterEstimates
 from artcluster.groups import SignGroup, exhaustive_group, sampled_group
-from artcluster.intervals import interval, interval_inputs, per_group_bounds, pvalue_profile
+from artcluster.intervals import (
+    IntervalInputs,
+    _rounding_tol,
+    interval,
+    interval_inputs,
+    per_group_bounds,
+    pvalue_profile,
+)
 from artcluster.randtest import _wald_ingredients
 from tests.conftest import random_contrast, random_dataset
 from tests.oracles import (
     bit_expansion_signs,
     bits,
     column_loop_means,
+    interval_bounds_branches,
     pm_iota_mask,
     sampled_signs,
     sort_critical_value,
@@ -169,16 +178,36 @@ class TestLazySigns:
         assert vars(group) == {"q": 8, "mode": "exhaustive", "seed": None, "draws": None}
 
 
+def log_uniform_inputs(group, seed):
+    """IntervalInputs over sizes from 1 to 1e12, both extremes always present."""
+    rng = np.random.default_rng(seed)
+    sizes = np.rint(10.0 ** rng.uniform(0.0, 12.0, group.q))
+    sizes[rng.permutation(group.q)[:2]] = (1.0, 1e12)
+    w = np.sqrt(sizes)
+    return IntervalInputs(a=group.sweep(w), b=group.sweep(w * rng.standard_normal(group.q)))
+
+
 class TestPmIdentity:
+    """The +-identity rows read off a(g) are the rows with all signs equal."""
+
     @pytest.mark.parametrize("q", range(2, 13))
     def test_exhaustive_matches_mask(self, q):
-        assert np.array_equal(exhaustive_group(q).pm_identity(), pm_iota_mask(oracle_signs(q)))
+        inputs = log_uniform_inputs(exhaustive_group(q), seed=q)
+        assert np.array_equal(inputs.pm_identity, pm_iota_mask(oracle_signs(q)))
 
     @settings(max_examples=60, deadline=None)
     @given(q=st.integers(2, 6), draws=st.integers(2, 200), seed=st.integers(0, 2**31))
     def test_sampled_matches_mask(self, q, draws, seed):
-        group = sampled_group(q, draws, seed)
-        assert np.array_equal(group.pm_identity(), pm_iota_mask(sampled_signs(q, draws, seed)))
+        inputs = log_uniform_inputs(sampled_group(q, draws, seed), seed)
+        assert np.array_equal(inputs.pm_identity, pm_iota_mask(sampled_signs(q, draws, seed)))
+
+    def test_exact_where_a_tolerance_would_misfire(self):
+        # no int64 sizes put a row this close, but weights 1e13 apart leave
+        # row (+1, -1) only 2e-13 below a(identity): inside a 1e-12 relative
+        # tolerance, yet far above the rounding of a two-term sum
+        group, w = exhaustive_group(2), np.array([1e13, 1.0])
+        inputs = IntervalInputs(a=group.sweep(w), b=group.sweep(w))
+        assert np.array_equal(inputs.pm_identity, pm_iota_mask(oracle_signs(2)))
 
 
 class TestSampledChunks:
@@ -197,7 +226,6 @@ class TestSampledChunks:
         for values in (rng.standard_normal(q), rng.standard_normal((q, 2))):
             expected = column_loop_means(signs, values)
             assert np.array_equal(bits(group.sweep(values)), bits(expected))
-        assert np.array_equal(group.pm_identity(), pm_iota_mask(signs))
 
 
 QUANTILE_ENTRY = st.one_of(
@@ -258,3 +286,66 @@ class TestPartitionQuantiles:
             lower, upper = sort_interval_endpoints(lo_all, hi_all, alpha)
             ci = interval(inputs, alpha)
             assert (bits(ci.lower), bits(ci.upper)) == (bits(lower), bits(upper))
+
+
+@st.composite
+def branch_instances(draw):
+    """A group, one-covariate estimates and alpha for the branch-oracle parity test.
+
+    c'beta_j are floats up to +-1e8, small integers (so duplicates) or all
+    equal; sizes run from 1 to 1e12, or are all equal, which zeroes the
+    slope a(g) of every balanced flip.
+    """
+    q = draw(st.integers(2, 12))
+    if draw(st.booleans()):
+        signs = oracle_signs(q)
+        group = exhaustive_group(q)
+    else:
+        draws, seed = draw(st.integers(2, 300)), draw(st.integers(0, 2**31))
+        signs = sampled_signs(q, draws, seed)
+        group = sampled_group(q, draws, seed)
+    floats = st.floats(-1e8, 1e8, allow_nan=False)
+    kind = draw(st.sampled_from(["float", "integer", "equal"]))
+    if kind == "float":
+        cbeta = draw(st.lists(floats, min_size=q, max_size=q))
+    elif kind == "integer":
+        cbeta = [float(v) for v in draw(st.lists(st.integers(-3, 3), min_size=q, max_size=q))]
+    else:
+        cbeta = [draw(floats)] * q
+    size = st.integers(1, 10**12)
+    if draw(st.booleans()):
+        sizes = [draw(size)] * q
+    else:
+        sizes = draw(st.lists(size, min_size=q, max_size=q))
+    estimates = ClusterEstimates(
+        betas=np.array(cbeta).reshape(q, 1),
+        sizes=np.array(sizes),
+        grams=np.ones((q, 1, 1)),
+        labels=tuple(range(q)),
+    )
+    alpha = draw(st.sampled_from([0.01, 0.05, 0.1, 0.2, 0.5]))
+    return estimates, group, signs, alpha
+
+
+class TestBranchBounds:
+    """min/max of the two crossings against the sign, ratio and zero-slope branches."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(instance=branch_instances())
+    def test_interval_matches_branch_oracle(self, instance):
+        estimates, group, signs, alpha = instance
+        inputs = interval_inputs(estimates, [1.0], group)
+        a, b = inputs.a, inputs.b
+        expected = sort_interval_endpoints(
+            *interval_bounds_branches(a, b, a[0], b[0], pm_iota_mask(signs)), alpha
+        )
+        ci = interval(inputs, alpha)
+        cbeta = estimates.betas[:, 0]
+        if np.any(cbeta != cbeta[0]):
+            assert bits([ci.lower, ci.upper]).tolist() == bits(expected).tolist()
+        else:
+            # a point interval: rows whose crossings tie may round either
+            # way, so both pairs need only contain lambda0 up to rounding
+            lam0, tol = inputs.lambda0, _rounding_tol(inputs.lambda0)
+            for lower, upper in ((ci.lower, ci.upper), expected):
+                assert lower <= lam0 + tol and upper >= lam0 - tol
