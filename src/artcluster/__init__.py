@@ -32,12 +32,7 @@ from artcluster.estimation import (
     fit_per_cluster,
     fit_restricted,
 )
-from artcluster.groups import (
-    SignGroup,
-    enumerate_group,
-    exhaustive_group,
-    sampled_group,
-)
+from artcluster.groups import SignGroup, enumerate_group
 from artcluster.intervals import (
     ConfidenceInterval,
     IntervalInputs,
@@ -103,7 +98,6 @@ __all__ = [
     "cluster_scores",
     "critical_value",
     "enumerate_group",
-    "exhaustive_group",
     "fit_per_cluster",
     "fit_restricted",
     "generate",
@@ -116,7 +110,6 @@ __all__ = [
     "pvalue_profile",
     "run_test",
     "run_wald_test",
-    "sampled_group",
     "scores_from_estimates",
     "scores_via_restricted",
     "size_study",

@@ -226,9 +226,9 @@ def _config_from_args(args, **overrides) -> RunConfig:
     return RunConfig(**fields)
 
 
-def _check_alpha(alpha: float) -> None:
+def _check_alpha(alpha: float, name: str = "--alpha") -> None:
     if not 0.0 < alpha < 1.0:
-        raise ValueError("--alpha must lie strictly between 0 and 1")
+        raise ValueError(f"{name} must lie strictly between 0 and 1")
 
 
 def _group_doc(group) -> dict:
@@ -294,9 +294,12 @@ def _test_result(config: RunConfig, names, contrast, group, estimates) -> dict:
     )
 
     notes = []
-    if group.mode == "exhaustive" and 2.0 / group.size > config.alpha:
+    if group.forced_ties / group.size > config.alpha:
+        floor = f"{group.forced_ties}/{group.size}"
+        if group.mode == "sampled":  # drawn +-identity rows can only raise it
+            floor = f"(at least {floor})"
         notes.append(
-            f"trivial power: the smallest attainable p-value 2/{group.size} "
+            f"trivial power: the smallest attainable p-value {floor} "
             f"exceeds alpha={config.alpha}; the test can never reject"
         )
     return {
@@ -397,9 +400,10 @@ def cmd_simulate(args) -> int:
         "contrast", lambda v: np.asarray(v, dtype=np.float64), _require(spec_doc, "contrast")
     )
     alpha = _spec_field("alpha", float, _require(spec_doc, "alpha"))
-    _check_alpha(alpha)
+    _check_alpha(alpha, "simulation spec field 'alpha'")
     replications = _spec_field("replications", int, _require(spec_doc, "replications"))
-    check_replications(dgp.q, replications)  # before a spec's group is drawn
+    # a refused replication count is reported before any error in the spec's group
+    check_replications(dgp.q, replications)
     variant = spec_doc.get("variant", "unstudentized")
 
     group = None

@@ -25,8 +25,6 @@ __all__ = [
     "MAX_EXHAUSTIVE_Q",
     "SignGroup",
     "enumerate_group",
-    "exhaustive_group",
-    "sampled_group",
 ]
 
 # 2^20 vectors is the enumeration ceiling: an exhaustive sweep holds a
@@ -52,14 +50,23 @@ _CHUNK_ROWS = 2**14
 class SignGroup:
     """An ordered collection of sign vectors acting on cluster statistics.
 
+    ``SignGroup(q, "exhaustive")`` holds all 2^q vectors in lexicographic
+    order (+1 sorts before -1): row 0 is the identity, row 2^q - 1 its
+    negation.  It raises :class:`GroupTooLarge` above q = 20.
+
+    ``SignGroup(q, "sampled", seed=seed, draws=B)`` holds the identity
+    followed by B - 1 i.i.d. Rademacher vectors (duplicates permitted),
+    drawn from ``Philox(key=seed)`` as a flat stream of fair coin flips
+    filling the (B - 1, q) block row by row, so a given (q, draws, seed)
+    triple yields the same rows on every platform.  It raises
+    ``ValueError`` when the group would need more than 1 GiB.
+
     Attributes
     ----------
     q : int
         Length of each sign vector (the number of clusters).
     mode : str
-        ``"exhaustive"`` (all 2^q vectors, lexicographic with +1 first)
-        or ``"sampled"`` (identity first, then seeded Rademacher draws;
-        duplicates permitted).
+        ``"exhaustive"`` or ``"sampled"``.
     seed, draws
         Define the sampled rows; ``None`` in exhaustive mode.
     """
@@ -97,11 +104,22 @@ class SignGroup:
             if not 0 <= self.seed < 2**128:
                 raise ValueError(f"seed must lie in [0, 2**128), got {self.seed}")
         else:
-            raise ValueError(f"unknown mode {self.mode!r}")
+            raise ValueError(f"unknown group mode {self.mode!r}")
 
     @property
     def size(self) -> int:
         return 1 << self.q if self.mode == "exhaustive" else self.draws
+
+    @property
+    def forced_ties(self) -> int:
+        """Rows whose statistic ties the observed one by construction.
+
+        The identity and its negation in an exhaustive group, row 0 alone
+        in a sampled one, so ``forced_ties / size`` is the smallest
+        attainable p-value (a lower bound when sampled: drawn +-identity
+        rows tie too).
+        """
+        return 2 if self.mode == "exhaustive" else 1
 
     def sweep(self, values: np.ndarray) -> np.ndarray:
         """Signed means (1/q) sum_j g_j v_j for every row g, in row order.
@@ -125,26 +143,6 @@ class SignGroup:
         return out
 
 
-def exhaustive_group(q: int) -> SignGroup:
-    """All 2^q sign vectors in lexicographic order (+1 sorts before -1).
-
-    Row 0 is the identity, row 2^q - 1 its negation.  Raises
-    :class:`GroupTooLarge` above q = 20; use sampled mode there.
-    """
-    return SignGroup(q=q, mode="exhaustive")
-
-
-def sampled_group(q: int, draws: int, seed: int) -> SignGroup:
-    """Identity vector followed by ``draws - 1`` i.i.d. Rademacher vectors.
-
-    Draws come from ``Philox(key=seed)`` as a flat stream of fair coin
-    flips filling the (draws-1, q) block row by row, so a given (q,
-    draws, seed) triple yields the same group on every platform.
-    Raises ``ValueError`` when the group would need more than 1 GiB.
-    """
-    return SignGroup(q=q, mode="sampled", seed=seed, draws=draws)
-
-
 def enumerate_group(
     q: int,
     mode: str = "auto",
@@ -158,8 +156,6 @@ def enumerate_group(
     """
     if mode == "auto":
         mode = "exhaustive" if q <= AUTO_SAMPLED_ABOVE else "sampled"
-    if mode == "exhaustive":
-        return exhaustive_group(q)
     if mode == "sampled":
-        return sampled_group(q, draws, seed)
-    raise ValueError(f"unknown group mode {mode!r}")
+        return SignGroup(q, mode, seed=seed, draws=draws)
+    return SignGroup(q, mode)

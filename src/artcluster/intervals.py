@@ -20,7 +20,12 @@ from artcluster.errors import ArtClusterError, GridTooCoarse
 from artcluster.estimation import ClusterEstimates, fit_per_cluster
 from artcluster.groups import SignGroup
 from artcluster.model import ClusteredDataset, _frozen
-from artcluster.randtest import order_statistic_index, pvalue_from_statistics, run_test_columns
+from artcluster.randtest import (
+    _cluster_terms,
+    order_statistic_index,
+    pvalue_from_statistics,
+    run_test_columns,
+)
 
 __all__ = [
     "ConfidenceInterval",
@@ -41,16 +46,6 @@ GRID_HALF_WIDTHS = 10.0
 # ------------------------------------------------------------------ #
 # Inputs
 # ------------------------------------------------------------------ #
-
-
-def _cluster_terms(
-    estimates: ClusterEstimates, contrast: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-cluster weights sqrt(n_j) and contrasts c'beta_j."""
-    c = np.asarray(contrast, dtype=np.float64).reshape(-1)
-    if c.shape[0] != estimates.d_z:
-        raise ValueError("contrast length must equal the covariate count")
-    return np.sqrt(estimates.sizes.astype(np.float64)), estimates.betas @ c
 
 
 def _center(w: np.ndarray, cbeta: np.ndarray) -> float:
@@ -113,7 +108,7 @@ def interval_inputs(
     estimates: ClusterEstimates, contrast: np.ndarray, group: SignGroup
 ) -> IntervalInputs:
     """Compute a(g), b(g) for every group element from per-cluster fits."""
-    w, cbeta = _cluster_terms(estimates, contrast)
+    w, cbeta = _cluster_terms(estimates.betas, estimates.sizes, np.ravel(contrast))
     return IntervalInputs(a=group.sweep(w), b=group.sweep(w * cbeta))
 
 
@@ -245,7 +240,7 @@ def default_inversion_grid(
     points: int = GRID_POINTS_DEFAULT,
 ) -> np.ndarray:
     """Symmetric grid around the center, wide enough to bracket the interval."""
-    w, cbeta = _cluster_terms(estimates, contrast)
+    w, cbeta = _cluster_terms(estimates.betas, estimates.sizes, np.ravel(contrast))
     lam0 = _center(w, cbeta)
     span = float(np.max(np.abs(cbeta - lam0)))
     span = max(span, 1e-8 * max(1.0, abs(lam0)))
@@ -266,7 +261,7 @@ def inversion_scan(
     reused; the scores of all grid values go through the real test
     engine as the columns of one block.
     """
-    w, cbeta = _cluster_terms(estimates, contrast)
+    w, cbeta = _cluster_terms(estimates.betas, estimates.sizes, np.ravel(contrast))
     statistic, crit, _ = run_test_columns(w[:, None] * (cbeta[:, None] - grid), alpha, group)
     return ~(statistic > crit)
 
@@ -295,7 +290,7 @@ def interval_by_inversion(
     grid = np.asarray(grid, dtype=np.float64).reshape(-1)
     if grid.size < 2 or not np.all(np.isfinite(grid)):
         raise ValueError("grid must contain at least two finite values")
-    lam0 = _center(*_cluster_terms(estimates, contrast))
+    lam0 = _center(*_cluster_terms(estimates.betas, estimates.sizes, np.ravel(contrast)))
     if not grid[0] <= lam0 <= grid[-1]:
         raise ValueError("grid must contain the center point")
     keep = inversion_scan(estimates, contrast, alpha, group, grid)

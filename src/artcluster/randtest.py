@@ -62,12 +62,25 @@ def snap_tolerance(reference):
 # ------------------------------------------------------------------ #
 
 
-def _scale_weights(sizes: np.ndarray, scaling: str) -> np.ndarray:
+def _cluster_terms(
+    betas: np.ndarray, sizes: np.ndarray, contrast, scaling: str = "root_nj"
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-cluster weights w_j and contrasts ``betas @ contrast``.
+
+    w_j is sqrt(n_j), or the uniform sqrt(n) under ``scaling="root_n"``.
+    ``betas`` is (q, d_z) or a stack (..., q, d_z); ``contrast`` is (d_z,)
+    or (d_z, p).
+    """
+    contrast = np.asarray(contrast, dtype=np.float64)
+    if contrast.shape[0] != betas.shape[-1]:
+        raise ValueError("contrast length must equal the covariate count")
     if scaling == "root_nj":
-        return np.sqrt(sizes.astype(np.float64))
-    if scaling == "root_n":
-        return np.full(sizes.shape[0], math.sqrt(float(sizes.sum())))
-    raise ValueError(f"unknown scaling {scaling!r} (use 'root_nj' or 'root_n')")
+        w = np.sqrt(sizes.astype(np.float64))
+    elif scaling == "root_n":
+        w = np.full(sizes.shape[0], math.sqrt(float(sizes.sum())))
+    else:
+        raise ValueError(f"unknown scaling {scaling!r} (use 'root_nj' or 'root_n')")
+    return w, betas @ contrast
 
 
 def scores_from_estimates(
@@ -80,11 +93,8 @@ def scores_from_estimates(
     ``scaling="root_n"`` replaces sqrt(n_j) with the uniform sqrt(n)
     factor used by the multi-row statistic.
     """
-    c = hypothesis.contrast
-    if c.shape[0] != estimates.d_z:
-        raise ValueError("contrast length must equal the covariate count")
-    w = _scale_weights(estimates.sizes, scaling)
-    return w * (estimates.betas @ c - hypothesis.value)
+    w, cbeta = _cluster_terms(estimates.betas, estimates.sizes, hypothesis.contrast, scaling)
+    return w * (cbeta - hypothesis.value)
 
 
 def scores_via_restricted(
@@ -119,9 +129,10 @@ def _wald_ingredients(
     """
     if hypothesis.restriction.shape[1] != estimates.d_z:
         raise ValueError("restriction width must equal the covariate count")
-    w = _scale_weights(estimates.sizes, scaling)
-    diffs = estimates.betas @ hypothesis.restriction.T - hypothesis.values
-    scores = w[:, None] * diffs  # (q, p)
+    w, rbeta = _cluster_terms(
+        estimates.betas, estimates.sizes, hypothesis.restriction.T, scaling
+    )
+    scores = w[:, None] * (rbeta - hypothesis.values)  # (q, p)
     if not scores.any():
         return scores, None
     sigma = scores.T @ scores / estimates.q
@@ -182,8 +193,9 @@ def pvalue_from_statistics(statistics: np.ndarray, observed):
 # ------------------------------------------------------------------ #
 
 # The engine sweeps at most this many statistics at once, i.e. chunks
-# of max(1, 2^14 // m) score columns, so that each of a chunk's
-# temporaries stays near 128 kB whatever the group size.
+# of max(1, 2^14 // m) score columns, so each of a chunk's temporaries
+# holds at most max(2^14, m) float64 entries: 128 kB for groups of up
+# to 2^14 rows, one column of m entries (8 MB at m = 2^20) above that.
 _CHUNK_STATISTICS = 2**14
 
 
@@ -246,17 +258,14 @@ def run_test_columns(
 
 @dataclass(frozen=True)
 class TestResult:
-    """Outcome of one randomization test, with group provenance."""
+    """Outcome of one randomization test, with the group it swept."""
 
     statistic: float
     critical_value: float
     p_value: float
     reject: bool
     alpha: float
-    group_size: int
-    group_mode: str
-    group_seed: int | None = None
-    group_draws: int | None = None
+    group: SignGroup
     variant: str = "unstudentized"
     scaling: str = "root_nj"
 
@@ -265,28 +274,25 @@ class TestResult:
             raise ValueError("alpha must lie in (0, 1)")
         if self.reject != (self.statistic > self.critical_value):
             raise ValueError("reject flag must equal statistic > critical_value")
-        floor = (2.0 if self.group_mode == "exhaustive" else 1.0) / self.group_size
+        floor = self.group.forced_ties / self.group.size
         if not floor <= self.p_value <= 1.0:
             raise ValueError(
                 f"p-value {self.p_value} outside [{floor}, 1] for "
-                f"{self.group_mode} group of size {self.group_size}"
+                f"{self.group.mode} group of size {self.group.size}"
             )
 
 
 def _result(
     statistic, crit, p_value, alpha: float, group: SignGroup, variant: str, scaling: str
 ) -> TestResult:
-    """A test's outcome with the provenance of its group."""
+    """A test's outcome, carrying its group."""
     return TestResult(
         statistic=float(statistic),
         critical_value=float(crit),
         p_value=float(p_value),
         reject=bool(statistic > crit),
         alpha=float(alpha),
-        group_size=group.size,
-        group_mode=group.mode,
-        group_seed=group.seed,
-        group_draws=group.draws,
+        group=group,
         variant=variant,
         scaling=scaling,
     )

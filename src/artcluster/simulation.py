@@ -20,7 +20,7 @@ from artcluster.errors import NonFiniteValue
 from artcluster.estimation import fit_clusters
 from artcluster.groups import SignGroup, enumerate_group
 from artcluster.model import ClusteredDataset, LinearHypothesis, _frozen
-from artcluster.randtest import run_test_columns
+from artcluster.randtest import _cluster_terms, run_test_columns
 
 __all__ = ["DgpSpec", "MonteCarloReport", "generate", "power_study", "size_study"]
 
@@ -177,13 +177,13 @@ def _study_scores(spec: DgpSpec, hypothesis: LinearHypothesis, replications: int
     sizes = np.asarray(spec.sizes, dtype=np.int64)
     offsets = np.concatenate([[0], np.cumsum(sizes)])
     labels = range(1, spec.q + 1)
-    weights = np.sqrt(sizes.astype(np.float64))
     chunk = max(1, _CHUNK_BYTES // (8 * spec.n * spec.d_z))
     scores = np.empty((spec.q, replications))
     for start in range(0, replications, chunk):
         stop = min(start + chunk, replications)
         betas, _ = fit_clusters(*_draw(spec, start, stop), offsets, labels)
-        scores[:, start:stop] = (weights * (betas @ hypothesis.contrast - hypothesis.value)).T
+        w, cbeta = _cluster_terms(betas, sizes, hypothesis.contrast)
+        scores[:, start:stop] = (w * (cbeta - hypothesis.value)).T
     return scores
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from artcluster import canonicalize, fit_per_cluster
-from artcluster.groups import exhaustive_group
+from artcluster.groups import SignGroup
 
 
 def random_dataset(rng, q, d, size_lo=None, size_hi=60, sigma_spread=1.0):
@@ -34,15 +34,8 @@ def random_contrast(rng, d):
 
 @pytest.fixture(scope="session")
 def group_cache():
-    """Exhaustive sign groups, built once per q."""
-    cache = {}
-
-    def get(q):
-        if q not in cache:
-            cache[q] = exhaustive_group(q)
-        return cache[q]
-
-    return get
+    """Exhaustive sign groups by q; a group is its parameters, so none is kept."""
+    return lambda q: SignGroup(q, "exhaustive")
 
 
 @pytest.fixture

@@ -27,7 +27,7 @@ from artcluster import (
     size_study,
 )
 from artcluster.cli import main as cli_main
-from artcluster.groups import exhaustive_group, sampled_group
+from artcluster.groups import SignGroup
 from artcluster.intervals import default_inversion_grid, inversion_scan
 from artcluster.model import canonicalize
 from artcluster.randtest import (
@@ -66,13 +66,8 @@ def criterion(num, label, limit_seconds=None):
 # Shared instance pools
 # ------------------------------------------------------------------ #
 
-_GROUPS = {}
-
-
 def group_for(q):
-    if q not in _GROUPS:
-        _GROUPS[q] = exhaustive_group(q)
-    return _GROUPS[q]
+    return SignGroup(q, "exhaustive")
 
 
 def make_instance(seed, q, d, size_hi=60):
@@ -298,8 +293,8 @@ def test_criterion_8_constructed_near_tie():
 def test_criterion_9_sampled_group(tmp_path, capsys):
     data, c, lam = make_instance(103, q=12, d=2)
     h = LinearHypothesis(contrast=c, value=lam)
-    exact = run_test(data, h, 0.05, exhaustive_group(12))
-    sampled = run_test(data, h, 0.05, sampled_group(12, draws=1000, seed=5))
+    exact = run_test(data, h, 0.05, SignGroup(12, "exhaustive"))
+    sampled = run_test(data, h, 0.05, SignGroup(12, "sampled", seed=5, draws=1000))
     p = exact.p_value
     assert 0.01 < p < 0.99, f"pick a less extreme instance (p={p})"
     tol = 3.0 * np.sqrt(p * (1.0 - p) / 1000.0)

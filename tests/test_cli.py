@@ -88,6 +88,42 @@ class TestTestCommand:
         doc = json.loads(out)
         assert doc["result"]["reject"] is False
         assert any("trivial power" in w for w in doc["result"]["warnings"])
+        assert doc["result"]["warnings"] == [
+            "trivial power: the smallest attainable p-value 2/16 exceeds alpha=0.1; "
+            "the test can never reject"
+        ]
+
+    @pytest.mark.parametrize(
+        "draws, notes",
+        [
+            (19, ["trivial power: the smallest attainable p-value (at least 1/19) "
+                  "exceeds alpha=0.05; the test can never reject"]),
+            (21, []),
+        ],
+    )
+    def test_sampled_trivial_power_note(self, tmp_path, rng, capsys, draws, notes):
+        # B = 19 at alpha = 0.05: the floor 1/B is above alpha, so the
+        # critical value is the largest statistic and the test cannot reject
+        path = write_random_csv(tmp_path, rng, q=8, effect=5.0)
+        code, out, _ = run_cli(
+            capsys,
+            [
+                "test",
+                "--input", path,
+                "--cluster", "cluster",
+                "--outcome", "y",
+                "--covariates", "x1,x2",
+                "--coef", "x1",
+                "--group-mode", "sampled",
+                "--draws", str(draws),
+                "--seed", "1",
+            ],
+        )
+        assert code == 0
+        result = json.loads(out)["result"]
+        assert result["warnings"] == notes
+        assert result["p_value"] == 1 / draws
+        assert result["reject"] is (draws == 21)
 
     def test_sampled_mode_reports_are_byte_identical(self, tmp_path, rng, capsys):
         path = write_random_csv(tmp_path, rng, q=8)
@@ -728,6 +764,12 @@ SIMULATE_EXIT_CODE_CASES = [
         1,
         "artcluster: error: contrast length must equal the covariate count",
         id="contrast-length-mismatch",
+    ),
+    pytest.param(
+        {"alpha": 1.5},
+        1,
+        "artcluster: error: simulation spec field 'alpha' must lie strictly between 0 and 1",
+        id="alpha-outside-unit-interval",
     ),
 ]
 

@@ -17,16 +17,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from artcluster import DegenerateVariance, fit_per_cluster
-from artcluster.groups import exhaustive_group, sampled_group
-from artcluster.intervals import _cluster_terms, default_inversion_grid, inversion_scan
-from artcluster.randtest import _CHUNK_STATISTICS, run_test_columns
+from artcluster.groups import SignGroup
+from artcluster.intervals import default_inversion_grid, inversion_scan
+from artcluster.randtest import _CHUNK_STATISTICS, _cluster_terms, run_test_columns
 from tests.oracles import bit_expansion_signs, bits, decision_loop, sampled_signs
 from tests.test_acceptance import make_instance
 
 
 @lru_cache(maxsize=None)
 def exhaustive(q: int):
-    return exhaustive_group(q), bit_expansion_signs(q)
+    return SignGroup(q, "exhaustive"), bit_expansion_signs(q)
 
 
 def chunk_width(group) -> int:
@@ -57,7 +57,8 @@ def instances(draw):
         group, signs = exhaustive(q)
     else:
         draws, seed = draw(st.integers(300, 3000)), draw(st.integers(0, 99))
-        group, signs = sampled_group(q, draws, seed), sampled_signs(q, draws, seed)
+        group = SignGroup(q, "sampled", seed=seed, draws=draws)
+        signs = sampled_signs(q, draws, seed)
     step = chunk_width(group)
     k = draw(st.sampled_from([1, step - 1, step, step + 1, 3 * step + 2]))
     kind = draw(st.sampled_from(["integer", "tenths", "normal", "near-tie"]))
@@ -155,7 +156,7 @@ def test_inversion_scan_matches_oracle_loop():
         estimates = fit_per_cluster(data)
         group, signs = exhaustive(q)
         grid = default_inversion_grid(estimates, c)
-        w, cbeta = _cluster_terms(estimates, c)
+        w, cbeta = _cluster_terms(estimates.betas, estimates.sizes, c)
         expected = decision_loop(signs, w[:, None] * (cbeta[:, None] - grid), alpha)
         keep = inversion_scan(estimates, c, alpha, group, grid)
         assert np.array_equal(keep, ~(expected[0] > expected[1])), f"instance {i}"

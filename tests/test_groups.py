@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from artcluster import GroupTooLarge
-from artcluster.groups import SignGroup, enumerate_group, exhaustive_group, sampled_group
+from artcluster.groups import SignGroup, enumerate_group
 from tests.oracles import as_sign_vector, bit_expansion_signs, sampled_signs
 
 
@@ -15,14 +15,14 @@ def group_rows(group) -> np.ndarray:
 
 class TestExhaustive:
     def test_q2_enumeration(self):
-        g = exhaustive_group(2)
+        g = SignGroup(2, "exhaustive")
         assert bit_expansion_signs(2).tolist() == [[1, 1], [1, -1], [-1, 1], [-1, -1]]
         assert g.size == 4
         assert g.mode == "exhaustive"
 
     @pytest.mark.parametrize("q", [3, 8, 12])
     def test_all_distinct(self, q):
-        g = exhaustive_group(q)
+        g = SignGroup(q, "exhaustive")
         assert g.size == 2**q
         assert np.unique(bit_expansion_signs(q), axis=0).shape[0] == 2**q
 
@@ -37,42 +37,42 @@ class TestExhaustive:
 
     def test_too_large_without_override(self):
         with pytest.raises(GroupTooLarge):
-            exhaustive_group(21)
+            SignGroup(21, "exhaustive")
 
 
 class TestSampled:
     def test_identity_forced_first(self):
-        g = sampled_group(7, draws=50, seed=3)
+        g = SignGroup(7, "sampled", seed=3, draws=50)
         assert np.all(group_rows(g)[0] == 1)
         assert g.size == 50
         assert g.mode == "sampled"
 
     def test_seed_determinism(self):
-        a = sampled_group(12, draws=1000, seed=99)
-        b = sampled_group(12, draws=1000, seed=99)
+        a = SignGroup(12, "sampled", seed=99, draws=1000)
+        b = SignGroup(12, "sampled", seed=99, draws=1000)
         assert a == b
         assert np.array_equal(group_rows(a), group_rows(b))
         assert np.array_equal(group_rows(a), sampled_signs(12, 1000, 99))
 
     def test_different_seeds_differ(self):
-        a = sampled_group(12, draws=1000, seed=1)
-        b = sampled_group(12, draws=1000, seed=2)
+        a = SignGroup(12, "sampled", seed=1, draws=1000)
+        b = SignGroup(12, "sampled", seed=2, draws=1000)
         assert not np.array_equal(group_rows(a), group_rows(b))
 
     def test_coordinate_balance(self):
         # Rademacher coordinates: |mean| stays within 4 / sqrt(B - 1)
-        g = sampled_group(12, draws=1000, seed=17)
+        g = SignGroup(12, "sampled", seed=17, draws=1000)
         means = group_rows(g)[1:].mean(axis=0)
         assert np.all(np.abs(means) < 4.0 / np.sqrt(999))
 
     def test_needs_two_vectors(self):
         with pytest.raises(ValueError):
-            sampled_group(5, draws=1, seed=0)
+            SignGroup(5, "sampled", seed=0, draws=1)
 
     @pytest.mark.parametrize("seed", [-1, 2**128], ids=["negative", "2**128"])
     def test_seed_outside_philox_keys_named(self, seed):
         with pytest.raises(ValueError, match=rf"seed must lie in \[0, 2\*\*128\), got {seed}"):
-            sampled_group(5, draws=10, seed=seed)
+            SignGroup(5, "sampled", seed=seed, draws=10)
 
     @pytest.fixture
     def no_draws(self, monkeypatch):
@@ -86,7 +86,7 @@ class TestSampled:
             SignGroup(q=20, mode="sampled", seed=0, draws=10**12)
 
     def test_construction_draws_nothing(self, no_draws):
-        g = sampled_group(20, draws=10**6, seed=7)
+        g = SignGroup(20, "sampled", seed=7, draws=10**6)
         assert (g.q, g.mode, g.seed, g.draws, g.size) == (20, "sampled", 7, 10**6, 10**6)
 
     @pytest.mark.parametrize(

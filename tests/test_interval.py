@@ -18,7 +18,7 @@ from artcluster import (
     run_test,
 )
 from artcluster.estimation import ClusterEstimates
-from artcluster.groups import exhaustive_group
+from artcluster.groups import SignGroup
 from artcluster.intervals import (
     default_inversion_grid,
     inversion_scan,
@@ -248,7 +248,7 @@ class TestInterval:
     @given(instance=point_instances())
     def test_point_intervals_keep_endpoint_order(self, instance):
         estimates, alpha = instance
-        inputs = interval_inputs(estimates, [1.0], exhaustive_group(estimates.q))
+        inputs = interval_inputs(estimates, [1.0], SignGroup(estimates.q, "exhaustive"))
         ci = interval(inputs, alpha)
         assert ci.lower <= ci.upper
         expected = sort_interval_endpoints(*per_group_bounds(inputs), alpha)

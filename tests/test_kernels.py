@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from artcluster import kernels
-from artcluster.groups import exhaustive_group
+from artcluster.groups import SignGroup
 from tests.oracles import bit_expansion_signs
 
 
 @pytest.fixture(scope="module")
 def payload():
     rng = np.random.default_rng(5150)
-    group = exhaustive_group(9)
+    group = SignGroup(9, "exhaustive")
     signs = bit_expansion_signs(9)
     values = rng.standard_normal(9)
     weights = np.sqrt(rng.integers(2, 60, size=9).astype(float))

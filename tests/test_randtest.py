@@ -17,7 +17,7 @@ from artcluster import (
     scores_from_estimates,
     scores_via_restricted,
 )
-from artcluster.groups import sampled_group
+from artcluster.groups import SignGroup
 from artcluster.randtest import (
     TestResult as RandTestResult,
     pvalue_from_statistics,
@@ -254,11 +254,11 @@ class TestRunTest:
             assert 2 <= count <= g.size
 
     def test_sampled_group_provenance(self, rng):
-        group = sampled_group(12, draws=500, seed=42)
+        group = SignGroup(12, "sampled", seed=42, draws=500)
         res = run_test_from_scores(rng.standard_normal(12), 0.05, group)
-        assert res.group_mode == "sampled"
-        assert res.group_seed == 42
-        assert res.group_draws == 500
+        assert res.group.mode == "sampled"
+        assert res.group.seed == 42
+        assert res.group.draws == 500
 
 
 class TestResultValidation:
@@ -270,8 +270,7 @@ class TestResultValidation:
                 p_value=0.5,
                 reject=True,
                 alpha=0.1,
-                group_size=16,
-                group_mode="exhaustive",
+                group=SignGroup(4, "exhaustive"),
             )
 
     def test_pvalue_floor(self):
@@ -282,8 +281,7 @@ class TestResultValidation:
                 p_value=1.0 / 16.0,
                 reject=True,
                 alpha=0.1,
-                group_size=16,
-                group_mode="exhaustive",
+                group=SignGroup(4, "exhaustive"),
             )
 
     def test_alpha_domain(self):
@@ -294,8 +292,7 @@ class TestResultValidation:
                 p_value=0.5,
                 reject=False,
                 alpha=1.0,
-                group_size=16,
-                group_mode="exhaustive",
+                group=SignGroup(4, "exhaustive"),
             )
 
 

@@ -26,7 +26,7 @@ from artcluster import (
 )
 from artcluster import kernels
 from artcluster.estimation import ClusterEstimates
-from artcluster.groups import SignGroup, exhaustive_group, sampled_group
+from artcluster.groups import SignGroup
 from artcluster.intervals import (
     IntervalInputs,
     _rounding_tol,
@@ -90,13 +90,14 @@ class TestDoublingSweep:
     def test_vector_matches_column_loop(self, values):
         expected = column_loop_means(oracle_signs(values.shape[0]), values)
         assert np.array_equal(bits(kernels.exhaustive_means(values)), bits(expected))
-        assert np.array_equal(bits(exhaustive_group(values.shape[0]).sweep(values)), bits(expected))
+        got = SignGroup(values.shape[0], "exhaustive").sweep(values)
+        assert np.array_equal(bits(got), bits(expected))
 
     @settings(max_examples=80, deadline=None)
     @given(values=matrices())
     def test_matrix_matches_column_loop(self, values):
         expected = column_loop_means(oracle_signs(values.shape[0]), values)
-        got = exhaustive_group(values.shape[0]).sweep(values)
+        got = SignGroup(values.shape[0], "exhaustive").sweep(values)
         assert got.shape == expected.shape
         assert np.array_equal(bits(got), bits(expected))
 
@@ -105,22 +106,22 @@ class TestDoublingSweep:
         values = rng.standard_normal(20)
         values[[3, 7]] = 0.0, -0.0
         values[12] = values[11]
-        group = exhaustive_group(20)
+        group = SignGroup(20, "exhaustive")
         expected = column_loop_means(bit_expansion_signs(20), values)
         assert np.array_equal(bits(group.sweep(values)), bits(expected))
 
     @settings(max_examples=40, deadline=None)
     @given(values=st.one_of(vectors(2, 8), matrices(2, 8)), seed=st.integers(0, 2**31))
     def test_sampled_sweep_matches_column_loop(self, values, seed):
-        group = sampled_group(values.shape[0], draws=300, seed=seed)
+        group = SignGroup(values.shape[0], "sampled", seed=seed, draws=300)
         expected = column_loop_means(sampled_signs(values.shape[0], 300, seed), values)
         assert np.array_equal(bits(group.sweep(values)), bits(expected))
 
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError):
-            exhaustive_group(4).sweep(np.ones(5))
+            SignGroup(4, "exhaustive").sweep(np.ones(5))
         with pytest.raises(ValueError):
-            sampled_group(4, draws=10, seed=0).sweep(np.ones(3))
+            SignGroup(4, "sampled", seed=0, draws=10).sweep(np.ones(3))
 
 
 class TestWald:
@@ -129,9 +130,9 @@ class TestWald:
         rng = np.random.default_rng(q * 10 + p)
         scores = rng.standard_normal((q, p))
         sigma_inv = np.linalg.inv(scores.T @ scores / q)
-        sampled = sampled_group(q, draws=500, seed=p)
+        sampled = SignGroup(q, "sampled", seed=p, draws=500)
         for group, signs in (
-            (exhaustive_group(q), oracle_signs(q)),
+            (SignGroup(q, "exhaustive"), oracle_signs(q)),
             (sampled, sampled_signs(q, 500, p)),
         ):
             got = kernels.group_wald_quadratic(group.sweep(scores), sigma_inv, q)
@@ -143,9 +144,9 @@ class TestWald:
         data = random_dataset(rng, q=9, d=3)
         mh = MultiHypothesis(restriction=rng.standard_normal((2, 3)), values=rng.standard_normal(2))
         if mode == "exhaustive":
-            group, signs = exhaustive_group(9), oracle_signs(9)
+            group, signs = SignGroup(9, "exhaustive"), oracle_signs(9)
         else:
-            group, signs = sampled_group(9, 700, seed=4), sampled_signs(9, 700, 4)
+            group, signs = SignGroup(9, "sampled", seed=4, draws=700), sampled_signs(9, 700, 4)
         result = run_wald_test(data, mh, 0.1, group)
         scores, sigma_inv = _wald_ingredients(fit_per_cluster(data), mh, "root_n")
         stats = wald_quadratic_loop(signs, scores, sigma_inv)
@@ -158,7 +159,7 @@ class TestLazySigns:
 
     @pytest.mark.parametrize("q", range(2, 17))
     def test_matches_bit_expansion(self, q):
-        group = exhaustive_group(q)
+        group = SignGroup(q, "exhaustive")
         # sweeping the unit vectors gives row i scaled by 1/q: the signs of row i
         rows = np.sign(group.sweep(np.eye(q))).astype(np.int8)
         assert np.array_equal(rows, oracle_signs(q))
@@ -166,7 +167,7 @@ class TestLazySigns:
     def test_engine_never_builds_exhaustive_matrix(self, rng):
         data = random_dataset(rng, q=8, d=2)
         c = random_contrast(rng, 2)
-        group = exhaustive_group(8)
+        group = SignGroup(8, "exhaustive")
         run_test(data, LinearHypothesis(contrast=c, value=0.0), 0.1, group)
         run_test(data, LinearHypothesis(contrast=c, value=0.0), 0.1, group, "studentized")
         mh = MultiHypothesis(restriction=rng.standard_normal((2, 2)), values=np.zeros(2))
@@ -192,20 +193,20 @@ class TestPmIdentity:
 
     @pytest.mark.parametrize("q", range(2, 13))
     def test_exhaustive_matches_mask(self, q):
-        inputs = log_uniform_inputs(exhaustive_group(q), seed=q)
+        inputs = log_uniform_inputs(SignGroup(q, "exhaustive"), seed=q)
         assert np.array_equal(inputs.pm_identity, pm_iota_mask(oracle_signs(q)))
 
     @settings(max_examples=60, deadline=None)
     @given(q=st.integers(2, 6), draws=st.integers(2, 200), seed=st.integers(0, 2**31))
     def test_sampled_matches_mask(self, q, draws, seed):
-        inputs = log_uniform_inputs(sampled_group(q, draws, seed), seed)
+        inputs = log_uniform_inputs(SignGroup(q, "sampled", seed=seed, draws=draws), seed)
         assert np.array_equal(inputs.pm_identity, pm_iota_mask(sampled_signs(q, draws, seed)))
 
     def test_exact_where_a_tolerance_would_misfire(self):
         # no int64 sizes put a row this close, but weights 1e13 apart leave
         # row (+1, -1) only 2e-13 below a(identity): inside a 1e-12 relative
         # tolerance, yet far above the rounding of a two-term sum
-        group, w = exhaustive_group(2), np.array([1e13, 1.0])
+        group, w = SignGroup(2, "exhaustive"), np.array([1e13, 1.0])
         inputs = IntervalInputs(a=group.sweep(w), b=group.sweep(w))
         assert np.array_equal(inputs.pm_identity, pm_iota_mask(oracle_signs(2)))
 
@@ -221,7 +222,8 @@ class TestSampledChunks:
         values_seed=st.integers(0, 2**32 - 1),
     )
     def test_matches_one_shot_rows(self, q, draws, seed, values_seed):
-        group, signs = sampled_group(q, draws, seed), sampled_signs(q, draws, seed)
+        group = SignGroup(q, "sampled", seed=seed, draws=draws)
+        signs = sampled_signs(q, draws, seed)
         rng = np.random.default_rng(values_seed)
         for values in (rng.standard_normal(q), rng.standard_normal((q, 2))):
             expected = column_loop_means(signs, values)
@@ -270,7 +272,7 @@ class TestPartitionQuantiles:
             grams=np.ones((q, 1, 1)),
             labels=tuple(range(q)),
         )
-        inputs = interval_inputs(est, [1.0], exhaustive_group(q))
+        inputs = interval_inputs(est, [1.0], SignGroup(q, "exhaustive"))
         lo_all, hi_all = per_group_bounds(inputs)
         lower, upper = sort_interval_endpoints(lo_all, hi_all, alpha)
         ci = interval(inputs, alpha)
@@ -280,7 +282,7 @@ class TestPartitionQuantiles:
     def test_interval_q20_matches_sort(self, rng):
         data = random_dataset(rng, q=20, d=2, size_hi=12)
         c = random_contrast(rng, 2)
-        inputs = interval_inputs(fit_per_cluster(data), c, exhaustive_group(20))
+        inputs = interval_inputs(fit_per_cluster(data), c, SignGroup(20, "exhaustive"))
         lo_all, hi_all = per_group_bounds(inputs)
         for alpha in (0.05, 0.1):
             lower, upper = sort_interval_endpoints(lo_all, hi_all, alpha)
@@ -299,11 +301,11 @@ def branch_instances(draw):
     q = draw(st.integers(2, 12))
     if draw(st.booleans()):
         signs = oracle_signs(q)
-        group = exhaustive_group(q)
+        group = SignGroup(q, "exhaustive")
     else:
         draws, seed = draw(st.integers(2, 300)), draw(st.integers(0, 2**31))
         signs = sampled_signs(q, draws, seed)
-        group = sampled_group(q, draws, seed)
+        group = SignGroup(q, "sampled", seed=seed, draws=draws)
     floats = st.floats(-1e8, 1e8, allow_nan=False)
     kind = draw(st.sampled_from(["float", "integer", "equal"]))
     if kind == "float":
