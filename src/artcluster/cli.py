@@ -25,7 +25,7 @@ import numpy as np
 from artcluster.blocks import plan_blocks
 from artcluster.errors import ArtClusterError, IdentificationFailure
 from artcluster.estimation import fit_per_cluster
-from artcluster.groups import enumerate_group
+from artcluster.groups import check_seed, enumerate_group
 from artcluster.intervals import interval, interval_inputs
 from artcluster.io import (
     RunConfig,
@@ -206,6 +206,7 @@ def _blocks_list(args) -> tuple:
 
 def _config_from_args(args, **overrides) -> RunConfig:
     seed = args.seed if getattr(args, "seed", None) is not None else _default_seed()
+    check_seed(seed)
     blocks = _blocks_list(args)
     fields = dict(
         input_path=args.input,

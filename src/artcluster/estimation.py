@@ -9,6 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from artcluster.errors import IdentificationFailure, SingularFullGram
 from artcluster.model import ClusteredDataset, LinearHypothesis, _frozen
@@ -98,6 +99,32 @@ class RestrictedFit:
         object.__setattr__(self, "residuals", _frozen(resid))
 
 
+def _raise_svd_failure(err, flag):
+    raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+
+def lstsq_stack(Z: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Least squares of every (n, d) system in a stack: (..., n, d), (..., n) -> (..., d).
+
+    One call to the gufunc behind ``np.linalg.lstsq``, with the same
+    default ``rcond`` and the same error handling, so each solution has
+    the bits ``np.linalg.lstsq(Z[r], y[r], rcond=None)[0]`` would give
+    without the wrapper's per-call Python overhead.
+
+    Raises
+    ------
+    numpy.linalg.LinAlgError
+        When the SVD of a system does not converge (e.g. a NaN entry).
+    """
+    n, d = Z.shape[-2:]
+    rcond = np.finfo(np.float64).eps * max(n, d)
+    with np.errstate(
+        call=_raise_svd_failure, invalid="call", over="ignore", divide="ignore", under="ignore"
+    ):
+        x = _umath_linalg.lstsq(Z, y[..., None], rcond, signature="ddd->ddid")[0]
+    return x[..., 0]
+
+
 def fit_clusters(
     outcomes: np.ndarray, covariates: np.ndarray, offsets: np.ndarray, labels
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -107,9 +134,10 @@ def fit_clusters(
     rows ``offsets[j]:offsets[j + 1]`` of every dataset.  Returns the
     coefficient vectors, (R, q, d_z), and each cluster's second-moment
     matrix (1/n_j) * Z_j' Z_j, (R, q, d_z, d_z).  Per cluster, the Gram
-    matrices of all R datasets come from one ``matmul``; the conditioning
-    of all R * q of them from one ``svd`` call, and each coefficient
-    vector from its own ``lstsq`` call.
+    matrices of all R datasets come from one ``matmul`` and their
+    coefficient vectors from one stacked least-squares call
+    (:func:`lstsq_stack`); the conditioning of all R * q Gram matrices
+    comes from one ``svd`` call, made before any fit.
 
     Raises
     ------
@@ -132,10 +160,9 @@ def fit_clusters(
         r, j = divmod(int(np.argmax(singular)), q)
         raise IdentificationFailure(labels[j], rcond[r, j])
     betas = np.empty((reps, q, d), dtype=np.float64)
-    for r in range(reps):
-        for j in range(q):
-            rows = slice(offsets[j], offsets[j + 1])
-            betas[r, j] = np.linalg.lstsq(covariates[r, rows], outcomes[r, rows], rcond=None)[0]
+    for j in range(q):
+        rows = slice(offsets[j], offsets[j + 1])
+        betas[:, j] = lstsq_stack(covariates[:, rows], outcomes[:, rows])
     return betas, grams
 
 

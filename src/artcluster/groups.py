@@ -46,6 +46,12 @@ _MAX_SAMPLED_BYTES = 2**30
 _CHUNK_ROWS = 2**14
 
 
+def check_seed(seed: int) -> None:
+    """Refuse a seed outside [0, 2**128), the range of Philox keys."""
+    if not 0 <= seed < 2**128:
+        raise ValueError(f"seed must lie in [0, 2**128), got {seed}")
+
+
 @dataclass(frozen=True)
 class SignGroup:
     """An ordered collection of sign vectors acting on cluster statistics.
@@ -101,8 +107,7 @@ class SignGroup:
                     f"--draws {self.draws} at q = {self.q} needs about {need / 2**30:.1f} GiB, "
                     f"above the {_MAX_SAMPLED_BYTES / 2**30:.0f} GiB limit"
                 )
-            if not 0 <= self.seed < 2**128:
-                raise ValueError(f"seed must lie in [0, 2**128), got {self.seed}")
+            check_seed(self.seed)
         else:
             raise ValueError(f"unknown group mode {self.mode!r}")
 

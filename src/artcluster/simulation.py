@@ -18,7 +18,7 @@ import numpy as np
 
 from artcluster.errors import NonFiniteValue
 from artcluster.estimation import fit_clusters
-from artcluster.groups import SignGroup, enumerate_group
+from artcluster.groups import SignGroup, check_seed, enumerate_group
 from artcluster.model import ClusteredDataset, LinearHypothesis, _frozen
 from artcluster.randtest import _cluster_terms, run_test_columns
 
@@ -62,8 +62,7 @@ class DgpSpec:
             raise ValueError("within-cluster correlation must lie in [0, 1)")
         if self.covariate_law not in COVARIATE_LAWS:
             raise ValueError(f"covariate_law must be one of {COVARIATE_LAWS}")
-        if not 0 <= int(self.seed) < 2**128:
-            raise ValueError(f"seed must lie in [0, 2**128), got {self.seed}")
+        check_seed(int(self.seed))
         object.__setattr__(self, "sizes", sizes)
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "sigma", sigma)
@@ -91,12 +90,15 @@ def _draw(spec: DgpSpec, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]
     arithmetic after the draws runs on the whole stack at once.
     """
     reps, n, d = stop - start, spec.n, spec.d_z
-    base = np.random.Philox(key=spec.seed)
     draws = np.empty((reps, n, d - 1), dtype=np.float64)
     factors = np.empty((reps, spec.q), dtype=np.float64)
     noise = np.empty((reps, n), dtype=np.float64)
     for i in range(reps):
-        rng = np.random.Generator(base.jumped(start + i + 1))
+        # jumped(k) adds k to the third counter word, so opening the stream
+        # at that counter gives the same state without the jump; r stays
+        # far below 2**64 (check_replications), so the word never carries
+        stream = np.random.Philox(key=spec.seed, counter=[0, 0, start + i + 1, 0])
+        rng = np.random.Generator(stream)
         if d > 1:
             rng.standard_normal(out=draws[i])
         rng.standard_normal(out=factors[i])
@@ -190,18 +192,22 @@ def _study_scores(spec: DgpSpec, hypothesis: LinearHypothesis, replications: int
 def _study(
     spec: DgpSpec,
     contrast,
-    null_value: float,
+    null_value: float | None,
     alpha: float,
     replications: int,
     group: SignGroup | None,
     variant: str,
 ) -> MonteCarloReport:
+    """Run a study of ``c'beta = null_value``; ``None`` tests the spec's true value."""
     check_replications(spec.q, replications)
     if group is None:
         group = enumerate_group(spec.q, mode="auto", seed=spec.seed)
-    hypothesis = LinearHypothesis(contrast=contrast, value=null_value)
-    if hypothesis.contrast.shape[0] != spec.d_z:
+    c = np.asarray(contrast, dtype=np.float64).reshape(-1)
+    if c.shape[0] != spec.d_z:
         raise ValueError("contrast length must equal the covariate count")
+    if null_value is None:
+        null_value = float(c @ np.asarray(spec.beta))
+    hypothesis = LinearHypothesis(contrast=c, value=null_value)
     scores = _study_scores(spec, hypothesis, replications)
     statistic, crit, p_values = run_test_columns(scores, alpha, group, variant)
     rejections = int(np.count_nonzero(statistic > crit))
@@ -228,9 +234,7 @@ def size_study(
     variant: str = "unstudentized",
 ) -> MonteCarloReport:
     """Rejection rate when the tested value is the truth (null imposed)."""
-    c = np.asarray(contrast, dtype=np.float64).reshape(-1)
-    true_value = float(c @ np.asarray(spec.beta))
-    return _study(spec, c, true_value, alpha, replications, group, variant)
+    return _study(spec, contrast, None, alpha, replications, group, variant)
 
 
 def power_study(

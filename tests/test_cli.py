@@ -369,6 +369,20 @@ EXIT_CODE_CASES = [
     ),
     pytest.param(
         MICRO_CSV,
+        ["--cluster", "cluster", "--group-mode", "exhaustive", "--seed", "-1"],
+        1,
+        "artcluster: error: seed must lie in [0, 2**128), got -1",
+        id="negative-seed-exhaustive-group",
+    ),
+    pytest.param(
+        MICRO_CSV,
+        ["--cluster", "cluster", "--seed", str(2**128)],
+        1,
+        f"artcluster: error: seed must lie in [0, 2**128), got {2**128}",
+        id="seed-beyond-philox-keys",
+    ),
+    pytest.param(
+        MICRO_CSV,
         [],
         1,
         "cluster column is required",
@@ -764,6 +778,12 @@ SIMULATE_EXIT_CODE_CASES = [
         1,
         "artcluster: error: contrast length must equal the covariate count",
         id="contrast-length-mismatch",
+    ),
+    pytest.param(
+        {"study": "size", "contrast": [1.0, 0.0]},
+        1,
+        "artcluster: error: contrast length must equal the covariate count",
+        id="size-contrast-length-mismatch",
     ),
     pytest.param(
         {"alpha": 1.5},

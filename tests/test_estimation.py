@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from artcluster import (
     IdentificationFailure,
@@ -11,7 +13,7 @@ from artcluster import (
     fit_per_cluster,
     fit_restricted,
 )
-from artcluster.estimation import fit_clusters
+from artcluster.estimation import fit_clusters, lstsq_stack
 from tests.conftest import random_contrast, random_dataset
 from tests.oracles import bits, fit_loop
 
@@ -244,3 +246,44 @@ class TestFitClusters:
         with pytest.raises(IdentificationFailure) as single:
             fit_per_cluster(data)
         assert str(single.value) == str(err.value)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        reps=st.integers(1, 12),
+        d=st.integers(1, 4),
+        extra_rows=st.lists(st.integers(1, 30), min_size=2, max_size=6),
+        law=st.sampled_from(["normal", "lognormal"]),
+        scale_exp=st.integers(-8, 8),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_stacked_fit_matches_public_lstsq_bitwise(
+        self, reps, d, extra_rows, law, scale_exp, seed
+    ):
+        # n_j runs down to d_z + 1 rows
+        rng = np.random.default_rng(seed)
+        sizes = np.array(extra_rows) + d
+        n = int(sizes.sum())
+        y = rng.standard_normal((reps, n)) * 10.0**scale_exp
+        Z = np.ones((reps, n, d))
+        draws = rng.standard_normal((reps, n, d - 1))
+        Z[:, :, 1:] = draws if law == "normal" else np.exp(draws)
+        offsets = np.concatenate([[0], np.cumsum(sizes)])
+        betas, _ = fit_clusters(y, Z, offsets, range(len(sizes)))
+        for r in range(reps):
+            for j in range(len(sizes)):
+                rows = slice(offsets[j], offsets[j + 1])
+                want = np.linalg.lstsq(Z[r, rows], y[r, rows], rcond=None)[0]
+                assert np.array_equal(bits(betas[r, j]), bits(want))
+
+    def test_svd_failure_raises_numpy_error(self, rng):
+        # fit_clusters' rcond check stops a NaN before it reaches the
+        # solver, so the stacked call is fed one directly
+        Z = rng.standard_normal((3, 8, 2))
+        y = rng.standard_normal((3, 8))
+        Z[1, 4, 1] = np.nan
+        with pytest.raises(np.linalg.LinAlgError) as public:
+            np.linalg.lstsq(Z[1], y[1], rcond=None)
+        with pytest.raises(np.linalg.LinAlgError) as stacked:
+            lstsq_stack(Z, y)
+        assert str(stacked.value) == str(public.value)
+        assert str(stacked.value) == "SVD did not converge in Linear Least Squares"

@@ -259,6 +259,32 @@ class TestChunkedStudy:
             assert np.array_equal(bits(data.outcomes), bits(want_y))
             assert np.array_equal(bits(data.covariates), bits(want_Z))
 
+    @pytest.mark.parametrize("seed", [0, 5, 2**128 - 1])
+    def test_replication_streams_match_jumped_oracle(self, seed):
+        # replication r opens Philox at counter word r + 1; the oracle jumps
+        # r + 1 times.  One replication is drawn per r, up to the last one
+        # check_replications admits at this q.
+        s = DgpSpec(sizes=(3, 4), beta=(1.0, 0.5), sigma=(1.0, 2.0), rho=0.5,
+                    covariate_law="lognormal", seed=seed)
+        last = simulation._MAX_STUDY_BYTES // (8 * (s.q + 12)) - 1
+        simulation.check_replications(s.q, last + 1)
+        with pytest.raises(ValueError, match="1 GiB limit"):
+            simulation.check_replications(s.q, last + 2)
+        for r in (0, 1, 2, 999, 2999, last):
+            y, Z = simulation._draw(s, r, r + 1)
+            want_y, want_Z = generate_loop(s, r)
+            assert np.array_equal(bits(y[0]), bits(want_y))
+            assert np.array_equal(bits(Z[0]), bits(want_Z))
+
+    def test_contrast_length_checked_before_use(self):
+        # the size study reads c'beta; a short contrast is a usage error first
+        for study in (
+            lambda: size_study(spec(d=2), [1.0], 0.1, 5),
+            lambda: power_study(spec(d=2), [1.0], 0.0, 0.1, 5),
+        ):
+            with pytest.raises(ValueError, match="^contrast length must equal the covariate count$"):
+                study()
+
     def test_replications_beyond_memory_bound_refused_before_drawing(self, monkeypatch):
         def no_draws(*args):
             raise AssertionError("drew replications of a refused study")
