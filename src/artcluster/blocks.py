@@ -10,7 +10,7 @@ within-cluster identification failures.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,21 +27,20 @@ __all__ = ["BlockPlan", "blockify", "merge_clusters", "plan_blocks"]
 
 @dataclass(frozen=True)
 class BlockPlan:
-    """How n consecutive observations split into q blocks."""
+    """How n consecutive observations split into q blocks, read off the boundaries."""
 
-    q: int
-    base_size: int
-    last_size: int
     boundaries: tuple  # q (start, stop) half-open row ranges
+    q: int = field(init=False)
+    base_size: int = field(init=False)
+    last_size: int = field(init=False)
 
     def __post_init__(self):
         sizes = [stop - start for start, stop in self.boundaries]
-        if len(sizes) != self.q:
-            raise ValueError("need one boundary pair per block")
-        if sizes[:-1] != [self.base_size] * (self.q - 1) or sizes[-1] != self.last_size:
-            raise ValueError("boundaries disagree with the stated block sizes")
-        if self.last_size < self.base_size:
-            raise ValueError("the final block must absorb the remainder")
+        if len(sizes) < 2 or len(set(sizes[:-1])) != 1 or sizes[-1] < sizes[0]:
+            raise ValueError("need 2 or more blocks: equal leading blocks, the last no smaller")
+        object.__setattr__(self, "q", len(sizes))
+        object.__setattr__(self, "base_size", sizes[0])
+        object.__setattr__(self, "last_size", sizes[-1])
 
     @property
     def n(self) -> int:
@@ -59,15 +58,9 @@ def plan_blocks(n: int, q: int) -> BlockPlan:
     if n < q:
         raise TooFewObservations(f"cannot form {q} blocks from {n} observations")
     base = n // q
-    last = n - base * (q - 1)
     starts = [j * base for j in range(q)]
     stops = starts[1:] + [n]
-    return BlockPlan(
-        q=q,
-        base_size=base,
-        last_size=last,
-        boundaries=tuple(zip(starts, stops)),
-    )
+    return BlockPlan(tuple(zip(starts, stops)))
 
 
 def blockify(time_keys, outcomes, covariates, q: int) -> ClusteredDataset:

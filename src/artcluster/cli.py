@@ -36,7 +36,7 @@ from artcluster.io import (
 )
 from artcluster.model import LinearHypothesis
 from artcluster.randtest import run_test_from_scores, scores_from_estimates
-from artcluster.simulation import DgpSpec, check_replications, power_study, size_study
+from artcluster.simulation import DgpSpec, check_replications, integral, power_study, size_study
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -374,7 +374,7 @@ def _spec_field(name: str, convert, value):
 
 
 def _int_tuple(values) -> tuple:
-    return tuple(int(v) for v in values)
+    return tuple(map(integral, values))
 
 
 def _float_tuple(values) -> tuple:
@@ -394,7 +394,7 @@ def cmd_simulate(args) -> int:
         sigma=_spec_field("dgp.sigma", _float_tuple, _require(dgp_doc, "sigma")),
         rho=_spec_field("dgp.rho", float, dgp_doc.get("rho", 0.0)),
         covariate_law=dgp_doc.get("covariate_law", "normal"),
-        seed=_spec_field("dgp.seed", int, dgp_doc.get("seed", _default_seed())),
+        seed=_spec_field("dgp.seed", integral, dgp_doc.get("seed", _default_seed())),
     )
     study = _require(spec_doc, "study")
     contrast = _spec_field(
@@ -402,7 +402,7 @@ def cmd_simulate(args) -> int:
     )
     alpha = _spec_field("alpha", float, _require(spec_doc, "alpha"))
     _check_alpha(alpha, "simulation spec field 'alpha'")
-    replications = _spec_field("replications", int, _require(spec_doc, "replications"))
+    replications = _spec_field("replications", integral, _require(spec_doc, "replications"))
     # a refused replication count is reported before any error in the spec's group
     check_replications(dgp.q, replications)
     variant = spec_doc.get("variant", "unstudentized")
@@ -415,8 +415,8 @@ def cmd_simulate(args) -> int:
             group = enumerate_group(
                 dgp.q,
                 group_doc.get("mode", "auto"),
-                _spec_field("group.draws", int, group_doc.get("draws", 1000)),
-                _spec_field("group.seed", int, group_doc.get("seed", dgp.seed)),
+                _spec_field("group.draws", integral, group_doc.get("draws", 1000)),
+                _spec_field("group.seed", integral, group_doc.get("seed", dgp.seed)),
             )
         except ValueError as exc:
             # the draw-count bound names the CLI flag; here the spec field set it

@@ -22,7 +22,7 @@ from artcluster.groups import SignGroup
 from artcluster.model import ClusteredDataset, _frozen
 from artcluster.randtest import (
     _cluster_terms,
-    order_statistic_index,
+    critical_value,
     pvalue_from_statistics,
     run_test_columns,
 )
@@ -81,16 +81,8 @@ class IntervalInputs:
         object.__setattr__(self, "b", _frozen(b))
 
     @property
-    def a_iota(self) -> float:
-        return float(self.a[0])
-
-    @property
-    def b_iota(self) -> float:
-        return float(self.b[0])
-
-    @property
     def lambda0(self) -> float:
-        return self.b_iota / self.a_iota
+        return float(self.b[0]) / float(self.a[0])
 
     @property
     def pm_identity(self) -> np.ndarray:
@@ -119,9 +111,7 @@ def interval_inputs(
 
 def per_group_bounds(inputs: IntervalInputs) -> tuple[np.ndarray, np.ndarray]:
     """Lower/upper crossing points for every group row (floats, +-inf)."""
-    return kernels.interval_bounds(
-        inputs.a, inputs.b, inputs.a_iota, inputs.b_iota, inputs.pm_identity
-    )
+    return kernels.interval_bounds(inputs.a, inputs.b, inputs.pm_identity)
 
 
 # ------------------------------------------------------------------ #
@@ -164,17 +154,16 @@ def interval(inputs: IntervalInputs, alpha: float) -> ConfidenceInterval:
 
     The lower endpoint is the alpha-quantile of the lower bounds; the
     upper endpoint is minus the alpha-quantile of the negated upper
-    bounds (i.e. their ceil(m*alpha)-th largest).  Infinite entries
+    bounds (i.e. their ceil(m*alpha)-th largest), both taken with the
+    test's :func:`~artcluster.randtest.critical_value`.  Infinite entries
     participate, so an unbounded interval is a legal return -- forced
     whenever alpha <= the share of +-identity rows, whose bounds are infinite.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
     lo_all, hi_all = per_group_bounds(inputs)
-    m = inputs.a.shape[0]
-    k = order_statistic_index(m, alpha)
-    lower = float(np.partition(lo_all, k - 1)[k - 1])
-    upper = float(np.partition(hi_all, m - k)[m - k])
+    lower = critical_value(lo_all, alpha)
+    upper = -critical_value(np.negative(hi_all, out=hi_all), alpha)
     if lower > upper:  # ulp inversion on point intervals (equal estimates and sizes)
         lower, upper = upper, lower
     lam0 = inputs.lambda0
@@ -213,11 +202,10 @@ def pvalue_profile(inputs: IntervalInputs, value: float) -> float:
     value = float(value)
     direct = _profile_direct(inputs, value)
     lam0 = inputs.lambda0
+    lo_all, hi_all = per_group_bounds(inputs)
     if value < lam0:
-        lo_all, _ = per_group_bounds(inputs)
         piecewise = float(np.count_nonzero(value >= lo_all)) / inputs.a.shape[0]
     elif value > lam0:
-        _, hi_all = per_group_bounds(inputs)
         piecewise = float(np.count_nonzero(value <= hi_all)) / inputs.a.shape[0]
     else:
         piecewise = 1.0

@@ -85,8 +85,8 @@ def group_wald_quadratic(means: np.ndarray, sigma_inv: np.ndarray, q: int) -> np
 # Per-group interval bounds (crossing points of the V-shaped maps)
 # ------------------------------------------------------------------ #
 #
-# a, b are the slope/offset summaries of each group element; a0 = a[0]
-# and b0 = b[0] belong to the identity vector, and |a| <= a0.  The V's
+# a, b are the slope/offset summaries of each group element; row 0 is
+# the identity vector, with a0 = a[0] and b0 = b[0], and |a| <= a0.  The V's
 # |b - v*a| and |b0 - v*a0| cross where b0 - v*a0 = +-(b - v*a), at
 #     P = (b0 + b) / (a0 + a)   and   M = (b0 - b) / (a0 - a),
 # and the row's bounds are min(P, M) and max(P, M).  Negating a and b
@@ -97,8 +97,9 @@ def group_wald_quadratic(means: np.ndarray, sigma_inv: np.ndarray, q: int) -> np
 
 
 def interval_bounds(
-    a: np.ndarray, b: np.ndarray, a0: float, b0: float, pm_iota: np.ndarray
+    a: np.ndarray, b: np.ndarray, pm_iota: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
+    a0, b0 = float(a[0]), float(b[0])
     with np.errstate(divide="ignore", invalid="ignore"):
         plus = (b0 + b) / (a0 + a)
         minus = (b0 - b) / (a0 - a)

@@ -223,6 +223,11 @@ def _studentize(values: np.ndarray, t: np.ndarray) -> np.ndarray:
     return out
 
 
+def check_variant(variant: str) -> None:
+    if variant not in ("unstudentized", "studentized"):
+        raise ValueError(f"unknown variant {variant!r}")
+
+
 def run_test_columns(
     values: np.ndarray,
     alpha: float,
@@ -239,8 +244,7 @@ def run_test_columns(
     maps the statistic and critical value of the |mean| sweep through
     :func:`_studentize` and keeps its p-value.
     """
-    if variant not in ("unstudentized", "studentized"):
-        raise ValueError(f"unknown variant {variant!r}")
+    check_variant(variant)
     values = np.asarray(values, dtype=np.float64)
     if not np.all(np.isfinite(values)):
         raise ValueError("scores must be finite")
@@ -263,17 +267,16 @@ class TestResult:
     statistic: float
     critical_value: float
     p_value: float
-    reject: bool
     alpha: float
     group: SignGroup
     variant: str = "unstudentized"
     scaling: str = "root_nj"
 
     def __post_init__(self):
+        for name in ("statistic", "critical_value", "p_value", "alpha"):
+            object.__setattr__(self, name, float(getattr(self, name)))
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
-        if self.reject != (self.statistic > self.critical_value):
-            raise ValueError("reject flag must equal statistic > critical_value")
         floor = self.group.forced_ties / self.group.size
         if not floor <= self.p_value <= 1.0:
             raise ValueError(
@@ -281,21 +284,9 @@ class TestResult:
                 f"{self.group.mode} group of size {self.group.size}"
             )
 
-
-def _result(
-    statistic, crit, p_value, alpha: float, group: SignGroup, variant: str, scaling: str
-) -> TestResult:
-    """A test's outcome, carrying its group."""
-    return TestResult(
-        statistic=float(statistic),
-        critical_value=float(crit),
-        p_value=float(p_value),
-        reject=bool(statistic > crit),
-        alpha=float(alpha),
-        group=group,
-        variant=variant,
-        scaling=scaling,
-    )
+    @property
+    def reject(self) -> bool:
+        return self.statistic > self.critical_value
 
 
 def run_test_from_scores(
@@ -307,7 +298,7 @@ def run_test_from_scores(
 ) -> TestResult:
     """The engine for one (q,) score vector: sweep the group, take the quantile, count the ties."""
     column = run_test_columns(np.reshape(scores, (-1, 1)), alpha, group, variant)[:, 0]
-    return _result(*column, alpha, group, variant, scaling)
+    return TestResult(*column, alpha, group, variant, scaling)
 
 
 def run_test(
@@ -357,4 +348,4 @@ def run_wald_test(
     statistic, crit, p_value = _decide(stats, alpha)
     if hypothesis.p == 1:
         p_value = run_test_columns(scores, alpha, group)[2, 0]
-    return _result(statistic, crit, p_value, alpha, group, "wald", scaling)
+    return TestResult(statistic, crit, p_value, alpha, group, "wald", scaling)

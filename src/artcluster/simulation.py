@@ -12,7 +12,8 @@ in chunks of stacked arrays; the chunking does not change any draw.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -20,11 +21,20 @@ from artcluster.errors import NonFiniteValue
 from artcluster.estimation import fit_clusters
 from artcluster.groups import SignGroup, check_seed, enumerate_group
 from artcluster.model import ClusteredDataset, LinearHypothesis, _frozen
-from artcluster.randtest import _cluster_terms, run_test_columns
+from artcluster.randtest import _cluster_terms, check_variant, run_test_columns
 
 __all__ = ["DgpSpec", "MonteCarloReport", "generate", "power_study", "size_study"]
 
 COVARIATE_LAWS = ("normal", "lognormal")
+
+
+def integral(value, name: str = "value") -> int:
+    """An integer or integral number as int; booleans, fractions, non-finite
+    numbers and strings raise ValueError instead of being truncated."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        if isinstance(value, numbers.Integral) or (math.isfinite(value) and value == int(value)):
+            return int(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -33,8 +43,9 @@ class DgpSpec:
 
     Covariates are an intercept column followed by ``d_z - 1`` columns of
     i.i.d. draws from ``covariate_law`` ("normal" or "lognormal", the
-    latter to stress conditioning).  Noise for observation i in cluster j
-    is ``sigma[j] * (sqrt(rho) * f_j + sqrt(1 - rho) * e_ij)`` with
+    latter to stress conditioning); ``sizes`` and ``seed`` pass :func:`integral`.
+    Noise for observation i in cluster j is
+    ``sigma[j] * (sqrt(rho) * f_j + sqrt(1 - rho) * e_ij)`` with
     standard normal cluster factor f_j and idiosyncratic e_ij, giving
     within-cluster correlation ``rho`` and cluster scale ``sigma[j]``.
     """
@@ -47,7 +58,8 @@ class DgpSpec:
     seed: int = 0
 
     def __post_init__(self):
-        sizes = tuple(int(s) for s in self.sizes)
+        sizes = tuple(integral(s, "sizes") for s in self.sizes)
+        seed = integral(self.seed, "seed")
         beta = tuple(float(x) for x in self.beta)
         sigma = tuple(float(x) for x in self.sigma)
         if len(sizes) < 2:
@@ -62,12 +74,12 @@ class DgpSpec:
             raise ValueError("within-cluster correlation must lie in [0, 1)")
         if self.covariate_law not in COVARIATE_LAWS:
             raise ValueError(f"covariate_law must be one of {COVARIATE_LAWS}")
-        check_seed(int(self.seed))
+        check_seed(seed)
         object.__setattr__(self, "sizes", sizes)
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "rho", float(self.rho))
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "seed", seed)
 
     @property
     def q(self) -> int:
@@ -135,8 +147,8 @@ class MonteCarloReport:
 
     replications: int
     rejections: int
-    rate: float
-    mc_stderr: float
+    rate: float = field(init=False)
+    mc_stderr: float = field(init=False)
     p_values: np.ndarray
     alpha: float
     null_value: float
@@ -145,8 +157,11 @@ class MonteCarloReport:
     def __post_init__(self):
         if self.replications < 1:
             raise ValueError("need at least one replication")
-        if not 0.0 <= self.rate <= 1.0:
-            raise ValueError("rejection rate must lie in [0, 1]")
+        if not 0 <= self.rejections <= self.replications:
+            raise ValueError("rejections must lie in [0, replications]")
+        rate = self.rejections / self.replications
+        object.__setattr__(self, "rate", rate)
+        object.__setattr__(self, "mc_stderr", math.sqrt(rate * (1.0 - rate) / self.replications))
         object.__setattr__(
             self, "p_values", _frozen(np.asarray(self.p_values, dtype=np.float64))
         )
@@ -200,6 +215,7 @@ def _study(
 ) -> MonteCarloReport:
     """Run a study of ``c'beta = null_value``; ``None`` tests the spec's true value."""
     check_replications(spec.q, replications)
+    check_variant(variant)
     if group is None:
         group = enumerate_group(spec.q, mode="auto", seed=spec.seed)
     c = np.asarray(contrast, dtype=np.float64).reshape(-1)
@@ -210,13 +226,9 @@ def _study(
     hypothesis = LinearHypothesis(contrast=c, value=null_value)
     scores = _study_scores(spec, hypothesis, replications)
     statistic, crit, p_values = run_test_columns(scores, alpha, group, variant)
-    rejections = int(np.count_nonzero(statistic > crit))
-    rate = rejections / replications
     return MonteCarloReport(
         replications=replications,
-        rejections=rejections,
-        rate=rate,
-        mc_stderr=math.sqrt(rate * (1.0 - rate) / replications),
+        rejections=int(np.count_nonzero(statistic > crit)),
         p_values=p_values,
         alpha=float(alpha),
         null_value=float(null_value),

@@ -197,7 +197,7 @@ def test_criterion_3_interval_matches_inversion(ci_instances):
         for lam in np.linspace(inputs.lambda0 - 5.0, inputs.lambda0 + 5.0, 200):
             piecewise = pvalue_profile(inputs, lam)
             t = np.abs(inputs.b - lam * inputs.a)
-            ref = abs(inputs.b_iota - lam * inputs.a_iota)
+            ref = abs(inputs.b[0] - lam * inputs.a[0])
             direct = np.count_nonzero(t >= ref - snap_tolerance(ref)) / m
             assert piecewise == direct
         assert keep is not None  # scan shared with criterion 4

@@ -20,6 +20,7 @@ from artcluster import (
     merge_clusters,
     plan_blocks,
 )
+from artcluster.blocks import BlockPlan
 from artcluster.errors import DuplicateTimeKeyWarning
 from tests.oracles import bits, blockify_via_canonicalize
 
@@ -52,6 +53,20 @@ class TestPlanBlocks:
     def test_too_few_observations(self):
         with pytest.raises(TooFewObservations):
             plan_blocks(10, 11)
+
+    def test_sizes_read_off_boundaries(self):
+        plan = BlockPlan(((0, 3), (3, 6), (6, 10)))
+        assert (plan.q, plan.base_size, plan.last_size, plan.n) == (3, 3, 4, 10)
+        assert plan == plan_blocks(10, 3)
+
+    @pytest.mark.parametrize(
+        "boundaries",
+        [(), ((0, 5),), ((0, 3), (3, 7), (7, 10)), ((0, 4), (4, 7))],
+        ids=["empty", "one-block", "unequal-leading", "short-last"],
+    )
+    def test_inconsistent_boundaries(self, boundaries):
+        with pytest.raises(ValueError, match="need 2 or more blocks"):
+            BlockPlan(boundaries)
 
     def test_q_lower_bound(self):
         with pytest.raises(ValueError):

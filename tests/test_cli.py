@@ -859,9 +859,25 @@ class TestSimulateCommand:
             ("'dgp.sizes'", lambda spec: {**spec, "dgp": {**spec["dgp"], "sizes": [None] * 4}}),
             ("'group'", lambda spec: {**spec, "group": [1]}),
             ("a JSON object", lambda spec: 5),
+            ("'dgp.sizes' is invalid: [10.9, 10, 10, 10]",
+             lambda spec: {**spec, "dgp": {**spec["dgp"], "sizes": [10.9, 10, 10, 10]}}),
+            ("'dgp.sizes'", lambda spec: {**spec, "dgp": {**spec["dgp"], "sizes": [True] * 4}}),
+            ("'dgp.seed' is invalid: 1.5", lambda spec: {**spec, "dgp": {**spec["dgp"], "seed": 1.5}}),
+            ("'replications' is invalid: 3.7", lambda spec: {**spec, "replications": 3.7}),
+            ("'replications' is invalid: '5'", lambda spec: {**spec, "replications": "5"}),
+            ("'replications' is invalid: inf", lambda spec: {**spec, "replications": float("inf")}),
+            ("'group.draws' is invalid: 2.9",
+             lambda spec: {**spec, "group": {"mode": "sampled", "draws": 2.9}}),
+            ("'group.draws' is invalid: True",
+             lambda spec: {**spec, "group": {"mode": "sampled", "draws": True}}),
+            ("'group.seed' is invalid: 0.5",
+             lambda spec: {**spec, "group": {"mode": "sampled", "seed": 0.5}}),
         ],
         ids=["list-null-value", "list-alpha", "null-replications", "scalar-sizes",
-             "null-size-entries", "list-group", "scalar-spec"],
+             "null-size-entries", "list-group", "scalar-spec", "fractional-size",
+             "boolean-sizes", "fractional-dgp-seed", "fractional-replications",
+             "string-replications", "infinite-replications", "fractional-draws",
+             "boolean-draws", "fractional-group-seed"],
     )
     def test_wrong_typed_field_is_usage_error(self, tmp_path, message, edit):
         spec = {
@@ -919,6 +935,51 @@ class TestSimulateCommand:
         assert code == 1
         assert out == ""
         assert "replications 10000000000 at q = 8 needs about" in err
+
+    def test_misspelled_variant_refused_before_study_is_drawn(self, tmp_path, capsys,
+                                                               monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("drew the replications of a refused study")
+
+        monkeypatch.setattr(artcluster.simulation, "_draw", no_draw)
+        spec = {
+            "dgp": {"sizes": [10] * 8, "beta": [0.0], "sigma": [1.0] * 8},
+            "study": "size",
+            "contrast": [1.0],
+            "alpha": 0.1,
+            "replications": 200000,
+            "variant": "studentised",
+        }
+        path = tmp_path / "study.json"
+        path.write_text(json.dumps(spec))
+        code, out, err = run_cli(capsys, ["simulate", "--spec", str(path)])
+        assert code == 1
+        assert out == ""
+        assert "unknown variant 'studentised'" in err
+
+    def test_integral_numbers_give_the_integer_report(self, tmp_path, capsys):
+        spec = {
+            "dgp": {"sizes": [10] * 4, "beta": [0.0], "sigma": [1.0] * 4, "seed": 5},
+            "study": "size",
+            "contrast": [1.0],
+            "alpha": 0.1,
+            "replications": 6,
+            "group": {"mode": "sampled", "draws": 40, "seed": 2},
+        }
+        as_floats = {
+            **spec,
+            "dgp": {**spec["dgp"], "sizes": [10.0] * 4, "seed": 5.0},
+            "replications": 6.0,
+            "group": {"mode": "sampled", "draws": 40.0, "seed": 2.0},
+        }
+        outs = []
+        for doc in (spec, as_floats):
+            path = tmp_path / "study.json"
+            path.write_text(json.dumps(doc))
+            code, out, _ = run_cli(capsys, ["simulate", "--spec", str(path)])
+            assert code == 0
+            outs.append(out)
+        assert outs[0] == outs[1]
 
     def test_malformed_json_exit_3(self, tmp_path, capsys):
         path = tmp_path / "broken.json"

@@ -69,8 +69,8 @@ def point_instances(draw):
 class TestIntervalInputs:
     def test_hand_example(self, micro_estimates, group_cache):
         inputs = interval_inputs(micro_estimates, [1.0], group_cache(2))
-        assert inputs.a_iota == 2.0
-        assert inputs.b_iota == 4.0
+        assert inputs.a[0] == 2.0
+        assert inputs.b[0] == 4.0
         assert inputs.lambda0 == 2.0
 
     def test_balanced_flip_zeroes_slope(self, group_cache):
@@ -132,12 +132,12 @@ class TestPerGBounds:
             return abs(inputs.b[i] - value * inputs.a[i])
 
         def t_ref(value):
-            return abs(inputs.b_iota - value * inputs.a_iota)
+            return abs(inputs.b[0] - value * inputs.a[0])
 
         checked = 0
         for i in range(group.size):
             a_abs = abs(inputs.a[i])
-            if a_abs == 0.0 or a_abs >= inputs.a_iota * (1 - 1e-12):
+            if a_abs == 0.0 or a_abs >= inputs.a[0] * (1 - 1e-12):
                 continue
             hi = hi_all[i]
             scale = max(1.0, abs(hi))

@@ -72,7 +72,7 @@ class TestIntervalBounds:
         a = kernels.group_means(signs, weights)
         b = kernels.group_means(signs, wb)
         pm = np.all(signs == signs[:, :1], axis=1)
-        lo, hi = kernels.interval_bounds(a, b, a[0], b[0], pm)
+        lo, hi = kernels.interval_bounds(a, b, pm)
         lo_ref, hi_ref = _literal_bounds(a, b, float(a[0]), float(b[0]), pm)
         assert np.allclose(lo, lo_ref, rtol=1e-10, atol=1e-12)
         assert np.allclose(hi, hi_ref, rtol=1e-10, atol=1e-12)
@@ -85,7 +85,7 @@ class TestIntervalBounds:
         a = kernels.group_means(signs, w)
         b = kernels.group_means(signs, wb)
         pm = np.all(signs == signs[:, :1], axis=1)
-        lo, hi = kernels.interval_bounds(a, b, a[0], b[0], pm)
+        lo, hi = kernels.interval_bounds(a, b, pm)
         zero_rows = (a == 0.0) & ~pm
         assert zero_rows.any()
         lam0 = b[0] / a[0]

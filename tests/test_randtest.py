@@ -10,6 +10,7 @@ from artcluster import (
     LinearHypothesis,
     MultiHypothesis,
     SingularSigma,
+    canonicalize,
     critical_value,
     fit_per_cluster,
     run_test,
@@ -139,6 +140,24 @@ class TestWaldStatistic:
         with pytest.raises(SingularSigma):
             statistic_wald(est, mh, np.ones(4, dtype=np.int8))
 
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_all_zero_scores(self, rng, p):
+        # every cluster holds the same rows, so every cluster's fit is the same
+        # and restriction values equal to those coefficients zero every score
+        Z = np.column_stack([np.ones(6), rng.standard_normal(6)])
+        y = Z @ np.array([0.3, -1.1]) + rng.standard_normal(6)
+        q = 5
+        data = canonicalize(np.repeat(np.arange(q), 6), np.tile(y, q), np.tile(Z, (q, 1)))
+        betas = fit_per_cluster(data).betas
+        assert np.array_equal(betas, np.tile(betas[0], (q, 1)))
+        restriction = np.eye(2)[-p:]
+        mh = MultiHypothesis(restriction=restriction, values=restriction @ betas[0])
+        for group in (SignGroup(q, "exhaustive"), None):
+            res = run_wald_test(data, mh, 0.1, group)
+            assert (res.statistic, res.critical_value, res.p_value) == (0.0, 0.0, 1.0)
+            assert res.reject is False
+            assert res.group.size == 2**q
+
     def test_scalar_wald_matches_unstudentized_pvalue(self, rng, group_cache):
         data = random_dataset(rng, q=7, d=2)
         c = random_contrast(rng, 2)
@@ -193,8 +212,6 @@ class TestRunTest:
         data = random_dataset(rng, q=5, d=1, size_lo=20, size_hi=30)
         # huge shift: every cluster estimate lands far from the null
         shifted = np.asarray(data.outcomes) + 50.0 * np.asarray(data.covariates)[:, 0]
-        from artcluster import canonicalize
-
         strong = canonicalize(data.row_labels(), shifted, data.covariates)
         res = run_test(strong, LinearHypothesis(contrast=[1.0], value=0.0), 0.1, group_cache(5))
         assert res.p_value == 2.0 / 32.0
@@ -262,16 +279,12 @@ class TestRunTest:
 
 
 class TestResultValidation:
-    def test_reject_flag_consistency(self):
-        with pytest.raises(ValueError):
-            RandTestResult(
-                statistic=1.0,
-                critical_value=2.0,
-                p_value=0.5,
-                reject=True,
-                alpha=0.1,
-                group=SignGroup(4, "exhaustive"),
-            )
+    def test_reject_is_derived(self):
+        group = SignGroup(4, "exhaustive")
+        above = RandTestResult(np.float64(3.0), 2, 0.125, 0.1, group)
+        assert above.reject is True
+        assert type(above.statistic) is float and type(above.critical_value) is float
+        assert RandTestResult(2.0, 2.0, 0.125, 0.1, group).reject is False
 
     def test_pvalue_floor(self):
         with pytest.raises(ValueError):
@@ -279,7 +292,6 @@ class TestResultValidation:
                 statistic=3.0,
                 critical_value=2.0,
                 p_value=1.0 / 16.0,
-                reject=True,
                 alpha=0.1,
                 group=SignGroup(4, "exhaustive"),
             )
@@ -290,7 +302,6 @@ class TestResultValidation:
                 statistic=1.0,
                 critical_value=2.0,
                 p_value=0.5,
-                reject=False,
                 alpha=1.0,
                 group=SignGroup(4, "exhaustive"),
             )

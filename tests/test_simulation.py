@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from artcluster import (
     DgpSpec,
     LinearHypothesis,
+    MonteCarloReport,
     canonicalize,
     fit_per_cluster,
     generate,
@@ -43,6 +44,28 @@ class TestDgpSpec:
             DgpSpec(sizes=(2, 5), beta=(0.0, 0.0), sigma=(1.0, 1.0))
         with pytest.raises(ValueError):
             DgpSpec(sizes=(5, 5), beta=(0.0,), sigma=(1.0, 1.0), covariate_law="cauchy")
+
+    @pytest.mark.parametrize(
+        "field, edit",
+        [
+            ("sizes", {"sizes": (10.9, 10)}),
+            ("sizes", {"sizes": (True, 10)}),
+            ("sizes", {"sizes": ("10", 10)}),
+            ("sizes", {"sizes": (float("inf"), 10)}),
+            ("seed", {"seed": 2.7}),
+            ("seed", {"seed": float("nan")}),
+            ("seed", {"seed": False}),
+        ],
+    )
+    def test_integer_fields_refuse_non_integers(self, field, edit):
+        fields = {"sizes": (10, 10), "beta": (0.0,), "sigma": (1.0, 1.0), **edit}
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            DgpSpec(**fields)
+
+    def test_integer_fields_take_integral_numbers(self):
+        s = DgpSpec(sizes=(10.0, np.int64(12)), beta=(0.0,), sigma=(1.0, 1.0), seed=np.float64(3))
+        assert s.sizes == (10, 12) and s.seed == 3
+        assert all(type(v) is int for v in (*s.sizes, s.seed))
 
 
 class TestGenerate:
@@ -184,6 +207,20 @@ class TestStudies:
         assert report.mc_stderr == pytest.approx(
             np.sqrt(report.rate * (1 - report.rate) / 64)
         )
+
+
+class TestMonteCarloReport:
+    def test_rate_and_stderr_are_derived(self):
+        report = MonteCarloReport(
+            replications=8, rejections=3, p_values=[0.5], alpha=0.1, null_value=0.0, seed=1
+        )
+        assert report.rate == 3 / 8
+        assert report.mc_stderr == np.sqrt(3 / 8 * (1 - 3 / 8) / 8)
+
+    @pytest.mark.parametrize("rejections", [-1, 9])
+    def test_rejections_bounded_by_replications(self, rejections):
+        with pytest.raises(ValueError, match="rejections must lie in"):
+            MonteCarloReport(8, rejections, [0.5], 0.1, 0.0, 1)
 
 
 @st.composite
