@@ -18,12 +18,11 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
 
 import numpy as np
 
 from artcluster.blocks import plan_blocks
-from artcluster.errors import ArtClusterError, IdentificationFailure
+from artcluster.errors import ArtClusterError, IdentificationFailure, check_bytes
 from artcluster.estimation import fit_per_cluster
 from artcluster.groups import check_seed, enumerate_group
 from artcluster.intervals import interval, interval_inputs
@@ -36,7 +35,7 @@ from artcluster.io import (
 )
 from artcluster.model import LinearHypothesis
 from artcluster.randtest import run_test_from_scores, scores_from_estimates
-from artcluster.simulation import DgpSpec, check_replications, integral, power_study, size_study
+from artcluster.simulation import run_spec
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -227,15 +226,6 @@ def _config_from_args(args, **overrides) -> RunConfig:
     return RunConfig(**fields)
 
 
-def _check_alpha(alpha: float, name: str = "--alpha") -> None:
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"{name} must lie strictly between 0 and 1")
-
-
-def _group_doc(group) -> dict:
-    return {"mode": group.mode, "size": group.size, "draws": group.draws, "seed": group.seed}
-
-
 def _run_command(args, command: str, build_result, columns, **overrides) -> int:
     """Shared body of ``test`` and ``ci``: parse once, then analyse each block count.
 
@@ -243,7 +233,8 @@ def _run_command(args, command: str, build_result, columns, **overrides) -> int:
     that order fixes which error wins: a group that is too large is
     reported before an identification failure in the fits.
     """
-    _check_alpha(args.alpha)
+    if not 0.0 < args.alpha < 1.0:
+        raise ValueError("--alpha must lie strictly between 0 and 1")
     config = _config_from_args(args, **overrides)
     table = ingest(config.input_path, config)
     blocks = _blocks_list(args)
@@ -311,7 +302,7 @@ def _test_result(config: RunConfig, names, contrast, group, estimates) -> dict:
         "alpha": result.alpha,
         "variant": result.variant,
         "scaling": result.scaling,
-        "group": _group_doc(group),
+        "group": group.describe(),
         "per_cluster": [
             {
                 "label": str(estimates.labels[j]),
@@ -343,7 +334,7 @@ def _ci_result(config: RunConfig, names, contrast, group, estimates) -> dict:
         "upper": ci.upper,
         "alpha": ci.alpha,
         "bounded": ci.is_bounded,
-        "group": _group_doc(group),
+        "group": group.describe(),
         "covariates": names,
         "warnings": notes,
     }
@@ -359,102 +350,20 @@ def cmd_ci(args) -> int:
     return _run_command(args, "ci", _ci_result, _CI_COLUMNS)
 
 
-def _require(spec: dict, key: str):
-    if key not in spec:
-        raise ValueError(f"simulation spec is missing the {key!r} field")
-    return spec[key]
-
-
-def _spec_field(name: str, convert, value):
-    """``convert(value)``; a spec field of the wrong type is a usage error naming it."""
-    try:
-        return convert(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"simulation spec field {name!r} is invalid: {value!r}") from None
-
-
-def _int_tuple(values) -> tuple:
-    return tuple(map(integral, values))
-
-
-def _float_tuple(values) -> tuple:
-    return tuple(float(v) for v in values)
-
-
 def cmd_simulate(args) -> int:
     with open(args.spec, "r", encoding="utf-8") as fh:
-        spec_doc = json.load(fh)
-    if not isinstance(spec_doc, dict):
-        raise ValueError("simulation spec must be a JSON object")
-
-    dgp_doc = _spec_field("dgp", dict, _require(spec_doc, "dgp"))
-    dgp = DgpSpec(
-        sizes=_spec_field("dgp.sizes", _int_tuple, _require(dgp_doc, "sizes")),
-        beta=_spec_field("dgp.beta", _float_tuple, _require(dgp_doc, "beta")),
-        sigma=_spec_field("dgp.sigma", _float_tuple, _require(dgp_doc, "sigma")),
-        rho=_spec_field("dgp.rho", float, dgp_doc.get("rho", 0.0)),
-        covariate_law=dgp_doc.get("covariate_law", "normal"),
-        seed=_spec_field("dgp.seed", integral, dgp_doc.get("seed", _default_seed())),
-    )
-    study = _require(spec_doc, "study")
-    contrast = _spec_field(
-        "contrast", lambda v: np.asarray(v, dtype=np.float64), _require(spec_doc, "contrast")
-    )
-    alpha = _spec_field("alpha", float, _require(spec_doc, "alpha"))
-    _check_alpha(alpha, "simulation spec field 'alpha'")
-    replications = _spec_field("replications", integral, _require(spec_doc, "replications"))
-    # a refused replication count is reported before any error in the spec's group
-    check_replications(dgp.q, replications)
-    variant = spec_doc.get("variant", "unstudentized")
-
-    group = None
-    group_doc = spec_doc.get("group")
-    if group_doc is not None:
-        group_doc = _spec_field("group", dict, group_doc)
-        try:
-            group = enumerate_group(
-                dgp.q,
-                group_doc.get("mode", "auto"),
-                _spec_field("group.draws", integral, group_doc.get("draws", 1000)),
-                _spec_field("group.seed", integral, group_doc.get("seed", dgp.seed)),
-            )
-        except ValueError as exc:
-            # the draw-count bound names the CLI flag; here the spec field set it
-            raise ValueError(str(exc).replace("--draws ", "group.draws ", 1)) from None
-
-    if study == "size":
-        report = size_study(dgp, contrast, alpha, replications, group=group, variant=variant)
-    elif study == "power":
-        null_value = _spec_field("null_value", float, _require(spec_doc, "null_value"))
-        report = power_study(
-            dgp, contrast, null_value, alpha, replications, group=group, variant=variant
-        )
-    else:
-        raise ValueError(f"study must be 'size' or 'power', got {study!r}")
-
-    resolved = {
-        "spec_path": args.spec,
-        "study": study,
-        "alpha": alpha,
-        "replications": replications,
-        "contrast": contrast,
-        "null_value": report.null_value,
-        "variant": variant,
-        "dgp": asdict(dgp),
-        "group": None if group is None else _group_doc(group),
-    }
-    payload = {
-        "rate": report.rate,
-        "mc_stderr": report.mc_stderr,
-        "replications": report.replications,
-        "rejections": report.rejections,
-        "p_values": report.p_values,
-    }
-    _emit(render_report("simulate", resolved, payload), args.output)
+        doc = json.load(fh)
+    resolved, report = run_spec(doc, _default_seed())
+    keys = ("rate", "mc_stderr", "replications", "rejections", "p_values")
+    payload = {key: getattr(report, key) for key in keys}
+    _emit(render_report("simulate", {"spec_path": args.spec, **resolved}, payload), args.output)
     return EXIT_OK
 
 
 def cmd_blocks(args) -> int:
+    counts = _ints(args.q)
+    # a plan and its report hold about 600 B per block, plus 6 B per digit of n
+    check_bytes(f"--q {args.q}", sum(max(q, 0) for q in counts) * (600 + 6 * len(str(args.n))))
     plans = [
         {
             "q": plan.q,
@@ -462,12 +371,12 @@ def cmd_blocks(args) -> int:
             "last_size": plan.last_size,
             "boundaries": [list(pair) for pair in plan.boundaries],
         }
-        for plan in (plan_blocks(args.n, q) for q in _ints(args.q))
+        for plan in (plan_blocks(args.n, q) for q in counts)
     ]
     if args.table:
         text = _table(plans, _BLOCKS_COLUMNS)
     else:
-        config = {"n": args.n, "q": list(_ints(args.q))}
+        config = {"n": args.n, "q": list(counts)}
         text = render_report("blocks", config, {"n": args.n, "plans": plans})
     _emit(text, args.output)
     return EXIT_OK

@@ -5,10 +5,22 @@ Every error raised on a documented failure path derives from
 single ``except`` clause while still distinguishing the specific cause.
 Each class carries the command-line exit code of its failure in
 ``exit_code``: 1 usage error, 2 identification or estimation failure,
-3 I/O or data-validation failure.
+3 I/O or data-validation failure.  :func:`check_bytes` holds the one
+memory limit that every input's size is checked against.
 """
 
 from __future__ import annotations
+
+# No input may make the package hold more than this many bytes.
+MAX_BYTES = 2**30
+
+
+def check_bytes(what: str, need: int) -> None:
+    """Refuse, as a usage error naming ``what``, an input that would need ``need`` > MAX_BYTES."""
+    if need > MAX_BYTES:
+        raise ValueError(
+            f"{what} needs about {need / 2**30:.1f} GiB, above the {MAX_BYTES / 2**30:g} GiB limit"
+        )
 
 
 class ArtClusterError(Exception):

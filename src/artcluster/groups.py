@@ -12,12 +12,12 @@ only sweeps: the +-identity rows are read off the swept weights.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
 from artcluster import kernels
-from artcluster.errors import GroupTooLarge
+from artcluster.errors import GroupTooLarge, check_bytes
 
 __all__ = [
     "AUTO_SAMPLED_ABOVE",
@@ -33,12 +33,6 @@ __all__ = [
 MAX_EXHAUSTIVE_Q = 20
 AUTO_SAMPLED_ABOVE = 14
 DEFAULT_DRAWS = 1000
-
-# B draws are refused, before any is drawn, when B * (2q + 40) bytes exceed
-# this; the float64 (B,) arrays of a sweep and its interval bounds cost most.
-# A sampled ``ci`` peaks about 41 B per draw above the interpreter's
-# floor (77 MB at q = 20 and 1M draws), under the estimate at every q.
-_MAX_SAMPLED_BYTES = 2**30
 
 # Sampled rows are regenerated this many at a time.  numpy draws bounded
 # int8 values from 32-bit words and drops a call's unused trailing bytes,
@@ -65,7 +59,11 @@ class SignGroup:
     drawn from ``Philox(key=seed)`` as a flat stream of fair coin flips
     filling the (B - 1, q) block row by row, so a given (q, draws, seed)
     triple yields the same rows on every platform.  It raises
-    ``ValueError`` when the group would need more than 1 GiB.
+    ``ValueError``, naming ``draws_name``, when the group would need more
+    than 1 GiB: B * (2q + 40) bytes, for the float64 (B,) arrays of a sweep
+    and its interval bounds.  A sampled ``ci`` peaks about 41 B per draw
+    above the interpreter's floor (77 MB at q = 20 and 1M draws), under the
+    estimate at every q.
 
     Attributes
     ----------
@@ -81,8 +79,9 @@ class SignGroup:
     mode: str
     seed: int | None = None
     draws: int | None = None
+    draws_name: InitVar[str] = "--draws"
 
-    def __post_init__(self):
+    def __post_init__(self, draws_name):
         object.__setattr__(self, "q", operator.index(self.q))
         if self.mode == "exhaustive":
             if self.seed is not None or self.draws is not None:
@@ -101,12 +100,7 @@ class SignGroup:
                 raise ValueError("need q >= 2")
             if self.draws < 2:
                 raise ValueError("sampled mode needs at least 2 vectors")
-            need = self.draws * (2 * self.q + 40)
-            if need > _MAX_SAMPLED_BYTES:
-                raise ValueError(
-                    f"--draws {self.draws} at q = {self.q} needs about {need / 2**30:.1f} GiB, "
-                    f"above the {_MAX_SAMPLED_BYTES / 2**30:.0f} GiB limit"
-                )
+            check_bytes(f"{draws_name} {self.draws} at q = {self.q}", self.draws * (2 * self.q + 40))
             check_seed(self.seed)
         else:
             raise ValueError(f"unknown group mode {self.mode!r}")
@@ -125,6 +119,10 @@ class SignGroup:
         rows tie too).
         """
         return 2 if self.mode == "exhaustive" else 1
+
+    def describe(self) -> dict:
+        """The group as a report echoes it."""
+        return {"mode": self.mode, "size": self.size, "draws": self.draws, "seed": self.seed}
 
     def sweep(self, values: np.ndarray) -> np.ndarray:
         """Signed means (1/q) sum_j g_j v_j for every row g, in row order.
@@ -153,14 +151,16 @@ def enumerate_group(
     mode: str = "auto",
     draws: int = DEFAULT_DRAWS,
     seed: int = 0,
+    draws_name: str = "--draws",
 ) -> SignGroup:
     """Build the sign group used by the test engine.
 
     ``mode="auto"`` enumerates exhaustively for q <= 14 and samples
-    ``draws`` vectors otherwise.
+    ``draws`` vectors otherwise; ``draws_name`` is what a refused draw
+    count is called in the error.
     """
     if mode == "auto":
         mode = "exhaustive" if q <= AUTO_SAMPLED_ABOVE else "sampled"
     if mode == "sampled":
-        return SignGroup(q, mode, seed=seed, draws=draws)
+        return SignGroup(q, mode, seed=seed, draws=draws, draws_name=draws_name)
     return SignGroup(q, mode)

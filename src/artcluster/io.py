@@ -26,7 +26,7 @@ import numpy as np
 
 from artcluster.blocks import blockify
 from artcluster.errors import MissingColumn, ParseError
-from artcluster.model import ClusteredDataset, canonicalize
+from artcluster.model import ClusteredDataset, LinearHypothesis, canonicalize
 
 __all__ = [
     "REPORT_SCHEMA_VERSION",
@@ -80,7 +80,7 @@ def resolve_contrast(config: RunConfig, names: list[str]) -> np.ndarray:
                 f"contrast has {c.shape[0]} entries but the model has "
                 f"{len(names)} covariates ({', '.join(names)})"
             )
-        return c
+        return LinearHypothesis(c, 0.0).contrast  # finite and not zero, for `test` and `ci` alike
     if config.coefficient is not None:
         if config.coefficient not in names:
             raise ValueError(

@@ -7,23 +7,24 @@ replication is reproducible in isolation, results do not depend on
 execution order, and no replication shares the base stream that
 sign-group sampling draws from.  Studies draw and fit the replications
 in chunks of stacked arrays; the chunking does not change any draw.
+:func:`run_spec` runs the study that a ``simulate`` spec describes.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from artcluster.errors import NonFiniteValue
+from artcluster.errors import NonFiniteValue, check_bytes
 from artcluster.estimation import fit_clusters
-from artcluster.groups import SignGroup, check_seed, enumerate_group
+from artcluster.groups import DEFAULT_DRAWS, SignGroup, check_seed, enumerate_group
 from artcluster.model import ClusteredDataset, LinearHypothesis, _frozen
 from artcluster.randtest import _cluster_terms, check_variant, run_test_columns
 
-__all__ = ["DgpSpec", "MonteCarloReport", "generate", "power_study", "size_study"]
+__all__ = ["DgpSpec", "MonteCarloReport", "generate", "power_study", "run_spec", "size_study"]
 
 COVARIATE_LAWS = ("normal", "lognormal")
 
@@ -108,7 +109,7 @@ def _draw(spec: DgpSpec, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]
     for i in range(reps):
         # jumped(k) adds k to the third counter word, so opening the stream
         # at that counter gives the same state without the jump; r stays
-        # far below 2**64 (check_replications), so the word never carries
+        # far below 2**64 (check_study), so the word never carries
         stream = np.random.Philox(key=spec.seed, counter=[0, 0, start + i + 1, 0])
         rng = np.random.Generator(stream)
         if d > 1:
@@ -134,6 +135,7 @@ def generate(spec: DgpSpec, replication: int) -> ClusteredDataset:
     """Draw one dataset; fully determined by (spec.seed, replication)."""
     if replication < 0:
         raise ValueError("replication index must be >= 0")
+    _chunk_length(spec)  # refuses sizes too large to draw
     y, Z = _draw(spec, replication, replication + 1)
     # rows are already contiguous in cluster order, labelled 1..q
     return ClusteredDataset(
@@ -171,30 +173,58 @@ class MonteCarloReport:
 # holds about this many bytes, so the stacked arrays stay small.
 _CHUNK_BYTES = 2**18
 
-# A study of R replications at q clusters keeps about R * 8 * (q + 12)
-# bytes: its (q, R) scores, the engine's (3, R) results, the report's
-# p-values and their rendering.  Larger studies are refused up front.
-_MAX_STUDY_BYTES = 2**30
+
+def _chunk_length(spec: DgpSpec) -> int:
+    """Replications per chunk, at least 1; refuses sizes whose chunk passes the limit.
+
+    A drawn and fitted replication holds about 8 * (2 d_z + 6) bytes per
+    row: its covariates twice, then outcomes, noise and their temporaries.
+    """
+    chunk = max(1, _CHUNK_BYTES // (8 * spec.n * spec.d_z))
+    check_bytes(f"dgp.sizes (n = {spec.n}) at d_z = {spec.d_z}",
+                chunk * 8 * spec.n * (2 * spec.d_z + 6))
+    return chunk
 
 
-def check_replications(q: int, replications: int) -> None:
-    """Refuse a study with no replication or whose arrays would pass 1 GiB."""
+def _field(name: str, convert, value):
+    """``convert(value)``; a value of the wrong type is a ValueError naming the spec field."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"simulation spec field {name!r} is invalid: {value!r}") from None
+
+
+def _read(doc: dict, name: str, convert=lambda v: v, default=None):
+    """Spec field ``name`` (``section.key``) of ``doc``, converted; required without a default."""
+    key = name.rpartition(".")[2]
+    if default is None and key not in doc:
+        raise ValueError(f"simulation spec is missing the {name!r} field")
+    return _field(name, convert, doc.get(key, default))
+
+
+def check_study(q: int, alpha, replications) -> tuple[float, int]:
+    """A study's level and replication count, checked as spec fields.
+
+    R replications at q clusters keep about R * 8 * (q + 12) bytes: the
+    (q, R) scores, the engine's (3, R) results, the report's p-values and
+    their rendering.
+    """
+    alpha = _field("alpha", float, alpha)
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("simulation spec field 'alpha' must lie strictly between 0 and 1")
+    replications = _field("replications", integral, replications)
     if replications < 1:
         raise ValueError("need at least one replication")
-    need = replications * 8 * (q + 12)
-    if need > _MAX_STUDY_BYTES:
-        raise ValueError(
-            f"replications {replications} at q = {q} needs about "
-            f"{need / 2**30:.1f} GiB, above the {_MAX_STUDY_BYTES / 2**30:.0f} GiB limit"
-        )
+    check_bytes(f"replications {replications} at q = {q}", replications * 8 * (q + 12))
+    return alpha, replications
 
 
 def _study_scores(spec: DgpSpec, hypothesis: LinearHypothesis, replications: int) -> np.ndarray:
     """The (q, replications) block of per-cluster scores, chunk by chunk."""
+    chunk = _chunk_length(spec)
     sizes = np.asarray(spec.sizes, dtype=np.int64)
     offsets = np.concatenate([[0], np.cumsum(sizes)])
     labels = range(1, spec.q + 1)
-    chunk = max(1, _CHUNK_BYTES // (8 * spec.n * spec.d_z))
     scores = np.empty((spec.q, replications))
     for start in range(0, replications, chunk):
         stop = min(start + chunk, replications)
@@ -214,7 +244,7 @@ def _study(
     variant: str,
 ) -> MonteCarloReport:
     """Run a study of ``c'beta = null_value``; ``None`` tests the spec's true value."""
-    check_replications(spec.q, replications)
+    alpha, replications = check_study(spec.q, alpha, replications)
     check_variant(variant)
     if group is None:
         group = enumerate_group(spec.q, mode="auto", seed=spec.seed)
@@ -230,7 +260,7 @@ def _study(
         replications=replications,
         rejections=int(np.count_nonzero(statistic > crit)),
         p_values=p_values,
-        alpha=float(alpha),
+        alpha=alpha,
         null_value=float(null_value),
         seed=spec.seed,
     )
@@ -265,3 +295,47 @@ def power_study(
     :func:`size_study`.
     """
     return _study(spec, contrast, float(null_value), alpha, replications, group, variant)
+
+
+def run_spec(doc, default_seed: int = 0) -> tuple[dict, MonteCarloReport]:
+    """Run the study that a ``simulate`` spec mapping describes.
+
+    Every field is checked before anything is drawn, and a refused field
+    is a ValueError that names it; ``default_seed`` stands in for a missing
+    ``dgp.seed``.  Returns the spec as resolved, with its defaults filled
+    in, and the study's report.
+    """
+    if not isinstance(doc, dict):
+        raise ValueError("simulation spec must be a JSON object")
+    dgp_doc = _read(doc, "dgp", dict)
+    dgp = DgpSpec(
+        sizes=_read(dgp_doc, "dgp.sizes", lambda v: tuple(map(integral, v))),
+        beta=_read(dgp_doc, "dgp.beta", lambda v: tuple(map(float, v))),
+        sigma=_read(dgp_doc, "dgp.sigma", lambda v: tuple(map(float, v))),
+        rho=_read(dgp_doc, "dgp.rho", float, 0.0),
+        covariate_law=dgp_doc.get("covariate_law", "normal"),
+        seed=_read(dgp_doc, "dgp.seed", integral, default_seed),
+    )
+    study = _read(doc, "study")
+    contrast = _read(doc, "contrast", lambda v: np.asarray(v, dtype=np.float64))
+    # a refused replication count is reported before any error in the spec's group
+    alpha, replications = check_study(dgp.q, _read(doc, "alpha"), _read(doc, "replications"))
+    variant = doc.get("variant", "unstudentized")
+    group = None
+    if doc.get("group") is not None:
+        group_doc = _read(doc, "group", dict)
+        group = enumerate_group(
+            dgp.q,
+            group_doc.get("mode", "auto"),
+            _read(group_doc, "group.draws", integral, DEFAULT_DRAWS),
+            _read(group_doc, "group.seed", integral, dgp.seed),
+            draws_name="group.draws",
+        )
+    if study not in ("size", "power"):
+        raise ValueError(f"study must be 'size' or 'power', got {study!r}")
+    null_value = _read(doc, "null_value", float) if study == "power" else None
+    report = _study(dgp, contrast, null_value, alpha, replications, group, variant)
+    resolved = dict(study=study, alpha=alpha, replications=replications, contrast=contrast,
+                    null_value=report.null_value, variant=variant, dgp=asdict(dgp),
+                    group=None if group is None else group.describe())
+    return resolved, report

@@ -404,6 +404,19 @@ EXIT_CODE_CASES = [
         "artcluster: error: cluster 1:",
         id="identification-failure-in-blocks",
     ),
+    # `test` and `ci` refuse a contrast by one rule, before any group or fit
+    *(
+        pytest.param(
+            MICRO_CSV,
+            [command, "--cluster", "cluster", "--contrast", contrast],
+            1,
+            f"artcluster: error: {message}",
+            id=f"{command}-contrast-{contrast}",
+        )
+        for command in ("test", "ci")
+        for contrast, message in (("0", "contrast must not be the zero vector"),
+                                  ("nan", "contrast must be a finite vector"))
+    ),
 ]
 
 
@@ -411,8 +424,11 @@ EXIT_CODE_CASES = [
 def test_documented_failure_exit_codes(tmp_path, capsys, csv_text, extra, expected_code, message):
     path = tmp_path / "data.csv"
     path.write_text(csv_text)
-    argv = ["test", "--input", str(path), "--outcome", "y", "--covariates", "x", "--coef", "x"]
-    code, out, err = run_cli(capsys, argv + extra)
+    if extra[:1] not in (["test"], ["ci"]):  # a row without a command runs `test --coef x`
+        extra = ["test", "--coef", "x", *extra]
+    command, *flags = extra
+    argv = [command, "--input", str(path), "--outcome", "y", "--covariates", "x", *flags]
+    code, out, err = run_cli(capsys, argv)
     assert code == expected_code
     assert out == ""
     assert message in err
@@ -704,6 +720,21 @@ class TestBlocksCommand:
         assert code == 1
         assert "blocks" in err
 
+    def test_block_count_beyond_memory_bound_refused_before_planning(self, capsys,
+                                                                     monkeypatch):
+        def no_plan(*args):
+            raise AssertionError("planned the blocks of a refused count")
+
+        monkeypatch.setattr(artcluster.cli, "plan_blocks", no_plan)
+        code, out, err = run_cli(capsys, ["blocks", "--n", str(10**9), "--q", "8,100000000"])
+        assert code == 1
+        assert out == ""
+        assert err == ("artcluster: error: --q 8,100000000 needs about 61.5 GiB, "
+                       "above the 1 GiB limit\n")
+        # the patched name is the one the command calls
+        with pytest.raises(AssertionError, match="planned the blocks"):
+            main(["blocks", "--n", "100", "--q", "8"])
+
 
 class TestExportCommand:
     def test_round_trip(self, tmp_path, rng, capsys):
@@ -790,6 +821,12 @@ SIMULATE_EXIT_CODE_CASES = [
         1,
         "artcluster: error: simulation spec field 'alpha' must lie strictly between 0 and 1",
         id="alpha-outside-unit-interval",
+    ),
+    pytest.param(
+        {"dgp": {"beta": [0.0], "sigma": [1.0] * 8}},
+        1,
+        "artcluster: error: simulation spec is missing the 'dgp.sizes' field",
+        id="missing-dgp-field",
     ),
 ]
 
@@ -917,10 +954,10 @@ class TestSimulateCommand:
 
     def test_replications_bound_checked_before_group_is_drawn(self, tmp_path, capsys,
                                                                monkeypatch):
-        def no_group(*args):
+        def no_group(*args, **kwargs):
             raise AssertionError("drew the group of a refused study")
 
-        monkeypatch.setattr(artcluster.cli, "enumerate_group", no_group)
+        monkeypatch.setattr(artcluster.simulation, "enumerate_group", no_group)
         spec = {
             "dgp": {"sizes": [10] * 8, "beta": [0.0], "sigma": [1.0] * 8},
             "study": "size",
@@ -935,6 +972,31 @@ class TestSimulateCommand:
         assert code == 1
         assert out == ""
         assert "replications 10000000000 at q = 8 needs about" in err
+        # the patched name is the one the spec reader calls
+        path.write_text(json.dumps({**spec, "replications": 5}))
+        with pytest.raises(AssertionError, match="drew the group"):
+            main(["simulate", "--spec", str(path)])
+
+    def test_sizes_beyond_memory_bound_refused_before_drawing(self, tmp_path, capsys,
+                                                              monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("drew the replications of a refused study")
+
+        monkeypatch.setattr(artcluster.simulation, "_draw", no_draw)
+        spec = {
+            "dgp": {"sizes": [10**9, 10**9], "beta": [0.0], "sigma": [1.0, 1.0]},
+            "study": "size",
+            "contrast": [1.0],
+            "alpha": 0.1,
+            "replications": 1,
+        }
+        path = tmp_path / "study.json"
+        path.write_text(json.dumps(spec))
+        code, out, err = run_cli(capsys, ["simulate", "--spec", str(path)])
+        assert code == 1
+        assert out == ""
+        assert err == ("artcluster: error: dgp.sizes (n = 2000000000) at d_z = 1 needs about "
+                       "119.2 GiB, above the 1 GiB limit\n")
 
     def test_misspelled_variant_refused_before_study_is_drawn(self, tmp_path, capsys,
                                                                monkeypatch):
@@ -1103,3 +1165,69 @@ def test_q20_peak_memory(tmp_path, rng, command, group, bound_mb):
     code, peak_mb = (int(v) for v in done.stdout.split())
     assert code == 0
     assert peak_mb < bound_mb, f"{command} {group}: peak RSS {peak_mb} MB"
+
+
+# The child patches the byte limit, runs one command and reads its own
+# peak over the RSS it had before the command ran.
+_LIMITED_PEAK_CHILD = """
+import sys
+import artcluster.errors
+from artcluster.cli import main
+def status(key):
+    with open("/proc/self/status") as fh:
+        return int(next(line for line in fh if line.startswith(key)).split()[1]) * 1024
+artcluster.errors.MAX_BYTES = int(sys.argv[1])
+floor = status("VmRSS:")
+code = main(sys.argv[2:])
+print(code, status("VmHWM:") - floor)
+"""
+
+_LIMIT = 64 * 2**20
+
+
+def _study_argv(tmp_path, sizes, d_z):
+    spec = {
+        "dgp": {"sizes": sizes, "beta": [0.0] * d_z, "sigma": [1.0] * len(sizes)},
+        "study": "size",
+        "contrast": [1.0] * d_z,
+        "alpha": 0.1,
+        "replications": 1,
+    }
+    path = tmp_path / "study.json"
+    path.write_text(json.dumps(spec))
+    return ["simulate", "--spec", str(path), "--output", str(tmp_path / "report.json")]
+
+
+def _blocks_argv(tmp_path, q):
+    return ["blocks", "--n", str(10**9), "--q", str(q), "--output", str(tmp_path / "report.json")]
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        # 8 * n * (2 d_z + 6) bytes: n = 2^20 rows at d_z = 1, 2^26 / 96 at d_z = 3
+        pytest.param(lambda tmp, extra: _study_argv(tmp, [2**19, 2**19 + extra], 1),
+                     "dgp.sizes", id="sizes-d1"),
+        pytest.param(lambda tmp, extra: _study_argv(tmp, [349525, 349525 + extra], 3),
+                     "dgp.sizes", id="sizes-d3"),
+        # 660 B per block at n = 10^9
+        pytest.param(lambda tmp, extra: _blocks_argv(tmp, _LIMIT // 660 + extra),
+                     "--q", id="blocks-q"),
+    ],
+)
+def test_peak_memory_near_each_limit(tmp_path, argv, field):
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(artcluster.__file__)))
+    done = [
+        subprocess.run(
+            [sys.executable, "-c", _LIMITED_PEAK_CHILD, str(_LIMIT), *argv(tmp_path, extra)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        for extra in (0, 1)
+    ]
+    code, peak = (int(v) for v in done[0].stdout.split())
+    assert code == 0, done[0].stderr
+    assert peak < _LIMIT, f"peak {peak / 2**20:.1f} MiB over the floor"
+    assert done[1].stdout.split()[0] == "1"
+    assert done[1].stderr.startswith(f"artcluster: error: {field} ")
+    assert "above the 0.0625 GiB limit" in done[1].stderr

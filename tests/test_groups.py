@@ -85,6 +85,10 @@ class TestSampled:
         with pytest.raises(ValueError, match="--draws 1000000000000 at q = 20"):
             SignGroup(q=20, mode="sampled", seed=0, draws=10**12)
 
+    def test_memory_bound_names_the_callers_field(self, no_draws):
+        with pytest.raises(ValueError, match=r"^group\.draws 1000000000000 at q = 20 needs"):
+            enumerate_group(20, "sampled", draws=10**12, draws_name="group.draws")
+
     def test_construction_draws_nothing(self, no_draws):
         g = SignGroup(20, "sampled", seed=7, draws=10**6)
         assert (g.q, g.mode, g.seed, g.draws, g.size) == (20, "sampled", 7, 10**6, 10**6)

@@ -1,11 +1,15 @@
 """The README's documented API: its quick start runs and its names exist."""
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import artcluster
+import artcluster.cli
+from artcluster import DgpSpec, SignGroup, simulation
 from artcluster.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -47,3 +51,64 @@ def test_simulate_spec_runs(tmp_path, capsys):
     path.write_text(json.dumps(spec), encoding="utf-8")
     assert main(["simulate", "--spec", str(path)]) == 0
     assert json.loads(capsys.readouterr().out)["result"]["replications"] == spec["replications"]
+
+
+class _Accepted(Exception):
+    """Raised in place of the allocation a guard let through."""
+
+
+def _accepted(call) -> bool:
+    try:
+        call()
+    except _Accepted:
+        return True
+    except ValueError:
+        return False
+    return True
+
+
+def _largest_accepted(accepts) -> int:
+    lo, hi = 2**10, 2**11  # every guard takes 1024
+    while accepts(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if accepts(mid) else (lo, mid)
+    return lo
+
+
+def _refuse(*args):
+    raise _Accepted
+
+
+def _blocks_accepted(q) -> bool:
+    try:
+        return main(["blocks", "--n", str(10**9), "--q", str(q)]) != 1
+    except _Accepted:
+        return True
+
+
+# Each limit the README states, with a probe that runs the guard on one value.
+README_LIMITS = [
+    ("about 13 million draws at q = 20",
+     lambda b: _accepted(lambda: SignGroup(20, "sampled", seed=0, draws=b))),
+    ("about 6.7 million replications at q = 8",
+     lambda r: _accepted(lambda: simulation.check_study(8, 0.05, r))),
+    ("about 16.8 million rows at d_z = 1",
+     lambda n: _accepted(lambda: simulation.generate(
+         DgpSpec(sizes=(n // 2, n - n // 2), beta=(0.0,), sigma=(1.0, 1.0)), 0))),
+    ("about 1.6 million blocks at n = 10^9", _blocks_accepted),
+]
+
+
+@pytest.mark.parametrize("phrase, accepts", README_LIMITS, ids=["draws", "replications",
+                                                                 "sizes", "blocks"])
+def test_stated_limits_match_the_guards(monkeypatch, capsys, phrase, accepts):
+    """Each stated limit is the largest value its guard lets through, rounded as stated."""
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    assert phrase in text
+    monkeypatch.setattr(simulation, "_draw", _refuse)
+    monkeypatch.setattr(artcluster.cli, "plan_blocks", _refuse)
+    stated = re.search(r"about ([\d.]+) million", phrase).group(1)
+    decimals = len(stated.partition(".")[2])
+    assert round(_largest_accepted(accepts) / 1e6, decimals) == float(stated)

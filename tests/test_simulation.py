@@ -16,6 +16,7 @@ from artcluster import (
     size_study,
 )
 from artcluster import simulation
+from artcluster.errors import MAX_BYTES
 from artcluster.groups import enumerate_group
 from artcluster.randtest import run_test_columns
 from artcluster.simulation import COVARIATE_LAWS
@@ -300,13 +301,13 @@ class TestChunkedStudy:
     def test_replication_streams_match_jumped_oracle(self, seed):
         # replication r opens Philox at counter word r + 1; the oracle jumps
         # r + 1 times.  One replication is drawn per r, up to the last one
-        # check_replications admits at this q.
+        # check_study admits at this q.
         s = DgpSpec(sizes=(3, 4), beta=(1.0, 0.5), sigma=(1.0, 2.0), rho=0.5,
                     covariate_law="lognormal", seed=seed)
-        last = simulation._MAX_STUDY_BYTES // (8 * (s.q + 12)) - 1
-        simulation.check_replications(s.q, last + 1)
+        last = MAX_BYTES // (8 * (s.q + 12)) - 1
+        simulation.check_study(s.q, 0.1, last + 1)
         with pytest.raises(ValueError, match="1 GiB limit"):
-            simulation.check_replications(s.q, last + 2)
+            simulation.check_study(s.q, 0.1, last + 2)
         for r in (0, 1, 2, 999, 2999, last):
             y, Z = simulation._draw(s, r, r + 1)
             want_y, want_Z = generate_loop(s, r)
@@ -327,3 +328,55 @@ class TestChunkedStudy:
             size_study(spec(q=6), [0.0, 1.0], 0.1, 10**10)
         with pytest.raises(ValueError, match="1 GiB limit"):
             power_study(spec(q=6), [0.0, 1.0], 0.5, 0.1, 10**10)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            ({"alpha": 1.5}, r"^simulation spec field 'alpha' must lie strictly between 0 and 1$"),
+            ({"replications": 3.7}, r"^simulation spec field 'replications' is invalid: 3\.7$"),
+            ({"spec": DgpSpec(sizes=(10**9, 10**9), beta=(0.0,), sigma=(1.0, 1.0))},
+             r"^dgp\.sizes \(n = 2000000000\) at d_z = 1 needs about 119\.2 GiB"),
+        ],
+        ids=["alpha", "fractional-replications", "sizes"],
+    )
+    def test_study_fields_refused_before_drawing(self, monkeypatch, edit, message):
+        def no_draws(*args):
+            raise AssertionError("drew replications of a refused study")
+
+        monkeypatch.setattr(simulation, "_draw", no_draws)
+        args = {"spec": spec(q=2, d=1), "alpha": 0.1, "replications": 5, **edit}
+        with pytest.raises(ValueError, match=message):
+            size_study(args["spec"], [1.0], args["alpha"], args["replications"])
+        with pytest.raises(ValueError, match=message):
+            power_study(args["spec"], [1.0], 0.5, args["alpha"], args["replications"])
+
+    def test_generate_refuses_sizes_before_drawing(self, monkeypatch):
+        monkeypatch.setattr(simulation, "_draw", None)
+        big = DgpSpec(sizes=(10**9, 10**9), beta=(0.0, 1.0), sigma=(1.0, 1.0))
+        with pytest.raises(ValueError, match=r"^dgp\.sizes \(n = 2000000000\) at d_z = 2 needs"):
+            generate(big, 0)
+
+
+class TestRunSpec:
+    SPEC = {
+        "dgp": {"sizes": [10] * 4, "beta": [0.0], "sigma": [1.0] * 4},
+        "study": "size",
+        "contrast": [1.0],
+        "alpha": 0.1,
+        "replications": 6,
+    }
+
+    def test_defaults_resolved(self):
+        resolved, report = simulation.run_spec(self.SPEC, default_seed=7)
+        assert resolved["dgp"] == {"sizes": (10,) * 4, "beta": (0.0,), "sigma": (1.0,) * 4,
+                                   "rho": 0.0, "covariate_law": "normal", "seed": 7}
+        assert (resolved["variant"], resolved["group"], resolved["null_value"]) == (
+            "unstudentized", None, 0.0)
+        want = size_study(DgpSpec(sizes=(10,) * 4, beta=(0.0,), sigma=(1.0,) * 4, seed=7),
+                          [1.0], 0.1, 6)
+        assert np.array_equal(report.p_values, want.p_values)
+
+    def test_group_draws_named_as_spec_field(self):
+        doc = {**self.SPEC, "group": {"mode": "sampled", "draws": 10**9}}
+        with pytest.raises(ValueError, match=r"^group\.draws 1000000000 at q = 4 needs"):
+            simulation.run_spec(doc)
