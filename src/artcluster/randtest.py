@@ -145,7 +145,7 @@ def _wald_ingredients(
 
 
 # ------------------------------------------------------------------ #
-# Critical values and p-values, along axis 0
+# Critical values and p-values, along the last axis
 # ------------------------------------------------------------------ #
 
 # Guard against float fuzz in m*level before taking the ceiling: when
@@ -164,27 +164,27 @@ def critical_value(values, level: float):
     """The ``level``-quantile of a multiset of reals.
 
     inf{u : fraction of values <= u is >= level}; equals the
-    ceil(m*level)-th smallest value.  (m,) values give a float; (m, k)
-    values give the quantile of each column.
+    ceil(m*level)-th smallest value.  (m,) values give a float; (k, m)
+    values give the quantile of each row.
     """
     arr = np.asarray(values, dtype=np.float64)
     if arr.size == 0:
         raise ValueError("need a nonempty multiset")
     if not 0.0 < level < 1.0:
         raise ValueError("level must lie in (0, 1)")
-    k = order_statistic_index(arr.shape[0], level)
-    crit = np.partition(arr, k - 1, axis=0)[k - 1]
+    k = order_statistic_index(arr.shape[-1], level)
+    crit = np.partition(arr, k - 1, axis=-1)[..., k - 1]
     return float(crit) if arr.ndim == 1 else crit
 
 
 def pvalue_from_statistics(statistics: np.ndarray, observed):
     """Fraction of group statistics >= the observed one (tie-snapped).
 
-    (m,) statistics and a float observed value give a float; (m, k)
-    statistics and (k,) observed values give the p-value of each column.
+    (m,) statistics and a float observed value give a float; (k, m)
+    statistics and (k,) observed values give the p-value of each row.
     """
     thresh = observed - snap_tolerance(observed)
-    p = np.count_nonzero(statistics >= thresh, axis=0) / statistics.shape[0]
+    p = np.sum(statistics >= thresh[..., None], axis=-1) / statistics.shape[-1]
     return float(p) if statistics.ndim == 1 else p
 
 
@@ -193,15 +193,21 @@ def pvalue_from_statistics(statistics: np.ndarray, observed):
 # ------------------------------------------------------------------ #
 
 # The engine sweeps at most this many statistics at once, i.e. chunks
-# of max(1, 2^14 // m) score columns, so each of a chunk's temporaries
-# holds at most max(2^14, m) float64 entries: 128 kB for groups of up
-# to 2^14 rows, one column of m entries (8 MB at m = 2^20) above that.
-_CHUNK_STATISTICS = 2**14
+# of max(1, 2^15 // m) score columns, so each of a chunk's temporaries
+# holds at most max(2^15, m) float64 entries: 256 kB for groups of up
+# to 2^15 rows, one column of m entries (8 MB at m = 2^20) above that.
+# A perfbench sweep of 2^14-2^17 on the ``inversion`` workload found
+# 2^15 and 2^16 equally fast; 2^15 holds half the memory.
+_CHUNK_STATISTICS = 2**15
 
 
 def _decide(stats: np.ndarray, alpha: float) -> tuple:
-    """Observed statistic, critical value and p-value of swept statistics."""
-    observed = stats[0]
+    """Observed statistic, critical value and p-value of swept statistics.
+
+    ``stats`` holds the m group statistics of one test as (m,), or of k
+    tests as the rows of a (k, m) block; entry 0 of a row is the observed one.
+    """
+    observed = stats[..., 0]
     return observed, critical_value(stats, 1.0 - alpha), pvalue_from_statistics(stats, observed)
 
 
@@ -248,11 +254,21 @@ def run_test_columns(
     values = np.asarray(values, dtype=np.float64)
     if not np.all(np.isfinite(values)):
         raise ValueError("scores must be finite")
-    width = max(1, _CHUNK_STATISTICS // group.size)
+    width = max(1, min(_CHUNK_STATISTICS // group.size, values.shape[1]))
+    # |statistics| as one contiguous row of m per score column, so the
+    # quantile and the count read each test's statistics in order: a wider
+    # chunk writes them once into this block; a lone column sweeps as a
+    # (q,) vector, which is a row already and costs half a (q, 1) sweep
+    block = np.empty((width, group.size)) if width > 1 else None
     out = np.empty((3, values.shape[1]))
     for start in range(0, values.shape[1], width):
-        stats = group.sweep(values[:, start : start + width])
-        out[:, start : start + width] = _decide(np.abs(stats, out=stats), alpha)
+        chunk = values[:, start : start + width]
+        if chunk.shape[1] == 1:
+            rows = group.sweep(chunk[:, 0])[None]
+            np.abs(rows, out=rows)
+        else:
+            rows = np.abs(group.sweep(chunk).T, out=block[: chunk.shape[1]])
+        out[:, start : start + width] = _decide(rows, alpha)
     if variant == "studentized":
         out[:2] = _studentize(values, out[:2])
         if not np.all(np.isfinite(out[0])):

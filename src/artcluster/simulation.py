@@ -5,7 +5,8 @@ scales and tunable within-cluster correlation.  Replication r of a study
 uses the Philox stream ``Philox(key=seed).jumped(r + 1)``, so every
 replication is reproducible in isolation, results do not depend on
 execution order, and no replication shares the base stream that
-sign-group sampling draws from.  Studies draw and fit the replications
+sign-group sampling draws from.  A chunk draws from one Philox bit
+generator whose counter is set to replication r's state before r draws.  Studies draw and fit the replications
 in chunks of stacked arrays; the chunking does not change any draw.
 :func:`run_spec` runs the study that a ``simulate`` spec describes.
 """
@@ -99,19 +100,24 @@ def _draw(spec: DgpSpec, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]
     """Outcomes (R, n) and covariates (R, n, d_z) of replications start..stop-1.
 
     Replication r draws its covariates, cluster factors and noise, in
-    that order, from ``Philox(key=spec.seed).jumped(r + 1)``; the
+    that order, from ``Philox(key=spec.seed).jumped(r + 1)``: one stream
+    whose counter is set to that state before each replication.  The
     arithmetic after the draws runs on the whole stack at once.
     """
     reps, n, d = stop - start, spec.n, spec.d_z
     draws = np.empty((reps, n, d - 1), dtype=np.float64)
     factors = np.empty((reps, spec.q), dtype=np.float64)
     noise = np.empty((reps, n), dtype=np.float64)
+    # jumped(k) adds k to the third counter word and empties the output
+    # buffer, so setting that state on one stream replays the jumped stream
+    # without a generator per replication; r stays far below 2**64
+    # (check_study), so the word never carries
+    stream = np.random.Philox(key=spec.seed)
+    rng = np.random.Generator(stream)
+    state = {**stream.state, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     for i in range(reps):
-        # jumped(k) adds k to the third counter word, so opening the stream
-        # at that counter gives the same state without the jump; r stays
-        # far below 2**64 (check_study), so the word never carries
-        stream = np.random.Philox(key=spec.seed, counter=[0, 0, start + i + 1, 0])
-        rng = np.random.Generator(stream)
+        state["state"]["counter"][2] = start + i + 1
+        stream.state = state
         if d > 1:
             rng.standard_normal(out=draws[i])
         rng.standard_normal(out=factors[i])
@@ -121,10 +127,12 @@ def _draw(spec: DgpSpec, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]
         Z[:, :, 1:] = draws if spec.covariate_law == "normal" else np.exp(draws, out=draws)
     sigma_rows = np.repeat(np.asarray(spec.sigma), spec.sizes)
     factor_rows = np.repeat(factors, spec.sizes, axis=1)
-    eps = sigma_rows * (
-        math.sqrt(spec.rho) * factor_rows + math.sqrt(1.0 - spec.rho) * noise
-    )
-    y = Z @ np.asarray(spec.beta) + eps
+    # huge betas or noise scales overflow here; the check below reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        eps = sigma_rows * (
+            math.sqrt(spec.rho) * factor_rows + math.sqrt(1.0 - spec.rho) * noise
+        )
+        y = Z @ np.asarray(spec.beta) + eps
     if not np.all(np.isfinite(y)):
         # non-finite covariates always make the outcome non-finite too
         raise NonFiniteValue("outcomes contain non-finite values")

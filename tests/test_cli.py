@@ -952,6 +952,23 @@ class TestSimulateCommand:
         assert "--draws" not in done.stderr
         assert "Traceback" not in done.stderr
 
+    def test_overflowing_outcomes_exit_3_with_one_error_line(self, tmp_path):
+        # Z @ beta overflows at beta = 1e308; the outcome check reports it,
+        # and no numpy warning or package source line reaches stderr
+        spec = {
+            "dgp": {"sizes": [10] * 4, "beta": [1e308, 1e308], "sigma": [1.0] * 4},
+            "study": "size",
+            "contrast": [0.0, 1.0],
+            "alpha": 0.1,
+            "replications": 5,
+        }
+        path = tmp_path / "study.json"
+        path.write_text(json.dumps(spec))
+        done = _simulate_in_subprocess(path)
+        assert done.returncode == 3
+        assert done.stdout == ""
+        assert done.stderr.splitlines() == ["artcluster: error: outcomes contain non-finite values"]
+
     def test_replications_bound_checked_before_group_is_drawn(self, tmp_path, capsys,
                                                                monkeypatch):
         def no_group(*args, **kwargs):

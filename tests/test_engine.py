@@ -16,10 +16,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from artcluster import DegenerateVariance, fit_per_cluster
+from artcluster import DegenerateVariance, fit_per_cluster, randtest
 from artcluster.groups import SignGroup
 from artcluster.intervals import default_inversion_grid, inversion_scan
-from artcluster.randtest import _CHUNK_STATISTICS, _cluster_terms, run_test_columns
+from artcluster.randtest import _cluster_terms, run_test_columns
 from tests.oracles import bit_expansion_signs, bits, decision_loop, sampled_signs
 from tests.test_acceptance import make_instance
 
@@ -29,8 +29,19 @@ def exhaustive(q: int):
     return SignGroup(q, "exhaustive"), bit_expansion_signs(q)
 
 
+# Chunk-edge cases patch the engine's chunk to this many statistics, so
+# that k = 3 * step + 2 columns stays small at q = 2 and the one-column
+# chunks of a group with m >= the chunk are reached at q >= 8.
+SMALL_CHUNK = 2**8
+
+
 def chunk_width(group) -> int:
-    return max(1, _CHUNK_STATISTICS // group.size)
+    return max(1, randtest._CHUNK_STATISTICS // group.size)
+
+
+def edge_widths(step: int) -> list:
+    """Column counts at every chunk edge: one chunk, one short, exact, one over, several."""
+    return sorted({1, step - 1, step, step + 1, 3 * step + 2} - {0})
 
 
 def score_block(rng, q: int, k: int, kind: str) -> np.ndarray:
@@ -59,8 +70,9 @@ def instances(draw):
         draws, seed = draw(st.integers(300, 3000)), draw(st.integers(0, 99))
         group = SignGroup(q, "sampled", seed=seed, draws=draws)
         signs = sampled_signs(q, draws, seed)
-    step = chunk_width(group)
-    k = draw(st.sampled_from([1, step - 1, step, step + 1, 3 * step + 2]))
+    chunk = 2 ** draw(st.integers(2, 12))
+    step = max(1, chunk // group.size)
+    k = draw(st.sampled_from(edge_widths(step)))
     kind = draw(st.sampled_from(["integer", "tenths", "normal", "near-tie"]))
     variant = draw(st.sampled_from(["unstudentized", "studentized"]))
     values = score_block(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), q, k, kind)
@@ -71,15 +83,17 @@ def instances(draw):
     else:
         values[:, -1] = 0.0
     alpha = draw(st.sampled_from([0.05, 0.1, 0.32]))
-    return group, signs, values, alpha, variant
+    return group, signs, values, alpha, variant, chunk
 
 
 class TestEngineMatchesOracle:
     @settings(max_examples=30, deadline=None)
     @given(instance=instances())
     def test_columns_match_decision_loop(self, instance):
-        group, signs, values, alpha, variant = instance
-        got = run_test_columns(values, alpha, group, variant)
+        group, signs, values, alpha, variant, chunk = instance
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(randtest, "_CHUNK_STATISTICS", chunk)
+            got = run_test_columns(values, alpha, group, variant)
         expected = decision_loop(signs, values, alpha)
         if variant == "studentized":
             expected[:2] = decision_loop(signs, values, alpha, variant)[:2]
@@ -87,12 +101,23 @@ class TestEngineMatchesOracle:
         assert np.array_equal(bits(got), bits(expected))
 
     @pytest.mark.parametrize("q", range(2, 13))
-    def test_every_chunk_edge_exhaustive(self, q):
+    def test_every_chunk_edge_exhaustive(self, q, monkeypatch):
+        monkeypatch.setattr(randtest, "_CHUNK_STATISTICS", SMALL_CHUNK)
         group, signs = exhaustive(q)
-        step = chunk_width(group)
-        values = score_block(np.random.default_rng(q), q, 3 * step + 2, "tenths")
+        widths = edge_widths(chunk_width(group))
+        values = score_block(np.random.default_rng(q), q, widths[-1], "tenths")
         expected = decision_loop(signs, values, 0.1)
-        for k in (1, step - 1, step, step + 1, 3 * step + 2):
+        for k in widths:
+            got = run_test_columns(values[:, :k], 0.1, group)
+            assert np.array_equal(bits(got), bits(expected[:, :k])), f"k={k}"
+
+    def test_chunk_edges_at_the_shipped_chunk(self):
+        group, signs = exhaustive(8)
+        step = chunk_width(group)
+        assert step > 1
+        values = score_block(np.random.default_rng(8), 8, step + 1, "tenths")
+        expected = decision_loop(signs, values, 0.1)
+        for k in (step - 1, step, step + 1):
             got = run_test_columns(values[:, :k], 0.1, group)
             assert np.array_equal(bits(got), bits(expected[:, :k])), f"k={k}"
 

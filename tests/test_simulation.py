@@ -297,6 +297,28 @@ class TestChunkedStudy:
             assert np.array_equal(bits(data.outcomes), bits(want_y))
             assert np.array_equal(bits(data.covariates), bits(want_Z))
 
+    @pytest.mark.parametrize("law", ["normal", "lognormal"])
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_each_replication_starts_on_an_empty_buffer(self, d, law):
+        # Philox yields 4 words per counter step and n * d + q normals (plus
+        # ziggurat rejections) leave some of them unread; replication r must
+        # still start at counter word r + 1 with an empty buffer, as the
+        # jumped oracle stream does
+        s = DgpSpec(sizes=(5, 7, 9, 5), beta=(1.0, -0.5, 2.0)[:d], sigma=(1.0, 2.0, 0.5, 3.0),
+                    rho=0.4, covariate_law=law, seed=21)
+        start, stop = 4, 12
+        left = []
+        for r in range(start, stop - 1):
+            rng = np.random.Generator(np.random.Philox(key=s.seed).jumped(r + 1))
+            rng.standard_normal(s.n * d + s.q)
+            left.append(4 - rng.bit_generator.state["buffer_pos"])
+        assert any(left), "no replication left a partly used buffer"
+        y, Z = simulation._draw(s, start, stop)
+        for i, r in enumerate(range(start, stop)):
+            want_y, want_Z = generate_loop(s, r)
+            assert np.array_equal(bits(y[i]), bits(want_y)), f"replication {r}"
+            assert np.array_equal(bits(Z[i]), bits(want_Z)), f"replication {r}"
+
     @pytest.mark.parametrize("seed", [0, 5, 2**128 - 1])
     def test_replication_streams_match_jumped_oracle(self, seed):
         # replication r opens Philox at counter word r + 1; the oracle jumps
