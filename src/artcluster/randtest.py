@@ -196,8 +196,8 @@ def pvalue_from_statistics(statistics: np.ndarray, observed):
 # of max(1, 2^15 // m) score columns, so each of a chunk's temporaries
 # holds at most max(2^15, m) float64 entries: 256 kB for groups of up
 # to 2^15 rows, one column of m entries (8 MB at m = 2^20) above that.
-# A perfbench sweep of 2^14-2^17 on the ``inversion`` workload found
-# 2^15 and 2^16 equally fast; 2^15 holds half the memory.
+# A perfbench sweep of 2^14-2^17 found 2^15 to 2^17 equally fast on the
+# ``inversion`` and ``simulate`` workloads; 2^15 holds the least memory.
 _CHUNK_STATISTICS = 2**15
 
 

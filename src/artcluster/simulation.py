@@ -5,9 +5,10 @@ scales and tunable within-cluster correlation.  Replication r of a study
 uses the Philox stream ``Philox(key=seed).jumped(r + 1)``, so every
 replication is reproducible in isolation, results do not depend on
 execution order, and no replication shares the base stream that
-sign-group sampling draws from.  A chunk draws from one Philox bit
-generator whose counter is set to replication r's state before r draws.  Studies draw and fit the replications
-in chunks of stacked arrays; the chunking does not change any draw.
+sign-group sampling draws from.  Studies draw and fit the replications
+in chunks of stacked arrays; a chunk draws from one Philox bit generator
+whose counter is set to replication r's state before r draws, so the
+chunking does not change any draw.
 :func:`run_spec` runs the study that a ``simulate`` spec describes.
 """
 
