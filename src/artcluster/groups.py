@@ -127,7 +127,9 @@ class SignGroup:
     def sweep(self, values: np.ndarray) -> np.ndarray:
         """Signed means (1/q) sum_j g_j v_j for every row g, in row order.
 
-        ``values`` is (q,) or (q, p); the result is (m,) or (m, p).
+        ``values`` is (q,) or (q, p); the result is (m,) or (p, m): the
+        group axis is last, so each value column gets one contiguous row
+        of m means.
         """
         values = np.asarray(values, dtype=np.float64)
         if values.shape[0] != self.q:
@@ -136,13 +138,13 @@ class SignGroup:
             )
         if self.mode == "exhaustive":
             return kernels.exhaustive_means(values)
-        out = np.empty((self.draws, *values.shape[1:]))
-        out[:1] = kernels.group_means(np.ones((1, self.q), dtype=np.int8), values)
+        out = np.empty((*values.shape[1:], self.draws))
+        out[..., :1] = kernels.group_means(np.ones((1, self.q), dtype=np.int8), values)
         rng = np.random.Generator(np.random.Philox(key=self.seed))
         for start in range(1, self.draws, _CHUNK_ROWS):
             stop = min(start + _CHUNK_ROWS, self.draws)
             flips = rng.integers(0, 2, size=(stop - start, self.q), dtype=np.int8)
-            out[start:stop] = kernels.group_means(1 - 2 * flips, values)
+            out[..., start:stop] = kernels.group_means(1 - 2 * flips, values)
         return out
 
 

@@ -22,6 +22,7 @@ from artcluster.groups import SignGroup
 from artcluster.model import ClusteredDataset, _frozen
 from artcluster.randtest import (
     _cluster_terms,
+    check_score_sums,
     critical_value,
     pvalue_from_statistics,
     run_test_columns,
@@ -100,8 +101,12 @@ def interval_inputs(
     estimates: ClusterEstimates, contrast: np.ndarray, group: SignGroup
 ) -> IntervalInputs:
     """Compute a(g), b(g) for every group element from per-cluster fits."""
-    w, cbeta = _cluster_terms(estimates.betas, estimates.sizes, np.ravel(contrast))
-    return IntervalInputs(a=group.sweep(w), b=group.sweep(w * cbeta))
+    # huge contrasts overflow here; the sum check reports it as the test does
+    with np.errstate(over="ignore", invalid="ignore"):
+        w, cbeta = _cluster_terms(estimates.betas, estimates.sizes, np.ravel(contrast))
+        scores = w * cbeta
+    check_score_sums(scores)
+    return IntervalInputs(a=group.sweep(w), b=group.sweep(scores))
 
 
 # ------------------------------------------------------------------ #

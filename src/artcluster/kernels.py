@@ -3,8 +3,9 @@
 :func:`exhaustive_means` sweeps the full group of 2^q sign vectors by
 prefix-sum doubling, without ever building its (2^q, q) sign matrix;
 :func:`group_means` sweeps an int8 sign matrix, such as one chunk of a
-sampled group's rows; both return the signed means of (q,) or (q, p) values.
-:func:`group_wald_quadratic` turns swept (m, p) means into the
+sampled group's rows; both return the signed means of (q,) values as
+(m,), and of (q, p) values as (p, m), one contiguous row per value
+column.  :func:`group_wald_quadratic` turns swept (p, m) means into the
 multi-row quadratic form and :func:`interval_bounds` gives each row's
 interval bounds, the min and max of the two points where its V-shaped
 map crosses the identity's.
@@ -36,48 +37,55 @@ __all__ = [
 #     level[2i] = prev[i] + v_k,   level[2i + 1] = prev[i] - v_k.
 # Starting from +0.0 this is the column loop's left-to-right order, and
 # x - v equals x + (-v) exactly, so both sweeps give the same bits.
-# (q, p) values broadcast: each level row holds p sums.
+# The group axis is last: (q, p) values double p rows side by side, each
+# row adding its own value.  A lone column doubles as a (q,) vector:
+# numpy adds a scalar to a 1-D level without its general iterator, which
+# a (1, n) level would pay twice per level.
 
 
 def exhaustive_means(values: np.ndarray) -> np.ndarray:
     """Mean of sign-flipped values for all 2^q sign vectors, in order."""
     v = np.asarray(values, dtype=np.float64)
-    sums = np.zeros((1, *v.shape[1:]))
-    for x in v:
-        level = np.empty((2 * sums.shape[0], *v.shape[1:]))
-        np.add(sums, x, out=level[0::2])
-        np.subtract(sums, x, out=level[1::2])
+    q, lead = v.shape[0], v.shape[1:]
+    if v.size == q:
+        v = v.reshape(q)
+    rows = v.shape[1:]
+    sums = np.zeros((*rows, 1))
+    for x in v[..., None] if rows else v:
+        level = np.empty((*rows, 2 * sums.shape[-1]))
+        np.add(sums, x, out=level[..., 0::2])
+        np.subtract(sums, x, out=level[..., 1::2])
         sums = level
-    sums /= v.shape[0]
-    return sums
+    sums /= q
+    return sums.reshape(*lead, -1)
 
 
 def group_means(signs: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Mean of sign-flipped values for every row of an explicit sign matrix."""
     m, q = signs.shape
     v = np.asarray(values, dtype=np.float64)
-    # trailing unit axes let one sign column scale a whole (p,) row
-    columns = signs.reshape(m, q, *([1] * (v.ndim - 1)))
-    acc = np.zeros((m, *v.shape[1:]), dtype=np.float64)
+    # a trailing unit axis lets one value scale a whole sign column
+    scale = v[..., None]
+    acc = np.zeros((*v.shape[1:], m), dtype=np.float64)
     for j in range(q):
-        acc += columns[:, j] * v[j]
+        acc += signs[:, j] * scale[j]
     return acc / q
 
 
 # ------------------------------------------------------------------ #
 # Wald quadratic form:  out[i] = q * mean_i' sigma_inv mean_i
-# where mean_i is row i of the swept (m, p) means
+# where mean_i is column i of the swept (p, m) means
 # ------------------------------------------------------------------ #
 
 
 def group_wald_quadratic(means: np.ndarray, sigma_inv: np.ndarray, q: int) -> np.ndarray:
-    m, p = means.shape
+    p, m = means.shape
     out = np.zeros(m, dtype=np.float64)
     for r in range(p):
         acc = np.zeros(m, dtype=np.float64)
         for c in range(p):
-            acc += means[:, c] * sigma_inv[c, r]
-        out += acc * means[:, r]
+            acc += means[c] * sigma_inv[c, r]
+        out += acc * means[r]
     return out * q
 
 

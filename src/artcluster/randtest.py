@@ -93,8 +93,29 @@ def scores_from_estimates(
     ``scaling="root_n"`` replaces sqrt(n_j) with the uniform sqrt(n)
     factor used by the multi-row statistic.
     """
-    w, cbeta = _cluster_terms(estimates.betas, estimates.sizes, hypothesis.contrast, scaling)
-    return w * (cbeta - hypothesis.value)
+    # huge contrasts overflow here; the engine's sum check reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        w, cbeta = _cluster_terms(estimates.betas, estimates.sizes, hypothesis.contrast, scaling)
+        return w * (cbeta - hypothesis.value)
+
+
+def check_score_sums(values: np.ndarray) -> None:
+    """Refuse (q,) or (q, k) scores whose signed means could overflow.
+
+    Every signed partial sum of a sweep is bounded by the sum of |v_j| in
+    the same left-to-right order, because rounding is monotone, so a
+    finite column sum of |scores| means that no sweep overflows.  An
+    exhaustive group's row g_j = sign(v_j) reaches that sum, so there the
+    check refuses exactly the scores whose sweep would overflow.  NaN and
+    infinite scores fail it too.  It costs O(q k); the sweep stays unchecked.
+    """
+    with np.errstate(over="ignore"):
+        total = np.add.accumulate(np.abs(values), axis=0)[-1]
+    if not np.isfinite(total).all():
+        raise ValueError(
+            "scores are not finite, or their absolute sum over the clusters "
+            "overflows float64; rescale the outcome or the contrast"
+        )
 
 
 def scores_via_restricted(
@@ -196,8 +217,11 @@ def pvalue_from_statistics(statistics: np.ndarray, observed):
 # of max(1, 2^15 // m) score columns, so each of a chunk's temporaries
 # holds at most max(2^15, m) float64 entries: 256 kB for groups of up
 # to 2^15 rows, one column of m entries (8 MB at m = 2^20) above that.
-# A perfbench sweep of 2^14-2^17 found 2^15 to 2^17 equally fast on the
-# ``inversion`` and ``simulate`` workloads; 2^15 holds the least memory.
+# A chunk's sweep is (columns, m), one contiguous row of m statistics per
+# score column, so the quantile and the count decide it in place.  Timing
+# 2^12-2^18 on the engine of a perfbench ``inversion`` instance (q = 10,
+# 4001 columns) found 2^15 and 2^16 within 5% of each other and faster
+# than the rest; 2^15 holds less memory.
 _CHUNK_STATISTICS = 2**15
 
 
@@ -252,23 +276,12 @@ def run_test_columns(
     """
     check_variant(variant)
     values = np.asarray(values, dtype=np.float64)
-    if not np.all(np.isfinite(values)):
-        raise ValueError("scores must be finite")
+    check_score_sums(values)
     width = max(1, min(_CHUNK_STATISTICS // group.size, values.shape[1]))
-    # |statistics| as one contiguous row of m per score column, so the
-    # quantile and the count read each test's statistics in order: a wider
-    # chunk writes them once into this block; a lone column sweeps as a
-    # (q,) vector, which is a row already and costs half a (q, 1) sweep
-    block = np.empty((width, group.size)) if width > 1 else None
     out = np.empty((3, values.shape[1]))
     for start in range(0, values.shape[1], width):
-        chunk = values[:, start : start + width]
-        if chunk.shape[1] == 1:
-            rows = group.sweep(chunk[:, 0])[None]
-            np.abs(rows, out=rows)
-        else:
-            rows = np.abs(group.sweep(chunk).T, out=block[: chunk.shape[1]])
-        out[:, start : start + width] = _decide(rows, alpha)
+        rows = group.sweep(values[:, start : start + width])
+        out[:, start : start + width] = _decide(np.abs(rows, out=rows), alpha)
     if variant == "studentized":
         out[:2] = _studentize(values, out[:2])
         if not np.all(np.isfinite(out[0])):

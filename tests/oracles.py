@@ -4,7 +4,7 @@ These are the package's earlier kernels, kept verbatim in arithmetic:
 the explicit uint64 bit-expansion of the exhaustive sign matrix, the
 one-shot draw of a sampled group's sign matrix from its seed, the
 column-by-column signed-mean sweep over a sign matrix, the Wald
-quadratic form over that sweep, the all-entries-equal +-identity mask,
+quadratic form over the (m, p) means of that sweep, the all-entries-equal +-identity mask,
 the branch-by-branch interval bounds, the full-sort order statistics,
 the one-null-at-a-time test decision, the statistics at a single sign
 vector, the Monte Carlo study that draws, fits and scores one
@@ -61,10 +61,8 @@ def column_loop_means(signs: np.ndarray, values: np.ndarray) -> np.ndarray:
     return means
 
 
-def wald_quadratic_loop(signs, scores, sigma_inv) -> np.ndarray:
-    """q * mean_i' sigma_inv mean_i for every row, from the column loop."""
-    q = signs.shape[1]
-    means = column_loop_means(signs, scores)
+def wald_quadratic_rows(means, sigma_inv, q: int) -> np.ndarray:
+    """q * mean_i' sigma_inv mean_i for every row i of (m, p) means."""
     m, p = means.shape
     out = np.zeros(m, dtype=np.float64)
     for r in range(p):
@@ -73,6 +71,11 @@ def wald_quadratic_loop(signs, scores, sigma_inv) -> np.ndarray:
             acc += means[:, c] * sigma_inv[c, r]
         out += acc * means[:, r]
     return out * q
+
+
+def wald_quadratic_loop(signs, scores, sigma_inv) -> np.ndarray:
+    """The Wald quadratic form of every row, from the column loop."""
+    return wald_quadratic_rows(column_loop_means(signs, scores), sigma_inv, signs.shape[1])
 
 
 def pm_iota_mask(signs: np.ndarray) -> np.ndarray:

@@ -434,6 +434,32 @@ def test_documented_failure_exit_codes(tmp_path, capsys, csv_text, extra, expect
     assert message in err
 
 
+def _cli_in_subprocess(argv):
+    """Run the CLI in a fresh interpreter, so numpy's warnings reach its stderr."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(artcluster.__file__)))
+    return subprocess.run(
+        [sys.executable, "-m", "artcluster.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
+# On the micro data (c'beta_j = 1 and 3, w_j = 2) contrast 2.5e307 gives
+# finite scores 5e307 and 1.5e308 whose sum overflows in the sweep; at
+# 1e308, c'beta_b itself overflows.  Both commands refuse both with the
+# same usage error, and no numpy warning reaches stderr.
+@pytest.mark.parametrize("contrast", ["2.5e307", "1e308"])
+@pytest.mark.parametrize("command", ["test", "ci"])
+def test_overflowing_scores_exit_1_with_one_error_line(micro_file, command, contrast):
+    done = _cli_in_subprocess([command, "--input", micro_file, "--cluster", "cluster",
+                               "--outcome", "y", "--covariates", "x", "--contrast", contrast])
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert done.stderr.splitlines() == [
+        "artcluster: error: scores are not finite, or their absolute sum over the clusters "
+        "overflows float64; rescale the outcome or the contrast"
+    ]
+
+
 # The documented exit code of every package error: 3 for I/O and data
 # validation, 1 for usage, 2 for the base class and estimation failures.
 ERROR_EXIT_CODES = {
@@ -780,11 +806,7 @@ class TestExportCommand:
 
 
 def _simulate_in_subprocess(spec_path):
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(artcluster.__file__)))
-    return subprocess.run(
-        [sys.executable, "-m", "artcluster.cli", "simulate", "--spec", str(spec_path)],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    return _cli_in_subprocess(["simulate", "--spec", str(spec_path)])
 
 
 # Documented simulate failures, run in process: (spec edits, exit code, a

@@ -10,7 +10,7 @@ from tests.oracles import as_sign_vector, bit_expansion_signs, sampled_signs
 
 def group_rows(group) -> np.ndarray:
     """A group's own rows: sweeping the unit vectors gives row i scaled by 1/q."""
-    return np.sign(group.sweep(np.eye(group.q))).astype(np.int8)
+    return np.sign(group.sweep(np.eye(group.q)).T).astype(np.int8)
 
 
 class TestExhaustive:

@@ -47,6 +47,7 @@ from tests.oracles import (
     sort_critical_value,
     sort_interval_endpoints,
     wald_quadratic_loop,
+    wald_quadratic_rows,
 )
 
 # signed zeros and repeated entries, mixed with arbitrary moderate floats
@@ -75,6 +76,11 @@ def matrices(q_lo=2, q_hi=14):
     )
 
 
+def group_last(means: np.ndarray) -> np.ndarray:
+    """The oracle's (m,) or (m, p) means in the sweep's layout, (m,) or (p, m)."""
+    return np.moveaxis(means, 0, -1)
+
+
 def assert_same_selection(got: float, expected: float, pool: np.ndarray) -> None:
     """Equal bits, except that +0.0 and -0.0 tie when the pool holds both."""
     zeros = pool[pool == 0.0]
@@ -96,7 +102,7 @@ class TestDoublingSweep:
     @settings(max_examples=80, deadline=None)
     @given(values=matrices())
     def test_matrix_matches_column_loop(self, values):
-        expected = column_loop_means(oracle_signs(values.shape[0]), values)
+        expected = group_last(column_loop_means(oracle_signs(values.shape[0]), values))
         got = SignGroup(values.shape[0], "exhaustive").sweep(values)
         assert got.shape == expected.shape
         assert np.array_equal(bits(got), bits(expected))
@@ -114,7 +120,8 @@ class TestDoublingSweep:
     @given(values=st.one_of(vectors(2, 8), matrices(2, 8)), seed=st.integers(0, 2**31))
     def test_sampled_sweep_matches_column_loop(self, values, seed):
         group = SignGroup(values.shape[0], "sampled", seed=seed, draws=300)
-        expected = column_loop_means(sampled_signs(values.shape[0], 300, seed), values)
+        signs = sampled_signs(values.shape[0], 300, seed)
+        expected = group_last(column_loop_means(signs, values))
         assert np.array_equal(bits(group.sweep(values)), bits(expected))
 
     def test_wrong_length_rejected(self):
@@ -139,6 +146,24 @@ class TestWald:
             expected = wald_quadratic_loop(signs, scores, sigma_inv)
             assert np.array_equal(bits(got), bits(expected))
 
+    @pytest.mark.parametrize("p", [1, 2, 3, 4])
+    @pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
+    def test_kernel_matches_row_loop(self, p, mode):
+        # the kernel reads (p, m) means; the earlier loop read them as (m, p).
+        # A general sigma_inv pins the index order, and the sampled group
+        # spans two 2^14-row chunks.
+        q = 11
+        rng = np.random.default_rng(p)
+        scores = rng.standard_normal((q, p))
+        sigma_inv = rng.standard_normal((p, p))
+        if mode == "exhaustive":
+            group = SignGroup(q, "exhaustive")
+        else:
+            group = SignGroup(q, "sampled", seed=p, draws=2**14 + 300)
+        means = group.sweep(scores)
+        got = kernels.group_wald_quadratic(means, sigma_inv, q)
+        assert np.array_equal(bits(got), bits(wald_quadratic_rows(means.T, sigma_inv, q)))
+
     @pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
     def test_run_wald_test_matches_loop(self, rng, mode):
         data = random_dataset(rng, q=9, d=3)
@@ -154,6 +179,28 @@ class TestWald:
         assert bits(result.critical_value) == bits(sort_critical_value(stats, 0.9))
 
 
+class TestSweepLayout:
+    """The group axis is last: (q,) values sweep to (m,), (q, p) values to (p, m)."""
+
+    @pytest.mark.parametrize("p", [None, 1, 3])
+    @pytest.mark.parametrize(
+        "group",
+        [SignGroup(6, "exhaustive"), SignGroup(6, "sampled", seed=5, draws=2**14 + 7)],
+        ids=["exhaustive", "sampled"],
+    )
+    def test_shape_and_identity_row(self, group, p):
+        rng = np.random.default_rng(6)
+        values = rng.standard_normal(6 if p is None else (6, p))
+        got = group.sweep(values)
+        assert got.shape == ((group.size,) if p is None else (p, group.size))
+        assert got.flags.c_contiguous
+        identity = column_loop_means(np.ones((1, 6), dtype=np.int8), values)[0]
+        assert np.array_equal(bits(got[..., 0]), bits(identity))
+        # each value column sweeps to the row that sweeping it alone gives
+        for c in range(p or 0):
+            assert np.array_equal(bits(got[c]), bits(group.sweep(values[:, c])))
+
+
 class TestLazySigns:
     """A group holds its parameters alone; its rows exist only inside the sweep."""
 
@@ -161,7 +208,7 @@ class TestLazySigns:
     def test_matches_bit_expansion(self, q):
         group = SignGroup(q, "exhaustive")
         # sweeping the unit vectors gives row i scaled by 1/q: the signs of row i
-        rows = np.sign(group.sweep(np.eye(q))).astype(np.int8)
+        rows = np.sign(group.sweep(np.eye(q)).T).astype(np.int8)
         assert np.array_equal(rows, oracle_signs(q))
 
     def test_engine_never_builds_exhaustive_matrix(self, rng):
@@ -226,7 +273,7 @@ class TestSampledChunks:
         signs = sampled_signs(q, draws, seed)
         rng = np.random.default_rng(values_seed)
         for values in (rng.standard_normal(q), rng.standard_normal((q, 2))):
-            expected = column_loop_means(signs, values)
+            expected = group_last(column_loop_means(signs, values))
             assert np.array_equal(bits(group.sweep(values)), bits(expected))
 
 
