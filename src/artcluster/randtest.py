@@ -205,7 +205,7 @@ def pvalue_from_statistics(statistics: np.ndarray, observed):
     statistics and (k,) observed values give the p-value of each row.
     """
     thresh = observed - snap_tolerance(observed)
-    p = np.sum(statistics >= thresh[..., None], axis=-1) / statistics.shape[-1]
+    p = (statistics >= thresh[..., None]).sum(axis=-1) / statistics.shape[-1]
     return float(p) if statistics.ndim == 1 else p
 
 
