@@ -220,8 +220,8 @@ def pvalue_from_statistics(statistics: np.ndarray, observed):
 # A chunk's sweep is (columns, m), one contiguous row of m statistics per
 # score column, so the quantile and the count decide it in place.  Timing
 # 2^12-2^18 on the engine of a perfbench ``inversion`` instance (q = 10,
-# 4001 columns) found 2^15 and 2^16 within 5% of each other and faster
-# than the rest; 2^15 holds less memory.
+# 4001 columns) found 2^15 and 2^16 within 10% of each other and faster
+# than the rest; 2^15 holds half the memory.
 _CHUNK_STATISTICS = 2**15
 
 

@@ -4,7 +4,8 @@ These are the package's earlier kernels, kept verbatim in arithmetic:
 the explicit uint64 bit-expansion of the exhaustive sign matrix, the
 one-shot draw of a sampled group's sign matrix from its seed, the
 column-by-column signed-mean sweep over a sign matrix, the Wald
-quadratic form over the (m, p) means of that sweep, the all-entries-equal +-identity mask,
+quadratic form over the (m, p) means of that sweep, the
+all-entries-equal +-identity mask,
 the branch-by-branch interval bounds, the full-sort order statistics,
 the one-null-at-a-time test decision, the statistics at a single sign
 vector, the Monte Carlo study that draws, fits and scores one
