@@ -40,6 +40,25 @@ DEFAULT_DRAWS = 1000
 _CHUNK_ROWS = 2**14
 
 
+def check_score_sums(values: np.ndarray) -> None:
+    """Refuse (q,) or (q, k) values whose signed means could overflow.
+
+    Every signed partial sum of a sweep is bounded by the sum of |v_j| in
+    the same left-to-right order, because rounding is monotone, so a
+    finite column sum of |values| means that no sweep overflows.  An
+    exhaustive group's row g_j = sign(v_j) reaches that sum, so there the
+    check refuses exactly the values whose sweep would overflow.  NaN and
+    infinite values fail it too.  It costs O(q k).
+    """
+    with np.errstate(over="ignore"):
+        total = np.add.accumulate(np.abs(values), axis=0)[-1]
+    if not np.isfinite(total).all():
+        raise ValueError(
+            "scores are not finite, or their absolute sum over the clusters "
+            "overflows float64; rescale the outcome or the contrast"
+        )
+
+
 def check_seed(seed: int) -> None:
     """Refuse a seed outside [0, 2**128), the range of Philox keys."""
     if not 0 <= seed < 2**128:
@@ -60,10 +79,12 @@ class SignGroup:
     filling the (B - 1, q) block row by row, so a given (q, draws, seed)
     triple yields the same rows on every platform.  It raises
     ``ValueError``, naming ``draws_name``, when the group would need more
-    than 1 GiB: B * (2q + 40) bytes, for the float64 (B,) arrays of a sweep
-    and its interval bounds.  A sampled ``ci`` peaks about 41 B per draw
-    above the interpreter's floor (77 MB at q = 20 and 1M draws), under the
-    estimate at every q.
+    than 1 GiB: B * 50 bytes, plus 2^14 * (3q + 48) for one chunk's int8
+    flips and signs and three (2, 2^14) float64 temporaries.  A sampled
+    ``ci`` holds 41 B per draw (a(g), b(g), the two bounds, the quantile's
+    copy and the +-identity mask) over about 9 MB for numpy's random module
+    and the command, so 50 B per draw covers its peak from about 1M draws
+    up (50 MB over the import floor at 1M draws, at every q).
 
     Attributes
     ----------
@@ -100,7 +121,10 @@ class SignGroup:
                 raise ValueError("need q >= 2")
             if self.draws < 2:
                 raise ValueError("sampled mode needs at least 2 vectors")
-            check_bytes(f"{draws_name} {self.draws} at q = {self.q}", self.draws * (2 * self.q + 40))
+            check_bytes(
+                f"{draws_name} {self.draws} at q = {self.q}",
+                self.draws * 50 + _CHUNK_ROWS * (3 * self.q + 48),
+            )
             check_seed(self.seed)
         else:
             raise ValueError(f"unknown group mode {self.mode!r}")
@@ -129,13 +153,15 @@ class SignGroup:
 
         ``values`` is (q,) or (q, p); the result is (m,) or (p, m): the
         group axis is last, so each value column gets one contiguous row
-        of m means.
+        of m means.  Values whose signed means could overflow raise
+        ``ValueError`` (:func:`check_score_sums`), so every mean is finite.
         """
         values = np.asarray(values, dtype=np.float64)
         if values.shape[0] != self.q:
             raise ValueError(
                 f"values have {values.shape[0]} entries but the group acts on q = {self.q}"
             )
+        check_score_sums(values)
         if self.mode == "exhaustive":
             return kernels.exhaustive_means(values)
         out = np.empty((*values.shape[1:], self.draws))

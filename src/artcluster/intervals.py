@@ -22,7 +22,6 @@ from artcluster.groups import SignGroup
 from artcluster.model import ClusteredDataset, _frozen
 from artcluster.randtest import (
     _cluster_terms,
-    check_score_sums,
     critical_value,
     pvalue_from_statistics,
     run_test_columns,
@@ -101,12 +100,12 @@ def interval_inputs(
     estimates: ClusterEstimates, contrast: np.ndarray, group: SignGroup
 ) -> IntervalInputs:
     """Compute a(g), b(g) for every group element from per-cluster fits."""
-    # huge contrasts overflow here; the sum check reports it as the test does
+    # huge contrasts overflow here; the sweep refuses them as the test's does
     with np.errstate(over="ignore", invalid="ignore"):
         w, cbeta = _cluster_terms(estimates.betas, estimates.sizes, np.ravel(contrast))
-        scores = w * cbeta
-    check_score_sums(scores)
-    return IntervalInputs(a=group.sweep(w), b=group.sweep(scores))
+        values = np.stack([w, w * cbeta], axis=1)
+    a, b = group.sweep(values)
+    return IntervalInputs(a=a, b=b)
 
 
 # ------------------------------------------------------------------ #
@@ -233,12 +232,14 @@ def default_inversion_grid(
     points: int = GRID_POINTS_DEFAULT,
 ) -> np.ndarray:
     """Symmetric grid around the center, wide enough to bracket the interval."""
-    w, cbeta = _cluster_terms(estimates.betas, estimates.sizes, np.ravel(contrast))
-    lam0 = _center(w, cbeta)
-    span = float(np.max(np.abs(cbeta - lam0)))
-    span = max(span, 1e-8 * max(1.0, abs(lam0)))
-    half = GRID_HALF_WIDTHS * span
-    return np.linspace(lam0 - half, lam0 + half, points)
+    # huge contrasts overflow here; interval_by_inversion refuses a non-finite grid
+    with np.errstate(over="ignore", invalid="ignore"):
+        w, cbeta = _cluster_terms(estimates.betas, estimates.sizes, np.ravel(contrast))
+        lam0 = _center(w, cbeta)
+        span = float(np.max(np.abs(cbeta - lam0)))
+        span = max(span, 1e-8 * max(1.0, abs(lam0)))
+        half = GRID_HALF_WIDTHS * span
+        return np.linspace(lam0 - half, lam0 + half, points)
 
 
 def inversion_scan(
@@ -254,8 +255,11 @@ def inversion_scan(
     reused; the scores of all grid values go through the real test
     engine as the columns of one block.
     """
-    w, cbeta = _cluster_terms(estimates.betas, estimates.sizes, np.ravel(contrast))
-    statistic, crit, _ = run_test_columns(w[:, None] * (cbeta[:, None] - grid), alpha, group)
+    # huge grid values or contrasts overflow here; the sweep refuses the scores
+    with np.errstate(over="ignore", invalid="ignore"):
+        w, cbeta = _cluster_terms(estimates.betas, estimates.sizes, np.ravel(contrast))
+        scores = w[:, None] * (cbeta[:, None] - grid)
+    statistic, crit, _ = run_test_columns(scores, alpha, group)
     return ~(statistic > crit)
 
 
@@ -283,7 +287,8 @@ def interval_by_inversion(
     grid = np.asarray(grid, dtype=np.float64).reshape(-1)
     if grid.size < 2 or not np.all(np.isfinite(grid)):
         raise ValueError("grid must contain at least two finite values")
-    lam0 = _center(*_cluster_terms(estimates.betas, estimates.sizes, np.ravel(contrast)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        lam0 = _center(*_cluster_terms(estimates.betas, estimates.sizes, np.ravel(contrast)))
     if not grid[0] <= lam0 <= grid[-1]:
         raise ValueError("grid must contain the center point")
     keep = inversion_scan(estimates, contrast, alpha, group, grid)

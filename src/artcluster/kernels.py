@@ -38,26 +38,20 @@ __all__ = [
 # Starting from +0.0 this is the column loop's left-to-right order, and
 # x - v equals x + (-v) exactly, so both sweeps give the same bits.
 # The group axis is last: (q, p) values double p rows side by side, each
-# row adding its own value.  A lone column doubles as a (q,) vector:
-# numpy adds a scalar to a 1-D level without its general iterator, which
-# a (1, n) level would pay twice per level.
+# row adding its own value, and (q,) values double one row.
 
 
 def exhaustive_means(values: np.ndarray) -> np.ndarray:
     """Mean of sign-flipped values for all 2^q sign vectors, in order."""
     v = np.asarray(values, dtype=np.float64)
-    q, lead = v.shape[0], v.shape[1:]
-    if v.size == q:
-        v = v.reshape(q)
-    rows = v.shape[1:]
-    sums = np.zeros((*rows, 1))
-    for x in v[..., None] if rows else v:
-        level = np.empty((*rows, 2 * sums.shape[-1]))
+    sums = np.zeros((*v.shape[1:], 1))
+    for x in v[..., None]:
+        level = np.empty((*v.shape[1:], 2 * sums.shape[-1]))
         np.add(sums, x, out=level[..., 0::2])
         np.subtract(sums, x, out=level[..., 1::2])
         sums = level
-    sums /= q
-    return sums.reshape(*lead, -1)
+    sums /= v.shape[0]
+    return sums
 
 
 def group_means(signs: np.ndarray, values: np.ndarray) -> np.ndarray:

@@ -93,29 +93,10 @@ def scores_from_estimates(
     ``scaling="root_n"`` replaces sqrt(n_j) with the uniform sqrt(n)
     factor used by the multi-row statistic.
     """
-    # huge contrasts overflow here; the engine's sum check reports it
+    # huge contrasts overflow here; the sweep refuses the scores
     with np.errstate(over="ignore", invalid="ignore"):
         w, cbeta = _cluster_terms(estimates.betas, estimates.sizes, hypothesis.contrast, scaling)
         return w * (cbeta - hypothesis.value)
-
-
-def check_score_sums(values: np.ndarray) -> None:
-    """Refuse (q,) or (q, k) scores whose signed means could overflow.
-
-    Every signed partial sum of a sweep is bounded by the sum of |v_j| in
-    the same left-to-right order, because rounding is monotone, so a
-    finite column sum of |scores| means that no sweep overflows.  An
-    exhaustive group's row g_j = sign(v_j) reaches that sum, so there the
-    check refuses exactly the scores whose sweep would overflow.  NaN and
-    infinite scores fail it too.  It costs O(q k); the sweep stays unchecked.
-    """
-    with np.errstate(over="ignore"):
-        total = np.add.accumulate(np.abs(values), axis=0)[-1]
-    if not np.isfinite(total).all():
-        raise ValueError(
-            "scores are not finite, or their absolute sum over the clusters "
-            "overflows float64; rescale the outcome or the contrast"
-        )
 
 
 def scores_via_restricted(
@@ -146,17 +127,24 @@ def _wald_ingredients(
 
     The outer-product matrix is built from unsigned scores (sign flips
     leave it unchanged).  Returns ``(scores, None)`` in the degenerate
-    all-zero-score case, where the statistic is identically zero.
+    all-zero-score case, where the statistic is identically zero.  Scores
+    whose outer-product matrix overflows raise ``ValueError``.
     """
     if hypothesis.restriction.shape[1] != estimates.d_z:
         raise ValueError("restriction width must equal the covariate count")
-    w, rbeta = _cluster_terms(
-        estimates.betas, estimates.sizes, hypothesis.restriction.T, scaling
-    )
-    scores = w[:, None] * (rbeta - hypothesis.values)  # (q, p)
-    if not scores.any():
-        return scores, None
-    sigma = scores.T @ scores / estimates.q
+    with np.errstate(over="ignore", invalid="ignore"):
+        w, rbeta = _cluster_terms(
+            estimates.betas, estimates.sizes, hypothesis.restriction.T, scaling
+        )
+        scores = w[:, None] * (rbeta - hypothesis.values)  # (q, p)
+        if not scores.any():
+            return scores, None
+        sigma = scores.T @ scores / estimates.q
+    if not np.isfinite(sigma).all():
+        raise ValueError(
+            "the scores' outer-product matrix overflows float64; "
+            "rescale the outcome or the restriction"
+        )
     rc = reciprocal_condition(sigma)
     if not np.isfinite(rc) or rc < 1e-12:
         raise SingularSigma(
@@ -276,7 +264,6 @@ def run_test_columns(
     """
     check_variant(variant)
     values = np.asarray(values, dtype=np.float64)
-    check_score_sums(values)
     width = max(1, min(_CHUNK_STATISTICS // group.size, values.shape[1]))
     out = np.empty((3, values.shape[1]))
     for start in range(0, values.shape[1], width):
@@ -362,19 +349,21 @@ def run_wald_test(
     """Randomization test of a multi-row restriction (quadratic form).
 
     A one-row restriction's quadratic form is an increasing function of
-    the |mean| statistic, so its p-value is taken from the |mean| sweep
-    of the same scores, with ties snapped on that scale; the statistic
-    and critical value stay on the quadratic scale.
+    the |mean| statistic, so its p-value is read off the |mean| row of
+    the same sweep, with ties snapped on that scale; the statistic and
+    critical value stay on the quadratic scale.
     """
     if group is None:
         group = enumerate_group(data.q, mode="auto", seed=0)
     estimates = fit_per_cluster(data)
     scores, sigma_inv = _wald_ingredients(estimates, hypothesis, scaling)
+    means = group.sweep(scores)
     if sigma_inv is None:
         stats = np.zeros(group.size, dtype=np.float64)
     else:
-        stats = kernels.group_wald_quadratic(group.sweep(scores), sigma_inv, estimates.q)
+        stats = kernels.group_wald_quadratic(means, sigma_inv, estimates.q)
     statistic, crit, p_value = _decide(stats, alpha)
     if hypothesis.p == 1:
-        p_value = run_test_columns(scores, alpha, group)[2, 0]
+        t = np.abs(means[0])
+        p_value = pvalue_from_statistics(t, t[0])
     return TestResult(statistic, crit, p_value, alpha, group, "wald", scaling)

@@ -238,8 +238,10 @@ def _study_scores(spec: DgpSpec, hypothesis: LinearHypothesis, replications: int
     for start in range(0, replications, chunk):
         stop = min(start + chunk, replications)
         betas, _ = fit_clusters(*_draw(spec, start, stop), offsets, labels)
-        w, cbeta = _cluster_terms(betas, sizes, hypothesis.contrast)
-        scores[:, start:stop] = (w * (cbeta - hypothesis.value)).T
+        # huge null values overflow here; the sweep refuses the scores
+        with np.errstate(over="ignore", invalid="ignore"):
+            w, cbeta = _cluster_terms(betas, sizes, hypothesis.contrast)
+            scores[:, start:stop] = (w * (cbeta - hypothesis.value)).T
     return scores
 
 

@@ -214,6 +214,15 @@ def bits(x) -> np.ndarray:
     return np.asarray(x, dtype=np.float64).view(np.int64)
 
 
+def assert_same_selection(got: float, expected: float, pool: np.ndarray) -> None:
+    """Equal bits, except that +0.0 and -0.0 tie when the pool holds both."""
+    zeros = pool[pool == 0.0]
+    if np.signbit(zeros).any() and not np.signbit(zeros).all():
+        assert got == expected
+    else:
+        assert bits(got) == bits(expected)
+
+
 # ------------------------------------------------------------------ #
 # Monte Carlo studies, one replication at a time
 # ------------------------------------------------------------------ #

@@ -460,6 +460,29 @@ def test_overflowing_scores_exit_1_with_one_error_line(micro_file, command, cont
     ]
 
 
+# A power study of null value 1e308 overflows sqrt(n_j) * (c'beta_j - 1e308)
+# while forming its scores; the sweep refuses them with the same usage
+# error, and no numpy warning reaches stderr.
+def test_overflowing_study_scores_exit_1_with_one_error_line(tmp_path):
+    spec = {
+        "dgp": {"sizes": [10] * 6, "beta": [0.5, 1.0], "sigma": [1.0] * 6},
+        "study": "power",
+        "contrast": [0.0, 1.0],
+        "null_value": 1e308,
+        "alpha": 0.05,
+        "replications": 20,
+    }
+    path = tmp_path / "study.json"
+    path.write_text(json.dumps(spec))
+    done = _cli_in_subprocess(["simulate", "--spec", str(path)])
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert done.stderr.splitlines() == [
+        "artcluster: error: scores are not finite, or their absolute sum over the clusters "
+        "overflows float64; rescale the outcome or the contrast"
+    ]
+
+
 # The documented exit code of every package error: 3 for I/O and data
 # validation, 1 for usage, 2 for the base class and estimation failures.
 ERROR_EXIT_CODES = {
@@ -1237,6 +1260,13 @@ def _study_argv(tmp_path, sizes, d_z):
     return ["simulate", "--spec", str(path), "--output", str(tmp_path / "report.json")]
 
 
+def _sampled_ci_argv(tmp_path, draws):
+    path = write_random_csv(tmp_path, np.random.default_rng(2), q=2, n_j=12)
+    return ["ci", "--input", path, "--cluster", "cluster", "--outcome", "y",
+            "--covariates", "x1,x2", "--coef", "x1", "--group-mode", "sampled",
+            "--draws", str(draws), "--output", str(tmp_path / "report.json")]
+
+
 def _blocks_argv(tmp_path, q):
     return ["blocks", "--n", str(10**9), "--q", str(q), "--output", str(tmp_path / "report.json")]
 
@@ -1250,6 +1280,9 @@ def _blocks_argv(tmp_path, q):
                      "dgp.sizes", id="sizes-d1"),
         pytest.param(lambda tmp, extra: _study_argv(tmp, [349525, 349525 + extra], 3),
                      "dgp.sizes", id="sizes-d3"),
+        # 50 B per draw plus 2^14 * (3q + 48) for a chunk, at q = 2
+        pytest.param(lambda tmp, extra: _sampled_ci_argv(tmp, (_LIMIT - 2**14 * 54) // 50 + extra),
+                     "--draws", id="draws-ci"),
         # 660 B per block at n = 10^9
         pytest.param(lambda tmp, extra: _blocks_argv(tmp, _LIMIT // 660 + extra),
                      "--q", id="blocks-q"),

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from artcluster import (
@@ -25,7 +25,11 @@ from artcluster.intervals import (
     per_group_bounds,
 )
 from tests.conftest import random_contrast, random_dataset
-from tests.oracles import bit_expansion_signs, bits, sort_interval_endpoints
+from tests.oracles import (
+    assert_same_selection,
+    bit_expansion_signs,
+    sort_interval_endpoints,
+)
 
 
 def shift_contrast_estimates(est, contrast, delta):
@@ -59,11 +63,17 @@ def point_instances(draw):
         sizes = [draw(st.integers(1, 60))] * q
     else:
         sizes = draw(st.lists(st.integers(1, 60), min_size=q, max_size=q))
-    estimates = ClusterEstimates(
-        betas=cbeta[:, None], sizes=sizes, grams=np.ones((q, 1, 1)), labels=tuple(range(q))
-    )
     alpha = draw(st.sampled_from([0.05, 0.1, 0.32, 0.5]))
-    return estimates, alpha
+    return point_estimates(cbeta, sizes), alpha
+
+
+def point_estimates(cbeta, sizes) -> ClusterEstimates:
+    """One-covariate estimates with c'beta_j = ``cbeta[j]`` for the contrast [1]."""
+    q = len(cbeta)
+    return ClusterEstimates(
+        betas=np.reshape(cbeta, (q, 1)), sizes=sizes, grams=np.ones((q, 1, 1)),
+        labels=tuple(range(q)),
+    )
 
 
 class TestIntervalInputs:
@@ -246,13 +256,19 @@ class TestInterval:
 
     @settings(max_examples=200, deadline=None)
     @given(instance=point_instances())
+    # the upper bounds hold +0.0 and -0.0: the closed form selects +0.0 and
+    # the sorting oracle -0.0, the same value
+    @example(instance=(point_estimates([0.0] * 5 + [-5e-324], [1] * 6), 0.05))
     def test_point_intervals_keep_endpoint_order(self, instance):
         estimates, alpha = instance
         inputs = interval_inputs(estimates, [1.0], SignGroup(estimates.q, "exhaustive"))
         ci = interval(inputs, alpha)
         assert ci.lower <= ci.upper
-        expected = sort_interval_endpoints(*per_group_bounds(inputs), alpha)
-        assert np.array_equal(bits([ci.lower, ci.upper]), bits(expected))
+        lo_all, hi_all = per_group_bounds(inputs)
+        lower, upper = sort_interval_endpoints(lo_all, hi_all, alpha)
+        pool = np.concatenate([lo_all, hi_all])
+        assert_same_selection(ci.lower, lower, pool)
+        assert_same_selection(ci.upper, upper, pool)
 
     def test_ulp_inverted_point_interval_is_swapped(self, group_cache):
         # three equal estimates: no row's bounds are out of order, but one
@@ -385,6 +401,22 @@ class TestInversionOracle:
         grid = np.linspace(inputs.lambda0 + 1.0, inputs.lambda0 + 2.0, 50)
         with pytest.raises(ValueError):
             interval_by_inversion(est, c, 0.1, group_cache(5), grid)
+
+    @pytest.mark.parametrize(
+        "contrast, grid, message",
+        [
+            # the scores at +-1e308 overflow; the engine's sweep refuses them
+            ([0.0, 1.0], [-1e308, 0, 2, 1e308], "absolute sum over the clusters overflows"),
+            # the center overflows, so the default grid is not finite
+            ([0.0, 1e308], None, "grid must contain at least two finite values"),
+        ],
+        ids=["grid", "contrast"],
+    )
+    def test_overflowing_grid_refused_without_warning(self, rng, group_cache, contrast, grid,
+                                                      message):
+        est = fit_per_cluster(random_dataset(rng, q=8, d=2))
+        with pytest.raises(ValueError, match=message):
+            interval_by_inversion(est, contrast, 0.05, group_cache(8), grid)
 
     def test_nonrejection_region_contiguous(self, rng, group_cache):
         data = random_dataset(rng, q=6, d=2)

@@ -140,6 +140,16 @@ class TestWaldStatistic:
         with pytest.raises(SingularSigma):
             statistic_wald(est, mh, np.ones(4, dtype=np.int8))
 
+    # finite scores near 1e300 whose squares overflow, and scores near 1e160
+    # whose squares do: the outer-product matrix is refused as a usage error,
+    # not taken for a singular one, and numpy does not warn
+    @pytest.mark.parametrize("values", [[1e300, 1e300], [1e160, 0.0]])
+    def test_overflowing_outer_product_refused(self, rng, values):
+        data = random_dataset(rng, q=8, d=3)
+        mh = MultiHypothesis(restriction=np.eye(3)[1:], values=values)
+        with pytest.raises(ValueError, match="outer-product matrix overflows float64"):
+            run_wald_test(data, mh, 0.1, SignGroup(8, "exhaustive"))
+
     @pytest.mark.parametrize("p", [1, 2])
     def test_all_zero_scores(self, rng, p):
         # every cluster holds the same rows, so every cluster's fit is the same

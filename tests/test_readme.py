@@ -90,7 +90,7 @@ def _blocks_accepted(q) -> bool:
 
 # Each limit the README states, with a probe that runs the guard on one value.
 README_LIMITS = [
-    ("about 13 million draws at q = 20",
+    ("about 21.4 million draws at q = 20",
      lambda b: _accepted(lambda: SignGroup(20, "sampled", seed=0, draws=b))),
     ("about 6.7 million replications at q = 8",
      lambda r: _accepted(lambda: simulation.check_study(8, 0.05, r))),

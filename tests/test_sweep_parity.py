@@ -38,6 +38,7 @@ from artcluster.intervals import (
 from artcluster.randtest import _wald_ingredients
 from tests.conftest import random_contrast, random_dataset
 from tests.oracles import (
+    assert_same_selection,
     bit_expansion_signs,
     bits,
     column_loop_means,
@@ -79,15 +80,6 @@ def matrices(q_lo=2, q_hi=14):
 def group_last(means: np.ndarray) -> np.ndarray:
     """The oracle's (m,) or (m, p) means in the sweep's layout, (m,) or (p, m)."""
     return np.moveaxis(means, 0, -1)
-
-
-def assert_same_selection(got: float, expected: float, pool: np.ndarray) -> None:
-    """Equal bits, except that +0.0 and -0.0 tie when the pool holds both."""
-    zeros = pool[pool == 0.0]
-    if np.signbit(zeros).any() and not np.signbit(zeros).all():
-        assert got == expected
-    else:
-        assert bits(got) == bits(expected)
 
 
 class TestDoublingSweep:
@@ -179,15 +171,16 @@ class TestWald:
         assert bits(result.critical_value) == bits(sort_critical_value(stats, 0.9))
 
 
+# the sampled group spans two 2^14-row chunks
+SWEEP_GROUPS = [SignGroup(6, "exhaustive"), SignGroup(6, "sampled", seed=5, draws=2**14 + 7)]
+FLOAT_MAX = np.finfo(np.float64).max
+
+
 class TestSweepLayout:
     """The group axis is last: (q,) values sweep to (m,), (q, p) values to (p, m)."""
 
     @pytest.mark.parametrize("p", [None, 1, 3])
-    @pytest.mark.parametrize(
-        "group",
-        [SignGroup(6, "exhaustive"), SignGroup(6, "sampled", seed=5, draws=2**14 + 7)],
-        ids=["exhaustive", "sampled"],
-    )
+    @pytest.mark.parametrize("group", SWEEP_GROUPS, ids=["exhaustive", "sampled"])
     def test_shape_and_identity_row(self, group, p):
         rng = np.random.default_rng(6)
         values = rng.standard_normal(6 if p is None else (6, p))
@@ -199,6 +192,43 @@ class TestSweepLayout:
         # each value column sweeps to the row that sweeping it alone gives
         for c in range(p or 0):
             assert np.array_equal(bits(got[c]), bits(group.sweep(values[:, c])))
+
+
+def edge_values(p, third: float) -> np.ndarray:
+    """Ones, with the last column led by +-max/2 (|sum| = max exactly) and ``third``."""
+    values = np.ones(6 if p is None else (6, p))
+    column = values if p is None else values[:, -1]
+    column[:3] = FLOAT_MAX / 2, -FLOAT_MAX / 2, third
+    return values
+
+
+class TestGuardedSweep:
+    """Every sweep refuses values whose signed means could overflow, and no other."""
+
+    @pytest.mark.parametrize(
+        "third", [np.nan, np.inf, -np.inf, FLOAT_MAX / 4], ids=["nan", "inf", "-inf", "overflow"]
+    )
+    @pytest.mark.parametrize("p", [None, 1, 3])
+    @pytest.mark.parametrize("group", SWEEP_GROUPS, ids=["exhaustive", "sampled"])
+    def test_refuses_non_finite_or_overflowing_values(self, group, p, third):
+        with pytest.raises(ValueError) as refused:
+            group.sweep(edge_values(p, third))
+        assert str(refused.value) == (
+            "scores are not finite, or their absolute sum over the clusters "
+            "overflows float64; rescale the outcome or the contrast"
+        )
+
+    @pytest.mark.parametrize("p", [None, 1, 3])
+    @pytest.mark.parametrize("group", SWEEP_GROUPS, ids=["exhaustive", "sampled"])
+    def test_sums_up_to_the_float64_maximum_sweep(self, group, p):
+        values = edge_values(p, 0.0)
+        if group.mode == "exhaustive":
+            signs = oracle_signs(6)
+        else:
+            signs = sampled_signs(6, group.draws, group.seed)
+        got = group.sweep(values)
+        assert np.isfinite(got).all()
+        assert np.array_equal(bits(got), bits(group_last(column_loop_means(signs, values))))
 
 
 class TestLazySigns:
