@@ -27,8 +27,6 @@ from artcluster.errors import (
 )
 from artcluster.estimation import (
     ClusterEstimates,
-    RestrictedFit,
-    cluster_scores,
     fit_per_cluster,
     fit_restricted,
 )
@@ -85,7 +83,6 @@ __all__ = [
     "MultiHypothesis",
     "NonFiniteValue",
     "ParseError",
-    "RestrictedFit",
     "SignGroup",
     "SingularFullGram",
     "SingularSigma",
@@ -95,7 +92,6 @@ __all__ = [
     "WidthMismatch",
     "blockify",
     "canonicalize",
-    "cluster_scores",
     "critical_value",
     "enumerate_group",
     "fit_per_cluster",

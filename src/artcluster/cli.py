@@ -281,9 +281,7 @@ def _table(rows: list, columns) -> str:
 def _test_result(config: RunConfig, names, contrast, group, estimates) -> dict:
     hypothesis = LinearHypothesis(contrast=contrast, value=config.null_value)
     scores = scores_from_estimates(estimates, hypothesis, config.scaling)
-    result = run_test_from_scores(
-        scores, config.alpha, group, config.variant, config.scaling
-    )
+    result = run_test_from_scores(scores, config.alpha, group, config.variant)
 
     notes = []
     if group.forced_ties / group.size > config.alpha:
@@ -301,7 +299,7 @@ def _test_result(config: RunConfig, names, contrast, group, estimates) -> dict:
         "reject": result.reject,
         "alpha": result.alpha,
         "variant": result.variant,
-        "scaling": result.scaling,
+        "scaling": config.scaling,
         "group": group.describe(),
         "per_cluster": [
             {

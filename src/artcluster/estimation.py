@@ -17,8 +17,6 @@ from artcluster.model import ClusteredDataset, LinearHypothesis, _frozen
 __all__ = [
     "RCOND_THRESHOLD",
     "ClusterEstimates",
-    "RestrictedFit",
-    "cluster_scores",
     "fit_clusters",
     "fit_per_cluster",
     "fit_restricted",
@@ -81,22 +79,6 @@ class ClusterEstimates:
     @property
     def n(self) -> int:
         return int(self.sizes.sum())
-
-
-@dataclass(frozen=True)
-class RestrictedFit:
-    """Full-sample least squares under the null restriction."""
-
-    beta_r: np.ndarray  # (d_z,)
-    residuals: np.ndarray  # (n,)
-
-    def __post_init__(self):
-        beta = np.asarray(self.beta_r, dtype=np.float64).reshape(-1)
-        resid = np.asarray(self.residuals, dtype=np.float64).reshape(-1)
-        if not (np.all(np.isfinite(beta)) and np.all(np.isfinite(resid))):
-            raise ValueError("restricted fit must be finite")
-        object.__setattr__(self, "beta_r", _frozen(beta))
-        object.__setattr__(self, "residuals", _frozen(resid))
 
 
 def _raise_svd_failure(err, flag):
@@ -179,8 +161,8 @@ def fit_per_cluster(data: ClusteredDataset) -> ClusterEstimates:
     return ClusterEstimates(betas=betas[0], sizes=data.sizes, grams=grams[0], labels=data.labels)
 
 
-def fit_restricted(data: ClusteredDataset, hypothesis: LinearHypothesis) -> RestrictedFit:
-    """Full-sample least squares subject to contrast'beta = value.
+def fit_restricted(data: ClusteredDataset, hypothesis: LinearHypothesis) -> np.ndarray:
+    """Full-sample least squares subject to contrast'beta = value, (d_z,).
 
     Computed in closed form by projecting the unrestricted solution:
     beta_r = beta - A^{-1} c (c'beta - value) / (c' A^{-1} c) with A the
@@ -190,6 +172,8 @@ def fit_restricted(data: ClusteredDataset, hypothesis: LinearHypothesis) -> Rest
     ------
     SingularFullGram
         When the full-sample Gram matrix is numerically singular.
+    ValueError
+        When the solution is not finite (c' A^{-1} c underflows).
     """
     Z, y = data.covariates, data.outcomes
     c = hypothesis.contrast
@@ -204,7 +188,9 @@ def fit_restricted(data: ClusteredDataset, hypothesis: LinearHypothesis) -> Rest
     beta, _, _, _ = np.linalg.lstsq(Z, y, rcond=None)
     u = np.linalg.solve(A, c)
     gap = float(c @ beta) - hypothesis.value
-    beta_r = beta - u * (gap / float(c @ u))
+    # a denormal c'u overflows the step; the finiteness check refuses it
+    with np.errstate(over="ignore", invalid="ignore"):
+        beta_r = beta - u * (gap / float(c @ u))
 
     achieved = float(c @ beta_r)
     scale = max(1.0, abs(hypothesis.value))
@@ -213,27 +199,6 @@ def fit_restricted(data: ClusteredDataset, hypothesis: LinearHypothesis) -> Rest
             "restricted solution failed to satisfy the constraint "
             f"(reached {achieved!r}, wanted {hypothesis.value!r})"
         )
-    return RestrictedFit(beta_r=beta_r, residuals=y - Z @ beta_r)
-
-
-def cluster_scores(
-    data: ClusteredDataset,
-    fit: RestrictedFit,
-    estimates: ClusterEstimates,
-    hypothesis: LinearHypothesis,
-) -> np.ndarray:
-    """Within-cluster weighted scores of the restricted residuals.
-
-    For each cluster j returns
-        c' Gram_j^{-1} (1/sqrt(n_j)) * sum_i Z_ij * resid_ij,
-    which equals sqrt(n_j) * (c'beta_j - value) computed from the
-    per-cluster estimates (the two routes agree numerically).
-    """
-    c = hypothesis.contrast
-    out = np.empty(data.q, dtype=np.float64)
-    for j in range(data.q):
-        s = data.cluster_slice(j)
-        Z_j = data.covariates[s]
-        v = Z_j.T @ fit.residuals[s] / np.sqrt(Z_j.shape[0])
-        out[j] = float(c @ np.linalg.solve(estimates.grams[j], v))
-    return out
+    if not np.all(np.isfinite(beta_r)):  # a NaN passes the constraint check
+        raise ValueError("restricted fit must be finite")
+    return beta_r

@@ -17,9 +17,9 @@ import numpy as np
 
 from artcluster import kernels
 from artcluster.errors import ArtClusterError, GridTooCoarse
-from artcluster.estimation import ClusterEstimates, fit_per_cluster
+from artcluster.estimation import ClusterEstimates
 from artcluster.groups import SignGroup
-from artcluster.model import ClusteredDataset, _frozen
+from artcluster.model import _frozen
 from artcluster.randtest import (
     _cluster_terms,
     critical_value,
@@ -264,7 +264,7 @@ def inversion_scan(
 
 
 def interval_by_inversion(
-    data: ClusteredDataset | ClusterEstimates,
+    estimates: ClusterEstimates,
     contrast: np.ndarray,
     alpha: float,
     group: SignGroup,
@@ -280,15 +280,22 @@ def interval_by_inversion(
     ------
     GridTooCoarse
         When every grid value is rejected.
+    ValueError
+        When the center overflows float64, or the grid holds fewer than
+        two values, a non-finite one, or not the center.
     """
-    estimates = data if isinstance(data, ClusterEstimates) else fit_per_cluster(data)
+    with np.errstate(over="ignore", invalid="ignore"):
+        lam0 = _center(*_cluster_terms(estimates.betas, estimates.sizes, np.ravel(contrast)))
+    if not math.isfinite(lam0):
+        raise ValueError(
+            f"the center of contrast {np.ravel(contrast).tolist()} overflows float64; "
+            "rescale the outcome or the contrast"
+        )
     if grid is None:
         grid = default_inversion_grid(estimates, contrast)
     grid = np.asarray(grid, dtype=np.float64).reshape(-1)
     if grid.size < 2 or not np.all(np.isfinite(grid)):
         raise ValueError("grid must contain at least two finite values")
-    with np.errstate(over="ignore", invalid="ignore"):
-        lam0 = _center(*_cluster_terms(estimates.betas, estimates.sizes, np.ravel(contrast)))
     if not grid[0] <= lam0 <= grid[-1]:
         raise ValueError("grid must contain the center point")
     keep = inversion_scan(estimates, contrast, alpha, group, grid)

@@ -30,7 +30,6 @@ from artcluster import kernels
 from artcluster.errors import DegenerateVariance, SingularSigma
 from artcluster.estimation import (
     ClusterEstimates,
-    cluster_scores,
     fit_per_cluster,
     fit_restricted,
     reciprocal_condition,
@@ -104,13 +103,23 @@ def scores_via_restricted(
 ) -> np.ndarray:
     """Scores, (q,), from the restricted-residual route (single full-sample fit).
 
-    Numerically equivalent to :func:`scores_from_estimates` on the
-    per-cluster fits; exposed separately so the two routes can be
-    cross-checked.
+    With beta_r from :func:`~artcluster.estimation.fit_restricted` and
+    residuals r = y - Z beta_r, cluster j's score is
+        c' Gram_j^{-1} (1/sqrt(n_j)) * sum_i Z_ij * r_ij,
+    which equals sqrt(n_j) * (c'beta_j - value) from the per-cluster fits
+    (:func:`scores_from_estimates`); exposed separately so the two
+    routes can be cross-checked.
     """
-    fit = fit_restricted(data, hypothesis)
-    estimates = fit_per_cluster(data)
-    return cluster_scores(data, fit, estimates, hypothesis)
+    beta_r = fit_restricted(data, hypothesis)
+    grams = fit_per_cluster(data).grams
+    residuals = data.outcomes - data.covariates @ beta_r
+    out = np.empty(data.q, dtype=np.float64)
+    for j in range(data.q):
+        s = data.cluster_slice(j)
+        Z_j = data.covariates[s]
+        v = Z_j.T @ residuals[s] / np.sqrt(Z_j.shape[0])
+        out[j] = float(hypothesis.contrast @ np.linalg.solve(grams[j], v))
+    return out
 
 
 # ------------------------------------------------------------------ #
@@ -228,16 +237,24 @@ def _studentize(values: np.ndarray, t: np.ndarray) -> np.ndarray:
 
     ``t`` is (r, k) for the (q, k) score block; zero or negative spread
     maps to ``+inf``.  Every rounded step is monotone in t, so the map
-    keeps the order of the |mean| statistics.
+    keeps the order of the |mean| statistics.  A column whose spread
+    overflows is redone on its values and t scaled by 2^-e, e the
+    exponent of its largest |v|: the map is scale-free, and scaling by a
+    power of two is exact.
     """
     q = values.shape[0]
     acc = np.zeros(values.shape[1])
-    for x in values:
-        acc += x * x
-    var = acc / q - t * t
+    with np.errstate(over="ignore", invalid="ignore"):
+        for x in values:
+            acc += x * x
+        var = acc / q - t * t
     out = np.full(t.shape, np.inf)
     ok = var > 0.0
     out[ok] = math.sqrt(q) * t[ok] / np.sqrt(var[ok])
+    bad = ~np.all(np.isfinite(var), axis=0)
+    if bad.any():
+        scale = np.ldexp(1.0, -np.frexp(np.abs(values[:, bad]).max(axis=0))[1])
+        out[:, bad] = _studentize(values[:, bad] * scale, t[:, bad] * scale)
     return out
 
 
@@ -286,7 +303,6 @@ class TestResult:
     alpha: float
     group: SignGroup
     variant: str = "unstudentized"
-    scaling: str = "root_nj"
 
     def __post_init__(self):
         for name in ("statistic", "critical_value", "p_value", "alpha"):
@@ -310,11 +326,10 @@ def run_test_from_scores(
     alpha: float,
     group: SignGroup,
     variant: str = "unstudentized",
-    scaling: str = "root_nj",
 ) -> TestResult:
     """The engine for one (q,) score vector: sweep the group, take the quantile, count the ties."""
     column = run_test_columns(np.reshape(scores, (-1, 1)), alpha, group, variant)[:, 0]
-    return TestResult(*column, alpha, group, variant, scaling)
+    return TestResult(*column, alpha, group, variant)
 
 
 def run_test(
@@ -335,7 +350,7 @@ def run_test(
     if group is None:
         group = enumerate_group(data.q, mode="auto", seed=0)
     scores = scores_from_estimates(fit_per_cluster(data), hypothesis, scaling)
-    return run_test_from_scores(scores, alpha, group, variant, scaling)
+    return run_test_from_scores(scores, alpha, group, variant)
 
 
 def run_wald_test(
@@ -366,4 +381,4 @@ def run_wald_test(
     if hypothesis.p == 1:
         t = np.abs(means[0])
         p_value = pvalue_from_statistics(t, t[0])
-    return TestResult(statistic, crit, p_value, alpha, group, "wald", scaling)
+    return TestResult(statistic, crit, p_value, alpha, group, "wald")

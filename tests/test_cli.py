@@ -483,6 +483,21 @@ def test_overflowing_study_scores_exit_1_with_one_error_line(tmp_path):
     ]
 
 
+# Contrast (0, 2^600) makes mean(v^2) overflow in the studentized spread;
+# the spread is redone on values scaled by a power of two, so the run
+# succeeds with contrast (0, 1)'s statistic, critical value and p-value.
+def test_studentized_overflowing_spread_exits_0(tmp_path, rng, capsys):
+    path = write_random_csv(tmp_path, rng, q=8, n_j=10)
+    argv = ["test", "--input", path, "--cluster", "cluster", "--outcome", "y",
+            "--covariates", "x1,x2", "--variant", "studentized", "--contrast"]
+    code, out, err = run_cli(capsys, [*argv, f"0,{2.0**600!r}"])
+    assert (code, err) == (0, "")
+    _, want, _ = run_cli(capsys, [*argv, "0,1"])
+    keys = ("statistic", "critical_value", "p_value")
+    got, want = json.loads(out)["result"], json.loads(want)["result"]
+    assert [got[key] for key in keys] == [want[key] for key in keys]
+
+
 # The documented exit code of every package error: 3 for I/O and data
 # validation, 1 for usage, 2 for the base class and estimation failures.
 ERROR_EXIT_CODES = {

@@ -9,9 +9,9 @@ from artcluster import (
     IdentificationFailure,
     LinearHypothesis,
     canonicalize,
-    cluster_scores,
     fit_per_cluster,
     fit_restricted,
+    scores_via_restricted,
 )
 from artcluster.estimation import fit_clusters, lstsq_stack
 from tests.conftest import random_contrast, random_dataset
@@ -92,14 +92,15 @@ class TestFitRestricted:
         beta_hat, _, _, _ = np.linalg.lstsq(data.covariates, data.outcomes, rcond=None)
         c = random_contrast(rng, 3)
         h = LinearHypothesis(contrast=c, value=float(c @ beta_hat))
-        fit = fit_restricted(data, h)
-        assert np.array_equal(fit.beta_r, beta_hat)
+        beta_r = fit_restricted(data, h)
+        assert np.array_equal(beta_r, beta_hat)
 
     def test_single_coefficient_pinned(self, rng):
         data = random_dataset(rng, q=3, d=1)
-        fit = fit_restricted(data, LinearHypothesis(contrast=[1.0], value=0.0))
-        assert fit.beta_r[0] == 0.0
-        assert np.array_equal(fit.residuals, data.outcomes)
+        beta_r = fit_restricted(data, LinearHypothesis(contrast=[1.0], value=0.0))
+        assert beta_r.shape == (1,)
+        assert beta_r[0] == 0.0
+        assert np.array_equal(data.outcomes - data.covariates @ beta_r, data.outcomes)
 
     def test_constraint_satisfied(self, rng):
         for _ in range(10):
@@ -107,21 +108,21 @@ class TestFitRestricted:
             data = random_dataset(rng, q=4, d=d)
             c = random_contrast(rng, d)
             lam = float(rng.standard_normal())
-            fit = fit_restricted(data, LinearHypothesis(contrast=c, value=lam))
-            assert abs(float(c @ fit.beta_r) - lam) <= 1e-10 * max(1.0, abs(lam))
+            beta_r = fit_restricted(data, LinearHypothesis(contrast=c, value=lam))
+            assert abs(float(c @ beta_r) - lam) <= 1e-10 * max(1.0, abs(lam))
 
     def test_minimizes_on_constraint_plane(self, rng):
         # grid-search oracle over the constraint hyperplane around beta_r
         data = random_dataset(rng, q=4, d=3, size_hi=40)
         c = random_contrast(rng, 3)
         h = LinearHypothesis(contrast=c, value=0.7)
-        fit = fit_restricted(data, h)
+        beta_r = fit_restricted(data, h)
 
         def rss(beta):
             r = data.outcomes - data.covariates @ beta
             return float(r @ r)
 
-        base = rss(fit.beta_r)
+        base = rss(beta_r)
         # orthonormal basis of the feasible directions {v : c'v = 0}
         _, _, vt = np.linalg.svd(c.reshape(1, -1))
         tangent = vt[1:]
@@ -130,7 +131,7 @@ class TestFitRestricted:
             for t1 in steps:
                 for v2 in tangent:
                     for t2 in steps[::3]:
-                        candidate = fit.beta_r + t1 * v + t2 * v2
+                        candidate = beta_r + t1 * v + t2 * v2
                         assert base <= rss(candidate) + 1e-9
 
     def test_first_order_optimality(self, rng):
@@ -138,18 +139,29 @@ class TestFitRestricted:
         data = random_dataset(rng, q=5, d=4)
         c = random_contrast(rng, 4)
         h = LinearHypothesis(contrast=c, value=-0.2)
-        fit = fit_restricted(data, h)
+        beta_r = fit_restricted(data, h)
 
         def rss(beta):
             r = data.outcomes - data.covariates @ beta
             return float(r @ r)
 
         _, _, vt = np.linalg.svd(c.reshape(1, -1))
-        scale = rss(fit.beta_r) + 1.0
+        scale = rss(beta_r) + 1.0
         step = 1e-6
         for v in vt[1:]:
-            deriv = (rss(fit.beta_r + step * v) - rss(fit.beta_r - step * v)) / (2 * step)
+            deriv = (rss(beta_r + step * v) - rss(beta_r - step * v)) / (2 * step)
             assert abs(deriv) < 1e-4 * scale
+
+    def test_non_finite_solution_refused_without_warning(self):
+        # a diagonal full-sample Gram matrix and contrast (1e-160, 0) make
+        # c'A^{-1}c denormal: the projection step overflows, 0 * inf puts a
+        # NaN in beta_r, and c'beta_r = NaN passes the constraint check
+        Z = np.tile([[1.0, 0.0], [0.0, 1.0]], (8, 1))
+        data = canonicalize(np.repeat([1, 2, 3, 4], 4), np.arange(16.0), Z)
+        h = LinearHypothesis(contrast=[1e-160, 0.0], value=1.0)
+        for call in (fit_restricted, scores_via_restricted):
+            with pytest.raises(ValueError, match="^restricted fit must be finite$"):
+                call(data, h)
 
 
 class TestClusterScores:
@@ -160,9 +172,7 @@ class TestClusterScores:
         data = canonicalize(np.repeat([1, 2, 3, 4], 10), Z @ beta, Z)
         c = np.array([1.0, 0.0])
         h = LinearHypothesis(contrast=c, value=float(c @ beta))
-        fit = fit_restricted(data, h)
-        est = fit_per_cluster(data)
-        scores = cluster_scores(data, fit, est, h)
+        scores = scores_via_restricted(data, h)
         assert np.allclose(scores, 0.0, atol=1e-9)
 
     def test_equals_centered_estimates(self, rng):
@@ -175,8 +185,7 @@ class TestClusterScores:
             lam = float(rng.standard_normal())
             h = LinearHypothesis(contrast=c, value=lam)
             est = fit_per_cluster(data)
-            fit = fit_restricted(data, h)
-            via_scores = cluster_scores(data, fit, est, h)
+            via_scores = scores_via_restricted(data, h)
             direct = np.sqrt(data.sizes) * (est.betas @ c - lam)
             assert np.allclose(via_scores, direct, rtol=1e-9, atol=1e-12)
 
@@ -184,15 +193,14 @@ class TestClusterScores:
         data = random_dataset(rng, q=5, d=3)
         c = random_contrast(rng, 3)
         h = LinearHypothesis(contrast=c, value=0.1)
-        est = fit_per_cluster(data)
-        fit = fit_restricted(data, h)
-        got = cluster_scores(data, fit, est, h)
+        got = scores_via_restricted(data, h)
+        residuals = data.outcomes - data.covariates @ fit_restricted(data, h)
         for j in range(5):
             s = data.cluster_slice(j)
             Z_j = data.covariates[s]
             n_j = Z_j.shape[0]
             gram = Z_j.T @ Z_j / n_j
-            oracle = c @ np.linalg.inv(gram) @ (Z_j.T @ fit.residuals[s]) / np.sqrt(n_j)
+            oracle = c @ np.linalg.inv(gram) @ (Z_j.T @ residuals[s]) / np.sqrt(n_j)
             assert got[j] == pytest.approx(oracle, rel=1e-9)
 
 

@@ -345,6 +345,10 @@ class TestProfile:
             pvalue_profile(inputs, inputs.lambda0 + 0.5)
 
 
+CENTER_OVERFLOWS = (r"^the center of contrast \[0\.0, 1e\+308\] overflows float64; "
+                    "rescale the outcome or the contrast$")
+
+
 class TestInversionOracle:
     def test_agrees_with_closed_form(self, rng, group_cache):
         for _ in range(4):
@@ -407,10 +411,12 @@ class TestInversionOracle:
         [
             # the scores at +-1e308 overflow; the engine's sweep refuses them
             ([0.0, 1.0], [-1e308, 0, 2, 1e308], "absolute sum over the clusters overflows"),
-            # the center overflows, so the default grid is not finite
-            ([0.0, 1e308], None, "grid must contain at least two finite values"),
+            # the center overflows: refused before a default grid is built,
+            # and before an explicit finite grid is checked against it
+            ([0.0, 1e308], None, CENTER_OVERFLOWS),
+            ([0.0, 1e308], [-1.0, 0.0, 1.0], CENTER_OVERFLOWS),
         ],
-        ids=["grid", "contrast"],
+        ids=["grid", "contrast", "contrast-finite-grid"],
     )
     def test_overflowing_grid_refused_without_warning(self, rng, group_cache, contrast, grid,
                                                       message):

@@ -94,6 +94,20 @@ class TestStudentized:
         assert np.array_equal(bits(got[:2]), bits(studentized[:2]))
         assert np.array_equal(bits(got[2]), bits(decision_loop(signs, s[:, None], 0.1)[2]))
 
+    # these scores' mean(v^2) overflows float64 from k = 512 on (k = 400 stays
+    # finite); the spread is redone on values scaled by a power of two, exactly
+    @pytest.mark.parametrize("k", [400, 512, 600, 1000])
+    def test_overflowing_spread_keeps_bits(self, rng, group_cache, k):
+        s = rng.standard_normal(8)
+        want = run_test_from_scores(s, 0.05, group_cache(8), "studentized")
+        got = run_test_from_scores(s * 2.0**k, 0.05, group_cache(8), "studentized")
+        for name in ("statistic", "critical_value", "p_value"):
+            assert bits(getattr(got, name)) == bits(getattr(want, name))
+
+    def test_overflowing_zero_spread_still_degenerate(self, group_cache):
+        with pytest.raises(DegenerateVariance, match="zero spread"):
+            run_test_from_scores(np.full(6, 2.0**600), 0.05, group_cache(6), "studentized")
+
 
 class TestWaldStatistic:
     def test_zero_case(self, rng):

@@ -1,5 +1,7 @@
 """The README's documented API: its quick start runs and its names exist."""
 
+import ast
+import dataclasses
 import json
 import re
 from pathlib import Path
@@ -38,6 +40,16 @@ def test_quick_start_runs(capsys):
     assert isinstance(namespace["result"], artcluster.TestResult)
     assert isinstance(namespace["ci"], artcluster.ConfidenceInterval)
     assert capsys.readouterr().out.count("\n") == 2
+
+
+def test_test_result_sentence_names_its_fields():
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    documented = re.search(r"`TestResult\((.*?)\)`", text).group(1).split(", ")
+    fields = dataclasses.fields(artcluster.TestResult)
+    assert [item.partition("=")[0] for item in documented] == [f.name for f in fields]
+    for item, field in zip(documented, fields):
+        default = item.partition("=")[2]
+        assert (ast.literal_eval(default) if default else dataclasses.MISSING) == field.default
 
 
 def test_every_exported_name_resolves():

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from artcluster import (
+    DegenerateVariance,
     DgpSpec,
     LinearHypothesis,
     MonteCarloReport,
@@ -175,6 +176,21 @@ class TestStudies:
         assert rates[0] <= rates[1] + slack
         assert rates[1] <= rates[2] + slack
         assert rates[2] > 0.5
+
+    def test_studentized_study_with_overflowing_spread(self):
+        # c'beta_j of order 1e160 overflows mean(v^2); the rescaled spread
+        # keeps the unstudentized p-values, with no warning
+        s = DgpSpec(sizes=[10] * 6, beta=[0.5, 1.0], sigma=[1.0] * 6, seed=3)
+        plain = power_study(s, [0.0, 1e160], 0.0, 0.05, 50)
+        stud = power_study(s, [0.0, 1e160], 0.0, 0.05, 50, variant="studentized")
+        assert np.array_equal(bits(stud.p_values), bits(plain.p_values))
+
+    def test_studentized_study_of_equal_scores_refused(self):
+        # null value 1e160 swamps every c'beta_j, so the six scores are equal
+        # and their spread is exactly zero
+        s = DgpSpec(sizes=[10] * 6, beta=[0.5, 1.0], sigma=[1.0] * 6, seed=3)
+        with pytest.raises(DegenerateVariance, match="zero spread"):
+            power_study(s, [0.0, 1.0], 1e160, 0.05, 50, variant="studentized")
 
     def test_large_effect_high_power(self):
         s = spec(q=10, size=40, seed=55)
