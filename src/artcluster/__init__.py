@@ -37,7 +37,6 @@ from artcluster.intervals import (
     interval,
     interval_by_inversion,
     interval_inputs,
-    pvalue_profile,
 )
 from artcluster.model import (
     ClusteredDataset,
@@ -103,7 +102,6 @@ __all__ = [
     "merge_clusters",
     "plan_blocks",
     "power_study",
-    "pvalue_profile",
     "run_test",
     "run_wald_test",
     "scores_from_estimates",

@@ -173,7 +173,7 @@ def fit_restricted(data: ClusteredDataset, hypothesis: LinearHypothesis) -> np.n
     SingularFullGram
         When the full-sample Gram matrix is numerically singular.
     ValueError
-        When the solution is not finite (c' A^{-1} c underflows).
+        When the solution is not finite (c' A^{-1} c is denormal or 0).
     """
     Z, y = data.covariates, data.outcomes
     c = hypothesis.contrast
@@ -188,10 +188,11 @@ def fit_restricted(data: ClusteredDataset, hypothesis: LinearHypothesis) -> np.n
     beta, _, _, _ = np.linalg.lstsq(Z, y, rcond=None)
     u = np.linalg.solve(A, c)
     gap = float(c @ beta) - hypothesis.value
-    # a denormal c'u overflows the step; the finiteness check refuses it
-    with np.errstate(over="ignore", invalid="ignore"):
-        beta_r = beta - u * (gap / float(c @ u))
-
+    # a denormal or zero c'u overflows the step; the finiteness check refuses it
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        beta_r = beta - u * np.divide(gap, c @ u)
+    if not np.all(np.isfinite(beta_r)):  # a NaN would pass the constraint check
+        raise ValueError("restricted fit must be finite")
     achieved = float(c @ beta_r)
     scale = max(1.0, abs(hypothesis.value))
     if abs(achieved - hypothesis.value) > 1e-10 * scale:
@@ -199,6 +200,4 @@ def fit_restricted(data: ClusteredDataset, hypothesis: LinearHypothesis) -> np.n
             "restricted solution failed to satisfy the constraint "
             f"(reached {achieved!r}, wanted {hypothesis.value!r})"
         )
-    if not np.all(np.isfinite(beta_r)):  # a NaN passes the constraint check
-        raise ValueError("restricted fit must be finite")
     return beta_r

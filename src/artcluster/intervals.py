@@ -1,11 +1,13 @@
-"""Closed-form confidence intervals for a scalar contrast, plus oracles.
+"""Closed-form confidence intervals for a scalar contrast.
 
 The non-rejected values of the null form a closed interval.  Its
 endpoints are quantiles of per-group crossing points of V-shaped maps:
 for each sign pattern g the statistic as a function of the null value is
 |b(g) - value * a(g)|, and the bounds are where that V crosses the
 identity pattern's V.  ``interval_by_inversion`` is the brute-force
-grid-scan oracle used to cross-check the closed form in tests.
+grid-scan oracle that runs the real test engine at every grid value; it
+stays in the package because the tests cross-check the closed form
+against it and the benchmark times it.
 """
 
 from __future__ import annotations
@@ -16,16 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from artcluster import kernels
-from artcluster.errors import ArtClusterError, GridTooCoarse
+from artcluster.errors import GridTooCoarse
 from artcluster.estimation import ClusterEstimates
 from artcluster.groups import SignGroup
 from artcluster.model import _frozen
-from artcluster.randtest import (
-    _cluster_terms,
-    critical_value,
-    pvalue_from_statistics,
-    run_test_columns,
-)
+from artcluster.randtest import cluster_weights, critical_value, run_test_columns, weighted_scores
 
 __all__ = [
     "ConfidenceInterval",
@@ -35,8 +32,6 @@ __all__ = [
     "interval_inputs",
     "inversion_scan",
     "default_inversion_grid",
-    "per_group_bounds",
-    "pvalue_profile",
 ]
 
 GRID_POINTS_DEFAULT = 4001
@@ -48,9 +43,16 @@ GRID_HALF_WIDTHS = 10.0
 # ------------------------------------------------------------------ #
 
 
-def _center(w: np.ndarray, cbeta: np.ndarray) -> float:
-    """The p-value-1 point: the sqrt(n_j)-weighted mean of c'beta_j."""
-    return float(w @ cbeta) / float(w.sum())
+def _center(estimates: ClusterEstimates, contrast) -> tuple[float, np.ndarray]:
+    """The p-value-1 point, the sqrt(n_j)-weighted mean of c'beta_j, and c'beta."""
+    c = np.asarray(contrast, dtype=np.float64).reshape(-1)
+    if c.shape[0] != estimates.d_z:
+        raise ValueError("contrast length must equal the covariate count")
+    w = cluster_weights(estimates.sizes)
+    # huge contrasts overflow here; interval_by_inversion refuses a non-finite center
+    with np.errstate(over="ignore", invalid="ignore"):
+        cbeta = estimates.betas @ c
+        return float(w @ cbeta) / float(w.sum()), cbeta
 
 
 @dataclass(frozen=True)
@@ -99,23 +101,14 @@ class IntervalInputs:
 def interval_inputs(
     estimates: ClusterEstimates, contrast: np.ndarray, group: SignGroup
 ) -> IntervalInputs:
-    """Compute a(g), b(g) for every group element from per-cluster fits."""
-    # huge contrasts overflow here; the sweep refuses them as the test's does
-    with np.errstate(over="ignore", invalid="ignore"):
-        w, cbeta = _cluster_terms(estimates.betas, estimates.sizes, np.ravel(contrast))
-        values = np.stack([w, w * cbeta], axis=1)
-    a, b = group.sweep(values)
+    """Compute a(g), b(g) for every group element from per-cluster fits.
+
+    b sweeps the scores at null value 0, w_j c'beta_j; the sweep refuses
+    scores that overflow, as the test's does.
+    """
+    b_scores = weighted_scores(estimates.betas, estimates.sizes, np.ravel(contrast))
+    a, b = group.sweep(np.stack([cluster_weights(estimates.sizes), b_scores], axis=1))
     return IntervalInputs(a=a, b=b)
-
-
-# ------------------------------------------------------------------ #
-# Per-group bounds
-# ------------------------------------------------------------------ #
-
-
-def per_group_bounds(inputs: IntervalInputs) -> tuple[np.ndarray, np.ndarray]:
-    """Lower/upper crossing points for every group row (floats, +-inf)."""
-    return kernels.interval_bounds(inputs.a, inputs.b, inputs.pm_identity)
 
 
 # ------------------------------------------------------------------ #
@@ -165,7 +158,7 @@ def interval(inputs: IntervalInputs, alpha: float) -> ConfidenceInterval:
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    lo_all, hi_all = per_group_bounds(inputs)
+    lo_all, hi_all = kernels.interval_bounds(inputs.a, inputs.b, inputs.pm_identity)
     lower = critical_value(lo_all, alpha)
     upper = -critical_value(np.negative(hi_all, out=hi_all), alpha)
     if lower > upper:  # ulp inversion on point intervals (equal estimates and sizes)
@@ -175,50 +168,6 @@ def interval(inputs: IntervalInputs, alpha: float) -> ConfidenceInterval:
     if lower > lam0 + tol or upper < lam0 - tol:
         raise ValueError("the center point must lie inside the interval")
     return ConfidenceInterval(lower=lower, upper=upper, alpha=float(alpha), lambda0=lam0)
-
-
-# ------------------------------------------------------------------ #
-# P-value profile
-# ------------------------------------------------------------------ #
-
-
-def _profile_direct(inputs: IntervalInputs, value: float) -> float:
-    """p-value at ``value`` straight from |b - value*a| comparisons.
-
-    Uses the engine's tie-snapping rule, so at the center point (where
-    the reference statistic is a rounding residue of order 1e-16) every
-    group element still counts and the profile equals 1 exactly.  Row 0
-    of the group is the identity, so ``t[0]`` is the observed statistic.
-    """
-    t = np.abs(inputs.b - value * inputs.a)
-    return pvalue_from_statistics(t, float(t[0]))
-
-
-def pvalue_profile(inputs: IntervalInputs, value: float) -> float:
-    """The randomization p-value as a function of the null value.
-
-    Evaluates both the direct form (statistic comparisons) and the
-    piecewise form (counting per-group bounds on the relevant side of
-    the center); the two must agree, and the piecewise value is
-    returned.  Equals 1 at the center, is non-decreasing below it and
-    non-increasing above it.
-    """
-    value = float(value)
-    direct = _profile_direct(inputs, value)
-    lam0 = inputs.lambda0
-    lo_all, hi_all = per_group_bounds(inputs)
-    if value < lam0:
-        piecewise = float(np.count_nonzero(value >= lo_all)) / inputs.a.shape[0]
-    elif value > lam0:
-        piecewise = float(np.count_nonzero(value <= hi_all)) / inputs.a.shape[0]
-    else:
-        piecewise = 1.0
-    if piecewise != direct:
-        raise ArtClusterError(
-            f"p-value profile self-check failed at {value!r}: "
-            f"direct {direct} vs piecewise {piecewise}"
-        )
-    return piecewise
 
 
 # ------------------------------------------------------------------ #
@@ -232,10 +181,9 @@ def default_inversion_grid(
     points: int = GRID_POINTS_DEFAULT,
 ) -> np.ndarray:
     """Symmetric grid around the center, wide enough to bracket the interval."""
+    lam0, cbeta = _center(estimates, contrast)
     # huge contrasts overflow here; interval_by_inversion refuses a non-finite grid
     with np.errstate(over="ignore", invalid="ignore"):
-        w, cbeta = _cluster_terms(estimates.betas, estimates.sizes, np.ravel(contrast))
-        lam0 = _center(w, cbeta)
         span = float(np.max(np.abs(cbeta - lam0)))
         span = max(span, 1e-8 * max(1.0, abs(lam0)))
         half = GRID_HALF_WIDTHS * span
@@ -255,10 +203,8 @@ def inversion_scan(
     reused; the scores of all grid values go through the real test
     engine as the columns of one block.
     """
-    # huge grid values or contrasts overflow here; the sweep refuses the scores
-    with np.errstate(over="ignore", invalid="ignore"):
-        w, cbeta = _cluster_terms(estimates.betas, estimates.sizes, np.ravel(contrast))
-        scores = w[:, None] * (cbeta[:, None] - grid)
+    column = np.reshape(contrast, (-1, 1))
+    scores = weighted_scores(estimates.betas, estimates.sizes, column, grid)  # (q, k)
     statistic, crit, _ = run_test_columns(scores, alpha, group)
     return ~(statistic > crit)
 
@@ -284,8 +230,7 @@ def interval_by_inversion(
         When the center overflows float64, or the grid holds fewer than
         two values, a non-finite one, or not the center.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        lam0 = _center(*_cluster_terms(estimates.betas, estimates.sizes, np.ravel(contrast)))
+    lam0, _ = _center(estimates, contrast)
     if not math.isfinite(lam0):
         raise ValueError(
             f"the center of contrast {np.ravel(contrast).tolist()} overflows float64; "

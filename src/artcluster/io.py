@@ -117,6 +117,10 @@ def _model_columns(header: list[str], config: RunConfig) -> tuple[int, list[int]
         raise ValueError("an outcome column is required")
     if not config.covariate_cols:
         raise ValueError("at least one covariate column is required")
+    names = config.covariate_names()
+    for name in names:
+        if names.count(name) > 1:
+            raise ValueError(f"covariate {name!r} appears twice in the model ({', '.join(names)})")
     return _column(header, config.outcome_col), [
         _column(header, name) for name in config.covariate_cols
     ]

@@ -61,25 +61,32 @@ def snap_tolerance(reference):
 # ------------------------------------------------------------------ #
 
 
-def _cluster_terms(
-    betas: np.ndarray, sizes: np.ndarray, contrast, scaling: str = "root_nj"
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-cluster weights w_j and contrasts ``betas @ contrast``.
+def cluster_weights(sizes: np.ndarray, scaling: str = "root_nj") -> np.ndarray:
+    """Per-cluster weights w_j: sqrt(n_j), or the uniform sqrt(n) under ``scaling="root_n"``."""
+    if scaling == "root_nj":
+        return np.sqrt(sizes.astype(np.float64))
+    if scaling == "root_n":
+        return np.full(sizes.shape[0], math.sqrt(float(sizes.sum())))
+    raise ValueError(f"unknown scaling {scaling!r} (use 'root_nj' or 'root_n')")
 
-    w_j is sqrt(n_j), or the uniform sqrt(n) under ``scaling="root_n"``.
-    ``betas`` is (q, d_z) or a stack (..., q, d_z); ``contrast`` is (d_z,)
-    or (d_z, p).
+
+def weighted_scores(
+    betas: np.ndarray, sizes: np.ndarray, contrast, values=0.0, scaling: str = "root_nj"
+) -> np.ndarray:
+    """The per-cluster scores w_j * (contrast'beta_j - value), every path's one formula.
+
+    ``betas`` is (q, d_z) or a stack (..., q, d_z); ``contrast`` is (d_z,),
+    giving (..., q) scores, or (d_z, p), giving (..., q, p).  ``values``
+    broadcasts against ``betas @ contrast``; the weights
+    (:func:`cluster_weights`) broadcast along the q axis.  Huge inputs
+    overflow to inf or NaN without a warning; the sweep refuses such scores.
     """
     contrast = np.asarray(contrast, dtype=np.float64)
     if contrast.shape[0] != betas.shape[-1]:
         raise ValueError("contrast length must equal the covariate count")
-    if scaling == "root_nj":
-        w = np.sqrt(sizes.astype(np.float64))
-    elif scaling == "root_n":
-        w = np.full(sizes.shape[0], math.sqrt(float(sizes.sum())))
-    else:
-        raise ValueError(f"unknown scaling {scaling!r} (use 'root_nj' or 'root_n')")
-    return w, betas @ contrast
+    w = cluster_weights(sizes, scaling)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (w[:, None] if contrast.ndim == 2 else w) * (betas @ contrast - values)
 
 
 def scores_from_estimates(
@@ -92,10 +99,9 @@ def scores_from_estimates(
     ``scaling="root_n"`` replaces sqrt(n_j) with the uniform sqrt(n)
     factor used by the multi-row statistic.
     """
-    # huge contrasts overflow here; the sweep refuses the scores
-    with np.errstate(over="ignore", invalid="ignore"):
-        w, cbeta = _cluster_terms(estimates.betas, estimates.sizes, hypothesis.contrast, scaling)
-        return w * (cbeta - hypothesis.value)
+    return weighted_scores(
+        estimates.betas, estimates.sizes, hypothesis.contrast, hypothesis.value, scaling
+    )
 
 
 def scores_via_restricted(
@@ -141,13 +147,12 @@ def _wald_ingredients(
     """
     if hypothesis.restriction.shape[1] != estimates.d_z:
         raise ValueError("restriction width must equal the covariate count")
+    scores = weighted_scores(  # (q, p)
+        estimates.betas, estimates.sizes, hypothesis.restriction.T, hypothesis.values, scaling
+    )
+    if not scores.any():
+        return scores, None
     with np.errstate(over="ignore", invalid="ignore"):
-        w, rbeta = _cluster_terms(
-            estimates.betas, estimates.sizes, hypothesis.restriction.T, scaling
-        )
-        scores = w[:, None] * (rbeta - hypothesis.values)  # (q, p)
-        if not scores.any():
-            return scores, None
         sigma = scores.T @ scores / estimates.q
     if not np.isfinite(sigma).all():
         raise ValueError(

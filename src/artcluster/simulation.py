@@ -24,7 +24,7 @@ from artcluster.errors import NonFiniteValue, check_bytes
 from artcluster.estimation import fit_clusters
 from artcluster.groups import DEFAULT_DRAWS, SignGroup, check_seed, enumerate_group
 from artcluster.model import ClusteredDataset, LinearHypothesis, _frozen
-from artcluster.randtest import _cluster_terms, check_variant, run_test_columns
+from artcluster.randtest import check_variant, run_test_columns, weighted_scores
 
 __all__ = ["DgpSpec", "MonteCarloReport", "generate", "power_study", "run_spec", "size_study"]
 
@@ -238,10 +238,9 @@ def _study_scores(spec: DgpSpec, hypothesis: LinearHypothesis, replications: int
     for start in range(0, replications, chunk):
         stop = min(start + chunk, replications)
         betas, _ = fit_clusters(*_draw(spec, start, stop), offsets, labels)
-        # huge null values overflow here; the sweep refuses the scores
-        with np.errstate(over="ignore", invalid="ignore"):
-            w, cbeta = _cluster_terms(betas, sizes, hypothesis.contrast)
-            scores[:, start:stop] = (w * (cbeta - hypothesis.value)).T
+        scores[:, start:stop] = weighted_scores(
+            betas, sizes, hypothesis.contrast, hypothesis.value
+        ).T
     return scores
 
 

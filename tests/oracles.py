@@ -8,7 +8,8 @@ quadratic form over the (m, p) means of that sweep, the
 all-entries-equal +-identity mask,
 the branch-by-branch interval bounds, the full-sort order statistics,
 the one-null-at-a-time test decision, the statistics at a single sign
-vector, the Monte Carlo study that draws, fits and scores one
+vector, the score formula one entry at a time, the p-value profile of
+an interval, the Monte Carlo study that draws, fits and scores one
 replication at a time, and the blocks route that labels every row and
 canonicalizes the time-sorted rows.  The
 production code must match them bit for bit.
@@ -18,6 +19,7 @@ import math
 
 import numpy as np
 
+from artcluster import kernels
 from artcluster.blocks import plan_blocks
 from artcluster.errors import DegenerateVariance, IdentificationFailure
 from artcluster.estimation import RCOND_THRESHOLD
@@ -207,6 +209,49 @@ def statistic_wald(estimates, hypothesis, g, scaling: str = "root_n") -> float:
         return 0.0
     mean = (signs[:, None] * scores).mean(axis=0)
     return float(estimates.q * mean @ sigma_inv @ mean)
+
+
+# ------------------------------------------------------------------ #
+# Scores and the p-value profile
+# ------------------------------------------------------------------ #
+
+
+def weighted_scores_loop(betas, sizes, contrast, values=0.0, scaling="root_nj") -> np.ndarray:
+    """``randtest.weighted_scores``, w_j * (contrast'beta_j - value), one float at a time.
+
+    Each c'beta_j sums its products in order, so this matches a matmul bit
+    for bit only where that sum is exact in every order.
+    """
+    c = np.asarray(contrast, dtype=np.float64)
+    cbeta = np.empty(betas.shape[:-1] + c.shape[1:])
+    for idx in np.ndindex(cbeta.shape):
+        row, col = idx[: betas.ndim - 1], idx[betas.ndim - 1 :]
+        cbeta[idx] = sum((float(betas[row + (k,)]) * float(c[(k,) + col])
+                          for k in range(c.shape[0])), 0.0)
+    cbeta, values = np.broadcast_arrays(cbeta, values)
+    out = np.empty(cbeta.shape)
+    for idx in np.ndindex(out.shape):  # the q axis is last, or next to last for (d_z, p)
+        n = sizes.sum() if scaling == "root_n" else sizes[idx[-c.ndim]]
+        out[idx] = math.sqrt(float(n)) * (float(cbeta[idx]) - float(values[idx]))
+    return out
+
+
+def pvalue_profile(inputs, value: float) -> float:
+    """The randomization p-value of interval inputs at a null value, found two ways.
+
+    The direct form counts the statistics |b - value*a| at or above the
+    identity's, snapped down by 1e-12 * max(1, T) as the engine does, so
+    the center gives 1 exactly; the piecewise form counts the per-group
+    bounds on the value's side of the center.  Asserts that they agree.
+    """
+    value, m = float(value), inputs.a.shape[0]
+    t = np.abs(inputs.b - value * inputs.a)
+    direct = np.count_nonzero(t >= t[0] - 1e-12 * max(1.0, t[0])) / m
+    lo_all, hi_all = kernels.interval_bounds(inputs.a, inputs.b, inputs.pm_identity)
+    side = value >= lo_all if value < inputs.lambda0 else value <= hi_all
+    piecewise = 1.0 if value == inputs.lambda0 else np.count_nonzero(side) / m
+    assert piecewise == direct, f"profile forms disagree at {value!r}"
+    return piecewise
 
 
 def bits(x) -> np.ndarray:

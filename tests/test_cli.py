@@ -237,6 +237,21 @@ class TestTestCommand:
         assert code == 1
         assert "contrast" in err
 
+    @pytest.mark.parametrize("command", ["test", "ci", "export"])
+    @pytest.mark.parametrize("flags, message", [
+        (["--covariates", "x,x"], "covariate 'x' appears twice in the model (x, x)"),
+        (["--covariates", "intercept,x", "--intercept"],
+         "covariate 'intercept' appears twice in the model (intercept, intercept, x)"),
+    ], ids=["column", "intercept"])
+    def test_repeated_covariate_exit_1(self, tmp_path, capsys, command, flags, message):
+        path = tmp_path / "data.csv"
+        path.write_text(_rows_csv("cluster,y,x,intercept", [f"{g},{i}.0,{i}.5,1.0"
+                                                             for i, g in enumerate("aaabbb")]))
+        extra = ["--output", str(tmp_path / "out.csv")] if command == "export" else ["--coef", "x"]
+        argv = [command, "--input", str(path), "--cluster", "cluster", "--outcome", "y", *flags]
+        code, out, err = run_cli(capsys, [*argv, *extra])
+        assert (code, out, err) == (1, "", f"artcluster: error: {message}\n")
+
     def test_env_seed_default(self, tmp_path, rng, capsys, monkeypatch):
         path = write_random_csv(tmp_path, rng, q=8)
         argv = [

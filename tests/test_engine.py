@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from artcluster import DegenerateVariance, fit_per_cluster, randtest
 from artcluster.groups import SignGroup
 from artcluster.intervals import default_inversion_grid, inversion_scan
-from artcluster.randtest import _cluster_terms, run_test_columns
+from artcluster.randtest import run_test_columns
 from tests.oracles import bit_expansion_signs, bits, decision_loop, sampled_signs
 from tests.test_acceptance import make_instance
 
@@ -181,7 +181,7 @@ def test_inversion_scan_matches_oracle_loop():
         estimates = fit_per_cluster(data)
         group, signs = exhaustive(q)
         grid = default_inversion_grid(estimates, c)
-        w, cbeta = _cluster_terms(estimates.betas, estimates.sizes, c)
+        w, cbeta = np.sqrt(estimates.sizes), estimates.betas @ c
         expected = decision_loop(signs, w[:, None] * (cbeta[:, None] - grid), alpha)
         keep = inversion_scan(estimates, c, alpha, group, grid)
         assert np.array_equal(keep, ~(expected[0] > expected[1])), f"instance {i}"

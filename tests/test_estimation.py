@@ -155,13 +155,15 @@ class TestFitRestricted:
     def test_non_finite_solution_refused_without_warning(self):
         # a diagonal full-sample Gram matrix and contrast (1e-160, 0) make
         # c'A^{-1}c denormal: the projection step overflows, 0 * inf puts a
-        # NaN in beta_r, and c'beta_r = NaN passes the constraint check
+        # NaN in beta_r, and c'beta_r = NaN passes the constraint check;
+        # at (1e-170, 0), c'A^{-1}c underflows to exactly 0
         Z = np.tile([[1.0, 0.0], [0.0, 1.0]], (8, 1))
         data = canonicalize(np.repeat([1, 2, 3, 4], 4), np.arange(16.0), Z)
-        h = LinearHypothesis(contrast=[1e-160, 0.0], value=1.0)
-        for call in (fit_restricted, scores_via_restricted):
-            with pytest.raises(ValueError, match="^restricted fit must be finite$"):
-                call(data, h)
+        for tiny in (1e-160, 1e-170):
+            h = LinearHypothesis(contrast=[tiny, 0.0], value=1.0)
+            for call in (fit_restricted, scores_via_restricted):
+                with pytest.raises(ValueError, match="^restricted fit must be finite$"):
+                    call(data, h)
 
 
 class TestClusterScores:

@@ -6,7 +6,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from artcluster import (
-    ArtClusterError,
     ConfidenceInterval,
     GridTooCoarse,
     LinearHypothesis,
@@ -14,20 +13,17 @@ from artcluster import (
     interval,
     interval_by_inversion,
     interval_inputs,
-    pvalue_profile,
     run_test,
 )
 from artcluster.estimation import ClusterEstimates
 from artcluster.groups import SignGroup
-from artcluster.intervals import (
-    default_inversion_grid,
-    inversion_scan,
-    per_group_bounds,
-)
+from artcluster.intervals import default_inversion_grid, inversion_scan
+from artcluster.kernels import interval_bounds
 from tests.conftest import random_contrast, random_dataset
 from tests.oracles import (
     assert_same_selection,
     bit_expansion_signs,
+    pvalue_profile,
     sort_interval_endpoints,
 )
 
@@ -117,13 +113,13 @@ class TestPerGBounds:
     # the q=2 group in lexicographic order: (1,1), (1,-1), (-1,1), (-1,-1)
     def test_hand_example_zero_slope_case(self, micro_estimates, group_cache):
         inputs = interval_inputs(micro_estimates, [1.0], group_cache(2))
-        lo_all, hi_all = per_group_bounds(inputs)
+        lo_all, hi_all = interval_bounds(inputs.a, inputs.b, inputs.pm_identity)
         assert lo_all[1] == 1.0
         assert hi_all[1] == 3.0
 
     def test_negated_identity_unbounded(self, micro_estimates, group_cache):
         inputs = interval_inputs(micro_estimates, [1.0], group_cache(2))
-        lo_all, hi_all = per_group_bounds(inputs)
+        lo_all, hi_all = interval_bounds(inputs.a, inputs.b, inputs.pm_identity)
         assert not np.isfinite(lo_all[3]) and lo_all[3] == -np.inf
         assert not np.isfinite(hi_all[3]) and hi_all[3] == np.inf
 
@@ -135,7 +131,7 @@ class TestPerGBounds:
         c = random_contrast(rng, 2)
         group = group_cache(6)
         inputs = interval_inputs(est, c, group)
-        lo_all, hi_all = per_group_bounds(inputs)
+        lo_all, hi_all = interval_bounds(inputs.a, inputs.b, inputs.pm_identity)
         eps = 1e-7
 
         def t(i, value):
@@ -163,7 +159,7 @@ class TestPerGBounds:
     def test_antisymmetry(self, rng, group_cache):
         data = random_dataset(rng, q=7, d=2)
         inputs = interval_inputs(fit_per_cluster(data), random_contrast(rng, 2), group_cache(7))
-        lo_all, hi_all = per_group_bounds(inputs)
+        lo_all, hi_all = interval_bounds(inputs.a, inputs.b, inputs.pm_identity)
         # lexicographic order pairs g with -g by reversal
         assert np.array_equal(lo_all, lo_all[::-1])
         assert np.array_equal(hi_all, hi_all[::-1])
@@ -264,7 +260,7 @@ class TestInterval:
         inputs = interval_inputs(estimates, [1.0], SignGroup(estimates.q, "exhaustive"))
         ci = interval(inputs, alpha)
         assert ci.lower <= ci.upper
-        lo_all, hi_all = per_group_bounds(inputs)
+        lo_all, hi_all = interval_bounds(inputs.a, inputs.b, inputs.pm_identity)
         lower, upper = sort_interval_endpoints(lo_all, hi_all, alpha)
         pool = np.concatenate([lo_all, hi_all])
         assert_same_selection(ci.lower, lower, pool)
@@ -280,7 +276,7 @@ class TestInterval:
             labels=(0, 1, 2),
         )
         inputs = interval_inputs(estimates, [1.0], group_cache(3))
-        lo_all, hi_all = per_group_bounds(inputs)
+        lo_all, hi_all = interval_bounds(inputs.a, inputs.b, inputs.pm_identity)
         assert np.all(lo_all <= hi_all)
         assert np.sort(lo_all)[6] == 0.10000000000000002 and np.sort(hi_all)[1] == 0.1
         ci = interval(inputs, 0.8)
@@ -334,15 +330,6 @@ class TestProfile:
             above = grid > inputs.lambda0
             assert np.all(np.diff(values[below]) >= 0.0)
             assert np.all(np.diff(values[above]) <= 0.0)
-
-    def test_self_check_is_active(self, rng, group_cache, monkeypatch):
-        from artcluster import intervals as mod
-
-        data = random_dataset(rng, q=5, d=2)
-        inputs = interval_inputs(fit_per_cluster(data), random_contrast(rng, 2), group_cache(5))
-        monkeypatch.setattr(mod, "_profile_direct", lambda *_: -1.0)
-        with pytest.raises(ArtClusterError):
-            pvalue_profile(inputs, inputs.lambda0 + 0.5)
 
 
 CENTER_OVERFLOWS = (r"^the center of contrast \[0\.0, 1e\+308\] overflows float64; "

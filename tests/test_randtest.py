@@ -24,6 +24,7 @@ from artcluster.randtest import (
     pvalue_from_statistics,
     run_test_columns,
     run_test_from_scores,
+    weighted_scores,
 )
 from tests.conftest import random_contrast, random_dataset
 from tests.oracles import (
@@ -34,7 +35,13 @@ from tests.oracles import (
     statistic,
     statistic_studentized,
     statistic_wald,
+    weighted_scores_loop,
 )
+
+# (betas, contrast, values) shapes of one null value, a Wald row of values,
+# a contrast column over a grid, and a stack of replications
+SCORE_SHAPES = {"scalar": ((7, 3), (3,), ()), "wald": ((7, 3), (3, 2), (2,)),
+                "grid": ((7, 3), (3, 1), (9,)), "stack": ((5, 7, 3), (3,), ())}
 
 
 class TestScores:
@@ -53,6 +60,26 @@ class TestScores:
         h = LinearHypothesis(contrast=[1.0], value=2.0)
         sv = scores_from_estimates(micro_estimates, h, scaling="root_n")
         assert np.allclose(sv, np.sqrt(8.0) * np.array([-1.0, 1.0]))
+
+    @pytest.mark.parametrize("scaling", ["root_nj", "root_n"])
+    @pytest.mark.parametrize("huge", [False, True])
+    @pytest.mark.parametrize("shape", SCORE_SHAPES)
+    def test_formula_matches_loop(self, shape, huge, scaling):
+        b_shape, c_shape, v_shape = SCORE_SHAPES[shape]
+        rng = np.random.default_rng(0)
+        # multiples of 1/8: every contrast c'beta_j is exact in any summation order
+        betas, contrast = (rng.integers(-64, 65, size=s) / 8.0 for s in (b_shape, c_shape))
+        values = rng.standard_normal(v_shape)
+        sizes = rng.integers(1, 40, size=b_shape[-2])
+        if huge:  # c'beta overflows to +-inf on clusters 0 and 1, before the values
+            betas[..., :2, 0] = [1e308, -1e308]
+            contrast[0] = 2.0
+            values = np.full(v_shape, 1e308)
+        got = weighted_scores(betas, sizes, contrast, values, scaling)
+        expected = weighted_scores_loop(betas, sizes, contrast, values, scaling)
+        assert got.shape == expected.shape and np.array_equal(bits(got), bits(expected))
+        first_two = got[..., :2] if len(c_shape) == 1 else got[..., :2, :]
+        assert not np.isfinite(first_two).any() if huge else np.isfinite(got).all()
 
 
 class TestStatistic:

@@ -32,8 +32,6 @@ from artcluster.intervals import (
     _rounding_tol,
     interval,
     interval_inputs,
-    per_group_bounds,
-    pvalue_profile,
 )
 from artcluster.randtest import _wald_ingredients
 from tests.conftest import random_contrast, random_dataset
@@ -44,6 +42,7 @@ from tests.oracles import (
     column_loop_means,
     interval_bounds_branches,
     pm_iota_mask,
+    pvalue_profile,
     sampled_signs,
     sort_critical_value,
     sort_interval_endpoints,
@@ -350,7 +349,7 @@ class TestPartitionQuantiles:
             labels=tuple(range(q)),
         )
         inputs = interval_inputs(est, [1.0], SignGroup(q, "exhaustive"))
-        lo_all, hi_all = per_group_bounds(inputs)
+        lo_all, hi_all = kernels.interval_bounds(inputs.a, inputs.b, inputs.pm_identity)
         lower, upper = sort_interval_endpoints(lo_all, hi_all, alpha)
         ci = interval(inputs, alpha)
         assert_same_selection(ci.lower, lower, np.concatenate([lo_all, hi_all]))
@@ -360,7 +359,7 @@ class TestPartitionQuantiles:
         data = random_dataset(rng, q=20, d=2, size_hi=12)
         c = random_contrast(rng, 2)
         inputs = interval_inputs(fit_per_cluster(data), c, SignGroup(20, "exhaustive"))
-        lo_all, hi_all = per_group_bounds(inputs)
+        lo_all, hi_all = kernels.interval_bounds(inputs.a, inputs.b, inputs.pm_identity)
         for alpha in (0.05, 0.1):
             lower, upper = sort_interval_endpoints(lo_all, hi_all, alpha)
             ci = interval(inputs, alpha)
