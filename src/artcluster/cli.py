@@ -321,7 +321,8 @@ def _ci_result(config: RunConfig, names, contrast, group, estimates) -> dict:
 
     notes = []
     if not ci.is_bounded:
-        floor = f"{np.count_nonzero(inputs.pm_identity)}/{group.size}"
+        ties = np.count_nonzero(inputs.pm_identity) * (group.size // group.rows)
+        floor = f"{ties}/{group.size}"
         notes.append(
             "unbounded interval: alpha is at or below the smallest attainable "
             f"p-value {floor}, so infinite endpoints are forced"

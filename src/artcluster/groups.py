@@ -6,7 +6,9 @@ vector (all +1) always in row 0.  A group holds only q, or (q, draws,
 seed) when sampled: each sweep regenerates sampled rows, a chunk at a
 time, from numpy's Philox generator, a counter-based RNG whose streams
 are reproducible across platforms for a given integer seed.  A group
-only sweeps: the +-identity rows are read off the swept weights.
+only sweeps: the +-identity rows are read off the swept weights.  An
+exhaustive sweep returns only the rows with g_0 = +1; the others negate
+them exactly and add nothing to a decision (see :mod:`artcluster.randtest`).
 """
 
 from __future__ import annotations
@@ -34,9 +36,10 @@ MAX_EXHAUSTIVE_Q = 20
 AUTO_SAMPLED_ABOVE = 14
 DEFAULT_DRAWS = 1000
 
-# Sampled rows are regenerated this many at a time.  numpy draws bounded
-# int8 values from 32-bit words and drops a call's unused trailing bytes,
-# so only a multiple of 4 rows continues the one-shot stream at every q.
+# Sampled rows are regenerated this many at a time.  A chunk's n flips are
+# the top bits of the first n little-endian bytes of raw Philox words, as
+# Generator.integers(0, 2, dtype=int8) draws them; a full chunk uses whole
+# words, so the chunks continue the one-shot stream at every q.
 _CHUNK_ROWS = 2**14
 
 
@@ -71,7 +74,9 @@ class SignGroup:
 
     ``SignGroup(q, "exhaustive")`` holds all 2^q vectors in lexicographic
     order (+1 sorts before -1): row 0 is the identity, row 2^q - 1 its
-    negation.  It raises :class:`GroupTooLarge` above q = 20.
+    negation.  Its sweep returns the first ``rows`` = 2^(q-1) of them,
+    those with g_0 = +1; the rest are their negations in reverse order.
+    It raises :class:`GroupTooLarge` above q = 20.
 
     ``SignGroup(q, "sampled", seed=seed, draws=B)`` holds the identity
     followed by B - 1 i.i.d. Rademacher vectors (duplicates permitted),
@@ -79,7 +84,7 @@ class SignGroup:
     filling the (B - 1, q) block row by row, so a given (q, draws, seed)
     triple yields the same rows on every platform.  It raises
     ``ValueError``, naming ``draws_name``, when the group would need more
-    than 1 GiB: B * 50 bytes, plus 2^14 * (3q + 48) for one chunk's int8
+    than 1 GiB: B * 50 bytes, plus 2^14 * (3q + 48) for one chunk's bytes,
     flips and signs and three (2, 2^14) float64 temporaries.  A sampled
     ``ci`` holds 41 B per draw (a(g), b(g), the two bounds, the quantile's
     copy and the +-identity mask) over about 9 MB for numpy's random module
@@ -134,6 +139,11 @@ class SignGroup:
         return 1 << self.q if self.mode == "exhaustive" else self.draws
 
     @property
+    def rows(self) -> int:
+        """Rows a sweep returns: the 2^(q-1) with g_0 = +1 if exhaustive, else ``draws``."""
+        return self.size // 2 if self.mode == "exhaustive" else self.draws
+
+    @property
     def forced_ties(self) -> int:
         """Rows whose statistic ties the observed one by construction.
 
@@ -149,7 +159,7 @@ class SignGroup:
         return {"mode": self.mode, "size": self.size, "draws": self.draws, "seed": self.seed}
 
     def sweep(self, values: np.ndarray) -> np.ndarray:
-        """Signed means (1/q) sum_j g_j v_j for every row g, in row order.
+        """Signed means (1/q) sum_j g_j v_j for each of the m = ``rows`` rows g, in order.
 
         ``values`` is (q,) or (q, p); the result is (m,) or (p, m): the
         group axis is last, so each value column gets one contiguous row
@@ -166,10 +176,12 @@ class SignGroup:
             return kernels.exhaustive_means(values)
         out = np.empty((*values.shape[1:], self.draws))
         out[..., :1] = kernels.group_means(np.ones((1, self.q), dtype=np.int8), values)
-        rng = np.random.Generator(np.random.Philox(key=self.seed))
+        bits = np.random.Philox(key=self.seed)
         for start in range(1, self.draws, _CHUNK_ROWS):
             stop = min(start + _CHUNK_ROWS, self.draws)
-            flips = rng.integers(0, 2, size=(stop - start, self.q), dtype=np.int8)
+            n = (stop - start) * self.q
+            flips = bits.random_raw(-(-n // 8)).astype("<u8", copy=False).view(np.uint8)[:n]
+            flips = (flips >> 7).view(np.int8).reshape(stop - start, self.q)
             out[..., start:stop] = kernels.group_means(1 - 2 * flips, values)
         return out
 

@@ -57,11 +57,13 @@ def _center(estimates: ClusterEstimates, contrast) -> tuple[float, np.ndarray]:
 
 @dataclass(frozen=True)
 class IntervalInputs:
-    """Slope/offset summaries a(g), b(g) for every group element.
+    """Slope/offset summaries a(g), b(g) for every row a group sweeps.
 
     a(g) = mean_j sqrt(n_j) g_j and b(g) = mean_j sqrt(n_j) g_j c'beta_j,
     stored in group row order; row 0 is the identity, so
     ``a[0] > 0`` and the p-value-1 center is ``lambda0 = b[0] / a[0]``.
+    An exhaustive group gives its g_0 = +1 half: -g has -a(g), -b(g) and the
+    same bounds, so :func:`interval` gives the same bits on half or all rows.
     """
 
     a: np.ndarray  # (m,)
@@ -90,10 +92,11 @@ class IntervalInputs:
     def pm_identity(self) -> np.ndarray:
         """Boolean mask of the rows equal to +-identity, read off ``a``.
 
-        Exact: flipping every sign negates a sweep's sum exactly, and
-        rounding is monotone, so no swept |a(g)| exceeds a[0].  Any other
-        row lies at least 2 min_j sqrt(n_j) / q below a[0], which for int64
-        sizes is far above the rounding error of a q-term sum.
+        Row 0 alone in an exhaustive group's half.  Exact: flipping every
+        sign negates a sweep's sum exactly, and rounding is monotone, so no
+        swept |a(g)| exceeds a[0].  Any other row lies at least
+        2 min_j sqrt(n_j) / q below a[0], which for int64 sizes is far
+        above the rounding error of a q-term sum.
         """
         return np.abs(self.a) == self.a[0]
 
@@ -101,7 +104,7 @@ class IntervalInputs:
 def interval_inputs(
     estimates: ClusterEstimates, contrast: np.ndarray, group: SignGroup
 ) -> IntervalInputs:
-    """Compute a(g), b(g) for every group element from per-cluster fits.
+    """Compute a(g), b(g) for every row of the group's sweep from per-cluster fits.
 
     b sweeps the scores at null value 0, w_j c'beta_j; the sweep refuses
     scores that overflow, as the test's does.

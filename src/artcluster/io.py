@@ -176,8 +176,9 @@ def _fast_table(text: str, config: RunConfig) -> Table | None:
 
     It returns None, leaving the file to the row path, on a quote or CR,
     a line whose comma count differs from the header's (``loadtxt`` with
-    ``usecols`` would accept an extra field), no data rows, or any error,
-    which the row path then reports in its own order.
+    ``usecols`` would accept an extra field), no data rows, or a cell
+    ``loadtxt`` rejects.  A bad column raises the row path's error, in its
+    order: model columns before any cell, the cluster or time column after.
     """
     if '"' in text or "\r" in text:
         return None
@@ -187,16 +188,16 @@ def _fast_table(text: str, config: RunConfig) -> Table | None:
     width = len(header) - 1
     if not head or not lines or any(line.count(",") != width for line in lines):
         return None
-    blocks = config.blocks_q is not None
+    y_idx, z_idx = _model_columns(header, config)
+    blocks = config.blocks_q is not None and config.time_col in header
+    usecols = [y_idx, *z_idx, header.index(config.time_col)] if blocks else [y_idx, *z_idx]
     try:
-        y_idx, z_idx = _model_columns(header, config)
-        key_idx = _key_column(header, config)
-        usecols = [y_idx, *z_idx, key_idx] if blocks else [y_idx, *z_idx]
         values = np.loadtxt(
             lines, delimiter=",", comments=None, usecols=usecols, dtype=np.float64, ndmin=2
         )
-    except (ValueError, MissingColumn):
+    except ValueError:
         return None
+    key_idx = _key_column(header, config)
     k = len(z_idx)
     if blocks:
         keys = np.ascontiguousarray(values[:, k + 1])

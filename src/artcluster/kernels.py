@@ -1,14 +1,14 @@
-"""Hot numeric kernels: sweeping statistics over the whole sign group.
+"""Hot numeric kernels: sweeping statistics over a sign group.
 
-:func:`exhaustive_means` sweeps the full group of 2^q sign vectors by
-prefix-sum doubling, without ever building its (2^q, q) sign matrix;
-:func:`group_means` sweeps an int8 sign matrix, such as one chunk of a
-sampled group's rows; both return the signed means of (q,) values as
-(m,), and of (q, p) values as (p, m), one contiguous row per value
-column.  :func:`group_wald_quadratic` turns swept (p, m) means into the
-multi-row quadratic form and :func:`interval_bounds` gives each row's
-interval bounds, the min and max of the two points where its V-shaped
-map crosses the identity's.
+:func:`exhaustive_means` sweeps the first half of the exhaustive group,
+the 2^(q-1) sign vectors with g_0 = +1, by prefix-sum doubling without
+ever building a sign matrix; :func:`group_means` sweeps an int8 sign
+matrix, such as one chunk of a sampled group's rows.  Both return the
+signed means of (q,) values as (m,), and of (q, p) values as (p, m), one
+contiguous row per value column.  :func:`group_wald_quadratic` turns
+swept (p, m) means into the multi-row quadratic form and
+:func:`interval_bounds` gives each row's interval bounds, the min and
+max of the two points where its V-shaped map crosses the identity's.
 
 The accumulation order is fixed -- columns left to right starting from
 +0.0, then the quadratic form row by row -- so results are reproducible
@@ -42,10 +42,10 @@ __all__ = [
 
 
 def exhaustive_means(values: np.ndarray) -> np.ndarray:
-    """Mean of sign-flipped values for all 2^q sign vectors, in order."""
+    """Mean of sign-flipped values for the 2^(q-1) sign vectors with g_0 = +1, in order."""
     v = np.asarray(values, dtype=np.float64)
-    sums = np.zeros((*v.shape[1:], 1))
-    for x in v[..., None]:
+    sums = 0.0 + v[:1].T  # the first level's g_0 = +1 row, doubled over columns 1..q-1
+    for x in v[1:, ..., None]:
         level = np.empty((*v.shape[1:], 2 * sums.shape[-1]))
         np.add(sums, x, out=level[..., 0::2])
         np.subtract(sums, x, out=level[..., 1::2])

@@ -4,6 +4,9 @@ The test statistic is the absolute mean of per-cluster scores; the
 reference distribution comes from flipping the score signs with every
 element of a :class:`~artcluster.groups.SignGroup` (whose row 0 is the
 identity, so the observed statistic is always ``statistics[0]``).
+An exhaustive group sweeps only its rows with g_0 = +1, each standing
+for itself and its negation (same bits): the whole group's k-th smallest
+is the half's ceil(k/2)-th, the half's own quantile, and tie shares agree.
 One engine, :func:`run_test_columns`, tests a (q, k) block of score
 vectors -- k null values or k replications -- in a single sweep.
 
@@ -215,9 +218,9 @@ def pvalue_from_statistics(statistics: np.ndarray, observed):
 # Test runner
 # ------------------------------------------------------------------ #
 
-# The engine sweeps at most this many statistics at once, i.e. chunks
-# of max(1, 2^15 // m) score columns, so each of a chunk's temporaries
-# holds at most max(2^15, m) float64 entries: 256 kB for groups of up
+# The engine sweeps at most this many statistics at once, i.e. chunks of
+# max(1, 2^15 // m) score columns, m = ``group.rows``, so each of a chunk's
+# temporaries holds at most max(2^15, m) float64 entries: 256 kB for groups of up
 # to 2^15 rows, one column of m entries (8 MB at m = 2^20) above that.
 # A chunk's sweep is (columns, m), one contiguous row of m statistics per
 # score column, so the quantile and the count decide it in place.  Timing
@@ -286,11 +289,11 @@ def run_test_columns(
     """
     check_variant(variant)
     values = np.asarray(values, dtype=np.float64)
-    width = max(1, min(_CHUNK_STATISTICS // group.size, values.shape[1]))
+    width = max(1, min(_CHUNK_STATISTICS // group.rows, values.shape[1]))
     out = np.empty((3, values.shape[1]))
     for start in range(0, values.shape[1], width):
-        rows = group.sweep(values[:, start : start + width])
-        out[:, start : start + width] = _decide(np.abs(rows, out=rows), alpha)
+        means = group.sweep(values[:, start : start + width])
+        out[:, start : start + width] = _decide(np.abs(means, out=means), alpha)
     if variant == "studentized":
         out[:2] = _studentize(values, out[:2])
         if not np.all(np.isfinite(out[0])):
@@ -379,7 +382,7 @@ def run_wald_test(
     scores, sigma_inv = _wald_ingredients(estimates, hypothesis, scaling)
     means = group.sweep(scores)
     if sigma_inv is None:
-        stats = np.zeros(group.size, dtype=np.float64)
+        stats = np.zeros(group.rows, dtype=np.float64)
     else:
         stats = kernels.group_wald_quadratic(means, sigma_inv, estimates.q)
     statistic, crit, p_value = _decide(stats, alpha)

@@ -1,7 +1,8 @@
 """Reference implementations the fast paths are checked against.
 
 These are the package's earlier kernels, kept verbatim in arithmetic:
-the explicit uint64 bit-expansion of the exhaustive sign matrix, the
+the explicit uint64 bit-expansion of the exhaustive sign matrix and
+the whole group's sweep over it (the fast sweep returns its first half), the
 one-shot draw of a sampled group's sign matrix from its seed, the
 column-by-column signed-mean sweep over a sign matrix, the Wald
 quadratic form over the (m, p) means of that sweep, the
@@ -33,6 +34,31 @@ def bit_expansion_signs(q: int) -> np.ndarray:
     shifts = q - 1 - np.arange(q, dtype=np.uint64)
     bits = (idx[:, None] >> shifts[None, :]) & 1
     return (1 - 2 * bits).astype(np.int8)
+
+
+def exhaustive_half(full: np.ndarray, even: bool = False) -> np.ndarray:
+    """The first half of an exhaustive oracle's rows (axis 0): those with g_0 = +1.
+
+    Row m - 1 - i of the lexicographic group is row i negated, and an
+    exhaustive sweep returns only rows 0..m/2 - 1.  Asserts that the
+    second half mirrors the first: the exact negation (a zero may carry
+    either sign, so equal values and equal |value| bits), or with
+    ``even``, for a statistic of the row such as a quadratic form, equal bits.
+    """
+    half = full.shape[0] // 2
+    first, mirror = full[:half], full[half:][::-1]
+    if even:
+        assert np.array_equal(bits(mirror), bits(first))
+    else:
+        assert np.array_equal(mirror, -first)
+        assert np.array_equal(bits(np.abs(mirror)), bits(np.abs(first)))
+    return first
+
+
+def exhaustive_sweep(values: np.ndarray) -> np.ndarray:
+    """The whole 2^q-row group's signed means, in the sweep's group-last layout."""
+    values = np.asarray(values, dtype=np.float64)
+    return np.moveaxis(column_loop_means(bit_expansion_signs(values.shape[0]), values), 0, -1)
 
 
 def sampled_signs(q: int, draws: int, seed: int) -> np.ndarray:

@@ -449,6 +449,82 @@ def test_documented_failure_exit_codes(tmp_path, capsys, csv_text, extra, expect
     assert message in err
 
 
+# Files broken twice: a ragged row or a bad cell, and a bad column.  Each
+# gives the error the csv row path reaches first: a ragged row before any
+# column, a bad model column before any cell, and a bad cell before a bad
+# cluster or time column.  (rows, flags, exit code, the whole error line)
+_GOOD_ROWS = ["a,1.0,1.0,1", "a,2.0,3.0,2", "b,3.0,1.0,3", "b,1.0,2.0,4"]
+_RAGGED = _GOOD_ROWS[:1] + ["a,2.0,3.0"] + _GOOD_ROWS[2:]
+_BAD_Y = _GOOD_ROWS[:2] + ["b,oops,1.0,3"] + _GOOD_ROWS[3:]
+_BAD_TIME = _GOOD_ROWS[:2] + ["b,3.0,1.0,late"] + _GOOD_ROWS[3:]
+_NOT_FOUND = "column 'nope' not found in header (cluster, y, x, t)"
+_TWICE = "covariate 'x' appears twice in the model (x, x)"
+_RAGGED_LINE = "line 3: expected 4 fields, found 3"
+_OOPS = "line 4, column 'y': not a number: 'oops'"
+DOUBLY_BROKEN_CASES = [
+    pytest.param(_RAGGED, ["--cluster", "cluster", "--covariates", "x,nope"], 3, _RAGGED_LINE,
+                 id="ragged-missing-covariate"),
+    pytest.param(_RAGGED, ["--cluster", "cluster", "--covariates", "x,x"], 3, _RAGGED_LINE,
+                 id="ragged-repeated-covariate"),
+    pytest.param(_RAGGED, ["--cluster", "nope", "--covariates", "x"], 3, _RAGGED_LINE,
+                 id="ragged-missing-cluster"),
+    pytest.param(_RAGGED, ["--blocks", "2", "--time", "nope", "--covariates", "x"], 3,
+                 _RAGGED_LINE, id="ragged-missing-time"),
+    pytest.param(_BAD_Y, ["--cluster", "cluster", "--covariates", "x,nope"], 3, _NOT_FOUND,
+                 id="bad-cell-missing-covariate"),
+    pytest.param(_BAD_Y, ["--cluster", "cluster", "--covariates", "x,x"], 1, _TWICE,
+                 id="bad-cell-repeated-covariate"),
+    pytest.param(_BAD_Y, ["--cluster", "nope", "--covariates", "x"], 3, _OOPS,
+                 id="bad-cell-missing-cluster"),
+    pytest.param(_BAD_Y, ["--blocks", "2", "--time", "nope", "--covariates", "x"], 3, _OOPS,
+                 id="bad-cell-missing-time"),
+    pytest.param(_BAD_Y, ["--blocks", "2", "--covariates", "x"], 3, _OOPS,
+                 id="bad-cell-blocks-without-time"),
+    pytest.param(_BAD_TIME, ["--cluster", "nope", "--covariates", "x"], 3, _NOT_FOUND,
+                 id="bad-time-cell-missing-cluster"),
+    pytest.param(_BAD_TIME, ["--blocks", "2", "--covariates", "x"], 1,
+                 "blocks mode requires a time column", id="bad-time-cell-blocks-without-time"),
+]
+
+
+@pytest.mark.parametrize("command", ["test", "ci"])
+@pytest.mark.parametrize("rows, flags, expected_code, message", DOUBLY_BROKEN_CASES)
+def test_doubly_broken_input_reports_the_first_error(tmp_path, capsys, command, rows, flags,
+                                                     expected_code, message):
+    path = tmp_path / "data.csv"
+    path.write_text(_rows_csv("cluster,y,x,t", rows))
+    argv = [command, "--input", str(path), "--outcome", "y", "--coef", "x", *flags]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out, err) == (expected_code, "", f"artcluster: error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "flags, parses_cells, expected_code, message",
+    [
+        (["--cluster", "cluster", "--covariates", "x,nope"], False, 3, _NOT_FOUND),
+        (["--cluster", "cluster", "--covariates", "x,x"], False, 1, _TWICE),
+        (["--cluster", "nope", "--covariates", "x"], True, 3, _NOT_FOUND),
+        (["--blocks", "2", "--time", "nope", "--covariates", "x"], True, 3, _NOT_FOUND),
+    ],
+    ids=["missing-covariate", "repeated-covariate", "missing-cluster", "missing-time"],
+)
+def test_bad_column_fails_without_the_row_path(tmp_path, capsys, monkeypatch, flags,
+                                               parses_cells, expected_code, message):
+    # a plain file's bad model column fails before any cell is parsed, and a
+    # bad cluster or time column after the one loadtxt call, never row by row
+    def refuse(*args, **kwargs):
+        raise AssertionError("a bad column must not parse the file row by row")
+
+    monkeypatch.setattr(artcluster.io, "_row_table", refuse)
+    if not parses_cells:
+        monkeypatch.setattr(artcluster.io.np, "loadtxt", refuse)
+    path = tmp_path / "data.csv"
+    path.write_text(_rows_csv("cluster,y,x,t", _GOOD_ROWS))
+    argv = ["test", "--input", str(path), "--outcome", "y", "--coef", "x", *flags]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out, err) == (expected_code, "", f"artcluster: error: {message}\n")
+
+
 def _cli_in_subprocess(argv):
     """Run the CLI in a fresh interpreter, so numpy's warnings reach its stderr."""
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(artcluster.__file__)))
@@ -1216,11 +1292,14 @@ print(code, int(hwm.split()[1]) // 1024)
 @pytest.mark.parametrize(
     "command, group, bound_mb",
     [
-        # the 2^20 group is swept without its sign matrix: ~50-75 MB, not ~520 MB
-        pytest.param("test", ["--group-mode", "exhaustive"], 200, id="test"),
-        # ci holds a, b and the two bounds: ~73 MB, against ~139 MB when the
-        # bounds took a dozen temporaries of the group's size
-        pytest.param("ci", ["--group-mode", "exhaustive"], 100, id="ci"),
+        # the 2^20 group is swept without its sign matrix, and only its 2^19
+        # rows with g_0 = +1: ~40 MB, against ~49 MB for all 2^20 rows and
+        # ~520 MB for the sign matrix
+        pytest.param("test", ["--group-mode", "exhaustive"], 46, id="test"),
+        # ci holds a, b and the two bounds of the 2^19 rows: ~53 MB, against
+        # ~73 MB for all 2^20 rows and ~139 MB when the bounds took a dozen
+        # temporaries of the group's size
+        pytest.param("ci", ["--group-mode", "exhaustive"], 62, id="ci"),
         # 1M sampled rows are regenerated from the seed in chunks, never held
         # whole: ~53 MB, against ~112 MB for a (draws, q) int8 matrix
         pytest.param(

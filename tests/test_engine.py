@@ -36,7 +36,7 @@ SMALL_CHUNK = 2**8
 
 
 def chunk_width(group) -> int:
-    return max(1, randtest._CHUNK_STATISTICS // group.size)
+    return max(1, randtest._CHUNK_STATISTICS // group.rows)
 
 
 def edge_widths(step: int) -> list:
@@ -71,7 +71,7 @@ def instances(draw):
         group = SignGroup(q, "sampled", seed=seed, draws=draws)
         signs = sampled_signs(q, draws, seed)
     chunk = 2 ** draw(st.integers(2, 12))
-    step = max(1, chunk // group.size)
+    step = max(1, chunk // group.rows)
     k = draw(st.sampled_from(edge_widths(step)))
     kind = draw(st.sampled_from(["integer", "tenths", "normal", "near-tie"]))
     variant = draw(st.sampled_from(["unstudentized", "studentized"]))
@@ -114,7 +114,7 @@ class TestEngineMatchesOracle:
     def test_chunk_edges_at_the_shipped_chunk(self):
         group, signs = exhaustive(8)
         step = chunk_width(group)
-        assert step > 1
+        assert step == 2**15 // 2**7  # a sweep returns the 2^7 rows with g_0 = +1
         values = score_block(np.random.default_rng(8), 8, step + 1, "tenths")
         expected = decision_loop(signs, values, 0.1)
         for k in (step - 1, step, step + 1):

@@ -20,6 +20,12 @@ class TestExhaustive:
         assert g.size == 4
         assert g.mode == "exhaustive"
 
+    @pytest.mark.parametrize("q", [2, 5, 12])
+    def test_sweep_returns_the_half_with_first_sign_plus(self, q):
+        g = SignGroup(q, "exhaustive")
+        assert (g.size, g.rows) == (2**q, 2 ** (q - 1))
+        assert np.array_equal(group_rows(g), bit_expansion_signs(q)[: g.rows])
+
     @pytest.mark.parametrize("q", [3, 8, 12])
     def test_all_distinct(self, q):
         g = SignGroup(q, "exhaustive")
@@ -64,6 +70,16 @@ class TestSampled:
         g = SignGroup(12, "sampled", seed=17, draws=1000)
         means = group_rows(g)[1:].mean(axis=0)
         assert np.all(np.abs(means) < 4.0 / np.sqrt(999))
+
+    @pytest.mark.parametrize("q", [2, 3, 7, 13, 20, 21])
+    @pytest.mark.parametrize("draws", [2, 3 * 2**14 + 1, 40001])
+    @pytest.mark.parametrize("seed", [0, 11, 2**90 + 1])
+    def test_flips_from_raw_bytes_equal_bounded_integers(self, q, draws, seed):
+        # each chunk's flips are the top bits of raw Philox bytes, and equal
+        # what Generator.integers(0, 2, dtype=int8) draws in one shot
+        g = SignGroup(q, "sampled", seed=seed, draws=draws)
+        assert g.rows == g.size == draws
+        assert np.array_equal(group_rows(g), sampled_signs(q, draws, seed))
 
     def test_needs_two_vectors(self):
         with pytest.raises(ValueError):

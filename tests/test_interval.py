@@ -17,12 +17,16 @@ from artcluster import (
 )
 from artcluster.estimation import ClusterEstimates
 from artcluster.groups import SignGroup
-from artcluster.intervals import default_inversion_grid, inversion_scan
+from artcluster.intervals import IntervalInputs, default_inversion_grid, inversion_scan
 from artcluster.kernels import interval_bounds
+from artcluster.randtest import cluster_weights, weighted_scores
 from tests.conftest import random_contrast, random_dataset
 from tests.oracles import (
     assert_same_selection,
     bit_expansion_signs,
+    bits,
+    exhaustive_half,
+    exhaustive_sweep,
     pvalue_profile,
     sort_interval_endpoints,
 )
@@ -63,6 +67,16 @@ def point_instances(draw):
     return point_estimates(cbeta, sizes), alpha
 
 
+def whole_group_inputs(estimates, contrast) -> IntervalInputs:
+    """a(g), b(g) over all 2^q rows, from the sign-matrix oracle.
+
+    An exhaustive group's :func:`interval_inputs` are their first half.
+    """
+    b_scores = weighted_scores(estimates.betas, estimates.sizes, np.ravel(contrast))
+    values = np.stack([cluster_weights(estimates.sizes), b_scores], axis=1)
+    return IntervalInputs(*exhaustive_sweep(values))
+
+
 def point_estimates(cbeta, sizes) -> ClusterEstimates:
     """One-covariate estimates with c'beta_j = ``cbeta[j]`` for the contrast [1]."""
     q = len(cbeta)
@@ -100,17 +114,22 @@ class TestIntervalInputs:
         c = random_contrast(rng, 2)
         group = group_cache(6)
         inputs = interval_inputs(est, c, group)
+        assert inputs.a.shape == inputs.b.shape == (group.rows,)
+        whole = whole_group_inputs(est, c)
+        assert np.array_equal(bits(inputs.a), bits(exhaustive_half(whole.a)))
+        assert np.array_equal(bits(inputs.b), bits(exhaustive_half(whole.b)))
         w = np.sqrt(est.sizes.astype(float))
         cb = est.betas @ c
         signs = bit_expansion_signs(6)
-        for i in range(0, group.size, 7):
+        for i in range(0, group.rows, 7):
             g = signs[i]
             assert inputs.a[i] == pytest.approx(np.sum(g * w) / 6, rel=1e-12, abs=1e-14)
             assert inputs.b[i] == pytest.approx(np.sum(g * w * cb) / 6, rel=1e-12, abs=1e-14)
 
 
 class TestPerGBounds:
-    # the q=2 group in lexicographic order: (1,1), (1,-1), (-1,1), (-1,-1)
+    # the q=2 group in lexicographic order: (1,1), (1,-1), (-1,1), (-1,-1);
+    # a sweep returns the first two
     def test_hand_example_zero_slope_case(self, micro_estimates, group_cache):
         inputs = interval_inputs(micro_estimates, [1.0], group_cache(2))
         lo_all, hi_all = interval_bounds(inputs.a, inputs.b, inputs.pm_identity)
@@ -120,6 +139,9 @@ class TestPerGBounds:
     def test_negated_identity_unbounded(self, micro_estimates, group_cache):
         inputs = interval_inputs(micro_estimates, [1.0], group_cache(2))
         lo_all, hi_all = interval_bounds(inputs.a, inputs.b, inputs.pm_identity)
+        assert lo_all.tolist() == [-np.inf, 1.0] and hi_all.tolist() == [np.inf, 3.0]
+        whole = whole_group_inputs(micro_estimates, [1.0])
+        lo_all, hi_all = interval_bounds(whole.a, whole.b, whole.pm_identity)
         assert not np.isfinite(lo_all[3]) and lo_all[3] == -np.inf
         assert not np.isfinite(hi_all[3]) and hi_all[3] == np.inf
 
@@ -141,7 +163,7 @@ class TestPerGBounds:
             return abs(inputs.b[0] - value * inputs.a[0])
 
         checked = 0
-        for i in range(group.size):
+        for i in range(group.rows):
             a_abs = abs(inputs.a[i])
             if a_abs == 0.0 or a_abs >= inputs.a[0] * (1 - 1e-12):
                 continue
@@ -158,11 +180,17 @@ class TestPerGBounds:
 
     def test_antisymmetry(self, rng, group_cache):
         data = random_dataset(rng, q=7, d=2)
-        inputs = interval_inputs(fit_per_cluster(data), random_contrast(rng, 2), group_cache(7))
-        lo_all, hi_all = interval_bounds(inputs.a, inputs.b, inputs.pm_identity)
-        # lexicographic order pairs g with -g by reversal
-        assert np.array_equal(lo_all, lo_all[::-1])
-        assert np.array_equal(hi_all, hi_all[::-1])
+        estimates, c = fit_per_cluster(data), random_contrast(rng, 2)
+        whole = whole_group_inputs(estimates, c)
+        lo_all, hi_all = interval_bounds(whole.a, whole.b, whole.pm_identity)
+        # lexicographic order pairs g with -g by reversal, bit for bit, and
+        # the half sweep's bounds are the first half
+        assert np.array_equal(bits(lo_all), bits(lo_all[::-1]))
+        assert np.array_equal(bits(hi_all), bits(hi_all[::-1]))
+        inputs = interval_inputs(estimates, c, group_cache(7))
+        lo_half, hi_half = interval_bounds(inputs.a, inputs.b, inputs.pm_identity)
+        assert np.array_equal(bits(lo_half), bits(lo_all[: lo_all.size // 2]))
+        assert np.array_equal(bits(hi_half), bits(hi_all[: hi_all.size // 2]))
 
 
 class TestInterval:
@@ -269,18 +297,22 @@ class TestInterval:
     def test_ulp_inverted_point_interval_is_swapped(self, group_cache):
         # three equal estimates: no row's bounds are out of order, but one
         # finite lower bound rounds to 0.1 + 1 ulp and the upper bounds to
-        # 0.1, so at alpha = 0.8 (k = 7 of 8) the quantiles come out one
-        # ulp out of order and are swapped back
+        # 0.1, so at alpha = 0.8 (k = 7 of the group's 8, the 4th of the
+        # half sweep's 4) the quantiles come out one ulp out of order and
+        # are swapped back
         estimates = ClusterEstimates(
             betas=np.full((3, 1), 0.1), sizes=[2, 4, 3], grams=np.ones((3, 1, 1)),
             labels=(0, 1, 2),
         )
+        whole = whole_group_inputs(estimates, [1.0])
         inputs = interval_inputs(estimates, [1.0], group_cache(3))
-        lo_all, hi_all = interval_bounds(inputs.a, inputs.b, inputs.pm_identity)
-        assert np.all(lo_all <= hi_all)
-        assert np.sort(lo_all)[6] == 0.10000000000000002 and np.sort(hi_all)[1] == 0.1
-        ci = interval(inputs, 0.8)
-        assert (ci.lower, ci.upper) == (0.1, 0.10000000000000002)
+        for rows, k in ((whole, 7), (inputs, 4)):
+            lo_all, hi_all = interval_bounds(rows.a, rows.b, rows.pm_identity)
+            assert np.all(lo_all <= hi_all)
+            assert np.sort(lo_all)[k - 1] == 0.10000000000000002
+            assert np.sort(hi_all)[lo_all.size - k] == 0.1
+            ci = interval(rows, 0.8)
+            assert (ci.lower, ci.upper) == (0.1, 0.10000000000000002)
 
     def test_duality_with_test(self, rng, group_cache):
         data = random_dataset(rng, q=7, d=2)

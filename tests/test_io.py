@@ -135,6 +135,8 @@ CONFIGS = (
               intercept=True),
     RunConfig(outcome_col="y", covariate_cols=("x",), blocks_q=2),
     RunConfig(cluster_col="h", outcome_col="y", covariate_cols=("x",)),
+    RunConfig(cluster_col="h", outcome_col="y", covariate_cols=("x", "x")),
+    RunConfig(outcome_col="y", covariate_cols=("x", "w"), blocks_q=2),
 )
 
 
@@ -209,7 +211,8 @@ class TestParsePaths:
         path = tmp_path_factory.mktemp("parity") / "data.csv"
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
-        event("fast path" if _fast_table(text, config) is not None else "row path")
+        fast = outcome(lambda: _fast_table(text, config))
+        event("row path" if fast is None else "fast path")
         got = outcome(lambda: ingest(str(path), config))
         expected = outcome(lambda: _row_table(_read_text(str(path)), config, str(path)))
         assert_same_outcome(got, expected)

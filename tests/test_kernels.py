@@ -40,8 +40,11 @@ class TestWaldQuadratic:
         q = group.q
         means = signs.astype(float) @ scores / q
         oracle = q * np.einsum("ij,jk,ik->i", means, sigma_inv, means)
+        # the sweep returns the first half of the rows, g_0 = +1
         got = kernels.group_wald_quadratic(group.sweep(scores), sigma_inv, q)
-        assert np.allclose(got, oracle, rtol=1e-11, atol=1e-13)
+        assert got.shape == (group.rows,)
+        assert np.allclose(got, oracle[: group.rows], rtol=1e-11, atol=1e-13)
+        assert np.allclose(got[::-1], oracle[group.rows :], rtol=1e-11, atol=1e-13)
 
 
 def _literal_bounds(a, b, a0, b0, pm):

@@ -9,6 +9,7 @@ in ``tests/oracles.py`` exactly, compared on the float64 bit patterns.
 """
 
 import dataclasses
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -17,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from artcluster import (
+    DegenerateVariance,
     LinearHypothesis,
     MultiHypothesis,
     critical_value,
@@ -33,13 +35,16 @@ from artcluster.intervals import (
     interval,
     interval_inputs,
 )
-from artcluster.randtest import _wald_ingredients
+from artcluster.randtest import _wald_ingredients, order_statistic_index, run_test_columns
 from tests.conftest import random_contrast, random_dataset
 from tests.oracles import (
     assert_same_selection,
     bit_expansion_signs,
     bits,
     column_loop_means,
+    decision_loop,
+    exhaustive_half,
+    exhaustive_sweep,
     interval_bounds_branches,
     pm_iota_mask,
     pvalue_profile,
@@ -81,21 +86,32 @@ def group_last(means: np.ndarray) -> np.ndarray:
     return np.moveaxis(means, 0, -1)
 
 
+def oracle_means(group, values) -> np.ndarray:
+    """The rows a sweep of ``group`` returns, from the sign-matrix oracle.
+
+    An exhaustive group's are the first half of the whole group's rows.
+    """
+    if group.mode == "exhaustive":
+        return group_last(exhaustive_half(column_loop_means(oracle_signs(group.q), values)))
+    return group_last(column_loop_means(sampled_signs(group.q, group.draws, group.seed), values))
+
+
 class TestDoublingSweep:
     @settings(max_examples=120, deadline=None)
     @given(values=vectors())
     def test_vector_matches_column_loop(self, values):
-        expected = column_loop_means(oracle_signs(values.shape[0]), values)
+        group = SignGroup(values.shape[0], "exhaustive")
+        expected = oracle_means(group, values)
         assert np.array_equal(bits(kernels.exhaustive_means(values)), bits(expected))
-        got = SignGroup(values.shape[0], "exhaustive").sweep(values)
-        assert np.array_equal(bits(got), bits(expected))
+        assert np.array_equal(bits(group.sweep(values)), bits(expected))
 
     @settings(max_examples=80, deadline=None)
     @given(values=matrices())
     def test_matrix_matches_column_loop(self, values):
-        expected = group_last(column_loop_means(oracle_signs(values.shape[0]), values))
-        got = SignGroup(values.shape[0], "exhaustive").sweep(values)
-        assert got.shape == expected.shape
+        group = SignGroup(values.shape[0], "exhaustive")
+        expected = oracle_means(group, values)
+        got = group.sweep(values)
+        assert got.shape == expected.shape == (values.shape[1], group.rows)
         assert np.array_equal(bits(got), bits(expected))
 
     def test_q20_matches_column_loop(self):
@@ -104,16 +120,14 @@ class TestDoublingSweep:
         values[[3, 7]] = 0.0, -0.0
         values[12] = values[11]
         group = SignGroup(20, "exhaustive")
-        expected = column_loop_means(bit_expansion_signs(20), values)
+        expected = exhaustive_half(column_loop_means(bit_expansion_signs(20), values))
         assert np.array_equal(bits(group.sweep(values)), bits(expected))
 
     @settings(max_examples=40, deadline=None)
     @given(values=st.one_of(vectors(2, 8), matrices(2, 8)), seed=st.integers(0, 2**31))
     def test_sampled_sweep_matches_column_loop(self, values, seed):
         group = SignGroup(values.shape[0], "sampled", seed=seed, draws=300)
-        signs = sampled_signs(values.shape[0], 300, seed)
-        expected = group_last(column_loop_means(signs, values))
-        assert np.array_equal(bits(group.sweep(values)), bits(expected))
+        assert np.array_equal(bits(group.sweep(values)), bits(oracle_means(group, values)))
 
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError):
@@ -129,12 +143,13 @@ class TestWald:
         scores = rng.standard_normal((q, p))
         sigma_inv = np.linalg.inv(scores.T @ scores / q)
         sampled = SignGroup(q, "sampled", seed=p, draws=500)
-        for group, signs in (
-            (SignGroup(q, "exhaustive"), oracle_signs(q)),
-            (sampled, sampled_signs(q, 500, p)),
+        exhaustive = SignGroup(q, "exhaustive")
+        whole = wald_quadratic_loop(oracle_signs(q), scores, sigma_inv)
+        for group, expected in (
+            (exhaustive, exhaustive_half(whole, even=True)),
+            (sampled, wald_quadratic_loop(sampled_signs(q, 500, p), scores, sigma_inv)),
         ):
             got = kernels.group_wald_quadratic(group.sweep(scores), sigma_inv, q)
-            expected = wald_quadratic_loop(signs, scores, sigma_inv)
             assert np.array_equal(bits(got), bits(expected))
 
     @pytest.mark.parametrize("p", [1, 2, 3, 4])
@@ -168,6 +183,8 @@ class TestWald:
         stats = wald_quadratic_loop(signs, scores, sigma_inv)
         assert bits(result.statistic) == bits(stats[0])
         assert bits(result.critical_value) == bits(sort_critical_value(stats, 0.9))
+        thresh = stats[0] - 1e-12 * max(1.0, stats[0])
+        assert result.p_value == np.count_nonzero(stats >= thresh) / stats.size
 
 
 # the sampled group spans two 2^14-row chunks
@@ -184,7 +201,7 @@ class TestSweepLayout:
         rng = np.random.default_rng(6)
         values = rng.standard_normal(6 if p is None else (6, p))
         got = group.sweep(values)
-        assert got.shape == ((group.size,) if p is None else (p, group.size))
+        assert got.shape == ((group.rows,) if p is None else (p, group.rows))
         assert got.flags.c_contiguous
         identity = column_loop_means(np.ones((1, 6), dtype=np.int8), values)[0]
         assert np.array_equal(bits(got[..., 0]), bits(identity))
@@ -221,13 +238,9 @@ class TestGuardedSweep:
     @pytest.mark.parametrize("group", SWEEP_GROUPS, ids=["exhaustive", "sampled"])
     def test_sums_up_to_the_float64_maximum_sweep(self, group, p):
         values = edge_values(p, 0.0)
-        if group.mode == "exhaustive":
-            signs = oracle_signs(6)
-        else:
-            signs = sampled_signs(6, group.draws, group.seed)
         got = group.sweep(values)
         assert np.isfinite(got).all()
-        assert np.array_equal(bits(got), bits(group_last(column_loop_means(signs, values))))
+        assert np.array_equal(bits(got), bits(oracle_means(group, values)))
 
 
 class TestLazySigns:
@@ -236,9 +249,11 @@ class TestLazySigns:
     @pytest.mark.parametrize("q", range(2, 17))
     def test_matches_bit_expansion(self, q):
         group = SignGroup(q, "exhaustive")
-        # sweeping the unit vectors gives row i scaled by 1/q: the signs of row i
+        # sweeping the unit vectors gives row i scaled by 1/q: the signs of
+        # row i, for the first half of the group, whose g_0 = +1
         rows = np.sign(group.sweep(np.eye(q)).T).astype(np.int8)
-        assert np.array_equal(rows, oracle_signs(q))
+        assert np.array_equal(rows, exhaustive_half(oracle_signs(q)))
+        assert rows.shape == (group.rows, q) and np.all(rows[:, 0] == 1)
 
     def test_engine_never_builds_exhaustive_matrix(self, rng):
         data = random_dataset(rng, q=8, d=2)
@@ -255,13 +270,17 @@ class TestLazySigns:
         assert vars(group) == {"q": 8, "mode": "exhaustive", "seed": None, "draws": None}
 
 
-def log_uniform_inputs(group, seed):
-    """IntervalInputs over sizes from 1 to 1e12, both extremes always present."""
+def log_uniform_inputs(group, seed, sweep=None):
+    """IntervalInputs over sizes from 1 to 1e12, both extremes always present.
+
+    ``sweep`` replaces ``group.sweep``, for the whole-group oracle.
+    """
     rng = np.random.default_rng(seed)
     sizes = np.rint(10.0 ** rng.uniform(0.0, 12.0, group.q))
     sizes[rng.permutation(group.q)[:2]] = (1.0, 1e12)
     w = np.sqrt(sizes)
-    return IntervalInputs(a=group.sweep(w), b=group.sweep(w * rng.standard_normal(group.q)))
+    sweep = sweep or group.sweep
+    return IntervalInputs(a=sweep(w), b=sweep(w * rng.standard_normal(group.q)))
 
 
 class TestPmIdentity:
@@ -269,8 +288,14 @@ class TestPmIdentity:
 
     @pytest.mark.parametrize("q", range(2, 13))
     def test_exhaustive_matches_mask(self, q):
-        inputs = log_uniform_inputs(SignGroup(q, "exhaustive"), seed=q)
-        assert np.array_equal(inputs.pm_identity, pm_iota_mask(oracle_signs(q)))
+        # the half holds the identity alone; the whole group adds its negation
+        group = SignGroup(q, "exhaustive")
+        inputs = log_uniform_inputs(group, seed=q)
+        assert np.array_equal(inputs.pm_identity, pm_iota_mask(exhaustive_half(oracle_signs(q))))
+        assert np.count_nonzero(inputs.pm_identity) * (group.size // group.rows) == 2
+        whole = log_uniform_inputs(group, seed=q, sweep=exhaustive_sweep)
+        assert np.array_equal(whole.pm_identity, pm_iota_mask(oracle_signs(q)))
+
 
     @settings(max_examples=60, deadline=None)
     @given(q=st.integers(2, 6), draws=st.integers(2, 200), seed=st.integers(0, 2**31))
@@ -284,7 +309,9 @@ class TestPmIdentity:
         # tolerance, yet far above the rounding of a two-term sum
         group, w = SignGroup(2, "exhaustive"), np.array([1e13, 1.0])
         inputs = IntervalInputs(a=group.sweep(w), b=group.sweep(w))
-        assert np.array_equal(inputs.pm_identity, pm_iota_mask(oracle_signs(2)))
+        assert np.array_equal(inputs.pm_identity, pm_iota_mask(exhaustive_half(oracle_signs(2))))
+        whole = IntervalInputs(a=exhaustive_sweep(w), b=exhaustive_sweep(w))
+        assert np.array_equal(whole.pm_identity, pm_iota_mask(oracle_signs(2)))
 
 
 class TestSampledChunks:
@@ -376,7 +403,7 @@ def branch_instances(draw):
     """
     q = draw(st.integers(2, 12))
     if draw(st.booleans()):
-        signs = oracle_signs(q)
+        signs = exhaustive_half(oracle_signs(q))
         group = SignGroup(q, "exhaustive")
     else:
         draws, seed = draw(st.integers(2, 300)), draw(st.integers(0, 2**31))
@@ -419,6 +446,15 @@ class TestBranchBounds:
         )
         ci = interval(inputs, alpha)
         cbeta = estimates.betas[:, 0]
+        if group.mode == "exhaustive":
+            # the whole group's bounds are the half's, each twice
+            w = np.sqrt(estimates.sizes.astype(np.float64))
+            a_all, b_all = exhaustive_sweep(np.stack([w, w * cbeta], axis=1))
+            pm = pm_iota_mask(oracle_signs(group.q))
+            bounds = interval_bounds_branches(a_all, b_all, a_all[0], b_all[0], pm)
+            whole = sort_interval_endpoints(*bounds, alpha)
+            for got, want in zip(expected, whole):
+                assert_same_selection(got, want, np.concatenate(bounds))
         if np.any(cbeta != cbeta[0]):
             assert bits([ci.lower, ci.upper]).tolist() == bits(expected).tolist()
         else:
@@ -427,3 +463,101 @@ class TestBranchBounds:
             lam0, tol = inputs.lambda0, _rounding_tol(inputs.lambda0)
             for lower, upper in ((ci.lower, ci.upper), expected):
                 assert lower <= lam0 + tol and upper >= lam0 - tol
+
+
+LEVELS = st.one_of(
+    st.sampled_from([0.01, 0.05, 0.1, 0.32, 0.5, 0.9, 0.95, 0.99, 1.0 / 3.0]),
+    st.floats(min_value=1e-9, max_value=1.0 - 1e-9),
+)
+
+
+@st.composite
+def dyadic_levels(draw, q):
+    """k / 2^q, where m * level lands on an integer, or one ulp either side of it."""
+    level = draw(st.integers(1, (1 << q) - 1)) / (1 << q)
+    return draw(st.sampled_from([level, np.nextafter(level, 0.0), np.nextafter(level, 1.0)]))
+
+
+class TestHalfGroup:
+    """An exhaustive sweep's g_0 = +1 half decides as the whole group does.
+
+    Each half statistic and bound stands for itself and its negated row,
+    so the whole group's multiset is the half's, each value twice: its
+    k-th smallest is the half's ceil(k / 2)-th, and a tie count c over
+    2^(q-1) rows is 2c over 2^q.
+    """
+
+    @settings(max_examples=500, deadline=None)
+    @given(data=st.data(), q=st.integers(2, 20))
+    def test_half_order_statistic_is_the_doubled_one(self, data, q):
+        level = data.draw(st.one_of(LEVELS, dyadic_levels(q)))
+        m = 1 << q
+        k = order_statistic_index(m, level)
+        assert order_statistic_index(m // 2, level) == math.ceil(k / 2)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        values=matrices(2, 12),
+        alpha=st.one_of(st.sampled_from([0.05, 0.1, 0.32]), st.floats(1e-3, 0.5)),
+        variant=st.sampled_from(["unstudentized", "studentized"]),
+    )
+    def test_engine_matches_whole_group(self, values, alpha, variant):
+        if variant == "studentized":
+            # an all-equal column has zero spread at the identity
+            flat = np.all(values == values[:1], axis=0)
+            values[0, flat] += 1.0
+        signs, group = oracle_signs(values.shape[0]), SignGroup(values.shape[0], "exhaustive")
+        expected = decision_loop(signs, values, alpha)
+        if variant == "studentized":
+            try:
+                expected[:2] = decision_loop(signs, values, alpha, variant)[:2]
+            except DegenerateVariance:  # squares that underflow leave no spread
+                with pytest.raises(DegenerateVariance):
+                    run_test_columns(values, alpha, group, variant)
+                return
+        got = run_test_columns(values, alpha, group, variant)
+        assert np.array_equal(bits(got), bits(expected))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        q=st.integers(3, 10),
+        p=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+        alpha=st.one_of(st.sampled_from([0.05, 0.1, 0.32]), st.floats(1e-3, 0.5)),
+    )
+    def test_wald_matches_whole_group(self, q, p, seed, alpha):
+        rng = np.random.default_rng(seed)
+        data = random_dataset(rng, q=q, d=3)
+        mh = MultiHypothesis(restriction=rng.standard_normal((p, 3)), values=rng.standard_normal(p))
+        result = run_wald_test(data, mh, alpha, SignGroup(q, "exhaustive"))
+        scores, sigma_inv = _wald_ingredients(fit_per_cluster(data), mh, "root_n")
+        signs = oracle_signs(q)
+        stats = wald_quadratic_loop(signs, scores, sigma_inv)
+        # a one-row test counts its ties on the |mean| scale
+        t = np.abs(column_loop_means(signs, scores)[:, 0]) if p == 1 else stats
+        thresh = t[0] - 1e-12 * max(1.0, t[0])
+        assert bits(result.statistic) == bits(stats[0])
+        assert bits(result.critical_value) == bits(sort_critical_value(stats, 1.0 - alpha))
+        assert result.p_value == np.count_nonzero(t >= thresh) / t.size
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        instance=branch_instances(),
+        alpha=LEVELS.filter(lambda a: a <= 0.5),
+    )
+    def test_interval_on_whole_group_inputs(self, instance, alpha):
+        estimates, group, _, _ = instance
+        if group.mode != "exhaustive":
+            group = SignGroup(group.q, "exhaustive")
+        w = np.sqrt(estimates.sizes.astype(np.float64))
+        values = np.stack([w, w * estimates.betas[:, 0]], axis=1)
+        half = IntervalInputs(*group.sweep(values))
+        whole = IntervalInputs(*exhaustive_sweep(values))
+        assert np.array_equal(bits(half.a), bits(exhaustive_half(whole.a)))
+        assert np.array_equal(bits(half.b), bits(exhaustive_half(whole.b)))
+        got = interval(half, alpha)
+        expected = interval(whole, alpha)
+        pool = np.concatenate(kernels.interval_bounds(half.a, half.b, half.pm_identity))
+        assert_same_selection(got.lower, expected.lower, pool)
+        assert_same_selection(got.upper, expected.upper, pool)
+        assert bits(got.lambda0) == bits(expected.lambda0)
