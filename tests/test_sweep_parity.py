@@ -528,7 +528,8 @@ class TestHalfGroup:
     def test_wald_matches_whole_group(self, q, p, seed, alpha):
         rng = np.random.default_rng(seed)
         data = random_dataset(rng, q=q, d=3)
-        mh = MultiHypothesis(restriction=rng.standard_normal((p, 3)), values=rng.standard_normal(p))
+        restriction, values = rng.standard_normal((p, 3)), rng.standard_normal(p)
+        mh = MultiHypothesis(restriction=restriction, values=values)
         result = run_wald_test(data, mh, alpha, SignGroup(q, "exhaustive"))
         scores, sigma_inv = _wald_ingredients(fit_per_cluster(data), mh, "root_n")
         signs = oracle_signs(q)
