@@ -15,6 +15,7 @@ failure, 3 I/O failure; each package error carries its own in
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -435,5 +436,13 @@ def main(argv=None) -> int:
         return EXIT_USAGE
 
 
+def run() -> int:
+    """Program entry: :func:`main`'s exit code, with the heap frozen so that
+    the interpreter's shutdown skips collecting what it is about to drop."""
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -8,12 +8,13 @@ no timestamps, so identical runs produce identical bytes; infinite
 endpoints are rendered as the literal tokens "-inf" / "+inf".
 
 A file is read once into one string.  When it holds no '"' and no CR,
-and every non-blank line has as many fields as the header, one
-``np.loadtxt`` call parses the numeric model columns.  Otherwise (a
-quote, CRLF line ends, a ragged row, no data rows, or a cell
-``np.loadtxt`` rejects, such as ``1_0``) the ``csv`` row path parses the
-same string with ``float()`` per cell.  Both paths give the same values,
-and a bad cell is reported by line and column.
+one structured ``np.loadtxt`` call reads the model columns, the cluster
+labels as raw text (or the time keys) and the header's last column, and
+one comma count over the whole file checks that no line is long.
+Otherwise (a quote, CRLF line ends, a ragged row, no data rows, or a
+cell ``np.loadtxt`` rejects, such as ``1_0``) the ``csv`` row path
+parses the same string with ``float()`` per cell.  Both paths give the
+same values, and a bad cell is reported by line and column.
 """
 
 from __future__ import annotations
@@ -149,8 +150,8 @@ def _parse_float(cell: str, lineno: int, column: str) -> float:
 class Table:
     """The model columns of one input file, parsed but not yet clustered.
 
-    ``keys`` holds the cluster labels, or in blocks mode the time keys;
-    ``names`` are the covariate names, intercept included when configured.
+    ``keys`` holds the cluster labels, or in blocks mode the time keys with
+    the rows in stable time order; ``names`` are the covariate names, intercept included.
     """
 
     outcomes: np.ndarray
@@ -166,46 +167,57 @@ class Table:
 
 
 def _table(y: np.ndarray, Z: np.ndarray, keys, config: RunConfig) -> Table:
+    if config.blocks_q is not None:
+        order = np.argsort(keys, kind="stable")  # once, so each blockify finds them sorted
+        y, Z, keys = y[order], Z[order], keys[order]
     if config.intercept:
         Z = np.column_stack([np.ones(y.shape[0]), Z])
     return Table(y, Z, keys, config.covariate_names())
 
 
 def _fast_table(text: str, config: RunConfig) -> Table | None:
-    """Parse a plain file with one ``np.loadtxt`` call, or return None.
+    """Parse a plain file with one structured ``np.loadtxt`` call, or return None.
 
     It returns None, leaving the file to the row path, on a quote or CR,
-    a line whose comma count differs from the header's (``loadtxt`` with
-    ``usecols`` would accept an extra field), no data rows, or a cell
-    ``loadtxt`` rejects.  A bad column raises the row path's error, in its
-    order: model columns before any cell, the cluster or time column after.
+    no data rows, a cell ``loadtxt`` rejects, or a ragged line (a short
+    one fails ``loadtxt``, a long one the comma total).  A bad column
+    raises the row path's error, in its order: model columns before any
+    cell (unless a line is ragged), the cluster or time column after.
     """
     if '"' in text or "\r" in text:
         return None
     head, _, body = text.partition("\n")
     header = head.split(",")
-    lines = [line for line in body.split("\n") if line]
     width = len(header) - 1
-    if not head or not lines or any(line.count(",") != width for line in lines):
+    if not head or not body.lstrip("\n"):
         return None
-    y_idx, z_idx = _model_columns(header, config)
-    blocks = config.blocks_q is not None and config.time_col in header
-    usecols = [y_idx, *z_idx, header.index(config.time_col)] if blocks else [y_idx, *z_idx]
     try:
-        values = np.loadtxt(
-            lines, delimiter=",", comments=None, usecols=usecols, dtype=np.float64, ndmin=2
+        y_idx, z_idx = _model_columns(header, config)
+    except (ValueError, MissingColumn):
+        if any(line.count(",") != width for line in body.split("\n") if line):
+            return None
+        raise
+    blocks = config.blocks_q is not None
+    key = config.time_col if blocks else config.cluster_col
+    usecols = [y_idx, *z_idx]
+    fields = [("v", "f8", (len(usecols),))]
+    if key in header:  # cluster labels keep their raw text, also when a model column
+        usecols.append(header.index(key))
+        fields.append(("key", "f8" if blocks else "O"))
+    if width not in usecols:
+        usecols.append(width)
+        fields.append(("end", "U1"))  # read only so that a short line fails
+    try:
+        rows = np.loadtxt(
+            body.split("\n"), delimiter=",", comments=None, usecols=usecols, dtype=fields, ndmin=1
         )
     except ValueError:
         return None
-    key_idx = _key_column(header, config)
-    k = len(z_idx)
-    if blocks:
-        keys = np.ascontiguousarray(values[:, k + 1])
-    else:
-        keys = [line.split(",", key_idx + 1)[key_idx] for line in lines]
-    y = np.ascontiguousarray(values[:, 0])
-    Z = np.ascontiguousarray(values[:, 1 : k + 1])
-    return _table(y, Z, keys, config)
+    if body.count(",") != width * rows.shape[0]:
+        return None
+    _key_column(header, config)  # raises when the key column is missing
+    v, keys = rows["v"], rows["key"].copy() if blocks else rows["key"].tolist()
+    return _table(v[:, 0].copy(), v[:, 1:].copy(), keys, config)
 
 
 def _row_table(text: str, config: RunConfig, path: str) -> Table:
@@ -217,21 +229,23 @@ def _row_table(text: str, config: RunConfig, path: str) -> Table:
     from io import StringIO  # the stdlib module; this module shares its name
 
     reader = csv.reader(StringIO(text, newline=""))
+    rows = []
     try:
         header = next(reader)
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue  # tolerate a trailing blank line
+            if len(row) != len(header):
+                raise ParseError(
+                    lineno,
+                    "<row>",
+                    f"line {lineno}: expected {len(header)} fields, found {len(row)}",
+                )
+            rows.append((lineno, row))
     except StopIteration:
         raise ParseError(1, "<header>", f"{path}: empty file, header required")
-    rows = []
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue  # tolerate a trailing blank line
-        if len(row) != len(header):
-            raise ParseError(
-                lineno,
-                "<row>",
-                f"line {lineno}: expected {len(header)} fields, found {len(row)}",
-            )
-        rows.append((lineno, row))
+    except csv.Error as exc:  # such as a cell over csv.field_size_limit()
+        raise ParseError(reader.line_num, "<row>", f"line {reader.line_num}: {exc}") from None
 
     y_idx, z_idx = _model_columns(header, config)
     n = len(rows)

@@ -163,11 +163,12 @@ def canonicalize(
     """
     labels = labels.tolist() if isinstance(labels, np.ndarray) else list(labels)
     y, Z = _rows(len(labels), outcomes, covariates, "labels")
-    order: dict[Hashable, int] = {}
-    idx = np.array([order.setdefault(lab, len(order)) for lab in labels], dtype=np.int64)
+    order = {lab: j for j, lab in enumerate(dict.fromkeys(labels))}  # first appearance
     if len(order) < 2:
         raise TooFewClusters(f"need at least 2 clusters, found {len(order)}")
-    perm = np.argsort(idx, kind="stable")
+    idx = np.fromiter(map(order.__getitem__, labels), dtype=np.int64, count=len(labels))
+    # The stable permutation is unique; numpy radix-sorts the narrow codes.
+    perm = np.argsort(idx.astype(np.min_scalar_type(len(order))), kind="stable")
     sizes = np.bincount(idx, minlength=len(order))
     return ClusteredDataset(
         outcomes=y[perm],

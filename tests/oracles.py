@@ -11,8 +11,9 @@ the branch-by-branch interval bounds, the full-sort order statistics,
 the one-null-at-a-time test decision, the statistics at a single sign
 vector, the score formula one entry at a time, the p-value profile of
 an interval, the Monte Carlo study that draws, fits and scores one
-replication at a time, and the blocks route that labels every row and
-canonicalizes the time-sorted rows.  The
+replication at a time, the blocks route that labels every row and
+canonicalizes the time-sorted rows, and the label coding that numbers
+labels one row at a time and stable-sorts the int64 codes.  The
 production code must match them bit for bit.
 """
 
@@ -24,7 +25,7 @@ from artcluster import kernels
 from artcluster.blocks import plan_blocks
 from artcluster.errors import DegenerateVariance, IdentificationFailure
 from artcluster.estimation import RCOND_THRESHOLD
-from artcluster.model import canonicalize
+from artcluster.model import ClusteredDataset, canonicalize
 from artcluster.randtest import _wald_ingredients, order_statistic_index
 
 
@@ -366,3 +367,21 @@ def blockify_via_canonicalize(time_keys, outcomes, covariates, q: int):
     y = np.asarray(outcomes, dtype=np.float64)[order]
     Z = np.asarray(covariates, dtype=np.float64)[order]
     return canonicalize(labels, y, Z)
+
+
+# ------------------------------------------------------------------ #
+# Label coding
+# ------------------------------------------------------------------ #
+
+
+def canonicalize_loop(labels, outcomes, covariates) -> ClusteredDataset:
+    """Number labels by first appearance row by row; stable-sort the int64 codes."""
+    order = {}
+    idx = np.array([order.setdefault(lab, len(order)) for lab in labels], dtype=np.int64)
+    perm = np.argsort(idx, kind="stable")
+    return ClusteredDataset(
+        outcomes=np.asarray(outcomes, dtype=np.float64)[perm],
+        covariates=np.asarray(covariates, dtype=np.float64)[perm],
+        sizes=np.bincount(idx, minlength=len(order)),
+        labels=tuple(order),
+    )

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -1412,3 +1413,56 @@ def test_peak_memory_near_each_limit(tmp_path, argv, field):
     assert done[1].stdout.split()[0] == "1"
     assert done[1].stderr.startswith(f"artcluster: error: {field} ")
     assert "above the 0.0625 GiB limit" in done[1].stderr
+
+
+# ------------------------------------------------------------------ #
+# The program entry: `python -m artcluster.cli` and the console script
+# ------------------------------------------------------------------ #
+
+
+def test_program_entry_passes_report_and_exit_codes_through(tmp_path, capsys, micro_file):
+    spec = tmp_path / "study.json"
+    spec.write_text(json.dumps({
+        "dgp": {"sizes": [10] * 8, "beta": [0.0], "sigma": [1.0] * 8},
+        "study": "size", "contrast": [1.0], "alpha": 0.1, "replications": 50,
+    }))
+    data = ["--input", micro_file, "--cluster", "cluster", "--outcome", "y", "--covariates", "x"]
+    runs = [
+        ["simulate", "--spec", str(spec)],  # 0
+        ["test", *data, "--coef", "x", "--alpha", "2"],  # 1: usage
+        ["test", *data, "--intercept", "--coef", "x"],  # 2: identification
+        ["test", *data[:1], str(tmp_path / "absent.csv"), *data[2:], "--coef", "x"],  # 3: I/O
+    ]
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(artcluster.__file__)))
+    env.pop("PYTHONUNBUFFERED", None)  # a pipe gets a block-buffered stdout, as for most users
+    for expected_code, argv in enumerate(runs):
+        code, out, err = run_cli(capsys, argv)
+        done = subprocess.run([sys.executable, "-m", "artcluster.cli", *argv],
+                              capture_output=True, env=env, timeout=120)
+        assert code == done.returncode == expected_code
+        assert (done.stdout, done.stderr) == (out.encode(), err.encode())
+        assert bool(out) == (expected_code == 0) != bool(err)
+
+
+def test_console_script_names_the_main_block_entry():
+    root = Path(artcluster.__file__).resolve().parents[2]
+    script = re.search(r'^artcluster = "artcluster\.cli:(\w+)"$',
+                       (root / "pyproject.toml").read_text(), re.MULTILINE)
+    source = Path(artcluster.cli.__file__).read_text()
+    assert script is not None and script.group(1) != "main"
+    assert f'if __name__ == "__main__":\n    sys.exit({script.group(1)}())\n' in source
+    assert callable(getattr(artcluster.cli, script.group(1)))
+
+
+# A quote sends the file to the csv row path, whose reader refuses a cell
+# over csv.field_size_limit(); the plain-file path has no such limit.
+@pytest.mark.parametrize("command", ["test", "ci"])
+def test_cell_over_csv_field_limit_exits_3_with_one_error_line(tmp_path, command):
+    path = tmp_path / "long-label.csv"
+    path.write_text('cluster,y,x\n"' + "a" * 140_000 + '",1.0,1.0\n' + MICRO_CSV.split("\n", 1)[1])
+    done = _cli_in_subprocess([command, "--input", str(path), "--cluster", "cluster",
+                               "--outcome", "y", "--covariates", "x", "--coef", "x"])
+    assert (done.returncode, done.stdout) == (3, "")
+    assert done.stderr.splitlines() == [
+        "artcluster: error: line 2: field larger than field limit (131072)"
+    ]

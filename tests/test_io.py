@@ -8,8 +8,9 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from artcluster import MissingColumn, ParseError
+from artcluster import MissingColumn, ParseError, blockify
 from artcluster.cli import main as cli_main
+from artcluster.errors import DuplicateTimeKeyWarning
 from artcluster.io import (
     RunConfig,
     Table,
@@ -137,6 +138,7 @@ CONFIGS = (
     RunConfig(cluster_col="h", outcome_col="y", covariate_cols=("x",)),
     RunConfig(cluster_col="h", outcome_col="y", covariate_cols=("x", "x")),
     RunConfig(outcome_col="y", covariate_cols=("x", "w"), blocks_q=2),
+    RunConfig(cluster_col="x", outcome_col="y", covariate_cols=("t", "x")),
 )
 
 
@@ -242,6 +244,63 @@ class TestParsePaths:
     def test_quoted_label_keeps_its_comma(self, tmp_path):
         path = write(tmp_path, 'g,t,y,x\n"a,b",1,2,3\nc,2,3,4\n')
         assert ingest(path, CONFIGS[0]).keys == ["a,b", "c"]
+
+    def test_short_and_long_line_go_to_the_row_path(self, tmp_path):
+        # one field short and one field long: the comma total alone balances
+        path = write(tmp_path, "g,y,x,note\na,1,2\nb,3,4,n,extra\na,5,6,m\n")
+        assert _fast_table(_read_text(path), BASIC) is None
+        with pytest.raises(ParseError) as err:
+            ingest(path, BASIC)
+        assert (err.value.line, str(err.value)) == (2, "line 2: expected 4 fields, found 3")
+
+    def test_cluster_column_that_is_a_covariate_keeps_raw_labels(self):
+        config = RunConfig(cluster_col="x", outcome_col="y", covariate_cols=("x",))
+        table = _fast_table("y,x\n1,1.0\n2,1.00\n3,1.0\n", config)
+        assert table.keys == ["1.0", "1.00", "1.0"]
+        assert table.covariates[:, 0].tolist() == [1.0, 1.0, 1.0]
+        data = table.dataset()
+        assert data.labels == ("1.0", "1.00") and data.sizes.tolist() == [2, 1]
+
+    @pytest.mark.parametrize("config", CONFIGS[:3])
+    def test_unread_last_column_with_long_cells_takes_fast_path(self, config):
+        text = "g,t,y,x,note\na,1,0.5,2,first note\nb,2,1.5,3,second\n"
+        table = _fast_table(text, config)
+        assert isinstance(table, Table)
+        assert_same_outcome(table, _row_table(text, config, "data.csv"))
+
+    def test_labels_keep_spaces_at_either_end(self):
+        text = "g,y,x\n a,1,2\nb ,2,3\n c ,3,4\n a,4,5\n"
+        table = _fast_table(text, BASIC)
+        assert table.keys == [" a", "b ", " c ", " a"]
+        assert_same_outcome(table, _row_table(text, BASIC, "data.csv"))
+
+    @pytest.mark.parametrize("config", CONFIGS[:3])
+    def test_blank_lines_between_rows_and_at_the_end(self, config):
+        text = "g,t,y,x\n\na,1,0.5,2\n\n\nb,2,1.5,3\n\na,3,2.5,4\n\n\n"
+        table = _fast_table(text, config)
+        assert isinstance(table, Table) and table.outcomes.tolist() == [0.5, 1.5, 2.5]
+        assert_same_outcome(table, _row_table(text, config, "data.csv"))
+
+    @pytest.mark.parametrize("quote", ["", '"'])  # the fast path, then the row path
+    def test_blocks_rows_in_stable_time_order(self, rng, quote):
+        n = 60
+        t = rng.integers(0, 20, size=n).astype(np.float64)  # ties in file order
+        y, x = rng.standard_normal(n), rng.standard_normal(n)
+        cells = zip(t.tolist(), y.tolist(), x.tolist())
+        text = "t,y,x\n" + "".join(f"{quote}{a!r}{quote},{b!r},{c!r}\n" for a, b, c in cells)
+        config = RunConfig(outcome_col="y", covariate_cols=("x",), blocks_q=4, time_col="t")
+        table = _row_table(text, config, "d.csv") if quote else _fast_table(text, config)
+        order = sorted(range(n), key=t.__getitem__)  # Python's sort is stable
+        assert np.array_equal(table.keys, t[order])
+        assert np.array_equal(table.outcomes, y[order])
+        assert np.array_equal(table.covariates[:, 0], x[order])
+        for q in (2, 5, 7):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", DuplicateTimeKeyWarning)
+                got, ref = table.dataset(q), blockify(t, y, x, q)
+            assert np.array_equal(got.outcomes.view(np.int64), ref.outcomes.view(np.int64))
+            assert np.array_equal(got.covariates.view(np.int64), ref.covariates.view(np.int64))
+            assert np.array_equal(got.sizes, ref.sizes) and got.labels == ref.labels
 
 
 class TestResolveContrast:

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import artcluster
@@ -14,6 +14,7 @@ from artcluster import (
     WidthMismatch,
     canonicalize,
 )
+from tests.oracles import bits, canonicalize_loop
 
 
 class TestCanonicalize:
@@ -84,6 +85,27 @@ class TestCanonicalize:
         assert np.array_equal(once.sizes, twice.sizes)
         assert np.array_equal(once.outcomes, twice.outcomes)
         assert np.array_equal(once.covariates, twice.covariates)
+
+    @given(q=st.integers(2, 300), extra=st.integers(0, 200), seed=st.integers(0, 2**32 - 1),
+           spell=st.booleans())
+    @example(q=256, extra=40, seed=1, spell=False)
+    @example(q=257, extra=40, seed=2, spell=True)
+    @example(q=300, extra=0, seed=3, spell=True)
+    @settings(max_examples=60, deadline=None)
+    def test_equals_setdefault_loop(self, q, extra, seed, spell):
+        rng = np.random.default_rng(seed)
+        codes = rng.permutation(np.concatenate([np.arange(q), rng.integers(0, q, extra)]))
+        labels = codes.tolist()
+        if spell:  # 1, 1.0 and True are one dict key; the first spelling names the cluster
+            labels = [[1, 1.0, True][k] if lab == 1 else f"c{lab}"
+                      for lab, k in zip(labels, rng.integers(0, 3, len(labels)).tolist())]
+        y, Z = rng.standard_normal(len(labels)), rng.standard_normal((len(labels), 2))
+        got, ref = canonicalize(labels, y, Z), canonicalize_loop(labels, y, Z)
+        assert got.labels == ref.labels
+        assert [type(lab) for lab in got.labels] == [type(lab) for lab in ref.labels]
+        assert np.array_equal(got.sizes, ref.sizes)
+        assert np.array_equal(bits(got.outcomes), bits(ref.outcomes))
+        assert np.array_equal(bits(got.covariates), bits(ref.covariates))
 
     def test_arrays_are_read_only(self):
         data = canonicalize(["a", "b"], [1.0, 2.0], np.ones((2, 1)))
