@@ -78,13 +78,14 @@ def blockify(time_keys, outcomes, covariates, q: int) -> ClusteredDataset:
     y, Z = _rows(keys.shape[0], outcomes, covariates, "time keys")
     if keys.dtype.kind == "f" and not np.all(np.isfinite(keys)):
         raise NonFiniteValue("time keys contain non-finite values")
-    if np.unique(keys).shape[0] != keys.shape[0]:
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+    if np.any(ordered[1:] == ordered[:-1]):  # equal keys sort next to each other
         warnings.warn(
             "duplicate time keys; stable input order breaks the ties",
             DuplicateTimeKeyWarning,
             stacklevel=2,
         )
-    order = np.argsort(keys, kind="stable")
     return ClusteredDataset(
         outcomes=y[order],
         covariates=Z[order],

@@ -197,17 +197,10 @@ def build_parser() -> _Parser:
 # ------------------------------------------------------------------ #
 
 
-def _blocks_list(args) -> tuple:
-    """Block counts to sweep; (None,) when not in blocks mode."""
-    if args.blocks is None:
-        return (None,)
-    return _ints(args.blocks)
-
-
 def _config_from_args(args, **overrides) -> RunConfig:
     seed = args.seed if getattr(args, "seed", None) is not None else _default_seed()
     check_seed(seed)
-    blocks = _blocks_list(args)
+    blocks = None if args.blocks is None else _ints(args.blocks)
     fields = dict(
         input_path=args.input,
         cluster_col=args.cluster,
@@ -220,7 +213,7 @@ def _config_from_args(args, **overrides) -> RunConfig:
         group_mode=getattr(args, "group_mode", "auto"),
         draws=getattr(args, "draws", 1000),
         seed=seed,
-        blocks_q=blocks[0] if len(blocks) == 1 else blocks,
+        blocks_q=blocks[0] if blocks is not None and len(blocks) == 1 else blocks,
         time_col=args.time,
     )
     fields.update(overrides)
@@ -228,30 +221,31 @@ def _config_from_args(args, **overrides) -> RunConfig:
 
 
 def _run_command(args, command: str, build_result, columns, **overrides) -> int:
-    """Shared body of ``test`` and ``ci``: parse once, then analyse each block count.
+    """Shared body of ``test`` and ``ci``: check, parse once, then analyse each block count.
 
-    Per block count the stages run dataset -> contrast -> group -> fit, and
-    that order fixes which error wins: a group that is too large is
+    The flags and the contrast are checked before the file is read, then
+    ``ingest`` checks the columns before any row and reads the rows in
+    file order.  Per block count the stages run dataset -> group -> fit,
+    and that order fixes which error wins: a group that is too large is
     reported before an identification failure in the fits.
     """
     if not 0.0 < args.alpha < 1.0:
         raise ValueError("--alpha must lie strictly between 0 and 1")
     config = _config_from_args(args, **overrides)
+    contrast = resolve_contrast(config, config.covariate_names())
     table = ingest(config.input_path, config)
-    blocks = _blocks_list(args)
+    sweep = isinstance(config.blocks_q, tuple)
     runs = []
-    for q in blocks:
+    for q in config.blocks_q if sweep else (config.blocks_q,):
         data = table.dataset(q)
-        contrast = resolve_contrast(config, table.names)
         group = enumerate_group(data.q, config.group_mode, config.draws, config.seed)
         estimates = fit_per_cluster(data)
-        runs.append(build_result(config, table.names, contrast, group, estimates))
-    if len(blocks) > 1:
-        runs = [{"blocks": q, **run} for q, run in zip(blocks, runs)]
+        run = build_result(config, table.names, contrast, group, estimates)
+        runs.append({"blocks": q, **run} if sweep else run)
     if args.table:
         text = _table(runs, columns)
     else:
-        text = render_report(command, config, runs[0] if len(runs) == 1 else {"by_blocks": runs})
+        text = render_report(command, config, {"by_blocks": runs} if sweep else runs[0])
     _emit(text, args.output)
     return EXIT_OK
 
@@ -383,9 +377,9 @@ def cmd_blocks(args) -> int:
 
 
 def cmd_export(args) -> int:
-    if len(_blocks_list(args)) != 1:
-        raise ValueError("export accepts a single --blocks value")
     config = _config_from_args(args)
+    if isinstance(config.blocks_q, tuple):
+        raise ValueError("export accepts a single --blocks value")
     table = ingest(config.input_path, config)
     data = table.dataset(config.blocks_q)
     export_csv(

@@ -12,7 +12,7 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from artcluster.errors import IdentificationFailure, SingularFullGram
-from artcluster.model import ClusteredDataset, LinearHypothesis, _frozen
+from artcluster.model import ClusteredDataset, LinearHypothesis, _frozen, check_contrast_length
 
 __all__ = [
     "RCOND_THRESHOLD",
@@ -177,8 +177,7 @@ def fit_restricted(data: ClusteredDataset, hypothesis: LinearHypothesis) -> np.n
     """
     Z, y = data.covariates, data.outcomes
     c = hypothesis.contrast
-    if c.shape[0] != data.d_z:
-        raise ValueError("contrast length must equal the covariate count")
+    check_contrast_length(c, data.d_z)
     A = Z.T @ Z
     rc = reciprocal_condition(A)
     if not np.isfinite(rc) or rc < RCOND_THRESHOLD:

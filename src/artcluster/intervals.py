@@ -21,7 +21,7 @@ from artcluster import kernels
 from artcluster.errors import GridTooCoarse
 from artcluster.estimation import ClusterEstimates
 from artcluster.groups import SignGroup
-from artcluster.model import _frozen
+from artcluster.model import _frozen, check_contrast_length
 from artcluster.randtest import cluster_weights, critical_value, run_test_columns, weighted_scores
 
 __all__ = [
@@ -46,8 +46,7 @@ GRID_HALF_WIDTHS = 10.0
 def _center(estimates: ClusterEstimates, contrast) -> tuple[float, np.ndarray]:
     """The p-value-1 point, the sqrt(n_j)-weighted mean of c'beta_j, and c'beta."""
     c = np.asarray(contrast, dtype=np.float64).reshape(-1)
-    if c.shape[0] != estimates.d_z:
-        raise ValueError("contrast length must equal the covariate count")
+    check_contrast_length(c, estimates.d_z)
     w = cluster_weights(estimates.sizes)
     # huge contrasts overflow here; interval_by_inversion refuses a non-finite center
     with np.errstate(over="ignore", invalid="ignore"):

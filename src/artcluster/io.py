@@ -7,12 +7,14 @@ a dataset bit for bit.  Reports are JSON documents with sorted keys and
 no timestamps, so identical runs produce identical bytes; infinite
 endpoints are rendered as the literal tokens "-inf" / "+inf".
 
-A file is read once into one string.  When it holds no '"' and no CR,
-one structured ``np.loadtxt`` call reads the model columns, the cluster
-labels as raw text (or the time keys) and the header's last column, and
-one comma count over the whole file checks that no line is long.
-Otherwise (a quote, CRLF line ends, a ragged row, no data rows, or a
-cell ``np.loadtxt`` rejects, such as ``1_0``) the ``csv`` row path
+A file is read once into one string.  Both parse paths resolve every
+column from the header before they read a row, and then the first bad
+row in file order names the error.  When the file holds no '"' and no
+CR, one structured ``np.loadtxt`` call reads the model columns, the
+cluster labels as raw text (or the time keys) and the header's last
+column, and one comma count over the whole file checks that no line is
+long.  Otherwise (a quote, CRLF line ends, a ragged row, no data rows,
+or a cell ``np.loadtxt`` rejects, such as ``1_0``) the ``csv`` row path
 parses the same string with ``float()`` per cell.  Both paths give the
 same values, and a bad cell is reported by line and column.
 """
@@ -113,7 +115,12 @@ def _column(header: list[str], name: str) -> int:
         ) from None
 
 
-def _model_columns(header: list[str], config: RunConfig) -> tuple[int, list[int]]:
+def _columns(header: list[str], config: RunConfig) -> tuple[int, list[int], int]:
+    """Header positions of the outcome, the covariates and the cluster or time key.
+
+    Both parse paths call this first, so every error that the flags and
+    the header decide comes before any row is read.
+    """
     if config.outcome_col is None:
         raise ValueError("an outcome column is required")
     if not config.covariate_cols:
@@ -122,19 +129,14 @@ def _model_columns(header: list[str], config: RunConfig) -> tuple[int, list[int]
     for name in names:
         if names.count(name) > 1:
             raise ValueError(f"covariate {name!r} appears twice in the model ({', '.join(names)})")
-    return _column(header, config.outcome_col), [
-        _column(header, name) for name in config.covariate_cols
-    ]
-
-
-def _key_column(header: list[str], config: RunConfig) -> int:
-    if config.blocks_q is not None:
-        if config.time_col is None:
-            raise ValueError("blocks mode requires a time column")
-        return _column(header, config.time_col)
-    if config.cluster_col is None:
-        raise ValueError("a cluster column is required (or use blocks mode)")
-    return _column(header, config.cluster_col)
+    y_idx = _column(header, config.outcome_col)
+    z_idx = [_column(header, name) for name in config.covariate_cols]
+    blocks = config.blocks_q is not None
+    key = config.time_col if blocks else config.cluster_col
+    if key is None:
+        raise ValueError("blocks mode requires a time column" if blocks
+                         else "a cluster column is required (or use blocks mode)")
+    return y_idx, z_idx, _column(header, key)
 
 
 def _parse_float(cell: str, lineno: int, column: str) -> float:
@@ -166,44 +168,39 @@ class Table:
         return blockify(self.keys, self.outcomes, self.covariates, blocks_q)
 
 
-def _table(y: np.ndarray, Z: np.ndarray, keys, config: RunConfig) -> Table:
+def _table(v: np.ndarray, keys, config: RunConfig) -> Table:
+    """A :class:`Table` from (n, 1 + d) outcome-then-covariate rows and their keys."""
     if config.blocks_q is not None:
+        keys = np.asarray(keys, dtype=np.float64)
         order = np.argsort(keys, kind="stable")  # once, so each blockify finds them sorted
-        y, Z, keys = y[order], Z[order], keys[order]
+        v, keys = v[order], keys[order]
+    Z = v[:, 1:]
     if config.intercept:
-        Z = np.column_stack([np.ones(y.shape[0]), Z])
-    return Table(y, Z, keys, config.covariate_names())
+        Z = np.column_stack([np.ones(v.shape[0]), Z])
+    return Table(v[:, 0].copy(), np.ascontiguousarray(Z), keys, config.covariate_names())
 
 
 def _fast_table(text: str, config: RunConfig) -> Table | None:
     """Parse a plain file with one structured ``np.loadtxt`` call, or return None.
 
-    It returns None, leaving the file to the row path, on a quote or CR,
-    no data rows, a cell ``loadtxt`` rejects, or a ragged line (a short
-    one fails ``loadtxt``, a long one the comma total).  A bad column
-    raises the row path's error, in its order: model columns before any
-    cell (unless a line is ragged), the cluster or time column after.
+    The columns are resolved from the header first, so a bad flag or
+    column raises the row path's error before any cell is read.  It
+    returns None, leaving the file to the row path, on a quote or CR, no
+    data rows, a cell ``loadtxt`` rejects, or a ragged line (a short one
+    fails ``loadtxt``, a long one the comma total).
     """
     if '"' in text or "\r" in text:
         return None
     head, _, body = text.partition("\n")
-    header = head.split(",")
-    width = len(header) - 1
     if not head or not body.lstrip("\n"):
         return None
-    try:
-        y_idx, z_idx = _model_columns(header, config)
-    except (ValueError, MissingColumn):
-        if any(line.count(",") != width for line in body.split("\n") if line):
-            return None
-        raise
+    header = head.split(",")
+    y_idx, z_idx, key_idx = _columns(header, config)
     blocks = config.blocks_q is not None
-    key = config.time_col if blocks else config.cluster_col
-    usecols = [y_idx, *z_idx]
-    fields = [("v", "f8", (len(usecols),))]
-    if key in header:  # cluster labels keep their raw text, also when a model column
-        usecols.append(header.index(key))
-        fields.append(("key", "f8" if blocks else "O"))
+    width = len(header) - 1
+    usecols = [y_idx, *z_idx, key_idx]
+    # cluster labels keep their raw text, also when the column is a model column
+    fields = [("v", "f8", (len(z_idx) + 1,)), ("key", "f8" if blocks else "O")]
     if width not in usecols:
         usecols.append(width)
         fields.append(("end", "U1"))  # read only so that a short line fails
@@ -215,55 +212,41 @@ def _fast_table(text: str, config: RunConfig) -> Table | None:
         return None
     if body.count(",") != width * rows.shape[0]:
         return None
-    _key_column(header, config)  # raises when the key column is missing
-    v, keys = rows["v"], rows["key"].copy() if blocks else rows["key"].tolist()
-    return _table(v[:, 0].copy(), v[:, 1:].copy(), keys, config)
+    return _table(rows["v"], rows["key"] if blocks else rows["key"].tolist(), config)
 
 
 def _row_table(text: str, config: RunConfig, path: str) -> Table:
-    """Parse with ``csv.reader`` and ``float()`` cell by cell.
+    """Parse with ``csv.reader`` and ``float()`` cell by cell, in file order.
 
-    Errors carry the reader's line and column, blank lines counted; on a
+    After the header's columns, one loop checks each record's width and
+    parses its outcome, covariate and key cells.  Errors carry the line
+    the record ends on (``reader.line_num``, blank lines counted); on a
     file the fast path accepts, the result is the same.
     """
     from io import StringIO  # the stdlib module; this module shares its name
 
     reader = csv.reader(StringIO(text, newline=""))
-    rows = []
+    blocks = config.blocks_q is not None
+    values, keys = [], []
     try:
-        header = next(reader)
-        for lineno, row in enumerate(reader, start=2):
+        header = next(reader, None)
+        if header is None:
+            raise ParseError(1, "<header>", f"{path}: empty file, header required")
+        y_idx, z_idx, key_idx = _columns(header, config)
+        cells = [(y_idx, config.outcome_col), *zip(z_idx, config.covariate_cols)]
+        for row in reader:
             if not row:
-                continue  # tolerate a trailing blank line
+                continue  # tolerate a blank line
+            lineno = reader.line_num
             if len(row) != len(header):
-                raise ParseError(
-                    lineno,
-                    "<row>",
-                    f"line {lineno}: expected {len(header)} fields, found {len(row)}",
-                )
-            rows.append((lineno, row))
-    except StopIteration:
-        raise ParseError(1, "<header>", f"{path}: empty file, header required")
+                raise ParseError(lineno, "<row>",
+                                 f"line {lineno}: expected {len(header)} fields, found {len(row)}")
+            values.append([_parse_float(row[idx], lineno, name) for idx, name in cells])
+            keys.append(_parse_float(row[key_idx], lineno, config.time_col) if blocks
+                        else row[key_idx])
     except csv.Error as exc:  # such as a cell over csv.field_size_limit()
         raise ParseError(reader.line_num, "<row>", f"line {reader.line_num}: {exc}") from None
-
-    y_idx, z_idx = _model_columns(header, config)
-    n = len(rows)
-    y = np.empty(n, dtype=np.float64)
-    Z = np.empty((n, len(z_idx)), dtype=np.float64)
-    for i, (lineno, row) in enumerate(rows):
-        y[i] = _parse_float(row[y_idx], lineno, config.outcome_col)
-        for k, idx in enumerate(z_idx):
-            Z[i, k] = _parse_float(row[idx], lineno, config.covariate_cols[k])
-
-    key_idx = _key_column(header, config)
-    if config.blocks_q is not None:
-        keys = np.array(
-            [_parse_float(row[key_idx], lineno, config.time_col) for lineno, row in rows]
-        )
-    else:
-        keys = [row[key_idx] for _, row in rows]
-    return _table(y, Z, keys, config)
+    return _table(np.array(values, dtype=np.float64).reshape(len(values), len(cells)), keys, config)
 
 
 def ingest(path: str, config: RunConfig) -> Table:

@@ -183,6 +183,12 @@ def canonicalize(
 # ------------------------------------------------------------------ #
 
 
+def check_contrast_length(contrast: np.ndarray, d_z: int) -> None:
+    """Refuse a contrast whose length is not the covariate count ``d_z``."""
+    if contrast.shape[0] != d_z:
+        raise ValueError("contrast length must equal the covariate count")
+
+
 @dataclass(frozen=True)
 class LinearHypothesis:
     """A scalar restriction: contrast'beta = value."""

@@ -38,7 +38,7 @@ from artcluster.estimation import (
     reciprocal_condition,
 )
 from artcluster.groups import SignGroup, enumerate_group
-from artcluster.model import ClusteredDataset, LinearHypothesis, MultiHypothesis
+from artcluster.model import ClusteredDataset, LinearHypothesis, MultiHypothesis, check_contrast_length
 
 __all__ = [
     "SNAP_RTOL",
@@ -85,8 +85,7 @@ def weighted_scores(
     overflow to inf or NaN without a warning; the sweep refuses such scores.
     """
     contrast = np.asarray(contrast, dtype=np.float64)
-    if contrast.shape[0] != betas.shape[-1]:
-        raise ValueError("contrast length must equal the covariate count")
+    check_contrast_length(contrast, betas.shape[-1])
     w = cluster_weights(sizes, scaling)
     with np.errstate(over="ignore", invalid="ignore"):
         return (w[:, None] if contrast.ndim == 2 else w) * (betas @ contrast - values)

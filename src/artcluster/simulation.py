@@ -23,7 +23,7 @@ import numpy as np
 from artcluster.errors import NonFiniteValue, check_bytes
 from artcluster.estimation import fit_clusters
 from artcluster.groups import DEFAULT_DRAWS, SignGroup, check_seed, enumerate_group
-from artcluster.model import ClusteredDataset, LinearHypothesis, _frozen
+from artcluster.model import ClusteredDataset, LinearHypothesis, _frozen, check_contrast_length
 from artcluster.randtest import check_variant, run_test_columns, weighted_scores
 
 __all__ = ["DgpSpec", "MonteCarloReport", "generate", "power_study", "run_spec", "size_study"]
@@ -259,8 +259,7 @@ def _study(
     if group is None:
         group = enumerate_group(spec.q, mode="auto", seed=spec.seed)
     c = np.asarray(contrast, dtype=np.float64).reshape(-1)
-    if c.shape[0] != spec.d_z:
-        raise ValueError("contrast length must equal the covariate count")
+    check_contrast_length(c, spec.d_z)
     if null_value is None:
         null_value = float(c @ np.asarray(spec.beta))
     hypothesis = LinearHypothesis(contrast=c, value=null_value)

@@ -122,6 +122,27 @@ class TestBlockify:
             blockify(keys, np.zeros(40), np.ones((40, 1)), 4)
 
     @given(
+        keys=st.one_of(
+            st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, 1e-300]), min_size=2,
+                     max_size=30).map(np.array),
+            st.lists(st.integers(-5, 5), min_size=2, max_size=30).map(np.array),
+            st.lists(st.text("ab", max_size=2), min_size=2, max_size=30).map(np.array),
+            st.lists(st.text("ab", max_size=2), min_size=2, max_size=30).map(
+                lambda ks: np.array(ks, dtype=object)),
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_duplicate_warning_follows_the_unique_rule(self, keys):
+        n = keys.shape[0]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            blockify(keys, np.zeros(n), np.ones((n, 1)), 2)
+        assert [w.category for w in caught] == (
+            [DuplicateTimeKeyWarning] if np.unique(keys).shape[0] != n else []
+        )
+        assert all(w.filename == __file__ for w in caught)  # stacklevel=2: the caller's line
+
+    @given(
         keys=st.lists(st.integers(-3, 3).map(float), min_size=2, max_size=40),
         data=st.data(),
     )

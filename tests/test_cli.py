@@ -450,41 +450,46 @@ def test_documented_failure_exit_codes(tmp_path, capsys, csv_text, extra, expect
     assert message in err
 
 
-# Files broken twice: a ragged row or a bad cell, and a bad column.  Each
-# gives the error the csv row path reaches first: a ragged row before any
-# column, a bad model column before any cell, and a bad cell before a bad
-# cluster or time column.  (rows, flags, exit code, the whole error line)
+# Files broken twice.  The flags and the header are checked before any
+# row, so a bad column wins over a ragged row or a bad cell; then the rows
+# are read in file order, and within a row the outcome, covariate and key
+# cells in turn, so the first bad row wins.  (rows, flags, exit code, the
+# whole error line)
 _GOOD_ROWS = ["a,1.0,1.0,1", "a,2.0,3.0,2", "b,3.0,1.0,3", "b,1.0,2.0,4"]
 _RAGGED = _GOOD_ROWS[:1] + ["a,2.0,3.0"] + _GOOD_ROWS[2:]
 _BAD_Y = _GOOD_ROWS[:2] + ["b,oops,1.0,3"] + _GOOD_ROWS[3:]
 _BAD_TIME = _GOOD_ROWS[:2] + ["b,3.0,1.0,late"] + _GOOD_ROWS[3:]
 _NOT_FOUND = "column 'nope' not found in header (cluster, y, x, t)"
 _TWICE = "covariate 'x' appears twice in the model (x, x)"
-_RAGGED_LINE = "line 3: expected 4 fields, found 3"
-_OOPS = "line 4, column 'y': not a number: 'oops'"
+_NO_TIME = "blocks mode requires a time column"
 DOUBLY_BROKEN_CASES = [
-    pytest.param(_RAGGED, ["--cluster", "cluster", "--covariates", "x,nope"], 3, _RAGGED_LINE,
+    pytest.param(_RAGGED, ["--cluster", "cluster", "--covariates", "x,nope"], 3, _NOT_FOUND,
                  id="ragged-missing-covariate"),
-    pytest.param(_RAGGED, ["--cluster", "cluster", "--covariates", "x,x"], 3, _RAGGED_LINE,
+    pytest.param(_RAGGED, ["--cluster", "cluster", "--covariates", "x,x"], 1, _TWICE,
                  id="ragged-repeated-covariate"),
-    pytest.param(_RAGGED, ["--cluster", "nope", "--covariates", "x"], 3, _RAGGED_LINE,
+    pytest.param(_RAGGED, ["--cluster", "nope", "--covariates", "x"], 3, _NOT_FOUND,
                  id="ragged-missing-cluster"),
     pytest.param(_RAGGED, ["--blocks", "2", "--time", "nope", "--covariates", "x"], 3,
-                 _RAGGED_LINE, id="ragged-missing-time"),
+                 _NOT_FOUND, id="ragged-missing-time"),
     pytest.param(_BAD_Y, ["--cluster", "cluster", "--covariates", "x,nope"], 3, _NOT_FOUND,
                  id="bad-cell-missing-covariate"),
     pytest.param(_BAD_Y, ["--cluster", "cluster", "--covariates", "x,x"], 1, _TWICE,
                  id="bad-cell-repeated-covariate"),
-    pytest.param(_BAD_Y, ["--cluster", "nope", "--covariates", "x"], 3, _OOPS,
+    pytest.param(_BAD_Y, ["--cluster", "nope", "--covariates", "x"], 3, _NOT_FOUND,
                  id="bad-cell-missing-cluster"),
-    pytest.param(_BAD_Y, ["--blocks", "2", "--time", "nope", "--covariates", "x"], 3, _OOPS,
-                 id="bad-cell-missing-time"),
-    pytest.param(_BAD_Y, ["--blocks", "2", "--covariates", "x"], 3, _OOPS,
+    pytest.param(_BAD_Y, ["--blocks", "2", "--time", "nope", "--covariates", "x"], 3,
+                 _NOT_FOUND, id="bad-cell-missing-time"),
+    pytest.param(_BAD_Y, ["--blocks", "2", "--covariates", "x"], 1, _NO_TIME,
                  id="bad-cell-blocks-without-time"),
     pytest.param(_BAD_TIME, ["--cluster", "nope", "--covariates", "x"], 3, _NOT_FOUND,
                  id="bad-time-cell-missing-cluster"),
-    pytest.param(_BAD_TIME, ["--blocks", "2", "--covariates", "x"], 1,
-                 "blocks mode requires a time column", id="bad-time-cell-blocks-without-time"),
+    pytest.param(_BAD_TIME, ["--blocks", "2", "--covariates", "x"], 1, _NO_TIME,
+                 id="bad-time-cell-blocks-without-time"),
+    pytest.param(["a,oops,1.0,1", *_RAGGED[1:]], ["--cluster", "cluster", "--covariates", "x"],
+                 3, "line 2, column 'y': not a number: 'oops'", id="bad-cell-before-ragged-line"),
+    pytest.param(_GOOD_ROWS[:1] + ["a,2.0,3.0,late", "b,oops,1.0,3"] + _GOOD_ROWS[3:],
+                 ["--blocks", "2", "--time", "t", "--covariates", "x"], 3,
+                 "line 3, column 't': not a number: 'late'", id="bad-time-cell-before-bad-y-cell"),
 ]
 
 
@@ -499,31 +504,62 @@ def test_doubly_broken_input_reports_the_first_error(tmp_path, capsys, command, 
     assert (code, out, err) == (expected_code, "", f"artcluster: error: {message}\n")
 
 
+@pytest.mark.parametrize("command", ["test", "ci"])
+@pytest.mark.parametrize("text, message", [
+    ('g,y,x\n"a\nb",1,2\nc,3\n', "line 4: expected 3 fields, found 2"),
+    ('g,y,x\n"a\nb",1,2\nc,oops,3\n', "line 4, column 'y': not a number: 'oops'"),
+], ids=["ragged-row", "bad-cell"])
+def test_error_after_a_two_line_label_names_its_physical_line(tmp_path, capsys, command, text,
+                                                              message):
+    path = tmp_path / "data.csv"
+    path.write_text(text)
+    argv = [command, "--input", str(path), "--cluster", "g", "--outcome", "y",
+            "--covariates", "x", "--coef", "x"]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out, err) == (3, "", f"artcluster: error: {message}\n")
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("this error must be found before the file is parsed")
+
+
 @pytest.mark.parametrize(
-    "flags, parses_cells, expected_code, message",
+    "flags, expected_code, message",
     [
-        (["--cluster", "cluster", "--covariates", "x,nope"], False, 3, _NOT_FOUND),
-        (["--cluster", "cluster", "--covariates", "x,x"], False, 1, _TWICE),
-        (["--cluster", "nope", "--covariates", "x"], True, 3, _NOT_FOUND),
-        (["--blocks", "2", "--time", "nope", "--covariates", "x"], True, 3, _NOT_FOUND),
+        (["--cluster", "cluster", "--covariates", "x,nope"], 3, _NOT_FOUND),
+        (["--cluster", "cluster", "--covariates", "x,x"], 1, _TWICE),
+        (["--cluster", "nope", "--covariates", "x"], 3, _NOT_FOUND),
+        (["--blocks", "2", "--time", "nope", "--covariates", "x"], 3, _NOT_FOUND),
     ],
     ids=["missing-covariate", "repeated-covariate", "missing-cluster", "missing-time"],
 )
 def test_bad_column_fails_without_the_row_path(tmp_path, capsys, monkeypatch, flags,
-                                               parses_cells, expected_code, message):
-    # a plain file's bad model column fails before any cell is parsed, and a
-    # bad cluster or time column after the one loadtxt call, never row by row
-    def refuse(*args, **kwargs):
-        raise AssertionError("a bad column must not parse the file row by row")
-
-    monkeypatch.setattr(artcluster.io, "_row_table", refuse)
-    if not parses_cells:
-        monkeypatch.setattr(artcluster.io.np, "loadtxt", refuse)
+                                               expected_code, message):
+    # a plain file's bad column fails before any cell is parsed, by either path
+    monkeypatch.setattr(artcluster.io, "_row_table", _refuse)
+    monkeypatch.setattr(artcluster.io.np, "loadtxt", _refuse)
     path = tmp_path / "data.csv"
     path.write_text(_rows_csv("cluster,y,x,t", _GOOD_ROWS))
     argv = ["test", "--input", str(path), "--outcome", "y", "--coef", "x", *flags]
     code, out, err = run_cli(capsys, argv)
     assert (code, out, err) == (expected_code, "", f"artcluster: error: {message}\n")
+
+
+@pytest.mark.parametrize("blocks", [[], ["--blocks", "8,10,16"]], ids=["clusters", "sweep"])
+@pytest.mark.parametrize("command", ["test", "ci"])
+@pytest.mark.parametrize("flags, message", [
+    (["--coef", "nope"], "coefficient 'nope' is not among the model covariates (x)"),
+    (["--contrast", "1,2"], "contrast has 2 entries but the model has 1 covariates (x)"),
+], ids=["bad-coef", "wrong-length-contrast"])
+def test_bad_contrast_fails_before_ingest(tmp_path, capsys, monkeypatch, command, blocks, flags,
+                                          message):
+    monkeypatch.setattr(artcluster.cli, "ingest", _refuse)
+    path = tmp_path / "data.csv"
+    path.write_text(_rows_csv("g,t,y,x", [f"{i % 4},{i},{i % 3}.0,{i % 5}.0" for i in range(120)]))
+    argv = [command, "--input", str(path), "--outcome", "y", "--covariates", "x",
+            "--cluster", "g", "--time", "t", *blocks, *flags]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out, err) == (1, "", f"artcluster: error: {message}\n")
 
 
 def _cli_in_subprocess(argv):

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from artcluster import MissingColumn, ParseError, blockify
@@ -139,6 +139,7 @@ CONFIGS = (
     RunConfig(cluster_col="h", outcome_col="y", covariate_cols=("x", "x")),
     RunConfig(outcome_col="y", covariate_cols=("x", "w"), blocks_q=2),
     RunConfig(cluster_col="x", outcome_col="y", covariate_cols=("t", "x")),
+    RunConfig(outcome_col="y", covariate_cols=("x",), blocks_q=2, time_col="h"),
 )
 
 
@@ -208,6 +209,9 @@ class TestParsePaths:
     """``ingest`` (one ``np.loadtxt`` call when it can) equals the csv row path."""
 
     @given(text=st.one_of(st.just(""), csv_texts()), config=st.sampled_from(CONFIGS))
+    @example(text="g,t,y,x\na,1,2,3\nb,2,3\n", config=CONFIGS[5])  # ragged, no cluster column
+    @example(text="g,t,y,x\na,1,2,3\nb,2,3\n", config=CONFIGS[-1])  # ragged, no time column
+    @example(text="g,t,y,x\na,x,2,3\n", config=CONFIGS[-1])  # bad time cell, no time column
     @settings(max_examples=300, deadline=None)
     def test_ingest_equals_row_path(self, tmp_path_factory, text, config):
         path = tmp_path_factory.mktemp("parity") / "data.csv"
