@@ -79,16 +79,14 @@ class IdentificationFailure(ArtClusterError):
     offending column.
     """
 
-    def __init__(self, label, rcond: float, message: str | None = None):
+    def __init__(self, label, rcond: float):
         self.label = label
         self.rcond = float(rcond)
-        if message is None:
-            message = (
-                f"cluster {label!r}: within-cluster covariate matrix is "
-                f"numerically singular (reciprocal condition number "
-                f"{self.rcond:.3e}); combine clusters or respecify the model"
-            )
-        super().__init__(message)
+        super().__init__(
+            f"cluster {label!r}: within-cluster covariate matrix is numerically singular "
+            f"(reciprocal condition number {self.rcond:.3e}); combine clusters or respecify "
+            "the model"
+        )
 
 
 class SingularFullGram(ArtClusterError):
@@ -146,11 +144,9 @@ class ParseError(ArtClusterError):
 
     exit_code = 3
 
-    def __init__(self, line: int, column: str, message: str | None = None):
+    def __init__(self, line: int, column: str, message: str):
         self.line = int(line)
         self.column = column
-        if message is None:
-            message = f"line {line}, column {column!r}: cannot parse value"
         super().__init__(message)
 
 

@@ -42,30 +42,23 @@ def reciprocal_condition(matrix: np.ndarray):
 
 @dataclass(frozen=True)
 class ClusterEstimates:
-    """Per-cluster coefficient vectors, sizes and second-moment matrices.
-
-    ``grams[j]`` holds (1/n_j) * Z_j' Z_j, guaranteed symmetric positive
-    definite by the conditioning check in :func:`fit_per_cluster`.
-    """
+    """Per-cluster coefficient vectors, sizes and labels."""
 
     betas: np.ndarray  # (q, d_z)
     sizes: np.ndarray  # (q,)
-    grams: np.ndarray  # (q, d_z, d_z)
     labels: tuple
 
     def __post_init__(self):
         betas = np.asarray(self.betas, dtype=np.float64)
         sizes = np.asarray(self.sizes, dtype=np.int64)
-        grams = np.asarray(self.grams, dtype=np.float64)
-        if betas.ndim != 2 or grams.ndim != 3:
-            raise ValueError("betas must be (q, d_z) and grams (q, d_z, d_z)")
-        if not (betas.shape[0] == sizes.shape[0] == grams.shape[0] == len(self.labels)):
+        if betas.ndim != 2:
+            raise ValueError("betas must be (q, d_z)")
+        if not betas.shape[0] == sizes.shape[0] == len(self.labels):
             raise ValueError("per-cluster arrays must align")
         if not np.all(np.isfinite(betas)):
             raise ValueError("cluster coefficient estimates must be finite")
         object.__setattr__(self, "betas", _frozen(betas))
         object.__setattr__(self, "sizes", _frozen(sizes))
-        object.__setattr__(self, "grams", _frozen(grams))
         object.__setattr__(self, "labels", tuple(self.labels))
 
     @property
@@ -107,31 +100,23 @@ def lstsq_stack(Z: np.ndarray, y: np.ndarray) -> np.ndarray:
     return x[..., 0]
 
 
-def fit_clusters(
-    outcomes: np.ndarray, covariates: np.ndarray, offsets: np.ndarray, labels
-) -> tuple[np.ndarray, np.ndarray]:
-    """Least squares inside every cluster of R datasets with shared clusters.
+def _identified_grams(covariates: np.ndarray, offsets: np.ndarray, labels) -> np.ndarray:
+    """Each cluster's (1/n_j) * Z_j' Z_j, (R, q, d_z, d_z), after the identification check.
 
-    ``outcomes`` is (R, n) and ``covariates`` (R, n, d_z); cluster j holds
-    rows ``offsets[j]:offsets[j + 1]`` of every dataset.  Returns the
-    coefficient vectors, (R, q, d_z), and each cluster's second-moment
-    matrix (1/n_j) * Z_j' Z_j, (R, q, d_z, d_z).  Per cluster, the Gram
-    matrices of all R datasets come from one ``matmul`` and their
-    coefficient vectors from one stacked least-squares call
-    (:func:`lstsq_stack`); the conditioning of all R * q Gram matrices
-    comes from one ``svd`` call, made before any fit.
+    ``covariates`` is (R, n, d_z) with cluster j in rows ``offsets[j]:offsets[j + 1]``.
+    Per cluster, one ``matmul`` forms the matrices of all R datasets; one
+    ``svd`` call gives the conditioning of all R * q of them.
 
     Raises
     ------
     IdentificationFailure
-        When a cluster's second-moment matrix is singular below
-        ``RCOND_THRESHOLD`` -- e.g. a covariate constant within the
-        cluster, or n_j < d_z.  The exception names the cluster and its
-        reciprocal condition number; with several failures it is the
-        first in (dataset, cluster) order, so fitting the datasets one
-        at a time would raise the same one.
+        When a matrix is singular below ``RCOND_THRESHOLD`` -- e.g. a
+        covariate constant within the cluster, or n_j < d_z.  It names the
+        cluster and its reciprocal condition number, for the first failure
+        in (dataset, cluster) order, so checking the datasets one at a time
+        would raise the same one.
     """
-    reps, q, d = outcomes.shape[0], len(labels), covariates.shape[2]
+    reps, q, d = covariates.shape[0], len(labels), covariates.shape[2]
     grams = np.empty((reps, q, d, d), dtype=np.float64)
     for j in range(q):
         Z_j = covariates[:, offsets[j] : offsets[j + 1]]
@@ -141,24 +126,36 @@ def fit_clusters(
     if singular.any():
         r, j = divmod(int(np.argmax(singular)), q)
         raise IdentificationFailure(labels[j], rcond[r, j])
-    betas = np.empty((reps, q, d), dtype=np.float64)
-    for j in range(q):
+    return grams
+
+
+def fit_clusters(
+    outcomes: np.ndarray, covariates: np.ndarray, offsets: np.ndarray, labels
+) -> np.ndarray:
+    """Least squares inside every cluster of R datasets with shared clusters, (R, q, d_z).
+
+    ``outcomes`` is (R, n) and ``covariates`` (R, n, d_z); cluster j holds
+    rows ``offsets[j]:offsets[j + 1]`` of every dataset.  The identification
+    check (:func:`_identified_grams`, whose ``IdentificationFailure`` it
+    raises) runs before any fit; per cluster, one stacked least-squares call
+    (:func:`lstsq_stack`) fits all R datasets.
+    """
+    _identified_grams(covariates, offsets, labels)
+    betas = np.empty((outcomes.shape[0], len(labels), covariates.shape[2]), dtype=np.float64)
+    for j in range(len(labels)):
         rows = slice(offsets[j], offsets[j + 1])
         betas[:, j] = lstsq_stack(covariates[:, rows], outcomes[:, rows])
-    return betas, grams
+    return betas
 
 
 def fit_per_cluster(data: ClusteredDataset) -> ClusterEstimates:
     """Run one least squares regression inside every cluster.
 
-    Returns the stacked coefficient vectors together with each cluster's
-    second-moment matrix (1/n_j) * Z_j' Z_j; the one-dataset case of
-    :func:`fit_clusters`, whose ``IdentificationFailure`` it raises.
+    The one-dataset case of :func:`fit_clusters`, whose
+    ``IdentificationFailure`` it raises.
     """
-    betas, grams = fit_clusters(
-        data.outcomes[None], data.covariates[None], data.offsets, data.labels
-    )
-    return ClusterEstimates(betas=betas[0], sizes=data.sizes, grams=grams[0], labels=data.labels)
+    betas = fit_clusters(data.outcomes[None], data.covariates[None], data.offsets, data.labels)
+    return ClusterEstimates(betas=betas[0], sizes=data.sizes, labels=data.labels)
 
 
 def fit_restricted(data: ClusteredDataset, hypothesis: LinearHypothesis) -> np.ndarray:

@@ -33,6 +33,7 @@ from artcluster import kernels
 from artcluster.errors import DegenerateVariance, SingularSigma
 from artcluster.estimation import (
     ClusterEstimates,
+    _identified_grams,
     fit_per_cluster,
     fit_restricted,
     reciprocal_condition,
@@ -119,7 +120,7 @@ def scores_via_restricted(
     routes can be cross-checked.
     """
     beta_r = fit_restricted(data, hypothesis)
-    grams = fit_per_cluster(data).grams
+    grams = _identified_grams(data.covariates[None], data.offsets, data.labels)[0]
     residuals = data.outcomes - data.covariates @ beta_r
     out = np.empty(data.q, dtype=np.float64)
     for j in range(data.q):
@@ -136,11 +137,9 @@ def scores_via_restricted(
 
 
 def _wald_ingredients(
-    estimates: ClusterEstimates,
-    hypothesis: MultiHypothesis,
-    scaling: str,
+    estimates: ClusterEstimates, hypothesis: MultiHypothesis
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Per-cluster multi-row scores and the inverse outer-product matrix.
+    """Per-cluster multi-row scores, weighted by sqrt(n), and the inverse outer-product matrix.
 
     The outer-product matrix is built from unsigned scores (sign flips
     leave it unchanged).  Returns ``(scores, None)`` in the degenerate
@@ -150,7 +149,7 @@ def _wald_ingredients(
     if hypothesis.restriction.shape[1] != estimates.d_z:
         raise ValueError("restriction width must equal the covariate count")
     scores = weighted_scores(  # (q, p)
-        estimates.betas, estimates.sizes, hypothesis.restriction.T, hypothesis.values, scaling
+        estimates.betas, estimates.sizes, hypothesis.restriction.T, hypothesis.values, "root_n"
     )
     if not scores.any():
         return scores, None
@@ -345,8 +344,6 @@ def run_test(
     alpha: float,
     group: SignGroup | None = None,
     variant: str = "unstudentized",
-    *,
-    scaling: str = "root_nj",
 ) -> TestResult:
     """Test contrast'beta = value by sign-flip randomization.
 
@@ -356,7 +353,7 @@ def run_test(
     """
     if group is None:
         group = enumerate_group(data.q, mode="auto", seed=0)
-    scores = scores_from_estimates(fit_per_cluster(data), hypothesis, scaling)
+    scores = scores_from_estimates(fit_per_cluster(data), hypothesis)
     return run_test_from_scores(scores, alpha, group, variant)
 
 
@@ -365,8 +362,6 @@ def run_wald_test(
     hypothesis: MultiHypothesis,
     alpha: float,
     group: SignGroup | None = None,
-    *,
-    scaling: str = "root_n",
 ) -> TestResult:
     """Randomization test of a multi-row restriction (quadratic form).
 
@@ -378,7 +373,7 @@ def run_wald_test(
     if group is None:
         group = enumerate_group(data.q, mode="auto", seed=0)
     estimates = fit_per_cluster(data)
-    scores, sigma_inv = _wald_ingredients(estimates, hypothesis, scaling)
+    scores, sigma_inv = _wald_ingredients(estimates, hypothesis)
     means = group.sweep(scores)
     if sigma_inv is None:
         stats = np.zeros(group.rows, dtype=np.float64)

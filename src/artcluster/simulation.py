@@ -237,7 +237,7 @@ def _study_scores(spec: DgpSpec, hypothesis: LinearHypothesis, replications: int
     scores = np.empty((spec.q, replications))
     for start in range(0, replications, chunk):
         stop = min(start + chunk, replications)
-        betas, _ = fit_clusters(*_draw(spec, start, stop), offsets, labels)
+        betas = fit_clusters(*_draw(spec, start, stop), offsets, labels)
         scores[:, start:stop] = weighted_scores(
             betas, sizes, hypothesis.contrast, hypothesis.value
         ).T
@@ -281,11 +281,10 @@ def size_study(
     alpha: float,
     replications: int,
     *,
-    group: SignGroup | None = None,
     variant: str = "unstudentized",
 ) -> MonteCarloReport:
-    """Rejection rate when the tested value is the truth (null imposed)."""
-    return _study(spec, contrast, None, alpha, replications, group, variant)
+    """Rejection rate when the tested value is the truth (null imposed), on the auto group."""
+    return _study(spec, contrast, None, alpha, replications, None, variant)
 
 
 def power_study(
@@ -295,15 +294,14 @@ def power_study(
     alpha: float,
     replications: int,
     *,
-    group: SignGroup | None = None,
     variant: str = "unstudentized",
 ) -> MonteCarloReport:
-    """Rejection rate when testing ``null_value`` against the spec's truth.
+    """Rejection rate when testing ``null_value`` against the spec's truth, on the auto group.
 
     With ``null_value`` equal to the true contrast this reduces to
     :func:`size_study`.
     """
-    return _study(spec, contrast, float(null_value), alpha, replications, group, variant)
+    return _study(spec, contrast, float(null_value), alpha, replications, None, variant)
 
 
 def run_spec(doc, default_seed: int = 0) -> tuple[dict, MonteCarloReport]:

@@ -10,7 +10,8 @@ all-entries-equal +-identity mask,
 the branch-by-branch interval bounds, the full-sort order statistics,
 the one-null-at-a-time test decision, the statistics at a single sign
 vector, the score formula one entry at a time, the p-value profile of
-an interval, the Monte Carlo study that draws, fits and scores one
+an interval, the restricted-residual scores with each cluster's Gram
+matrix formed alone, the Monte Carlo study that draws, fits and scores one
 replication at a time, the blocks route that labels every row and
 canonicalizes the time-sorted rows, and the label coding that numbers
 labels one row at a time and stable-sorts the int64 codes.  The
@@ -24,7 +25,7 @@ import numpy as np
 from artcluster import kernels
 from artcluster.blocks import plan_blocks
 from artcluster.errors import DegenerateVariance, IdentificationFailure
-from artcluster.estimation import RCOND_THRESHOLD
+from artcluster.estimation import RCOND_THRESHOLD, fit_restricted
 from artcluster.model import ClusteredDataset, canonicalize
 from artcluster.randtest import _wald_ingredients, order_statistic_index
 
@@ -228,10 +229,10 @@ def statistic_studentized(scores, g) -> float:
     return math.sqrt(q) * abs(mean) / sd
 
 
-def statistic_wald(estimates, hypothesis, g, scaling: str = "root_n") -> float:
+def statistic_wald(estimates, hypothesis, g) -> float:
     """Quadratic-form statistic for a multi-row restriction, at one g."""
     signs = as_sign_vector(g, estimates.q)
-    scores, sigma_inv = _wald_ingredients(estimates, hypothesis, scaling)
+    scores, sigma_inv = _wald_ingredients(estimates, hypothesis)
     if sigma_inv is None:
         return 0.0
     mean = (signs[:, None] * scores).mean(axis=0)
@@ -320,8 +321,8 @@ def generate_loop(spec, replication: int) -> tuple[np.ndarray, np.ndarray]:
     return Z @ np.asarray(spec.beta) + eps, Z
 
 
-def fit_loop(y, Z, sizes) -> tuple[np.ndarray, np.ndarray]:
-    """Per-cluster betas (q, d_z) and grams (q, d_z, d_z): one svd and lstsq per cluster.
+def fit_loop(y, Z, sizes) -> np.ndarray:
+    """Per-cluster betas (q, d_z): one svd and lstsq per cluster.
 
     Raises ``IdentificationFailure`` labelled with the index of the first
     cluster whose Gram matrix fails the conditioning check.
@@ -329,7 +330,6 @@ def fit_loop(y, Z, sizes) -> tuple[np.ndarray, np.ndarray]:
     q, d = len(sizes), Z.shape[1]
     offsets = np.concatenate([[0], np.cumsum(sizes)])
     betas = np.empty((q, d))
-    grams = np.empty((q, d, d))
     for j in range(q):
         y_j, Z_j = y[offsets[j] : offsets[j + 1]], Z[offsets[j] : offsets[j + 1]]
         gram = Z_j.T @ Z_j / Z_j.shape[0]
@@ -338,8 +338,25 @@ def fit_loop(y, Z, sizes) -> tuple[np.ndarray, np.ndarray]:
         if not np.isfinite(rc) or rc < RCOND_THRESHOLD:
             raise IdentificationFailure(j, rc)
         betas[j], _, _, _ = np.linalg.lstsq(Z_j, y_j, rcond=None)
-        grams[j] = gram
-    return betas, grams
+    return betas
+
+
+def scores_via_restricted_loop(data, hypothesis) -> np.ndarray:
+    """The restricted-residual scores, (q,), with each cluster's Gram matrix formed alone.
+
+    Cluster j's (1/n_j) Z_j'Z_j comes from one ``matmul`` of its rows as a
+    (1, n_j, d_z) stack, and its score is c' Gram_j^{-1} Z_j'r_j / sqrt(n_j)
+    with r the residuals of the restricted fit.
+    """
+    residuals = data.outcomes - data.covariates @ fit_restricted(data, hypothesis)
+    out = np.empty(data.q)
+    for j in range(data.q):
+        s = data.cluster_slice(j)
+        Z_j = data.covariates[None, s]
+        gram = (np.matmul(Z_j.transpose(0, 2, 1), Z_j) / Z_j.shape[1])[0]
+        v = Z_j[0].T @ residuals[s] / np.sqrt(Z_j.shape[1])
+        out[j] = float(hypothesis.contrast @ np.linalg.solve(gram, v))
+    return out
 
 
 def study_scores_loop(spec, contrast, value: float, replications: int) -> np.ndarray:
@@ -347,7 +364,7 @@ def study_scores_loop(spec, contrast, value: float, replications: int) -> np.nda
     weights = np.sqrt(np.asarray(spec.sizes, dtype=np.int64).astype(np.float64))
     scores = np.empty((spec.q, replications))
     for r in range(replications):
-        betas, _ = fit_loop(*generate_loop(spec, r), spec.sizes)
+        betas = fit_loop(*generate_loop(spec, r), spec.sizes)
         scores[:, r] = weights * (betas @ np.asarray(contrast, dtype=np.float64) - value)
     return scores
 

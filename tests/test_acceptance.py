@@ -34,7 +34,7 @@ from artcluster.randtest import (
     scores_from_estimates,
     scores_via_restricted,
 )
-from tests.oracles import pvalue_profile
+from tests.oracles import bits, pvalue_profile, scores_via_restricted_loop
 
 
 def criterion(num, label, limit_seconds=None):
@@ -148,6 +148,15 @@ def test_criterion_1_score_routes_agree(score_instances):
         assert p_est == p_res, f"route p-values differ: {p_est} vs {p_res}"
 
 
+@criterion(1, "restricted-residual scores bit for bit")
+def test_criterion_1_restricted_scores_match_oracle(score_instances):
+    # criterion 1 compares the two routes with a tolerance; this pins the bits
+    for (data, c, lam), q in score_instances:
+        h = LinearHypothesis(contrast=c, value=lam)
+        got, want = scores_via_restricted(data, h), scores_via_restricted_loop(data, h)
+        assert np.array_equal(bits(got), bits(want)), f"restricted scores moved (q={q})"
+
+
 @criterion(2, "studentization invariance", limit_seconds=60)
 def test_criterion_2_studentization_irrelevant(score_instances):
     for (data, c, lam), q in score_instances:
@@ -253,9 +262,10 @@ def test_criterion_8_wald_matches_unstudentized():
         d = 1 + i % 3
         data, c, lam = make_instance(8800 + i, q, d)
         group = group_for(q)
-        plain = run_test(
-            data, LinearHypothesis(contrast=c, value=lam), 0.1, group, scaling="root_n"
+        scores = scores_from_estimates(
+            fit_per_cluster(data), LinearHypothesis(contrast=c, value=lam), "root_n"
         )
+        plain = run_test_from_scores(scores, 0.1, group)
         wald = run_wald_test(
             data, MultiHypothesis(restriction=c.reshape(1, -1), values=[lam]), 0.1, group
         )
@@ -275,8 +285,10 @@ def test_criterion_8_constructed_near_tie():
     for eps in (1.5e-12, 2e-12):
         y = np.repeat(np.array([1.0, -1.0 + eps, 2.0, 3.0, 0.5]) / 3.0, sizes)
         data = canonicalize(labels, y, np.ones((9, 1)))
-        plain = run_test(data, LinearHypothesis(contrast=[1.0], value=0.0), 0.1, group,
-                         scaling="root_n")
+        scores = scores_from_estimates(
+            fit_per_cluster(data), LinearHypothesis(contrast=[1.0], value=0.0), "root_n"
+        )
+        plain = run_test_from_scores(scores, 0.1, group)
         wald = run_wald_test(data, MultiHypothesis(restriction=[[1.0]], values=[0.0]), 0.1, group)
         assert plain.p_value == wald.p_value == 0.25, (
             f"eps {eps}: wald p {wald.p_value}, scalar p {plain.p_value}"

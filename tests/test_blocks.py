@@ -114,6 +114,10 @@ class TestBlockify:
         with pytest.raises(WidthMismatch):
             blockify(np.arange(4.0), np.arange(float(n_y)), np.ones((n_z, 1)), 2)
 
+    def test_two_dimensional_keys_rejected(self):
+        with pytest.raises(ValueError, match="^time keys must be 1-D$"):
+            blockify(np.arange(20.0).reshape(10, 2), np.zeros(10), np.ones((10, 1)), 2)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_keys_rejected(self, bad):
         keys = np.arange(40.0)

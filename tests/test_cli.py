@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: reports, exit codes, determinism, round trips."""
 
+import csv
 import json
 import os
 import re
@@ -420,6 +421,28 @@ EXIT_CODE_CASES = [
         "artcluster: error: cluster 1:",
         id="identification-failure-in-blocks",
     ),
+    # list flags are parsed before the file is read
+    pytest.param(
+        MICRO_CSV,
+        ["--cluster", "cluster", "--contrast", "1,x"],
+        1,
+        "artcluster: error: expected a comma-separated list of numbers, got '1,x'",
+        id="contrast-not-a-number",
+    ),
+    pytest.param(
+        MICRO_CSV,
+        ["--blocks", "8,x", "--time", "t"],
+        1,
+        "artcluster: error: expected a comma-separated list of integers, got '8,x'",
+        id="blocks-not-an-integer",
+    ),
+    pytest.param(
+        MICRO_CSV,
+        ["--cluster", "cluster", "--covariates", ","],
+        1,
+        "artcluster: error: expected a comma-separated list of names, got ','",
+        id="covariates-without-a-name",
+    ),
     # `test` and `ci` refuse a contrast by one rule, before any group or fit
     *(
         pytest.param(
@@ -517,6 +540,38 @@ def test_error_after_a_two_line_label_names_its_physical_line(tmp_path, capsys, 
             "--covariates", "x", "--coef", "x"]
     code, out, err = run_cli(capsys, argv)
     assert (code, out, err) == (3, "", f"artcluster: error: {message}\n")
+
+
+def test_non_integer_seed_environment_exits_1(micro_file, capsys, monkeypatch):
+    monkeypatch.setenv("ARTCLUSTER_SEED", "abc")
+    argv = ["test", "--input", micro_file, "--cluster", "cluster", "--outcome", "y",
+            "--covariates", "x", "--coef", "x"]
+    assert run_cli(capsys, argv) == (
+        1, "", "artcluster: error: ARTCLUSTER_SEED must be an integer, got 'abc'\n"
+    )
+
+
+def test_export_refuses_a_blocks_sweep(tmp_path, capsys):
+    path = tmp_path / "series.csv"
+    path.write_text(_rows_csv("t,y,x", [f"{i},{float(i % 3)!r},{i / 2!r}" for i in range(40)]))
+    argv = ["export", "--input", str(path), "--outcome", "y", "--covariates", "x",
+            "--blocks", "8,10", "--time", "t", "--output", str(tmp_path / "out.csv")]
+    assert run_cli(capsys, argv) == (
+        1, "", "artcluster: error: export accepts a single --blocks value\n"
+    )
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["test", "ci"])
+def test_cell_over_csv_field_limit_exits_3_in_process(tmp_path, capsys, command):
+    limit = csv.field_size_limit()
+    path = tmp_path / "long-label.csv"
+    path.write_text(f'cluster,y,x\n"{"a" * (limit + 1)}",1.0,1.0\n' + MICRO_CSV.split("\n", 1)[1])
+    argv = [command, "--input", str(path), "--cluster", "cluster", "--outcome", "y",
+            "--covariates", "x", "--coef", "x"]
+    assert run_cli(capsys, argv) == (
+        3, "", f"artcluster: error: line 2: field larger than field limit ({limit})\n"
+    )
 
 
 def _refuse(*args, **kwargs):
@@ -1016,6 +1071,27 @@ SIMULATE_EXIT_CODE_CASES = [
         "artcluster: error: simulation spec is missing the 'dgp.sizes' field",
         id="missing-dgp-field",
     ),
+    pytest.param(
+        {"study": "sizes"},
+        1,
+        "artcluster: error: study must be 'size' or 'power', got 'sizes'",
+        id="unknown-study",
+    ),
+    pytest.param(
+        {"dgp": {"sizes": [10] * 3, "beta": [0.0], "sigma": [1.0] * 2}},
+        1,
+        "artcluster: error: need one noise scale per cluster",
+        id="sigma-count-mismatch",
+    ),
+    pytest.param(
+        # Z @ beta overflows; under the suite's warnings-as-errors a numpy
+        # warning would escape as an exception instead of this exit
+        {"dgp": {"sizes": [10] * 4, "beta": [1e308, 1e308], "sigma": [1.0] * 4},
+         "contrast": [0.0, 1.0]},
+        3,
+        "artcluster: error: outcomes contain non-finite values",
+        id="overflowing-outcomes",
+    ),
 ]
 
 
@@ -1034,6 +1110,14 @@ def test_documented_simulate_exit_codes(tmp_path, capsys, edits, expected_code, 
     assert code == expected_code
     assert out == ""
     assert message in err
+
+
+def test_simulate_spec_that_is_not_an_object_exits_1(tmp_path, capsys):
+    path = tmp_path / "study.json"
+    path.write_text("[1, 2]")
+    assert run_cli(capsys, ["simulate", "--spec", str(path)]) == (
+        1, "", "artcluster: error: simulation spec must be a JSON object\n"
+    )
 
 
 class TestSimulateCommand:

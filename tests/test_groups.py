@@ -45,6 +45,10 @@ class TestExhaustive:
         with pytest.raises(GroupTooLarge):
             SignGroup(21, "exhaustive")
 
+    def test_defined_by_q_alone(self):
+        with pytest.raises(ValueError, match="^an exhaustive group is defined by q alone$"):
+            SignGroup(5, "exhaustive", seed=1)
+
 
 class TestSampled:
     def test_identity_forced_first(self):
@@ -84,6 +88,10 @@ class TestSampled:
     def test_needs_two_vectors(self):
         with pytest.raises(ValueError):
             SignGroup(5, "sampled", seed=0, draws=1)
+
+    def test_needs_two_clusters(self):
+        with pytest.raises(ValueError, match="^need q >= 2$"):
+            SignGroup(1, "sampled", seed=0, draws=10)
 
     @pytest.mark.parametrize("seed", [-1, 2**128], ids=["negative", "2**128"])
     def test_seed_outside_philox_keys_named(self, seed):

@@ -36,9 +36,7 @@ def shift_contrast_estimates(est, contrast, delta):
     """Estimates whose c'beta_j values are shifted by delta."""
     c = np.asarray(contrast, dtype=float)
     bump = delta * c / float(c @ c)
-    return ClusterEstimates(
-        betas=est.betas + bump, sizes=est.sizes, grams=est.grams, labels=est.labels
-    )
+    return ClusterEstimates(betas=est.betas + bump, sizes=est.sizes, labels=est.labels)
 
 
 @st.composite
@@ -80,10 +78,7 @@ def whole_group_inputs(estimates, contrast) -> IntervalInputs:
 def point_estimates(cbeta, sizes) -> ClusterEstimates:
     """One-covariate estimates with c'beta_j = ``cbeta[j]`` for the contrast [1]."""
     q = len(cbeta)
-    return ClusterEstimates(
-        betas=np.reshape(cbeta, (q, 1)), sizes=sizes, grams=np.ones((q, 1, 1)),
-        labels=tuple(range(q)),
-    )
+    return ClusterEstimates(betas=np.reshape(cbeta, (q, 1)), sizes=sizes, labels=tuple(range(q)))
 
 
 class TestIntervalInputs:
@@ -98,7 +93,6 @@ class TestIntervalInputs:
         est = ClusterEstimates(
             betas=np.array([[1.0], [2.0], [3.0], [4.0]]),
             sizes=np.full(4, 9),
-            grams=np.ones((4, 1, 1)),
             labels=("a", "b", "c", "d"),
         )
         inputs = interval_inputs(est, [1.0], group_cache(4))
@@ -250,9 +244,7 @@ class TestInterval:
         group = group_cache(6)
         base = interval(interval_inputs(est, c, group), 0.1)
         kappa = 3.5
-        scaled_est = ClusterEstimates(
-            betas=kappa * est.betas, sizes=est.sizes, grams=est.grams, labels=est.labels
-        )
+        scaled_est = ClusterEstimates(betas=kappa * est.betas, sizes=est.sizes, labels=est.labels)
         scaled = interval(interval_inputs(scaled_est, c, group), 0.1)
         assert scaled.lambda0 == pytest.approx(kappa * base.lambda0, rel=1e-9)
         assert scaled.lower == pytest.approx(kappa * base.lower, rel=1e-9)
@@ -300,10 +292,7 @@ class TestInterval:
         # 0.1, so at alpha = 0.8 (k = 7 of the group's 8, the 4th of the
         # half sweep's 4) the quantiles come out one ulp out of order and
         # are swapped back
-        estimates = ClusterEstimates(
-            betas=np.full((3, 1), 0.1), sizes=[2, 4, 3], grams=np.ones((3, 1, 1)),
-            labels=(0, 1, 2),
-        )
+        estimates = ClusterEstimates(betas=np.full((3, 1), 0.1), sizes=[2, 4, 3], labels=(0, 1, 2))
         whole = whole_group_inputs(estimates, [1.0])
         inputs = interval_inputs(estimates, [1.0], group_cache(3))
         for rows, k in ((whole, 7), (inputs, 4)):

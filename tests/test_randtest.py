@@ -21,6 +21,7 @@ from artcluster import (
 from artcluster.groups import SignGroup
 from artcluster.randtest import (
     TestResult as RandTestResult,
+    cluster_weights,
     pvalue_from_statistics,
     run_test_columns,
     run_test_from_scores,
@@ -55,6 +56,10 @@ class TestScores:
         h = LinearHypothesis(contrast=[1.0], value=1.0)
         sv = scores_from_estimates(micro_estimates, h)
         assert sv[0] == 0.0
+
+    def test_unknown_scaling_refused(self):
+        with pytest.raises(ValueError, match="^unknown scaling 'root'"):
+            cluster_weights(np.array([4, 9]), "root")
 
     def test_root_n_scaling(self, micro_estimates):
         h = LinearHypothesis(contrast=[1.0], value=2.0)
@@ -148,9 +153,7 @@ class TestWaldStatistic:
         betas = np.tile(np.array([0.4, -0.2]), (5, 1))
         from artcluster.estimation import ClusterEstimates
 
-        zero_est = ClusterEstimates(
-            betas=betas, sizes=est.sizes, grams=est.grams, labels=est.labels
-        )
+        zero_est = ClusterEstimates(betas=betas, sizes=est.sizes, labels=est.labels)
         mh_exact = MultiHypothesis(restriction=np.eye(2), values=[0.4, -0.2])
         assert statistic_wald(zero_est, mh_exact, np.ones(5, dtype=np.int8)) == 0.0
         assert statistic_wald(est, mh0, np.ones(5, dtype=np.int8)) > 0.0
@@ -176,7 +179,7 @@ class TestWaldStatistic:
         from artcluster.estimation import ClusterEstimates
 
         betas = np.outer(np.arange(1.0, 5.0), np.array([1.0, 2.0]))
-        est = ClusterEstimates(betas=betas, sizes=est.sizes, grams=est.grams, labels=est.labels)
+        est = ClusterEstimates(betas=betas, sizes=est.sizes, labels=est.labels)
         mh = MultiHypothesis(restriction=np.eye(2), values=np.zeros(2))
         with pytest.raises(SingularSigma):
             statistic_wald(est, mh, np.ones(4, dtype=np.int8))
@@ -214,9 +217,10 @@ class TestWaldStatistic:
         c = random_contrast(rng, 2)
         lam = float(rng.standard_normal())
         group = group_cache(7)
-        plain = run_test(
-            data, LinearHypothesis(contrast=c, value=lam), 0.1, group, scaling="root_n"
+        scores = scores_from_estimates(
+            fit_per_cluster(data), LinearHypothesis(contrast=c, value=lam), "root_n"
         )
+        plain = run_test_from_scores(scores, 0.1, group)
         wald = run_wald_test(
             data,
             MultiHypothesis(restriction=c.reshape(1, -1), values=[lam]),

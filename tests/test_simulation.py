@@ -98,6 +98,10 @@ class TestGenerate:
         s = spec()
         assert not np.array_equal(generate(s, 0).outcomes, generate(s, 1).outcomes)
 
+    def test_negative_replication_refused(self):
+        with pytest.raises(ValueError, match="^replication index must be >= 0$"):
+            generate(spec(), -1)
+
     def test_shapes_and_intercept(self):
         s = spec(q=4, size=10, d=3)
         data = generate(s, 0)

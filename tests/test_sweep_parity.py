@@ -179,7 +179,7 @@ class TestWald:
         else:
             group, signs = SignGroup(9, "sampled", seed=4, draws=700), sampled_signs(9, 700, 4)
         result = run_wald_test(data, mh, 0.1, group)
-        scores, sigma_inv = _wald_ingredients(fit_per_cluster(data), mh, "root_n")
+        scores, sigma_inv = _wald_ingredients(fit_per_cluster(data), mh)
         stats = wald_quadratic_loop(signs, scores, sigma_inv)
         assert bits(result.statistic) == bits(stats[0])
         assert bits(result.critical_value) == bits(sort_critical_value(stats, 0.9))
@@ -372,7 +372,6 @@ class TestPartitionQuantiles:
         est = ClusterEstimates(
             betas=np.array(cbeta).reshape(q, 1),
             sizes=np.array(sizes),
-            grams=np.ones((q, 1, 1)),
             labels=tuple(range(q)),
         )
         inputs = interval_inputs(est, [1.0], SignGroup(q, "exhaustive"))
@@ -425,7 +424,6 @@ def branch_instances(draw):
     estimates = ClusterEstimates(
         betas=np.array(cbeta).reshape(q, 1),
         sizes=np.array(sizes),
-        grams=np.ones((q, 1, 1)),
         labels=tuple(range(q)),
     )
     alpha = draw(st.sampled_from([0.01, 0.05, 0.1, 0.2, 0.5]))
@@ -531,7 +529,7 @@ class TestHalfGroup:
         restriction, values = rng.standard_normal((p, 3)), rng.standard_normal(p)
         mh = MultiHypothesis(restriction=restriction, values=values)
         result = run_wald_test(data, mh, alpha, SignGroup(q, "exhaustive"))
-        scores, sigma_inv = _wald_ingredients(fit_per_cluster(data), mh, "root_n")
+        scores, sigma_inv = _wald_ingredients(fit_per_cluster(data), mh)
         signs = oracle_signs(q)
         stats = wald_quadratic_loop(signs, scores, sigma_inv)
         # a one-row test counts its ties on the |mean| scale
