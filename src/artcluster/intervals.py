@@ -5,9 +5,9 @@ endpoints are quantiles of per-group crossing points of V-shaped maps:
 for each sign pattern g the statistic as a function of the null value is
 |b(g) - value * a(g)|, and the bounds are where that V crosses the
 identity pattern's V.  ``interval_by_inversion`` is the brute-force
-grid-scan oracle that runs the real test engine at every grid value; it
-stays in the package because the tests cross-check the closed form
-against it and the benchmark times it.
+oracle that runs the real test engine at every value of a fixed
+4001-point grid around the center; it stays in the package because the
+tests cross-check the closed form against it and the benchmark times it.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ __all__ = [
     "default_inversion_grid",
 ]
 
-GRID_POINTS_DEFAULT = 4001
+GRID_POINTS = 4001
 GRID_HALF_WIDTHS = 10.0
 
 
@@ -177,19 +177,15 @@ def interval(inputs: IntervalInputs, alpha: float) -> ConfidenceInterval:
 # ------------------------------------------------------------------ #
 
 
-def default_inversion_grid(
-    estimates: ClusterEstimates,
-    contrast: np.ndarray,
-    points: int = GRID_POINTS_DEFAULT,
-) -> np.ndarray:
-    """Symmetric grid around the center, wide enough to bracket the interval."""
+def default_inversion_grid(estimates: ClusterEstimates, contrast: np.ndarray) -> np.ndarray:
+    """The oracle's grid: 4001 points around the center, wide enough to bracket the interval."""
     lam0, cbeta = _center(estimates, contrast)
     # huge contrasts overflow here; interval_by_inversion refuses a non-finite grid
     with np.errstate(over="ignore", invalid="ignore"):
         span = float(np.max(np.abs(cbeta - lam0)))
         span = max(span, 1e-8 * max(1.0, abs(lam0)))
         half = GRID_HALF_WIDTHS * span
-        return np.linspace(lam0 - half, lam0 + half, points)
+        return np.linspace(lam0 - half, lam0 + half, GRID_POINTS)
 
 
 def inversion_scan(
@@ -216,21 +212,19 @@ def interval_by_inversion(
     contrast: np.ndarray,
     alpha: float,
     group: SignGroup,
-    grid: np.ndarray | None = None,
 ) -> ConfidenceInterval:
-    """Brute-force oracle: smallest and largest non-rejected grid value.
+    """Brute-force oracle: smallest and largest non-rejected value of the grid.
 
-    A test-support tool for cross-checking :func:`interval`; endpoints
-    are only grid-step accurate and an unbounded true interval shows up
-    as the grid edges.
+    A test-support tool for cross-checking :func:`interval` on
+    :func:`default_inversion_grid`; endpoints are only grid-step accurate
+    and an unbounded true interval shows up as the grid edges.
 
     Raises
     ------
     GridTooCoarse
         When every grid value is rejected.
     ValueError
-        When the center overflows float64, or the grid holds fewer than
-        two values, a non-finite one, or not the center.
+        When the center or the grid overflows float64.
     """
     lam0, _ = _center(estimates, contrast)
     if not math.isfinite(lam0):
@@ -238,13 +232,11 @@ def interval_by_inversion(
             f"the center of contrast {np.ravel(contrast).tolist()} overflows float64; "
             "rescale the outcome or the contrast"
         )
-    if grid is None:
-        grid = default_inversion_grid(estimates, contrast)
-    grid = np.asarray(grid, dtype=np.float64).reshape(-1)
-    if grid.size < 2 or not np.all(np.isfinite(grid)):
-        raise ValueError("grid must contain at least two finite values")
-    if not grid[0] <= lam0 <= grid[-1]:
-        raise ValueError("grid must contain the center point")
+    grid = default_inversion_grid(estimates, contrast)
+    if not np.all(np.isfinite(grid)):
+        raise ValueError(
+            "the inversion grid overflows float64; rescale the outcome or the contrast"
+        )
     keep = inversion_scan(estimates, contrast, alpha, group, grid)
     if not keep.any():
         raise GridTooCoarse("no grid value survived test inversion")

@@ -109,11 +109,6 @@ class ClusteredDataset:
         off = self.offsets
         return slice(int(off[j]), int(off[j + 1]))
 
-    def cluster_rows(self, j: int) -> tuple[np.ndarray, np.ndarray]:
-        """Return (outcomes, covariates) for canonical cluster ``j``."""
-        s = self.cluster_slice(j)
-        return self.outcomes[s], self.covariates[s]
-
     def row_labels(self) -> np.ndarray:
         """Per-row original labels, in canonical row order."""
         return np.repeat(np.array(self.labels, dtype=object), self.sizes)

@@ -146,8 +146,6 @@ def _wald_ingredients(
     all-zero-score case, where the statistic is identically zero.  Scores
     whose outer-product matrix overflows raise ``ValueError``.
     """
-    if hypothesis.restriction.shape[1] != estimates.d_z:
-        raise ValueError("restriction width must equal the covariate count")
     scores = weighted_scores(  # (q, p)
         estimates.betas, estimates.sizes, hypothesis.restriction.T, hypothesis.values, "root_n"
     )
@@ -244,9 +242,10 @@ def _studentize(values: np.ndarray, t: np.ndarray) -> np.ndarray:
     ``t`` is (r, k) for the (q, k) score block; zero or negative spread
     maps to ``+inf``.  Every rounded step is monotone in t, so the map
     keeps the order of the |mean| statistics.  A column whose spread
-    overflows is redone on its values and t scaled by 2^-e, e the
-    exponent of its largest |v|: the map is scale-free, and scaling by a
-    power of two is exact.
+    overflows, or whose squares underflow (largest |v| below 2^-511), is
+    redone on its values and t scaled by 2^-e, e the exponent of its
+    largest |v|: the map is scale-free, and scaling by a power of two is
+    exact.
     """
     q = values.shape[0]
     acc = np.zeros(values.shape[1])
@@ -257,10 +256,11 @@ def _studentize(values: np.ndarray, t: np.ndarray) -> np.ndarray:
     out = np.full(t.shape, np.inf)
     ok = var > 0.0
     out[ok] = math.sqrt(q) * t[ok] / np.sqrt(var[ok])
-    bad = ~np.all(np.isfinite(var), axis=0)
+    top = np.abs(values).max(axis=0)
+    bad = ~np.all(np.isfinite(var), axis=0) | ((top > 0.0) & (top < 2.0**-511))
     if bad.any():
-        scale = np.ldexp(1.0, -np.frexp(np.abs(values[:, bad]).max(axis=0))[1])
-        out[:, bad] = _studentize(values[:, bad] * scale, t[:, bad] * scale)
+        e = -np.frexp(top[bad])[1]
+        out[:, bad] = _studentize(np.ldexp(values[:, bad], e), np.ldexp(t[:, bad], e))
     return out
 
 

@@ -250,8 +250,8 @@ def _study(
     null_value: float | None,
     alpha: float,
     replications: int,
-    group: SignGroup | None,
-    variant: str,
+    group: SignGroup | None = None,
+    variant: str = "unstudentized",
 ) -> MonteCarloReport:
     """Run a study of ``c'beta = null_value``; ``None`` tests the spec's true value."""
     alpha, replications = check_study(spec.q, alpha, replications)
@@ -275,33 +275,21 @@ def _study(
     )
 
 
-def size_study(
-    spec: DgpSpec,
-    contrast,
-    alpha: float,
-    replications: int,
-    *,
-    variant: str = "unstudentized",
-) -> MonteCarloReport:
+def size_study(spec: DgpSpec, contrast, alpha: float, replications: int) -> MonteCarloReport:
     """Rejection rate when the tested value is the truth (null imposed), on the auto group."""
-    return _study(spec, contrast, None, alpha, replications, None, variant)
+    return _study(spec, contrast, None, alpha, replications)
 
 
 def power_study(
-    spec: DgpSpec,
-    contrast,
-    null_value: float,
-    alpha: float,
-    replications: int,
-    *,
-    variant: str = "unstudentized",
+    spec: DgpSpec, contrast, null_value: float, alpha: float, replications: int
 ) -> MonteCarloReport:
     """Rejection rate when testing ``null_value`` against the spec's truth, on the auto group.
 
     With ``null_value`` equal to the true contrast this reduces to
-    :func:`size_study`.
+    :func:`size_study`.  Both run the unstudentized test; a study with a
+    chosen group or variant is a spec run through :func:`run_spec`.
     """
-    return _study(spec, contrast, float(null_value), alpha, replications, None, variant)
+    return _study(spec, contrast, float(null_value), alpha, replications)
 
 
 def run_spec(doc, default_seed: int = 0) -> tuple[dict, MonteCarloReport]:

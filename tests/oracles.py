@@ -164,13 +164,20 @@ def decision_loop(signs, values, alpha: float, variant: str = "unstudentized") -
 
     One column at a time: the column-loop sweep, the sorted quantile and
     a ``>=`` count against the observed statistic snapped down by
-    1e-12 * max(1, |T|).  Returns a (3, k) array.
+    1e-12 * max(1, |T|).  The studentized map is scale-free, so a column
+    whose squares underflow (largest |v| below 2^-511) is mapped on v and
+    t scaled exactly by 2^-e, e the exponent of its largest |v|.
+    Returns a (3, k) array.
     """
     q = signs.shape[1]
     out = np.empty((3, values.shape[1]))
     for i, v in enumerate(values.T):
         t = np.abs(column_loop_means(signs, v))
         if variant == "studentized":
+            top = float(np.max(np.abs(v)))
+            if 0.0 < top < 2.0**-511:
+                e = -math.frexp(top)[1]
+                v, t = np.ldexp(v, e), np.ldexp(t, e)
             acc = 0.0
             for j in range(q):
                 acc += v[j] * v[j]

@@ -188,7 +188,7 @@ def test_criterion_3_interval_matches_inversion(ci_instances):
         grid, keep, closed = inst["grid"], inst["keep"], inst["closed"]
         step = grid[1] - grid[0]
         oracle = interval_by_inversion(
-            inst["estimates"], inst["contrast"], inst["alpha"], inst["group"], grid
+            inst["estimates"], inst["contrast"], inst["alpha"], inst["group"]
         )
         if np.isfinite(closed.lower):
             assert abs(closed.lower - oracle.lower) <= step

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import os
 import re
 import subprocess
@@ -677,6 +678,28 @@ def test_studentized_overflowing_spread_exits_0(tmp_path, rng, capsys):
     assert (code, err) == (0, "")
     _, want, _ = run_cli(capsys, [*argv, "0,1"])
     keys = ("statistic", "critical_value", "p_value")
+    got, want = json.loads(out)["result"], json.loads(want)["result"]
+    assert [got[key] for key in keys] == [want[key] for key in keys]
+
+
+# An outcome scaled by 2^-565 makes every square of the studentized spread
+# underflow; the spread is redone on scores scaled by a power of two, so
+# the run gives the unscaled file's statistic and critical value.  (Its
+# p-value is not compared: the tie snap's absolute floor makes it 1.)
+def test_studentized_underflowing_squares_exit_0(tmp_path, rng, capsys):
+    path = write_random_csv(tmp_path, rng, q=6, n_j=5)
+    lines = Path(path).read_text().splitlines()
+    scaled = [lines[0]]
+    for line in lines[1:]:
+        cluster, y, rest = line.split(",", 2)
+        scaled.append(f"{cluster},{math.ldexp(float(y), -565)!r},{rest}")
+    (tmp_path / "scaled.csv").write_text("\n".join(scaled) + "\n")
+    argv = ["--cluster", "cluster", "--outcome", "y", "--covariates", "x1,x2", "--intercept",
+            "--coef", "x1", "--variant", "studentized"]
+    code, out, err = run_cli(capsys, ["test", "--input", str(tmp_path / "scaled.csv"), *argv])
+    assert (code, err) == (0, "")
+    _, want, _ = run_cli(capsys, ["test", "--input", path, *argv])
+    keys = ("statistic", "critical_value")
     got, want = json.loads(out)["result"], json.loads(want)["result"]
     assert [got[key] for key in keys] == [want[key] for key in keys]
 

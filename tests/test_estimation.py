@@ -14,7 +14,7 @@ from artcluster import (
     fit_restricted,
     scores_via_restricted,
 )
-from artcluster.estimation import _identified_grams, fit_clusters, lstsq_stack
+from artcluster.estimation import ClusterEstimates, _identified_grams, fit_clusters, lstsq_stack
 from tests.conftest import random_contrast, random_dataset
 from tests.oracles import bits, fit_loop
 
@@ -29,8 +29,8 @@ class TestFitPerCluster:
         )
         est = fit_per_cluster(data)
         assert est.betas[0, 0] == pytest.approx(2.0, abs=1e-12)
-        y_a, Z_a = data.cluster_rows(0)
-        rss = np.sum((y_a - Z_a @ est.betas[0]) ** 2)
+        a = data.cluster_slice(0)
+        rss = np.sum((data.outcomes[a] - data.covariates[a] @ est.betas[0]) ** 2)
         assert rss == pytest.approx(0.0, abs=1e-20)
 
     def test_within_cluster_collinearity_fails(self):
@@ -76,7 +76,7 @@ class TestFitPerCluster:
         data = random_dataset(rng, q=4, d=2)
         grams = _identified_grams(data.covariates[None], data.offsets, data.labels)[0]
         for j in range(4):
-            _, Z_j = data.cluster_rows(j)
+            Z_j = data.covariates[data.cluster_slice(j)]
             assert np.allclose(grams[j], Z_j.T @ Z_j / Z_j.shape[0], rtol=1e-13)
 
     def test_linear_in_outcome_scale(self, rng):
@@ -85,6 +85,22 @@ class TestFitPerCluster:
         scaled = canonicalize(data.row_labels(), 2.5 * data.outcomes, data.covariates)
         est_scaled = fit_per_cluster(scaled)
         assert np.allclose(est_scaled.betas, 2.5 * est.betas, rtol=1e-10)
+
+
+class TestClusterEstimates:
+    @pytest.mark.parametrize(
+        "betas, sizes, message",
+        [
+            (np.ones(3), [1, 1, 1], r"^betas must be \(q, d_z\)$"),
+            (np.ones((3, 1)), [1, 1], r"^per-cluster arrays must align$"),
+            ([[1.0], [np.inf], [0.0]], [1, 1, 1],
+             r"^cluster coefficient estimates must be finite$"),
+        ],
+        ids=["1-d", "misaligned", "non-finite"],
+    )
+    def test_construction_refused(self, betas, sizes, message):
+        with pytest.raises(ValueError, match=message):
+            ClusterEstimates(betas=betas, sizes=sizes, labels=("a", "b", "c"))
 
 
 class TestFitRestricted:
@@ -102,6 +118,17 @@ class TestFitRestricted:
         data = canonicalize(np.repeat([1, 2], 4), np.arange(8.0), Z)
         with pytest.raises(SingularFullGram, match="^full-sample Gram matrix is numerically "):
             fit_restricted(data, LinearHypothesis(contrast=[1.0, 0.0], value=0.0))
+
+    def test_constraint_miss_refused(self):
+        # the Gram matrix passes its rcond check, but the outcome is of order
+        # 1e16: the projection step's rounding leaves c'beta_r about 0.4
+        # from the null value 0, past the absolute tolerance 1e-10
+        t = np.arange(20.0)
+        Z = np.column_stack([np.ones(20), t, t * t])
+        data = canonicalize(np.repeat([1, 2, 3, 4], 5), 1e16 * np.sin(t), Z)
+        with pytest.raises(SingularFullGram,
+                           match="^restricted solution failed to satisfy the constraint "):
+            fit_restricted(data, LinearHypothesis(contrast=[1.0, 1.0, 1.0], value=0.0))
 
     def test_single_coefficient_pinned(self, rng):
         data = random_dataset(rng, q=3, d=1)

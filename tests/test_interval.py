@@ -82,6 +82,21 @@ def point_estimates(cbeta, sizes) -> ClusterEstimates:
 
 
 class TestIntervalInputs:
+    @pytest.mark.parametrize(
+        "a, b, message",
+        [
+            ([2.0, 1.0], [1.0], r"^a and b must have one entry per group element$"),
+            ([0.0, 0.0], [1.0, 1.0], r"^identity row must have positive weight mean$"),
+            ([1.0, -2.0], [1.0, 1.0], r"^\|a\(g\)\| cannot exceed a\(identity\)$"),
+            ([1.0, np.nan], [1.0, 1.0], r"^a must be finite$"),
+            ([1.0, 0.5], [1.0, np.inf], r"^b must be finite$"),
+        ],
+        ids=["lengths", "identity-weight", "weight-bound", "nan-a", "inf-b"],
+    )
+    def test_malformed_inputs_refused(self, a, b, message):
+        with pytest.raises(ValueError, match=message):
+            IntervalInputs(a=a, b=b)
+
     def test_hand_example(self, micro_estimates, group_cache):
         inputs = interval_inputs(micro_estimates, [1.0], group_cache(2))
         assert inputs.a[0] == 2.0
@@ -211,6 +226,14 @@ class TestInterval:
     def test_invalid_endpoints_rejected(self, lower, upper):
         with pytest.raises(ValueError):
             ConfidenceInterval(lower=lower, upper=upper, alpha=0.1, lambda0=1.0)
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.5, np.nan])
+    def test_alpha_outside_unit_interval_rejected(self, alpha, micro_estimates, group_cache):
+        inputs = interval_inputs(micro_estimates, [1.0], group_cache(2))
+        with pytest.raises(ValueError, match=r"^alpha must lie in \(0, 1\)$"):
+            interval(inputs, alpha)
+        with pytest.raises(ValueError, match=r"^alpha must lie in \(0, 1\)$"):
+            ConfidenceInterval(lower=0.0, upper=1.0, alpha=alpha, lambda0=0.5)
 
     def test_center_always_covered(self, rng, group_cache):
         for _ in range(10):
@@ -366,8 +389,8 @@ class TestInversionOracle:
             c = random_contrast(rng, 2)
             group = group_cache(q)
             ci = interval(interval_inputs(est, c, group), 0.1)
-            grid = default_inversion_grid(est, c, points=2001)
-            inv = interval_by_inversion(est, c, 0.1, group, grid)
+            grid = default_inversion_grid(est, c)
+            inv = interval_by_inversion(est, c, 0.1, group)
             step = grid[1] - grid[0]
             assert abs(ci.lower - inv.lower) <= step
             assert abs(ci.upper - inv.upper) <= step
@@ -377,13 +400,13 @@ class TestInversionOracle:
         est = fit_per_cluster(data)
         c = random_contrast(rng, 2)
         group = group_cache(6)
-        coarse_grid = default_inversion_grid(est, c, points=501)
-        fine_grid = default_inversion_grid(est, c, points=4001)
-        coarse = interval_by_inversion(est, c, 0.1, group, coarse_grid)
-        fine = interval_by_inversion(est, c, 0.1, group, fine_grid)
+        # every eighth point of the oracle's grid: 501 points, nested in it
+        coarse_grid = default_inversion_grid(est, c)[::8]
+        coarse = coarse_grid[inversion_scan(est, c, 0.1, group, coarse_grid)]
+        fine = interval_by_inversion(est, c, 0.1, group)
         coarse_step = coarse_grid[1] - coarse_grid[0]
-        assert fine.lower >= coarse.lower - coarse_step
-        assert fine.upper <= coarse.upper + coarse_step
+        assert fine.lower >= coarse[0] - coarse_step
+        assert fine.upper <= coarse[-1] + coarse_step
 
     def test_reasonable_alpha_bounded(self, rng, group_cache):
         data = random_dataset(rng, q=7, d=2)
@@ -392,52 +415,49 @@ class TestInversionOracle:
         inv = interval_by_inversion(est, c, 0.2, group_cache(7))
         assert np.isfinite(inv.lower) and np.isfinite(inv.upper)
 
-    def test_grid_too_coarse(self, rng, group_cache):
-        data = random_dataset(rng, q=6, d=2)
-        est = fit_per_cluster(data)
-        c = random_contrast(rng, 2)
-        inputs = interval_inputs(est, c, group_cache(6))
-        ci = interval(inputs, 0.2)
-        lo, hi = ci.lower, ci.upper
-        # two points bracketing the center but far outside the interval
-        width = hi - lo
-        grid = np.array([lo - 60 * width, hi + 60 * width])
-        with pytest.raises(GridTooCoarse):
-            interval_by_inversion(est, c, 0.2, group_cache(6), grid)
+    def test_grid_too_coarse(self, group_cache):
+        # every c'beta_j is 1.7, so the interval is the point 1.7 up to
+        # rounding and every other null value is rejected; the grid's
+        # points around the center miss 1.7 by rounding
+        est = point_estimates([1.7] * 5, [3, 5, 7, 11, 13])
+        ci = interval(interval_inputs(est, [1.0], group_cache(5)), 0.2)
+        assert ci.lower <= 1.7 <= ci.upper < ci.lower + 1e-15
+        assert 1.7 not in default_inversion_grid(est, [1.0])
+        with pytest.raises(GridTooCoarse, match="^no grid value survived test inversion$"):
+            interval_by_inversion(est, [1.0], 0.2, group_cache(5))
 
-    def test_grid_must_contain_center(self, rng, group_cache):
-        data = random_dataset(rng, q=5, d=2)
-        est = fit_per_cluster(data)
-        c = random_contrast(rng, 2)
-        inputs = interval_inputs(est, c, group_cache(5))
-        grid = np.linspace(inputs.lambda0 + 1.0, inputs.lambda0 + 2.0, 50)
-        with pytest.raises(ValueError):
-            interval_by_inversion(est, c, 0.1, group_cache(5), grid)
+    def test_overflowing_spread_refused(self, group_cache):
+        # the center 5e307 is finite, but the grid's half width of ten
+        # times the spread around it is not
+        est = point_estimates([1e308, 0.0], [1, 1])
+        with pytest.raises(ValueError, match="^the inversion grid overflows float64; "):
+            interval_by_inversion(est, [1.0], 0.2, group_cache(2))
 
     @pytest.mark.parametrize(
         "contrast, grid, message",
         [
             # the scores at +-1e308 overflow; the engine's sweep refuses them
             ([0.0, 1.0], [-1e308, 0, 2, 1e308], "absolute sum over the clusters overflows"),
-            # the center overflows: refused before a default grid is built,
-            # and before an explicit finite grid is checked against it
+            # the center overflows: the oracle refuses it before building its grid
             ([0.0, 1e308], None, CENTER_OVERFLOWS),
-            ([0.0, 1e308], [-1.0, 0.0, 1.0], CENTER_OVERFLOWS),
         ],
-        ids=["grid", "contrast", "contrast-finite-grid"],
+        ids=["grid", "contrast"],
     )
     def test_overflowing_grid_refused_without_warning(self, rng, group_cache, contrast, grid,
                                                       message):
         est = fit_per_cluster(random_dataset(rng, q=8, d=2))
         with pytest.raises(ValueError, match=message):
-            interval_by_inversion(est, contrast, 0.05, group_cache(8), grid)
+            if grid is None:
+                interval_by_inversion(est, contrast, 0.05, group_cache(8))
+            else:
+                inversion_scan(est, contrast, 0.05, group_cache(8), np.array(grid, dtype=float))
 
     def test_nonrejection_region_contiguous(self, rng, group_cache):
         data = random_dataset(rng, q=6, d=2)
         est = fit_per_cluster(data)
         c = random_contrast(rng, 2)
         group = group_cache(6)
-        grid = default_inversion_grid(est, c, points=801)
+        grid = default_inversion_grid(est, c)[::5]  # 801 points
         for alpha in (0.01, 0.05, 0.10, 0.32):
             keep = inversion_scan(est, c, alpha, group, grid)
             idx = np.flatnonzero(keep)

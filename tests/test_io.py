@@ -79,6 +79,20 @@ class TestIngest:
         assert code == 3
         assert f"line 4, column '{column}'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            (RunConfig(cluster_col="g", covariate_cols=("x",)), "an outcome column is required"),
+            (RunConfig(cluster_col="g", outcome_col="y"),
+             "at least one covariate column is required"),
+        ],
+        ids=["outcome", "covariates"],
+    )
+    def test_model_columns_required(self, tmp_path, config, message):
+        path = write(tmp_path, "g,y,x\na,1,2\nb,3,4\n")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ingest(path, config)
+
     def test_ragged_row_rejected(self, tmp_path):
         path = write(tmp_path, "g,y,x\na,1,2\nb,3\n")
         with pytest.raises(ParseError):
@@ -120,6 +134,13 @@ class TestIngest:
         assert np.array_equal(data.outcomes, again.outcomes)
         assert np.array_equal(data.covariates, again.covariates)
         assert data.labels == again.labels
+
+    def test_export_needs_one_name_per_covariate(self, tmp_path):
+        data = ingest(write(tmp_path, "g,y,x\na,1,2\nb,3,4\n"), BASIC).dataset()
+        out = tmp_path / "out.csv"
+        with pytest.raises(ValueError, match="^need one name per covariate column$"):
+            export_csv(data, ["x", "z"], str(out))
+        assert not out.exists()
 
 
 # Number cells that float() and np.loadtxt both accept, and cells that only

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 import artcluster
 from artcluster import (
+    ClusteredDataset,
+    EmptyCluster,
     LinearHypothesis,
     MultiHypothesis,
     NonFiniteValue,
@@ -65,6 +67,8 @@ class TestCanonicalize:
     def test_ragged_rows_rejected(self):
         with pytest.raises(WidthMismatch):
             canonicalize(["a", "b"], [1.0, 2.0], [[1.0, 2.0], [1.0]])
+        with pytest.raises(WidthMismatch, match="^covariates must be rows of equal width$"):
+            canonicalize(["a", "b"], [1.0, 2.0], np.ones((2, 1, 1)))
 
     def test_misaligned_lengths_rejected(self):
         with pytest.raises(WidthMismatch):
@@ -112,12 +116,36 @@ class TestCanonicalize:
         with pytest.raises(ValueError):
             data.outcomes[0] = 5.0
 
-    def test_cluster_rows_partition(self, rng):
+    def test_cluster_slices_partition(self, rng):
         labels = rng.integers(0, 5, size=30)
         labels[:5] = np.arange(5)  # ensure 5 distinct
         data = canonicalize(labels, rng.standard_normal(30), rng.standard_normal((30, 2)))
-        total = sum(data.cluster_rows(j)[0].shape[0] for j in range(data.q))
-        assert total == data.n
+        slices = [data.cluster_slice(j) for j in range(data.q)]
+        assert [s.start for s in slices[1:]] == [s.stop for s in slices[:-1]]
+        assert (slices[0].start, slices[-1].stop) == (0, data.n)
+
+
+class TestClusteredDataset:
+    ROWS = {"outcomes": [1.0, 2.0, 3.0], "covariates": np.ones((3, 1)), "sizes": [2, 1],
+            "labels": ("a", "b")}
+
+    @pytest.mark.parametrize(
+        "edit, error, message",
+        [
+            ({"covariates": np.ones(3)}, WidthMismatch,
+             "covariates must be a 2-D array with at least one column"),
+            ({"outcomes": [1.0, 2.0]}, WidthMismatch, "outcomes and covariate rows must align"),
+            ({"labels": ("a", "b", "c")}, ValueError,
+             "labels and sizes must have one entry per cluster"),
+            ({"sizes": [3], "labels": ("a",)}, TooFewClusters, "need at least 2 clusters"),
+            ({"sizes": [3, 0]}, EmptyCluster, "every cluster needs at least one observation"),
+            ({"sizes": [1, 1]}, ValueError, "cluster sizes must sum to the number of rows"),
+        ],
+        ids=["1-d-covariates", "misaligned", "labels", "one-cluster", "empty-cluster", "sizes"],
+    )
+    def test_construction_refused(self, edit, error, message):
+        with pytest.raises(error, match=f"^{message}$"):
+            ClusteredDataset(**{**self.ROWS, **edit})
 
 
 class TestHypotheses:
@@ -138,6 +166,20 @@ class TestHypotheses:
             MultiHypothesis(restriction=np.vstack([np.eye(3), [1.0, 1.0, 1.0]]), values=np.zeros(4))
         # p = d_z is fine
         MultiHypothesis(restriction=np.eye(3), values=np.zeros(3))
+
+    @pytest.mark.parametrize(
+        "restriction, values, message",
+        [
+            ([[1.0, 0.0]], [0.0, 1.0], "restriction rows must match the number of values"),
+            ([1.0, 0.0], [0.0], "restriction rows must match the number of values"),
+            ([[1.0, np.nan]], [0.0], "restriction and values must be finite"),
+            ([[1.0, 0.0]], [np.inf], "restriction and values must be finite"),
+        ],
+        ids=["values", "1-d", "nan-restriction", "inf-value"],
+    )
+    def test_malformed_restriction_rejected(self, restriction, values, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            MultiHypothesis(restriction=restriction, values=values)
 
 
 def test_public_names_resolve():

@@ -194,6 +194,13 @@ class TestWaldStatistic:
         with pytest.raises(ValueError, match="outer-product matrix overflows float64"):
             run_wald_test(data, mh, 0.1, SignGroup(8, "exhaustive"))
 
+    def test_wrong_width_restriction_refused(self, rng):
+        # the scores' one contrast-length check refuses it, after the fits
+        data = random_dataset(rng, q=6, d=3)
+        mh = MultiHypothesis(restriction=np.eye(2), values=np.zeros(2))
+        with pytest.raises(ValueError, match="^contrast length must equal the covariate count$"):
+            run_wald_test(data, mh, 0.1, SignGroup(6, "exhaustive"))
+
     @pytest.mark.parametrize("p", [1, 2])
     def test_all_zero_scores(self, rng, p):
         # every cluster holds the same rows, so every cluster's fit is the same
@@ -251,6 +258,19 @@ class TestCriticalValue:
         # 1000 * 0.9 must select the 900th value despite float fuzz
         values = np.arange(1000, dtype=float)
         assert critical_value(values, 0.9) == 899.0
+
+    @pytest.mark.parametrize(
+        "values, level, message",
+        [
+            ([], 0.5, r"^need a nonempty multiset$"),
+            ([1.0, 2.0], 0.0, r"^level must lie in \(0, 1\)$"),
+            ([1.0, 2.0], 1.0, r"^level must lie in \(0, 1\)$"),
+        ],
+        ids=["empty", "level-0", "level-1"],
+    )
+    def test_refused(self, values, level, message):
+        with pytest.raises(ValueError, match=message):
+            critical_value(values, level)
 
 
 class TestRunTest:

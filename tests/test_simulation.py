@@ -1,5 +1,7 @@
 """Monte Carlo harness: determinism, DGP structure, size and power."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -32,6 +34,19 @@ def spec(q=6, size=24, d=2, rho=0.0, sigma=None, seed=11, beta=None):
     return DgpSpec(
         sizes=(size,) * q, beta=beta, sigma=sigma, rho=rho, seed=seed
     )
+
+
+def spec_study(s, contrast, null_value, alpha, replications, variant):
+    """The report of the ``simulate`` spec that studies ``s`` with ``variant``.
+
+    A size study when ``null_value`` is None, else a power study.
+    """
+    doc = {"dgp": asdict(s), "study": "size" if null_value is None else "power",
+           "contrast": contrast, "alpha": alpha, "replications": replications,
+           "variant": variant}
+    if null_value is not None:
+        doc["null_value"] = null_value
+    return simulation.run_spec(doc)[1]
 
 
 class TestDgpSpec:
@@ -186,7 +201,7 @@ class TestStudies:
         # keeps the unstudentized p-values, with no warning
         s = DgpSpec(sizes=[10] * 6, beta=[0.5, 1.0], sigma=[1.0] * 6, seed=3)
         plain = power_study(s, [0.0, 1e160], 0.0, 0.05, 50)
-        stud = power_study(s, [0.0, 1e160], 0.0, 0.05, 50, variant="studentized")
+        stud = spec_study(s, [0.0, 1e160], 0.0, 0.05, 50, "studentized")
         assert np.array_equal(bits(stud.p_values), bits(plain.p_values))
 
     def test_studentized_study_of_equal_scores_refused(self):
@@ -194,7 +209,7 @@ class TestStudies:
         # and their spread is exactly zero
         s = DgpSpec(sizes=[10] * 6, beta=[0.5, 1.0], sigma=[1.0] * 6, seed=3)
         with pytest.raises(DegenerateVariance, match="zero spread"):
-            power_study(s, [0.0, 1.0], 1e160, 0.05, 50, variant="studentized")
+            spec_study(s, [0.0, 1.0], 1e160, 0.05, 50, "studentized")
 
     def test_large_effect_high_power(self):
         s = spec(q=10, size=40, seed=55)
@@ -237,6 +252,10 @@ class TestMonteCarloReport:
         )
         assert report.rate == 3 / 8
         assert report.mc_stderr == np.sqrt(3 / 8 * (1 - 3 / 8) / 8)
+
+    def test_needs_a_replication(self):
+        with pytest.raises(ValueError, match="^need at least one replication$"):
+            MonteCarloReport(0, 0, [], 0.1, 0.0, 1)
 
     @pytest.mark.parametrize("rejections", [-1, 9])
     def test_rejections_bounded_by_replications(self, rejections):
@@ -287,10 +306,7 @@ class TestChunkedStudy:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(simulation, "_CHUNK_BYTES", study["chunk_bytes"])
             scores = simulation._study_scores(spec, LinearHypothesis(c, value), reps)
-            if null_value is None:
-                report = size_study(spec, c, 0.1, reps, variant=variant)
-            else:
-                report = power_study(spec, c, null_value, 0.1, reps, variant=variant)
+            report = spec_study(spec, c, null_value, 0.1, reps, variant)
         want = study_scores_loop(spec, c, value, reps)
         assert np.array_equal(bits(scores), bits(want))
         group = enumerate_group(spec.q, mode="auto", seed=spec.seed)

@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from artcluster import (
@@ -499,6 +499,7 @@ class TestHalfGroup:
         alpha=st.one_of(st.sampled_from([0.05, 0.1, 0.32]), st.floats(1e-3, 0.5)),
         variant=st.sampled_from(["unstudentized", "studentized"]),
     )
+    @example(values=np.array([[0.0], [1.4e-299]]), alpha=0.05, variant="studentized")
     def test_engine_matches_whole_group(self, values, alpha, variant):
         if variant == "studentized":
             # an all-equal column has zero spread at the identity
@@ -509,7 +510,7 @@ class TestHalfGroup:
         if variant == "studentized":
             try:
                 expected[:2] = decision_loop(signs, values, alpha, variant)[:2]
-            except DegenerateVariance:  # squares that underflow leave no spread
+            except DegenerateVariance:  # a spread that cancels to zero
                 with pytest.raises(DegenerateVariance):
                     run_test_columns(values, alpha, group, variant)
                 return
