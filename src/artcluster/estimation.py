@@ -1,7 +1,8 @@
 """The regression layer: per-cluster and restricted least squares.
 
-Solvers go through numpy's orthogonal-decomposition routines (``lstsq``,
-``solve``); explicit matrix inversion appears only in test oracles.
+Solvers go through numpy's decomposition routines (``lstsq``, ``solve``); the
+identification checks read the singular values ``lstsq`` returns (:func:`gram_rcond`),
+and explicit matrix inversion appears only in test oracles.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ __all__ = [
     "fit_clusters",
     "fit_per_cluster",
     "fit_restricted",
-    "reciprocal_condition",
+    "gram_rcond",
 ]
 
 # Below this reciprocal condition number a second-moment matrix is
@@ -28,15 +29,17 @@ __all__ = [
 RCOND_THRESHOLD = 1e-10
 
 
-def reciprocal_condition(matrix: np.ndarray):
-    """sigma_min / sigma_max of ``matrix`` (0.0 for the zero matrix).
+def gram_rcond(sv: np.ndarray, columns: int):
+    """The reciprocal condition number of M'M from the singular values (..., k) of M.
 
-    A (..., d, d) stack gives one value per matrix from a single ``svd``
-    call; a single (d, d) matrix gives a float.
+    That is (s_min / s_max)^2, or 0.0 when M has fewer singular values
+    than ``columns`` or is zero.  A stack gives one value per matrix; a
+    single (k,) vector gives a float.
     """
-    sv = np.linalg.svd(matrix, compute_uv=False)
     top = sv[..., 0]
-    rc = np.divide(sv[..., -1], top, out=np.zeros_like(top), where=top != 0.0)
+    full = (top != 0.0) & (sv.shape[-1] >= columns)
+    ratio = np.divide(sv[..., -1], top, out=np.zeros_like(top), where=full)
+    rc = ratio * ratio
     return float(rc) if rc.ndim == 0 else rc
 
 
@@ -78,12 +81,14 @@ def _raise_svd_failure(err, flag):
     raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
 
 
-def lstsq_stack(Z: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Least squares of every (n, d) system in a stack: (..., n, d), (..., n) -> (..., d).
+def lstsq_stack(Z: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Least squares of every (n, d) system in a stack: solutions (..., d), singular values.
 
-    One call to the gufunc behind ``np.linalg.lstsq``, with the same
-    default ``rcond`` and the same error handling, so each solution has
-    the bits ``np.linalg.lstsq(Z[r], y[r], rcond=None)[0]`` would give
+    ``Z`` is (..., n, d) and ``y`` (..., n); the singular values of each
+    system are (..., min(n, d)).  One call to the gufunc behind
+    ``np.linalg.lstsq``, with the same default ``rcond`` and the same
+    error handling, so each result has the bits of
+    ``np.linalg.lstsq(Z[r], y[r], rcond=None)``'s ``[0]`` and ``[3]``
     without the wrapper's per-call Python overhead.
 
     Raises
@@ -96,37 +101,8 @@ def lstsq_stack(Z: np.ndarray, y: np.ndarray) -> np.ndarray:
     with np.errstate(
         call=_raise_svd_failure, invalid="call", over="ignore", divide="ignore", under="ignore"
     ):
-        x = _umath_linalg.lstsq(Z, y[..., None], rcond, signature="ddd->ddid")[0]
-    return x[..., 0]
-
-
-def _identified_grams(covariates: np.ndarray, offsets: np.ndarray, labels) -> np.ndarray:
-    """Each cluster's (1/n_j) * Z_j' Z_j, (R, q, d_z, d_z), after the identification check.
-
-    ``covariates`` is (R, n, d_z) with cluster j in rows ``offsets[j]:offsets[j + 1]``.
-    Per cluster, one ``matmul`` forms the matrices of all R datasets; one
-    ``svd`` call gives the conditioning of all R * q of them.
-
-    Raises
-    ------
-    IdentificationFailure
-        When a matrix is singular below ``RCOND_THRESHOLD`` -- e.g. a
-        covariate constant within the cluster, or n_j < d_z.  It names the
-        cluster and its reciprocal condition number, for the first failure
-        in (dataset, cluster) order, so checking the datasets one at a time
-        would raise the same one.
-    """
-    reps, q, d = covariates.shape[0], len(labels), covariates.shape[2]
-    grams = np.empty((reps, q, d, d), dtype=np.float64)
-    for j in range(q):
-        Z_j = covariates[:, offsets[j] : offsets[j + 1]]
-        grams[:, j] = np.matmul(Z_j.transpose(0, 2, 1), Z_j) / Z_j.shape[1]
-    rcond = reciprocal_condition(grams)
-    singular = ~np.isfinite(rcond) | (rcond < RCOND_THRESHOLD)
-    if singular.any():
-        r, j = divmod(int(np.argmax(singular)), q)
-        raise IdentificationFailure(labels[j], rcond[r, j])
-    return grams
+        x, _, _, sv = _umath_linalg.lstsq(Z, y[..., None], rcond, signature="ddd->ddid")
+    return x[..., 0], sv
 
 
 def fit_clusters(
@@ -135,16 +111,22 @@ def fit_clusters(
     """Least squares inside every cluster of R datasets with shared clusters, (R, q, d_z).
 
     ``outcomes`` is (R, n) and ``covariates`` (R, n, d_z); cluster j holds
-    rows ``offsets[j]:offsets[j + 1]`` of every dataset.  The identification
-    check (:func:`_identified_grams`, whose ``IdentificationFailure`` it
-    raises) runs before any fit; per cluster, one stacked least-squares call
-    (:func:`lstsq_stack`) fits all R datasets.
+    rows ``offsets[j]:offsets[j + 1]`` of every dataset, and one
+    :func:`lstsq_stack` call fits it in all R.  Raises ``IdentificationFailure``
+    for the first (dataset, cluster) whose :func:`gram_rcond` is below
+    ``RCOND_THRESHOLD``, e.g. with a covariate constant in the cluster or n_j < d_z.
     """
-    _identified_grams(covariates, offsets, labels)
-    betas = np.empty((outcomes.shape[0], len(labels), covariates.shape[2]), dtype=np.float64)
-    for j in range(len(labels)):
+    reps, q, d = outcomes.shape[0], len(labels), covariates.shape[2]
+    betas = np.empty((reps, q, d), dtype=np.float64)
+    rcond = np.empty((reps, q), dtype=np.float64)
+    for j in range(q):
         rows = slice(offsets[j], offsets[j + 1])
-        betas[:, j] = lstsq_stack(covariates[:, rows], outcomes[:, rows])
+        betas[:, j], sv = lstsq_stack(covariates[:, rows], outcomes[:, rows])
+        rcond[:, j] = gram_rcond(sv, d)
+    singular = rcond < RCOND_THRESHOLD
+    if singular.any():
+        r, j = divmod(int(np.argmax(singular)), q)
+        raise IdentificationFailure(labels[j], rcond[r, j])
     return betas
 
 
@@ -170,27 +152,34 @@ def fit_restricted(data: ClusteredDataset, hypothesis: LinearHypothesis) -> np.n
     SingularFullGram
         When the full-sample Gram matrix is numerically singular.
     ValueError
-        When the solution is not finite (c' A^{-1} c is denormal or 0).
+        When A overflows, or beta_r is not finite (c' A^{-1} c denormal or 0).
     """
     Z, y = data.covariates, data.outcomes
     c = hypothesis.contrast
     check_contrast_length(c, data.d_z)
-    A = Z.T @ Z
-    rc = reciprocal_condition(A)
-    if not np.isfinite(rc) or rc < RCOND_THRESHOLD:
+    beta, _, _, sv = np.linalg.lstsq(Z, y, rcond=None)
+    rc = gram_rcond(sv, data.d_z)
+    if rc < RCOND_THRESHOLD:
         raise SingularFullGram(
             f"full-sample Gram matrix is numerically singular (rcond {rc:.3e})"
         )
-    beta, _, _, _ = np.linalg.lstsq(Z, y, rcond=None)
+    with np.errstate(over="ignore", invalid="ignore"):
+        A = Z.T @ Z
+    if not np.isfinite(A).all():
+        raise ValueError("the full-sample Gram matrix overflows float64; "
+                         "rescale the outcome or the covariates")
     u = np.linalg.solve(A, c)
     gap = float(c @ beta) - hypothesis.value
     # a denormal or zero c'u overflows the step; the finiteness check refuses it
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        beta_r = beta - u * np.divide(gap, c @ u)
+        step = u * np.divide(gap, c @ u)
+        beta_r = beta - step
+        # the size of the terms summed in c'beta_r, which bounds its rounding
+        terms = float(np.abs(c) @ (np.abs(beta) + np.abs(step)))
     if not np.all(np.isfinite(beta_r)):  # a NaN would pass the constraint check
         raise ValueError("restricted fit must be finite")
     achieved = float(c @ beta_r)
-    scale = max(1.0, abs(hypothesis.value))
+    scale = max(1.0, abs(hypothesis.value), terms)
     if abs(achieved - hypothesis.value) > 1e-10 * scale:
         raise SingularFullGram(
             "restricted solution failed to satisfy the constraint "

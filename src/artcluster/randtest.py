@@ -31,13 +31,7 @@ import numpy as np
 
 from artcluster import kernels
 from artcluster.errors import DegenerateVariance, SingularSigma
-from artcluster.estimation import (
-    ClusterEstimates,
-    _identified_grams,
-    fit_per_cluster,
-    fit_restricted,
-    reciprocal_condition,
-)
+from artcluster.estimation import ClusterEstimates, fit_per_cluster, fit_restricted, gram_rcond
 from artcluster.groups import SignGroup, enumerate_group
 from artcluster.model import ClusteredDataset, LinearHypothesis, MultiHypothesis, check_contrast_length
 
@@ -117,17 +111,18 @@ def scores_via_restricted(
         c' Gram_j^{-1} (1/sqrt(n_j)) * sum_i Z_ij * r_ij,
     which equals sqrt(n_j) * (c'beta_j - value) from the per-cluster fits
     (:func:`scores_from_estimates`); exposed separately so the two
-    routes can be cross-checked.
+    routes can be cross-checked, and refuses clusters as ``fit_per_cluster`` does.
     """
     beta_r = fit_restricted(data, hypothesis)
-    grams = _identified_grams(data.covariates[None], data.offsets, data.labels)[0]
+    fit_per_cluster(data)
     residuals = data.outcomes - data.covariates @ beta_r
     out = np.empty(data.q, dtype=np.float64)
     for j in range(data.q):
         s = data.cluster_slice(j)
-        Z_j = data.covariates[s]
-        v = Z_j.T @ residuals[s] / np.sqrt(Z_j.shape[0])
-        out[j] = float(hypothesis.contrast @ np.linalg.solve(grams[j], v))
+        Z_j = data.covariates[None, s]
+        gram = (np.matmul(Z_j.transpose(0, 2, 1), Z_j) / Z_j.shape[1])[0]
+        v = Z_j[0].T @ residuals[s] / np.sqrt(Z_j.shape[1])
+        out[j] = float(hypothesis.contrast @ np.linalg.solve(gram, v))
     return out
 
 
@@ -158,8 +153,8 @@ def _wald_ingredients(
             "the scores' outer-product matrix overflows float64; "
             "rescale the outcome or the restriction"
         )
-    rc = reciprocal_condition(sigma)
-    if not np.isfinite(rc) or rc < 1e-12:
+    rc = gram_rcond(np.linalg.svd(scores, compute_uv=False), scores.shape[1])
+    if rc < 1e-12:
         raise SingularSigma(
             f"score outer-product matrix is numerically singular (rcond {rc:.3e})"
         )

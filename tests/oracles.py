@@ -328,23 +328,29 @@ def generate_loop(spec, replication: int) -> tuple[np.ndarray, np.ndarray]:
     return Z @ np.asarray(spec.beta) + eps, Z
 
 
+def gram_svd_rcond(Z_j) -> float:
+    """The earlier identification rule: sigma_min / sigma_max of (1/n_j) Z_j'Z_j by its own svd."""
+    gram = Z_j.T @ Z_j / Z_j.shape[0]
+    sv = np.linalg.svd(gram, compute_uv=False)
+    return 0.0 if sv[0] == 0.0 else float(sv[-1] / sv[0])
+
+
 def fit_loop(y, Z, sizes) -> np.ndarray:
-    """Per-cluster betas (q, d_z): one svd and lstsq per cluster.
+    """Per-cluster betas (q, d_z): one ``np.linalg.lstsq`` per cluster.
 
     Raises ``IdentificationFailure`` labelled with the index of the first
-    cluster whose Gram matrix fails the conditioning check.
+    cluster whose (s_min / s_max)^2, from the singular values ``lstsq``
+    returns, is below ``RCOND_THRESHOLD`` (0 when n_j < d_z).
     """
     q, d = len(sizes), Z.shape[1]
     offsets = np.concatenate([[0], np.cumsum(sizes)])
     betas = np.empty((q, d))
     for j in range(q):
         y_j, Z_j = y[offsets[j] : offsets[j + 1]], Z[offsets[j] : offsets[j + 1]]
-        gram = Z_j.T @ Z_j / Z_j.shape[0]
-        sv = np.linalg.svd(gram, compute_uv=False)
-        rc = 0.0 if sv[0] == 0.0 else float(sv[-1] / sv[0])
-        if not np.isfinite(rc) or rc < RCOND_THRESHOLD:
+        betas[j], _, _, sv = np.linalg.lstsq(Z_j, y_j, rcond=None)
+        rc = 0.0 if len(sv) < d or sv[0] == 0.0 else float(sv[-1] / sv[0]) ** 2
+        if rc < RCOND_THRESHOLD:
             raise IdentificationFailure(j, rc)
-        betas[j], _, _, _ = np.linalg.lstsq(Z_j, y_j, rcond=None)
     return betas
 
 

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from artcluster import (
@@ -14,9 +14,9 @@ from artcluster import (
     fit_restricted,
     scores_via_restricted,
 )
-from artcluster.estimation import ClusterEstimates, _identified_grams, fit_clusters, lstsq_stack
+from artcluster.estimation import RCOND_THRESHOLD, ClusterEstimates, fit_clusters, lstsq_stack
 from tests.conftest import random_contrast, random_dataset
-from tests.oracles import bits, fit_loop
+from tests.oracles import bits, fit_loop, gram_svd_rcond
 
 
 class TestFitPerCluster:
@@ -72,13 +72,6 @@ class TestFitPerCluster:
         oracle = np.linalg.inv(Z.T @ Z) @ (Z.T @ y)
         assert np.allclose(est.betas[0], oracle, rtol=1e-9)
 
-    def test_gram_definition(self, rng):
-        data = random_dataset(rng, q=4, d=2)
-        grams = _identified_grams(data.covariates[None], data.offsets, data.labels)[0]
-        for j in range(4):
-            Z_j = data.covariates[data.cluster_slice(j)]
-            assert np.allclose(grams[j], Z_j.T @ Z_j / Z_j.shape[0], rtol=1e-13)
-
     def test_linear_in_outcome_scale(self, rng):
         data = random_dataset(rng, q=5, d=3)
         est = fit_per_cluster(data)
@@ -119,16 +112,45 @@ class TestFitRestricted:
         with pytest.raises(SingularFullGram, match="^full-sample Gram matrix is numerically "):
             fit_restricted(data, LinearHypothesis(contrast=[1.0, 0.0], value=0.0))
 
-    def test_constraint_miss_refused(self):
-        # the Gram matrix passes its rcond check, but the outcome is of order
-        # 1e16: the projection step's rounding leaves c'beta_r about 0.4
-        # from the null value 0, past the absolute tolerance 1e-10
+    @pytest.mark.parametrize("scale", [1e8, 1e16])
+    def test_constraint_met_in_large_units(self, scale):
+        # with the outcome of order 1e16, the projection step's rounding
+        # leaves c'beta_r about 0.4 from the null value 0: a miss of 6e-17
+        # relative to the terms of c'beta_r, which set the tolerance
         t = np.arange(20.0)
         Z = np.column_stack([np.ones(20), t, t * t])
-        data = canonicalize(np.repeat([1, 2, 3, 4], 5), 1e16 * np.sin(t), Z)
+        h = LinearHypothesis(contrast=[1.0, 1.0, 1.0], value=0.0)
+        unit = fit_restricted(canonicalize(np.repeat([1, 2, 3, 4], 5), np.sin(t), Z), h)
+        data = canonicalize(np.repeat([1, 2, 3, 4], 5), scale * np.sin(t), Z)
+        assert np.allclose(fit_restricted(data, h), scale * unit, rtol=1e-9)
+
+    def test_overflowing_projection_refused(self):
+        # c'A^{-1}c = 1e300 / 2.8e-31 overflows to inf, so the step is 0 and
+        # beta_r = beta misses the constraint by c'beta = 1.2e166
+        z = 1e-16 * np.array([1.0, 2.0, -1.5, 0.5, 3.0, -2.0, 1.0, 2.5])
+        data = canonicalize(np.repeat([1, 2], 4), np.arange(1.0, 9.0), z[:, None])
         with pytest.raises(SingularFullGram,
                            match="^restricted solution failed to satisfy the constraint "):
-            fit_restricted(data, LinearHypothesis(contrast=[1.0, 1.0, 1.0], value=0.0))
+            fit_restricted(data, LinearHypothesis(contrast=[1e150], value=0.0))
+
+    def test_outcome_in_large_units_accepted(self, rng):
+        data = random_dataset(rng, q=5, d=3)
+        scaled = canonicalize(data.row_labels(), 1e10 * data.outcomes, data.covariates)
+        for _ in range(10):
+            h = LinearHypothesis(contrast=random_contrast(rng, 3), value=0.0)
+            assert np.allclose(fit_restricted(scaled, h), 1e10 * fit_restricted(data, h),
+                               rtol=1e-9)
+
+    def test_overflowing_gram_refused_without_warning(self):
+        # the covariate x * 2^600 has a finite SVD, but Z'Z overflows
+        rng = np.random.default_rng(7)
+        data = canonicalize(np.repeat(np.arange(8), 5), rng.standard_normal(40),
+                            2.0**600 * rng.standard_normal((40, 1)))
+        h = LinearHypothesis(contrast=[1.0], value=0.0)
+        for call in (fit_restricted, scores_via_restricted):
+            with pytest.raises(ValueError, match="^the full-sample Gram matrix overflows float64; "
+                                                 "rescale the outcome or the covariates$"):
+                call(data, h)
 
     def test_single_coefficient_pinned(self, rng):
         data = random_dataset(rng, q=3, d=1)
@@ -226,6 +248,18 @@ class TestClusterScores:
             direct = np.sqrt(data.sizes) * (est.betas @ c - lam)
             assert np.allclose(via_scores, direct, rtol=1e-9, atol=1e-12)
 
+    def test_singular_cluster_refused_as_by_per_cluster_fit(self):
+        # intercept plus a covariate constant inside cluster "b"
+        x = np.array([0.0, 1.0, 2.0, 3.0, 5.0, 5.0, 5.0, 5.0, 1.0, 4.0, 2.0, 8.0])
+        Z = np.column_stack([np.ones(12), x])
+        data = canonicalize(np.repeat(["a", "b", "c"], 4), np.sin(np.arange(12.0)), Z)
+        with pytest.raises(IdentificationFailure) as restricted:
+            scores_via_restricted(data, LinearHypothesis(contrast=[0.0, 1.0], value=0.0))
+        with pytest.raises(IdentificationFailure) as per_cluster:
+            fit_per_cluster(data)
+        assert restricted.value.label == "b"
+        assert str(restricted.value) == str(per_cluster.value)
+
     def test_matches_explicit_inverse_oracle(self, rng):
         data = random_dataset(rng, q=5, d=3)
         c = random_contrast(rng, 3)
@@ -317,9 +351,58 @@ class TestFitClusters:
                 want = np.linalg.lstsq(Z[r, rows], y[r, rows], rcond=None)[0]
                 assert np.array_equal(bits(betas[r, j]), bits(want))
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        shape=st.tuples(st.integers(1, 3), st.integers(1, 9), st.integers(1, 4)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_lstsq_stack_returns_public_lstsq_bits(self, shape, seed):
+        # solutions and singular values; n < d leaves min(n, d) singular values
+        reps, n, d = shape
+        rng = np.random.default_rng(seed)
+        Z = rng.standard_normal((reps, n, d))
+        y = rng.standard_normal((reps, n))
+        x, sv = lstsq_stack(Z, y)
+        for r in range(reps):
+            want = np.linalg.lstsq(Z[r], y[r], rcond=None)
+            assert np.array_equal(bits(x[r]), bits(want[0]))
+            assert np.array_equal(bits(sv[r]), bits(want[3]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        d=st.integers(2, 4),
+        extra_rows=st.integers(0, 12),
+        decades=st.floats(-0.5, 0.5),
+        shift=st.integers(-200, 200),
+        exponents=st.lists(st.integers(-2, 2), min_size=4, max_size=4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_identification_agrees_with_gram_svd_rule(
+        self, d, extra_rows, decades, shift, exponents, seed
+    ):
+        # a cluster with singular values from 1 to sqrt(RCOND_THRESHOLD * 10^decades),
+        # its columns scaled by 2^(shift + e_k), next to a well-conditioned cluster
+        rng = np.random.default_rng(seed)
+        n = d + extra_rows
+        U, _ = np.linalg.qr(rng.standard_normal((n, d)))
+        V, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        s = np.geomspace(1.0, np.sqrt(RCOND_THRESHOLD * 10.0**decades), d)
+        Z_j = (U * s) @ V.T * 2.0 ** (shift + np.array(exponents[:d]))
+        Z = np.vstack([Z_j, rng.standard_normal((d + 2, d))])
+        y = rng.standard_normal(Z.shape[0])
+        want = gram_svd_rcond(Z_j)
+        assume(abs(want - RCOND_THRESHOLD) > 1e-4 * RCOND_THRESHOLD)
+        offsets = np.array([0, n, Z.shape[0]])
+        if want < RCOND_THRESHOLD:
+            with pytest.raises(IdentificationFailure) as err:
+                fit_clusters(y[None], Z[None], offsets, ("a", "b"))
+            assert err.value.label == "a"
+        else:
+            fit_clusters(y[None], Z[None], offsets, ("a", "b"))
+
     def test_svd_failure_raises_numpy_error(self, rng):
-        # fit_clusters' rcond check stops a NaN before it reaches the
-        # solver, so the stacked call is fed one directly
+        # canonicalize refuses a NaN before any fit, so the stacked call
+        # is fed one directly; fit_clusters would raise the same error
         Z = rng.standard_normal((3, 8, 2))
         y = rng.standard_normal((3, 8))
         Z[1, 4, 1] = np.nan
