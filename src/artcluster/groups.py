@@ -86,10 +86,13 @@ class SignGroup:
     ``ValueError``, naming ``draws_name``, when the group would need more
     than 1 GiB: B * 50 bytes, plus 2^14 * (3q + 48) for one chunk's bytes,
     flips and signs and three (2, 2^14) float64 temporaries.  A sampled
-    ``ci`` holds 41 B per draw (a(g), b(g), the two bounds, the quantile's
-    copy and the +-identity mask) over about 9 MB for numpy's random module
-    and the command, so 50 B per draw covers its peak from about 1M draws
-    up (50 MB over the import floor at 1M draws, at every q).
+    ``ci`` holds 41 B per draw (a(g), b(g), the two bounds, the interval
+    quantile's copy and the +-identity mask) over about 9 MB for numpy's
+    random module and the command, so 50 B per draw covers its peak from
+    about 1M draws up (50 MB over the import floor at 1M draws, at every
+    q).  A sampled ``test`` holds 9 B per draw: the engine decides its
+    means in place, with no quantile copy, and compares one side of
+    them at a time.
 
     Attributes
     ----------
@@ -165,6 +168,22 @@ class SignGroup:
         group axis is last, so each value column gets one contiguous row
         of m means.  Values whose signed means could overflow raise
         ``ValueError`` (:func:`check_score_sums`), so every mean is finite.
+        This is the one-chunk case of :meth:`sweep_chunks`.
+        """
+        values = np.asarray(values, dtype=np.float64)
+        (means,) = self.sweep_chunks(values[:, None] if values.ndim == 1 else values)
+        return means.reshape(*values.shape[1:], self.rows)
+
+    def sweep_chunks(self, values: np.ndarray, statistics: int | None = None):
+        """Sweep a (q, k) block of values in chunks of columns, yielding each chunk's (w, m) means.
+
+        A chunk holds w = max(1, ``statistics`` // m) columns, the last one
+        fewer, and a block of no columns is one empty chunk; without
+        ``statistics`` the whole block is one chunk.  The overflow guard
+        runs once on the block.  An exhaustive sweep doubles across all k
+        columns while a level holds at most ``statistics`` sums, and each
+        chunk continues the doubling from its columns of those shared
+        head rows; the means have the bits of sweeping each column alone.
         """
         values = np.asarray(values, dtype=np.float64)
         if values.shape[0] != self.q:
@@ -172,17 +191,33 @@ class SignGroup:
                 f"values have {values.shape[0]} entries but the group acts on q = {self.q}"
             )
         check_score_sums(values)
+        k = values.shape[1]
+        budget = k * self.rows if statistics is None else statistics
+        width = max(1, min(budget // self.rows, k))
         if self.mode == "exhaustive":
-            return kernels.exhaustive_means(values)
-        out = np.empty((*values.shape[1:], self.draws))
-        out[..., :1] = kernels.group_means(np.ones((1, self.q), dtype=np.int8), values)
+            # the head's level over the first ``lead`` rows holds k * 2^(lead-1) sums
+            lead = min(self.q, max(1, (budget // max(k, 1)).bit_length()))
+            head = kernels.exhaustive_sums(values[:lead])
+        for start in range(0, max(k, 1), width):
+            columns = values[:, start : start + width]
+            if self.mode == "sampled":
+                yield self._sampled_means(columns)
+            else:
+                means = kernels.continue_doubling(head[start : start + width], columns[lead:])
+                means /= self.q
+                yield means
+
+    def _sampled_means(self, values: np.ndarray) -> np.ndarray:
+        """The (p, draws) means of (q, p) values, regenerating the rows a chunk at a time."""
+        out = np.empty((values.shape[1], self.draws))
+        out[:, :1] = kernels.group_means(np.ones((1, self.q), dtype=np.int8), values)
         bits = np.random.Philox(key=self.seed)
         for start in range(1, self.draws, _CHUNK_ROWS):
             stop = min(start + _CHUNK_ROWS, self.draws)
             n = (stop - start) * self.q
             flips = bits.random_raw(-(-n // 8)).astype("<u8", copy=False).view(np.uint8)[:n]
             flips = (flips >> 7).view(np.int8).reshape(stop - start, self.q)
-            out[..., start:stop] = kernels.group_means(1 - 2 * flips, values)
+            out[:, start:stop] = kernels.group_means(1 - 2 * flips, values)
         return out
 
 

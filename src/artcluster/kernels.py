@@ -1,14 +1,17 @@
 """Hot numeric kernels: sweeping statistics over a sign group.
 
-:func:`exhaustive_means` sweeps the first half of the exhaustive group,
-the 2^(q-1) sign vectors with g_0 = +1, by prefix-sum doubling without
-ever building a sign matrix; :func:`group_means` sweeps an int8 sign
-matrix, such as one chunk of a sampled group's rows.  Both return the
-signed means of (q,) values as (m,), and of (q, p) values as (p, m), one
-contiguous row per value column.  :func:`group_wald_quadratic` turns
-swept (p, m) means into the multi-row quadratic form and
-:func:`interval_bounds` gives each row's interval bounds, the min and
-max of the two points where its V-shaped map crosses the identity's.
+:func:`exhaustive_sums` and :func:`continue_doubling` sweep the first
+half of the exhaustive group, the 2^(q-1) sign vectors with g_0 = +1, by
+prefix-sum doubling without ever building a sign matrix: the first
+doubles a block's leading rows for all its columns at once, the second
+finishes a chunk of columns from those shared sums.  :func:`group_means`
+sweeps an int8 sign matrix, such as one chunk of a sampled group's rows.
+Both give the signed sums or means of (q,) values as (m,), and of (q, p)
+values as (p, m), one contiguous row per value column.
+:func:`group_wald_quadratic` turns swept (p, m) means into the multi-row
+quadratic form and :func:`interval_bounds` gives each row's interval
+bounds, the min and max of the two points where its V-shaped map
+crosses the identity's.
 
 The accumulation order is fixed -- columns left to right starting from
 +0.0, then the quadratic form row by row -- so results are reproducible
@@ -20,7 +23,8 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "exhaustive_means",
+    "continue_doubling",
+    "exhaustive_sums",
     "group_means",
     "group_wald_quadratic",
     "interval_bounds",
@@ -41,16 +45,29 @@ __all__ = [
 # row adding its own value, and (q,) values double one row.
 
 
-def exhaustive_means(values: np.ndarray) -> np.ndarray:
-    """Mean of sign-flipped values for the 2^(q-1) sign vectors with g_0 = +1, in order."""
+def exhaustive_sums(values: np.ndarray) -> np.ndarray:
+    """Signed sums of (n, p) values for the 2^(n-1) sign vectors with g_0 = +1, (p, 2^(n-1)).
+
+    The first row's g_0 = +1 sums, doubled over rows 1..n-1; a sweep
+    divides the finished sums by q.
+    """
     v = np.asarray(values, dtype=np.float64)
-    sums = 0.0 + v[:1].T  # the first level's g_0 = +1 row, doubled over columns 1..q-1
-    for x in v[1:, ..., None]:
-        level = np.empty((*v.shape[1:], 2 * sums.shape[-1]))
+    return continue_doubling(0.0 + v[:1].T, v[1:])
+
+
+def continue_doubling(sums: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Double (p, r) partial sums across each row of (n, p) values, to (p, r * 2^n).
+
+    ``sums`` are the signed sums over the rows before ``values``.  Each
+    value column doubles its own row of sums, so doubling a slice of the
+    columns gives that slice of the whole result, with the same bits.
+    With no rows left, ``sums`` itself is returned.
+    """
+    for x in values[..., None]:
+        level = np.empty((*sums.shape[:-1], 2 * sums.shape[-1]))
         np.add(sums, x, out=level[..., 0::2])
         np.subtract(sums, x, out=level[..., 1::2])
         sums = level
-    sums /= v.shape[0]
     return sums
 
 

@@ -8,7 +8,11 @@ An exhaustive group sweeps only its rows with g_0 = +1, each standing
 for itself and its negation (same bits): the whole group's k-th smallest
 is the half's ceil(k/2)-th, the half's own quantile, and tie shares agree.
 One engine, :func:`run_test_columns`, tests a (q, k) block of score
-vectors -- k null values or k replications -- in a single sweep.
+vectors -- k null values or k replications -- in one sweep, chunk by
+chunk.  :func:`decide` decides each chunk in place: it partitions each
+test's row of statistics around its critical value and counts ties only
+on the side of the partition that can reach the threshold, with no copy
+of the row.  :func:`run_wald_test` decides its statistics with it too.
 
 Tie handling: indicator comparisons use exact ``>=`` on doubles after
 snapping values within ``1e-12 * max(1, |T|)`` of the observed statistic
@@ -210,25 +214,51 @@ def pvalue_from_statistics(statistics: np.ndarray, observed):
 # ------------------------------------------------------------------ #
 
 # The engine sweeps at most this many statistics at once, i.e. chunks of
-# max(1, 2^15 // m) score columns, m = ``group.rows``, so each of a chunk's
-# temporaries holds at most max(2^15, m) float64 entries: 256 kB for groups of up
-# to 2^15 rows, one column of m entries (8 MB at m = 2^20) above that.
-# A chunk's sweep is (columns, m), one contiguous row of m statistics per
-# score column, so the quantile and the count decide it in place.  Timing
-# 2^12-2^18 on the engine of a perfbench ``inversion`` instance (q = 10,
-# 4001 columns) found 2^15 and 2^16 within 10% of each other and faster
-# than the rest; 2^15 holds half the memory.
-_CHUNK_STATISTICS = 2**15
+# max(1, 2^16 // m) score columns, m = ``group.rows``, so each of a chunk's
+# temporaries holds at most max(2^16, m) float64 entries: 512 kB for groups of
+# up to 2^16 rows, one column of m entries (4 MB at m = 2^19) above that.  An
+# exhaustive sweep's shared head rows (:meth:`SignGroup.sweep_chunks`) hold at
+# most as many.  A chunk's sweep is (columns, m), one contiguous row of m
+# statistics per score column, and :func:`decide` decides it in place.
+# Timing 2^12-2^18 on the perfbench ``inversion`` op (q = 10, 4001 columns,
+# 4 instances; medians of 7 rounds on a 2-vCPU container) gave passes of
+# 142, 80, 59, 50, 46, 53 and 62 ms: 2^16 is the fastest.
+_CHUNK_STATISTICS = 2**16
 
 
-def _decide(stats: np.ndarray, alpha: float) -> tuple:
-    """Observed statistic, critical value and p-value of swept statistics.
+def decide(stats: np.ndarray, alpha: float) -> np.ndarray:
+    """Observed statistic, critical value and p-value of each row of a (w, m) block, as (3, w).
 
-    ``stats`` holds the m group statistics of one test as (m,), or of k
-    tests as the rows of a (k, m) block; entry 0 of a row is the observed one.
+    Entry 0 of a row is its observed statistic, and no entry is NaN.  Each
+    row is partitioned in place around its critical value, its k-th
+    smallest entry for k = ``order_statistic_index(m, 1 - alpha)``, so the
+    tie-snapped count can differ from the threshold on one side only.  With
+    the threshold above the critical value, the count is the entries past
+    it that reach the threshold; otherwise it is the m - k + 1 entries at
+    or above the critical value plus the entries before it that reach the
+    threshold.  The values are :func:`critical_value` and
+    :func:`pvalue_from_statistics` of each row.
     """
-    observed = stats[..., 0]
-    return observed, critical_value(stats, 1.0 - alpha), pvalue_from_statistics(stats, observed)
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("level must lie in (0, 1)")
+    m = stats.shape[1]
+    k = order_statistic_index(m, 1.0 - alpha)
+    out = np.empty((3, stats.shape[0]))
+    observed, crit, count = out
+    observed[:] = stats[:, 0]
+    stats.partition(k - 1, axis=1)
+    crit[:] = stats[:, k - 1]
+    thresh = (observed - snap_tolerance(observed))[:, None]
+    above = thresh[:, 0] > crit
+    for rows, side, known in ((above, slice(k, m), 0), (~above, slice(0, k - 1), m - k + 1)):
+        n = np.count_nonzero(rows)
+        if n == len(stats):  # every row: count on views, no copy
+            np.add.reduce(stats[:, side] >= thresh, axis=1, out=count)
+            count += known
+        elif n:
+            count[rows] = known + np.add.reduce(stats[rows, side] >= thresh[rows], axis=1)
+    count /= m
+    return out
 
 
 def _studentize(values: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -282,11 +312,12 @@ def run_test_columns(
     """
     check_variant(variant)
     values = np.asarray(values, dtype=np.float64)
-    width = max(1, min(_CHUNK_STATISTICS // group.rows, values.shape[1]))
     out = np.empty((3, values.shape[1]))
-    for start in range(0, values.shape[1], width):
-        means = group.sweep(values[:, start : start + width])
-        out[:, start : start + width] = _decide(np.abs(means, out=means), alpha)
+    start = 0
+    for means in group.sweep_chunks(values, _CHUNK_STATISTICS):
+        stop = start + means.shape[0]
+        out[:, start:stop] = decide(np.abs(means, out=means), alpha)
+        start = stop
     if variant == "studentized":
         out[:2] = _studentize(values, out[:2])
         if not np.all(np.isfinite(out[0])):
@@ -373,9 +404,15 @@ def run_wald_test(
     if sigma_inv is None:
         stats = np.zeros(group.rows, dtype=np.float64)
     else:
-        stats = kernels.group_wald_quadratic(means, sigma_inv, estimates.q)
-    statistic, crit, p_value = _decide(stats, alpha)
-    if hypothesis.p == 1:
-        t = np.abs(means[0])
-        p_value = pvalue_from_statistics(t, t[0])
+        with np.errstate(over="ignore", invalid="ignore"):
+            stats = kernels.group_wald_quadratic(means, sigma_inv, estimates.q)
+        if not np.isfinite(stats).all():  # decide needs statistics without NaN
+            raise ValueError(
+                "the Wald statistics are not finite: the scores' outer-product matrix "
+                "underflows float64; rescale the outcome or the restriction"
+            )
+    # a one-row restriction takes its p-value from the |mean| row, the last
+    rows = stats[None] if hypothesis.p > 1 else np.stack([stats, np.abs(means[0])])
+    decided = decide(rows, alpha)
+    statistic, crit, p_value = decided[0, 0], decided[1, 0], decided[2, -1]
     return TestResult(statistic, crit, p_value, alpha, group, "wald")

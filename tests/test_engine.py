@@ -9,6 +9,7 @@ critical value from the studentized oracle and its p-value from the
 unstudentized one (the p-value does not depend on studentization).
 """
 
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -16,11 +17,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from artcluster import DegenerateVariance, fit_per_cluster, randtest
+from artcluster import (
+    DegenerateVariance,
+    MultiHypothesis,
+    canonicalize,
+    fit_per_cluster,
+    kernels,
+    randtest,
+)
 from artcluster.groups import SignGroup
 from artcluster.intervals import default_inversion_grid, inversion_scan
-from artcluster.randtest import run_test_columns
-from tests.oracles import bit_expansion_signs, bits, decision_loop, sampled_signs
+from artcluster.randtest import _wald_ingredients, run_test_columns, run_wald_test
+from tests.oracles import (
+    bit_expansion_signs,
+    bits,
+    column_loop_means,
+    decision_loop,
+    sampled_signs,
+    sort_critical_value,
+    wald_quadratic_loop,
+)
 from tests.test_acceptance import make_instance
 
 
@@ -114,7 +130,7 @@ class TestEngineMatchesOracle:
     def test_chunk_edges_at_the_shipped_chunk(self):
         group, signs = exhaustive(8)
         step = chunk_width(group)
-        assert step == 2**15 // 2**7  # a sweep returns the 2^7 rows with g_0 = +1
+        assert step == 2**16 // 2**7  # a sweep returns the 2^7 rows with g_0 = +1
         values = score_block(np.random.default_rng(8), 8, step + 1, "tenths")
         expected = decision_loop(signs, values, 0.1)
         for k in (step - 1, step, step + 1):
@@ -143,6 +159,127 @@ class TestEngineMatchesOracle:
         got = run_test_columns(values, 0.1, group, "studentized")
         assert np.array_equal(bits(got[:2]), bits(studentized[:2]))
         assert np.array_equal(bits(got[2]), bits(plain[2]))
+
+
+def boundary_scores(q: int, gap: int) -> np.ndarray:
+    """Integer scores (v0, v1, 0, ..., 0) whose sweep takes two values, T and c, equally often.
+
+    T = (v0 + v1) / q is the observed |mean| and c = (v0 - v1) / q is the
+    tie threshold T - 1e-12 * T itself (``gap`` = 0) or the float one below
+    it (``gap`` = 1).  At alpha = 0.5 the critical value is c, so the
+    threshold equals it or lies one ulp above it: the two ways
+    ``randtest.decide`` counts.  Every sum of the sweep is exact.
+    """
+    # T in [2^51, 2^52), where floats are spaced 0.5: steps of 2^37 move
+    # the rounding of 1e-12 * T, so v0 and v1 come out whole for some j
+    for j in range(1, 4096):
+        t = 2.0**51 + 2.0**37 * j + 0.5 * (j % 7)
+        c = t - 1e-12 * t
+        for _ in range(gap):
+            c = float(np.nextafter(c, -np.inf))
+        v0, v1 = (Fraction(q, 2) * (Fraction(t) + s * Fraction(c)) for s in (1, -1))
+        if all(v.denominator == 1 and Fraction(float(v)) == v for v in (v0, v1)):
+            return np.array([float(v0), float(v1)] + [0.0] * (q - 2))
+    raise AssertionError("no exact boundary scores found")
+
+
+class TestConstructedDecisions:
+    """Constructed ties, chunk layouts and heads, each against ``decision_loop`` bit for bit."""
+
+    @pytest.mark.parametrize("q", [2, 4, 8])
+    @pytest.mark.parametrize("gap", [0, 1], ids=["at", "one-ulp-above"])
+    def test_threshold_at_or_one_ulp_above_the_critical_value(self, q, gap):
+        group, signs = exhaustive(q)
+        values = boundary_scores(q, gap)[:, None]
+        got = run_test_columns(values, 0.5, group)
+        statistic, crit, p_value = got[:, 0]
+        thresh = statistic - 1e-12 * statistic
+        assert thresh == (crit if gap == 0 else np.nextafter(crit, np.inf))
+        assert p_value == (1.0 if gap == 0 else 0.5)
+        assert np.array_equal(bits(got), bits(decision_loop(signs, values, 0.5)))
+
+    def test_both_counts_in_uniform_and_mixed_chunks(self, monkeypatch):
+        # chunks of two columns: (at, above) and (above, at) mix the two
+        # counts in one chunk, (at, at) and the last (above) take one each
+        group, signs = exhaustive(8)
+        monkeypatch.setattr(randtest, "_CHUNK_STATISTICS", 2 * group.rows)
+        pattern = [0, 1, 1, 0, 0, 0, 1]
+        values = np.stack([boundary_scores(8, gap) for gap in pattern], axis=1)
+        got = run_test_columns(values, 0.5, group)
+        assert np.array_equal(got[2], [1.0 if gap == 0 else 0.5 for gap in pattern])
+        assert np.array_equal(bits(got), bits(decision_loop(signs, values, 0.5)))
+
+    @pytest.mark.parametrize(
+        "q,k,chunk,lead",
+        [
+            (8, 1, None, 8),  # one score vector: the head is the whole sweep
+            (6, 20, None, 6),  # all 20 columns in one chunk of 20 * 2^5 sums
+            (10, 20, 2**8, 4),  # a head of 8 rows, then one column per chunk
+            (8, 600, 2**8, 1),  # 600 columns exceed the chunk: a head of one row
+            (2, 5, None, 2),
+            (2, 5, 2, 1),
+        ],
+    )
+    @pytest.mark.parametrize("kind", ["integer", "tenths"])
+    def test_heads_and_chunks(self, q, k, chunk, lead, kind, monkeypatch):
+        if chunk is not None:
+            monkeypatch.setattr(randtest, "_CHUNK_STATISTICS", chunk)
+        heads, exhaustive_sums = [], kernels.exhaustive_sums
+
+        def spy(values):
+            heads.append(values.shape[0])
+            return exhaustive_sums(values)
+
+        monkeypatch.setattr(kernels, "exhaustive_sums", spy)
+        group, signs = exhaustive(q)
+        values = score_block(np.random.default_rng(q * k), q, k, kind)
+        got = run_test_columns(values, 0.1, group)
+        assert heads == [lead]
+        assert np.array_equal(bits(got), bits(decision_loop(signs, values, 0.1)))
+
+    @pytest.mark.parametrize("variant", ["unstudentized", "studentized"])
+    @pytest.mark.parametrize("draws", [300, 2**14 + 5])
+    def test_sampled_groups_on_integer_ties(self, variant, draws, monkeypatch):
+        # 2^10 statistics per chunk: three columns per chunk at 300 draws,
+        # and one column of 2^14 + 5 draws, which span two row chunks
+        monkeypatch.setattr(randtest, "_CHUNK_STATISTICS", 2**10)
+        q = 9
+        group = SignGroup(q, "sampled", seed=draws, draws=draws)
+        signs = sampled_signs(q, draws, draws)
+        values = score_block(np.random.default_rng(draws), q, 8, "integer")
+        values[0, np.all(values == values[:1], axis=0)] += 1.0
+        got = run_test_columns(values, 0.1, group, variant)
+        expected = decision_loop(signs, values, 0.1)
+        if variant == "studentized":
+            expected[:2] = decision_loop(signs, values, 0.1, variant)[:2]
+        assert np.array_equal(bits(got), bits(expected))
+
+    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("alpha", [0.05, 0.3])
+    def test_wald_on_tied_clusters(self, p, alpha):
+        # eight clusters copied from three, some with the outcome negated,
+        # which negates their scores exactly: flipping a cluster and its
+        # negated copy together ties the observed statistic, up to rounding
+        rng = np.random.default_rng(p)
+        base = [(rng.standard_normal((12, 3)), rng.standard_normal(12)) for _ in range(3)]
+        picks = [(0, 1), (0, -1), (1, 1), (1, -1), (2, 1), (0, 1), (1, 1), (2, 1)]
+        Z = np.concatenate([base[i][0] for i, _ in picks])
+        y = np.concatenate([sign * base[i][1] for i, sign in picks])
+        data = canonicalize(np.repeat(np.arange(8), 12), y, Z)
+        mh = MultiHypothesis(restriction=np.eye(3)[:p], values=np.zeros(p))
+        group, signs = exhaustive(8)
+        result = run_wald_test(data, mh, alpha, group)
+        scores, sigma_inv = _wald_ingredients(fit_per_cluster(data), mh)
+        stats = wald_quadratic_loop(signs, scores, sigma_inv)
+        tol = 1e-12 * max(1.0, stats[0])
+        assert np.count_nonzero(np.abs(stats - stats[0]) <= tol) > 2  # beyond +-identity
+        assert bits(result.statistic) == bits(stats[0])
+        assert bits(result.critical_value) == bits(sort_critical_value(stats, 1.0 - alpha))
+        if p == 1:  # the p-value is the |mean| test's
+            expected = decision_loop(signs, scores, alpha)[2, 0]
+        else:
+            expected = np.count_nonzero(stats >= stats[0] - 1e-12 * max(1.0, stats[0])) / stats.size
+        assert bits(result.p_value) == bits(expected)
 
 
 class TestDegenerateColumns:

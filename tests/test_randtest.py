@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from artcluster import (
+    ClusteredDataset,
     DegenerateVariance,
     LinearHypothesis,
     MultiHypothesis,
@@ -193,6 +194,17 @@ class TestWaldStatistic:
         mh = MultiHypothesis(restriction=np.eye(3)[1:], values=values)
         with pytest.raises(ValueError, match="outer-product matrix overflows float64"):
             run_wald_test(data, mh, 0.1, SignGroup(8, "exhaustive"))
+
+    # an outcome of order 1e-155 or 1e-160 gives scores whose squares fall
+    # below the smallest normal float: the inverse outer-product matrix
+    # overflows and the quadratic form is NaN, which is refused, not decided
+    @pytest.mark.parametrize("scale", [1e-155, 1e-160])
+    def test_underflowing_outer_product_refused(self, rng, scale):
+        data = random_dataset(rng, q=8, d=3)
+        tiny = ClusteredDataset(data.outcomes * scale, data.covariates, data.sizes, data.labels)
+        mh = MultiHypothesis(restriction=np.eye(3)[1:], values=np.zeros(2))
+        with pytest.raises(ValueError, match="Wald statistics are not finite"):
+            run_wald_test(tiny, mh, 0.1, SignGroup(8, "exhaustive"))
 
     def test_wrong_width_restriction_refused(self, rng):
         # the scores' one contrast-length check refuses it, after the fits

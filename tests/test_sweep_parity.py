@@ -102,8 +102,25 @@ class TestDoublingSweep:
     def test_vector_matches_column_loop(self, values):
         group = SignGroup(values.shape[0], "exhaustive")
         expected = oracle_means(group, values)
-        assert np.array_equal(bits(kernels.exhaustive_means(values)), bits(expected))
         assert np.array_equal(bits(group.sweep(values)), bits(expected))
+        # doubling on from the sums over any number of leading rows
+        q = values.shape[0]
+        for lead in range(1, q + 1):
+            head = kernels.exhaustive_sums(values[:lead])
+            got = kernels.continue_doubling(head, values[lead:]) / q
+            assert np.array_equal(bits(got), bits(expected)), f"lead={lead}"
+
+    @settings(max_examples=80, deadline=None)
+    @given(values=matrices(), statistics=st.integers(1, 2**14))
+    def test_chunks_match_column_loop(self, values, statistics):
+        """Every head, from one row to the whole sweep, and every chunk width give the same bits."""
+        group = SignGroup(values.shape[0], "exhaustive")
+        chunks = list(group.sweep_chunks(values, statistics))
+        width = max(1, statistics // group.rows)
+        assert [len(c) for c in chunks[:-1]] == [width] * (len(chunks) - 1)
+        assert all(c.flags.c_contiguous for c in chunks)
+        got = np.concatenate(chunks)
+        assert np.array_equal(bits(got), bits(oracle_means(group, values)))
 
     @settings(max_examples=80, deadline=None)
     @given(values=matrices())
@@ -134,6 +151,8 @@ class TestDoublingSweep:
             SignGroup(4, "exhaustive").sweep(np.ones(5))
         with pytest.raises(ValueError):
             SignGroup(4, "sampled", seed=0, draws=10).sweep(np.ones(3))
+        with pytest.raises(ValueError, match="values have 0 entries"):
+            SignGroup(4, "exhaustive").sweep(np.ones(0))
 
 
 class TestWald:
