@@ -7,6 +7,7 @@ and explicit matrix inversion appears only in test oracles.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -145,18 +146,19 @@ def fit_restricted(data: ClusteredDataset, hypothesis: LinearHypothesis) -> np.n
 
     Computed in closed form by projecting the unrestricted solution:
     beta_r = beta - A^{-1} c (c'beta - value) / (c' A^{-1} c) with A the
-    full-sample Gram matrix.
+    full-sample Gram matrix.  The step is scale-free in (c, value), so both
+    are scaled exactly by the power of two that puts c' A^{-1} c, of units
+    c^2 / A, near 1: neither it nor the step's factor overflows.
 
     Raises
     ------
     SingularFullGram
         When the full-sample Gram matrix is numerically singular.
     ValueError
-        When A overflows, or beta_r is not finite (c' A^{-1} c denormal or 0).
+        When A overflows or underflows, or beta_r is not finite.
     """
     Z, y = data.covariates, data.outcomes
-    c = hypothesis.contrast
-    check_contrast_length(c, data.d_z)
+    check_contrast_length(hypothesis.contrast, data.d_z)
     beta, _, _, sv = np.linalg.lstsq(Z, y, rcond=None)
     rc = gram_rcond(sv, data.d_z)
     if rc < RCOND_THRESHOLD:
@@ -168,21 +170,26 @@ def fit_restricted(data: ClusteredDataset, hypothesis: LinearHypothesis) -> np.n
     if not np.isfinite(A).all():
         raise ValueError("the full-sample Gram matrix overflows float64; "
                          "rescale the outcome or the covariates")
+    if A.diagonal().min() < np.finfo(np.float64).tiny:
+        raise ValueError("the full-sample Gram matrix underflows float64; rescale the covariates")
+    e = (math.frexp(float(A.diagonal().max()))[1] // 2
+         - math.frexp(float(np.abs(hypothesis.contrast).max()))[1])
+    c = np.ldexp(hypothesis.contrast, e)
     u = np.linalg.solve(A, c)
-    gap = float(c @ beta) - hypothesis.value
-    # a denormal or zero c'u overflows the step; the finiteness check refuses it
+    # a value that overflows once scaled overflows the step; the finiteness check refuses it
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        step = u * np.divide(gap, c @ u)
+        value = float(np.ldexp(hypothesis.value, e))
+        step = u * np.divide(float(c @ beta) - value, c @ u)
         beta_r = beta - step
         # the size of the terms summed in c'beta_r, which bounds its rounding
         terms = float(np.abs(c) @ (np.abs(beta) + np.abs(step)))
     if not np.all(np.isfinite(beta_r)):  # a NaN would pass the constraint check
         raise ValueError("restricted fit must be finite")
     achieved = float(c @ beta_r)
-    scale = max(1.0, abs(hypothesis.value), terms)
-    if abs(achieved - hypothesis.value) > 1e-10 * scale:
+    scale = max(1.0, abs(value), terms)
+    if abs(achieved - value) > 1e-10 * scale:
         raise SingularFullGram(
             "restricted solution failed to satisfy the constraint "
-            f"(reached {achieved!r}, wanted {hypothesis.value!r})"
+            f"(reached {achieved!r}, wanted {value!r}, both scaled by 2^{e})"
         )
     return beta_r

@@ -24,6 +24,9 @@ snapped on that scale.  The studentized statistic is an increasing
 function of ``|mean|`` under every sign change, so the engine maps only
 the observed statistic and the critical value onto the studentized
 scale; its p-value is the unstudentized one by construction.
+The studentized spread and the Wald form are scale-free: their values are
+scaled by 2^e, e minus the ``np.frexp`` exponent of their largest
+magnitude, so no square overflows or underflows, and nothing is scaled back.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ import numpy as np
 from artcluster import kernels
 from artcluster.errors import DegenerateVariance, SingularSigma
 from artcluster.estimation import ClusterEstimates, fit_per_cluster, fit_restricted, gram_rcond
-from artcluster.groups import SignGroup, enumerate_group
+from artcluster.groups import SignGroup, check_score_sums, enumerate_group
 from artcluster.model import ClusteredDataset, LinearHypothesis, MultiHypothesis, check_contrast_length
 
 __all__ = [
@@ -115,7 +118,7 @@ def scores_via_restricted(
         c' Gram_j^{-1} (1/sqrt(n_j)) * sum_i Z_ij * r_ij,
     which equals sqrt(n_j) * (c'beta_j - value) from the per-cluster fits
     (:func:`scores_from_estimates`); exposed separately so the two
-    routes can be cross-checked, and refuses clusters as ``fit_per_cluster`` does.
+    routes can be cross-checked; refuses clusters as ``fit_per_cluster`` does.
     """
     beta_r = fit_restricted(data, hypothesis)
     fit_per_cluster(data)
@@ -125,6 +128,9 @@ def scores_via_restricted(
         s = data.cluster_slice(j)
         Z_j = data.covariates[None, s]
         gram = (np.matmul(Z_j.transpose(0, 2, 1), Z_j) / Z_j.shape[1])[0]
+        if gram.diagonal().min() < np.finfo(np.float64).tiny:
+            raise ValueError(f"the Gram matrix of cluster {data.labels[j]!r} underflows float64; "
+                             "rescale the covariates")
         v = Z_j[0].T @ residuals[s] / np.sqrt(Z_j.shape[1])
         out[j] = float(hypothesis.contrast @ np.linalg.solve(gram, v))
     return out
@@ -137,32 +143,28 @@ def scores_via_restricted(
 
 def _wald_ingredients(
     estimates: ClusterEstimates, hypothesis: MultiHypothesis
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Per-cluster multi-row scores, weighted by sqrt(n), and the inverse outer-product matrix.
+) -> tuple[np.ndarray, np.ndarray | None, int]:
+    """Per-cluster multi-row scores weighted by sqrt(n), the inverse outer-product matrix, and e.
 
-    The outer-product matrix is built from unsigned scores (sign flips
-    leave it unchanged).  Returns ``(scores, None)`` in the degenerate
-    all-zero-score case, where the statistic is identically zero.  Scores
-    whose outer-product matrix overflows raise ``ValueError``.
+    The matrix is built from the unsigned scores scaled by 2^e, e minus the
+    exponent of their largest magnitude, and a caller scales the swept means
+    by 2^e too.  Returns ``(scores, None, 0)`` when every score is zero, and
+    refuses non-finite scores as the sweep does (``ValueError``).
     """
     scores = weighted_scores(  # (q, p)
         estimates.betas, estimates.sizes, hypothesis.restriction.T, hypothesis.values, "root_n"
     )
+    check_score_sums(scores)
     if not scores.any():
-        return scores, None
-    with np.errstate(over="ignore", invalid="ignore"):
-        sigma = scores.T @ scores / estimates.q
-    if not np.isfinite(sigma).all():
-        raise ValueError(
-            "the scores' outer-product matrix overflows float64; "
-            "rescale the outcome or the restriction"
-        )
-    rc = gram_rcond(np.linalg.svd(scores, compute_uv=False), scores.shape[1])
+        return scores, None, 0
+    e = -int(np.frexp(np.abs(scores).max())[1])
+    scaled = np.ldexp(scores, e)
+    rc = gram_rcond(np.linalg.svd(scaled, compute_uv=False), scores.shape[1])
     if rc < 1e-12:
         raise SingularSigma(
             f"score outer-product matrix is numerically singular (rcond {rc:.3e})"
         )
-    return scores, np.linalg.inv(sigma)
+    return scores, np.linalg.inv(scaled.T @ scaled / estimates.q), e
 
 
 # ------------------------------------------------------------------ #
@@ -266,26 +268,19 @@ def _studentize(values: np.ndarray, t: np.ndarray) -> np.ndarray:
 
     ``t`` is (r, k) for the (q, k) score block; zero or negative spread
     maps to ``+inf``.  Every rounded step is monotone in t, so the map
-    keeps the order of the |mean| statistics.  A column whose spread
-    overflows, or whose squares underflow (largest |v| below 2^-511), is
-    redone on its values and t scaled by 2^-e, e the exponent of its
-    largest |v|: the map is scale-free, and scaling by a power of two is
-    exact.
+    keeps the order of the |mean| statistics.  Each column and its t are
+    first scaled by 2^e, e minus the exponent of the column's largest |v|.
     """
     q = values.shape[0]
+    e = -np.frexp(np.abs(values).max(axis=0))[1]
+    t = np.ldexp(t, e)
     acc = np.zeros(values.shape[1])
-    with np.errstate(over="ignore", invalid="ignore"):
-        for x in values:
-            acc += x * x
-        var = acc / q - t * t
+    for x in np.ldexp(values, e):
+        acc += x * x
+    var = acc / q - t * t
     out = np.full(t.shape, np.inf)
     ok = var > 0.0
     out[ok] = math.sqrt(q) * t[ok] / np.sqrt(var[ok])
-    top = np.abs(values).max(axis=0)
-    bad = ~np.all(np.isfinite(var), axis=0) | ((top > 0.0) & (top < 2.0**-511))
-    if bad.any():
-        e = -np.frexp(top[bad])[1]
-        out[:, bad] = _studentize(np.ldexp(values[:, bad], e), np.ldexp(t[:, bad], e))
     return out
 
 
@@ -399,18 +394,12 @@ def run_wald_test(
     if group is None:
         group = enumerate_group(data.q, mode="auto", seed=0)
     estimates = fit_per_cluster(data)
-    scores, sigma_inv = _wald_ingredients(estimates, hypothesis)
+    scores, sigma_inv, e = _wald_ingredients(estimates, hypothesis)
     means = group.sweep(scores)
     if sigma_inv is None:
         stats = np.zeros(group.rows, dtype=np.float64)
     else:
-        with np.errstate(over="ignore", invalid="ignore"):
-            stats = kernels.group_wald_quadratic(means, sigma_inv, estimates.q)
-        if not np.isfinite(stats).all():  # decide needs statistics without NaN
-            raise ValueError(
-                "the Wald statistics are not finite: the scores' outer-product matrix "
-                "underflows float64; rescale the outcome or the restriction"
-            )
+        stats = kernels.group_wald_quadratic(np.ldexp(means, e), sigma_inv, estimates.q)
     # a one-row restriction takes its p-value from the |mean| row, the last
     rows = stats[None] if hypothesis.p > 1 else np.stack([stats, np.abs(means[0])])
     decided = decide(rows, alpha)

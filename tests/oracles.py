@@ -239,10 +239,10 @@ def statistic_studentized(scores, g) -> float:
 def statistic_wald(estimates, hypothesis, g) -> float:
     """Quadratic-form statistic for a multi-row restriction, at one g."""
     signs = as_sign_vector(g, estimates.q)
-    scores, sigma_inv = _wald_ingredients(estimates, hypothesis)
+    scores, sigma_inv, e = _wald_ingredients(estimates, hypothesis)
     if sigma_inv is None:
         return 0.0
-    mean = (signs[:, None] * scores).mean(axis=0)
+    mean = (signs[:, None] * np.ldexp(scores, e)).mean(axis=0)
     return float(estimates.q * mean @ sigma_inv @ mean)
 
 

@@ -269,8 +269,8 @@ class TestConstructedDecisions:
         mh = MultiHypothesis(restriction=np.eye(3)[:p], values=np.zeros(p))
         group, signs = exhaustive(8)
         result = run_wald_test(data, mh, alpha, group)
-        scores, sigma_inv = _wald_ingredients(fit_per_cluster(data), mh)
-        stats = wald_quadratic_loop(signs, scores, sigma_inv)
+        scores, sigma_inv, e = _wald_ingredients(fit_per_cluster(data), mh)
+        stats = wald_quadratic_loop(signs, np.ldexp(scores, e), sigma_inv)
         tol = 1e-12 * max(1.0, stats[0])
         assert np.count_nonzero(np.abs(stats - stats[0]) <= tol) > 2  # beyond +-identity
         assert bits(result.statistic) == bits(stats[0])

@@ -1,22 +1,38 @@
 """Estimation layer: per-cluster fits, restricted fits, weighted scores."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from artcluster import (
+    ClusteredDataset,
     IdentificationFailure,
     LinearHypothesis,
     SingularFullGram,
     canonicalize,
     fit_per_cluster,
     fit_restricted,
+    scores_from_estimates,
     scores_via_restricted,
 )
 from artcluster.estimation import RCOND_THRESHOLD, ClusterEstimates, fit_clusters, lstsq_stack
 from tests.conftest import random_contrast, random_dataset
 from tests.oracles import bits, fit_loop, gram_svd_rcond
+
+
+def assert_restricted_route_holds(data, h):
+    """beta_r is finite and meets the constraint, and the score routes agree as in criterion 1."""
+    beta_r = fit_restricted(data, h)
+    beta_hat = np.linalg.lstsq(data.covariates, data.outcomes, rcond=None)[0]
+    terms = float(np.abs(h.contrast) @ (np.abs(beta_hat) + np.abs(beta_hat - beta_r)))
+    assert np.all(np.isfinite(beta_r))
+    assert abs(float(h.contrast @ beta_r) - h.value) <= 1e-10 * max(abs(h.value), terms)
+    s_est = scores_from_estimates(fit_per_cluster(data), h)
+    scale = max(1.0, float(np.max(np.abs(s_est))))
+    assert np.allclose(scores_via_restricted(data, h), s_est, rtol=1e-9, atol=1e-11 * scale)
 
 
 class TestFitPerCluster:
@@ -124,14 +140,44 @@ class TestFitRestricted:
         data = canonicalize(np.repeat([1, 2, 3, 4], 5), scale * np.sin(t), Z)
         assert np.allclose(fit_restricted(data, h), scale * unit, rtol=1e-9)
 
-    def test_overflowing_projection_refused(self):
-        # c'A^{-1}c = 1e300 / 2.8e-31 overflows to inf, so the step is 0 and
-        # beta_r = beta misses the constraint by c'beta = 1.2e166
+    def test_huge_contrast_answered(self):
+        # c'A^{-1}c = 1e300 / 2.8e-31 would overflow; the contrast is scaled by a
+        # power of two first, so the projection meets the constraint
         z = 1e-16 * np.array([1.0, 2.0, -1.5, 0.5, 3.0, -2.0, 1.0, 2.5])
         data = canonicalize(np.repeat([1, 2], 4), np.arange(1.0, 9.0), z[:, None])
-        with pytest.raises(SingularFullGram,
-                           match="^restricted solution failed to satisfy the constraint "):
-            fit_restricted(data, LinearHypothesis(contrast=[1e150], value=0.0))
+        assert_restricted_route_holds(data, LinearHypothesis(contrast=[1e150], value=0.0))
+
+    # contrast and value times 2^k give the same scaled constraint, so the same bits
+    @pytest.mark.parametrize("k", [-900, -600, -300, -1, 1, 300, 600, 900])
+    def test_constraint_scale_keeps_bits(self, rng, k):
+        data = random_dataset(rng, q=5, d=3)
+        c, value = random_contrast(rng, 3), float(rng.standard_normal())
+        want = fit_restricted(data, LinearHypothesis(contrast=c, value=value))
+        got = fit_restricted(data, LinearHypothesis(contrast=np.ldexp(c, k),
+                                                    value=math.ldexp(value, k)))
+        assert np.array_equal(bits(got), bits(want))
+
+    def test_overflowing_scaled_value_refused(self, rng):
+        # c'beta = 1 with c = (5e-324, 0) needs beta_0 = 2^1074: the value
+        # scaled with the contrast overflows, and so does the step
+        data = random_dataset(rng, q=6, d=2)
+        h = LinearHypothesis(contrast=[5e-324, 0.0], value=1.0)
+        for call in (fit_restricted, scores_via_restricted):
+            with pytest.raises(ValueError, match="^restricted fit must be finite$"):
+                call(data, h)
+
+    # covariates times 2^-539 or less: A = Z'Z underflows, and solve(A, c)
+    # ended in numpy's "Singular matrix"
+    @pytest.mark.parametrize("k", [-539, -700])
+    def test_underflowing_gram_refused(self, rng, k):
+        data = random_dataset(rng, q=6, d=2)
+        tiny = ClusteredDataset(data.outcomes, np.ldexp(data.covariates, k), data.sizes,
+                                data.labels)
+        h = LinearHypothesis(contrast=[0.0, 1.0], value=0.0)
+        for call in (fit_restricted, scores_via_restricted):
+            with pytest.raises(ValueError, match="^the full-sample Gram matrix underflows "
+                                                 "float64; rescale the covariates$"):
+                call(tiny, h)
 
     def test_outcome_in_large_units_accepted(self, rng):
         data = random_dataset(rng, q=5, d=3)
@@ -209,18 +255,14 @@ class TestFitRestricted:
             deriv = (rss(beta_r + step * v) - rss(beta_r - step * v)) / (2 * step)
             assert abs(deriv) < 1e-4 * scale
 
-    def test_non_finite_solution_refused_without_warning(self):
-        # a diagonal full-sample Gram matrix and contrast (1e-160, 0) make
-        # c'A^{-1}c denormal: the projection step overflows, 0 * inf puts a
-        # NaN in beta_r, and c'beta_r = NaN passes the constraint check;
-        # at (1e-170, 0), c'A^{-1}c underflows to exactly 0
+    def test_tiny_contrast_answered(self):
+        # a diagonal full-sample Gram matrix and contrast (1e-160, 0) would make
+        # c'A^{-1}c denormal, and (1e-170, 0) would make it 0; scaled by a power
+        # of two first, the projection meets the constraint
         Z = np.tile([[1.0, 0.0], [0.0, 1.0]], (8, 1))
         data = canonicalize(np.repeat([1, 2, 3, 4], 4), np.arange(16.0), Z)
         for tiny in (1e-160, 1e-170):
-            h = LinearHypothesis(contrast=[tiny, 0.0], value=1.0)
-            for call in (fit_restricted, scores_via_restricted):
-                with pytest.raises(ValueError, match="^restricted fit must be finite$"):
-                    call(data, h)
+            assert_restricted_route_holds(data, LinearHypothesis(contrast=[tiny, 0.0], value=1.0))
 
 
 class TestClusterScores:
@@ -247,6 +289,19 @@ class TestClusterScores:
             via_scores = scores_via_restricted(data, h)
             direct = np.sqrt(data.sizes) * (est.betas @ c - lam)
             assert np.allclose(via_scores, direct, rtol=1e-9, atol=1e-12)
+
+    # one cluster's covariates times 2^-538 or less: its Gram matrix underflows,
+    # and solving with it ended in numpy's "Singular matrix"
+    @pytest.mark.parametrize("k", [-538, -700])
+    def test_underflowing_cluster_gram_refused(self, rng, k):
+        data = random_dataset(rng, q=6, d=2)
+        Z = data.covariates.copy()
+        Z[data.cluster_slice(2)] = np.ldexp(Z[data.cluster_slice(2)], k)
+        tiny = ClusteredDataset(data.outcomes, Z, data.sizes, data.labels)
+        h = LinearHypothesis(contrast=[0.0, 1.0], value=0.0)
+        with pytest.raises(ValueError, match=f"^the Gram matrix of cluster {data.labels[2]!r} "
+                                             "underflows float64; rescale the covariates$"):
+            scores_via_restricted(tiny, h)
 
     def test_singular_cluster_refused_as_by_per_cluster_fit(self):
         # intercept plus a covariate constant inside cluster "b"

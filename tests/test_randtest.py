@@ -128,13 +128,16 @@ class TestStudentized:
         assert np.array_equal(bits(got[2]), bits(decision_loop(signs, s[:, None], 0.1)[2]))
 
     # these scores' mean(v^2) overflows float64 from k = 512 on (k = 400 stays
-    # finite); the spread is redone on values scaled by a power of two, exactly
-    @pytest.mark.parametrize("k", [400, 512, 600, 1000])
+    # finite), and their squares underflow from k = -511 down; the spread is
+    # taken on values scaled by a power of two, exactly, so no k moves the
+    # statistic or the critical value.  The p-value is the |mean| sweep's, whose
+    # tie snap has the absolute floor 1e-12: below k = -40 or so it moves
+    @pytest.mark.parametrize("k", [-1000, -600, -511, -480, 400, 512, 600, 1000])
     def test_overflowing_spread_keeps_bits(self, rng, group_cache, k):
         s = rng.standard_normal(8)
         want = run_test_from_scores(s, 0.05, group_cache(8), "studentized")
-        got = run_test_from_scores(s * 2.0**k, 0.05, group_cache(8), "studentized")
-        for name in ("statistic", "critical_value", "p_value"):
+        got = run_test_from_scores(np.ldexp(s, k), 0.05, group_cache(8), "studentized")
+        for name in ("statistic", "critical_value") + ("p_value",) * (k > 0):
             assert bits(getattr(got, name)) == bits(getattr(want, name))
 
     def test_overflowing_zero_spread_still_degenerate(self, group_cache):
@@ -185,26 +188,46 @@ class TestWaldStatistic:
         with pytest.raises(SingularSigma):
             statistic_wald(est, mh, np.ones(4, dtype=np.int8))
 
-    # finite scores near 1e300 whose squares overflow, and scores near 1e160
-    # whose squares do: the outer-product matrix is refused as a usage error,
-    # not taken for a singular one, and numpy does not warn
+    # values near 1e300 or 1e160 swamp the estimates: one score column is
+    # constant to rounding, so the outer-product matrix is singular on any scale
     @pytest.mark.parametrize("values", [[1e300, 1e300], [1e160, 0.0]])
-    def test_overflowing_outer_product_refused(self, rng, values):
+    def test_values_swamping_the_estimates_are_singular(self, rng, values):
         data = random_dataset(rng, q=8, d=3)
         mh = MultiHypothesis(restriction=np.eye(3)[1:], values=values)
-        with pytest.raises(ValueError, match="outer-product matrix overflows float64"):
+        with pytest.raises(SingularSigma, match="^score outer-product matrix is numerically "):
             run_wald_test(data, mh, 0.1, SignGroup(8, "exhaustive"))
 
     # an outcome of order 1e-155 or 1e-160 gives scores whose squares fall
-    # below the smallest normal float: the inverse outer-product matrix
-    # overflows and the quadratic form is NaN, which is refused, not decided
+    # below the smallest normal float; the outer-product matrix is built from
+    # the scores scaled by a power of two, so the test is decided as at scale 1
     @pytest.mark.parametrize("scale", [1e-155, 1e-160])
-    def test_underflowing_outer_product_refused(self, rng, scale):
+    def test_underflowing_outer_product_answered(self, rng, scale):
         data = random_dataset(rng, q=8, d=3)
         tiny = ClusteredDataset(data.outcomes * scale, data.covariates, data.sizes, data.labels)
         mh = MultiHypothesis(restriction=np.eye(3)[1:], values=np.zeros(2))
-        with pytest.raises(ValueError, match="Wald statistics are not finite"):
-            run_wald_test(tiny, mh, 0.1, SignGroup(8, "exhaustive"))
+        want = run_wald_test(data, mh, 0.1, SignGroup(8, "exhaustive"))
+        got = run_wald_test(tiny, mh, 0.1, SignGroup(8, "exhaustive"))
+        assert got.statistic == pytest.approx(want.statistic, rel=1e-12)
+        assert got.critical_value == pytest.approx(want.critical_value, rel=1e-12)
+        assert got.p_value == want.p_value
+
+    # the outcome times 2^k is exact and the quadratic form is scale-free, so
+    # every k gives the k = 0 bits: the scores' squares overflow from k = 507 on
+    # and fall below the smallest normal float from k = -515 down
+    @pytest.mark.parametrize(
+        "k", sorted({*range(-960, 961, 120), -565, -541, -515, -514, 506, 507, 960})
+    )
+    def test_outcome_scale_keeps_bits(self, rng, k):
+        data = random_dataset(rng, q=8, d=3)
+        scaled = ClusteredDataset(np.ldexp(data.outcomes, k), data.covariates, data.sizes,
+                                  data.labels)
+        for p, fields in ((2, ("statistic", "critical_value", "p_value")),
+                          (1, ("statistic", "critical_value"))):
+            mh = MultiHypothesis(restriction=np.eye(3)[3 - p:], values=np.zeros(p))
+            want = run_wald_test(data, mh, 0.1, SignGroup(8, "exhaustive"))
+            got = run_wald_test(scaled, mh, 0.1, SignGroup(8, "exhaustive"))
+            for name in fields:  # a one-row p-value is snapped on the |mean| scale
+                assert bits(getattr(got, name)) == bits(getattr(want, name)), (p, name)
 
     def test_wrong_width_restriction_refused(self, rng):
         # the scores' one contrast-length check refuses it, after the fits

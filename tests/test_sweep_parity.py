@@ -198,8 +198,8 @@ class TestWald:
         else:
             group, signs = SignGroup(9, "sampled", seed=4, draws=700), sampled_signs(9, 700, 4)
         result = run_wald_test(data, mh, 0.1, group)
-        scores, sigma_inv = _wald_ingredients(fit_per_cluster(data), mh)
-        stats = wald_quadratic_loop(signs, scores, sigma_inv)
+        scores, sigma_inv, e = _wald_ingredients(fit_per_cluster(data), mh)
+        stats = wald_quadratic_loop(signs, np.ldexp(scores, e), sigma_inv)
         assert bits(result.statistic) == bits(stats[0])
         assert bits(result.critical_value) == bits(sort_critical_value(stats, 0.9))
         thresh = stats[0] - 1e-12 * max(1.0, stats[0])
@@ -549,9 +549,9 @@ class TestHalfGroup:
         restriction, values = rng.standard_normal((p, 3)), rng.standard_normal(p)
         mh = MultiHypothesis(restriction=restriction, values=values)
         result = run_wald_test(data, mh, alpha, SignGroup(q, "exhaustive"))
-        scores, sigma_inv = _wald_ingredients(fit_per_cluster(data), mh)
+        scores, sigma_inv, e = _wald_ingredients(fit_per_cluster(data), mh)
         signs = oracle_signs(q)
-        stats = wald_quadratic_loop(signs, scores, sigma_inv)
+        stats = wald_quadratic_loop(signs, np.ldexp(scores, e), sigma_inv)
         # a one-row test counts its ties on the |mean| scale
         t = np.abs(column_loop_means(signs, scores)[:, 0]) if p == 1 else stats
         thresh = t[0] - 1e-12 * max(1.0, t[0])
