@@ -19,17 +19,12 @@ from artcluster.errors import (
     MissingColumn,
     NonFiniteValue,
     ParseError,
-    SingularFullGram,
     SingularSigma,
     TooFewClusters,
     TooFewObservations,
     WidthMismatch,
 )
-from artcluster.estimation import (
-    ClusterEstimates,
-    fit_per_cluster,
-    fit_restricted,
-)
+from artcluster.estimation import ClusterEstimates, fit_per_cluster
 from artcluster.groups import SignGroup, enumerate_group
 from artcluster.intervals import (
     ConfidenceInterval,
@@ -50,7 +45,6 @@ from artcluster.randtest import (
     run_test,
     run_wald_test,
     scores_from_estimates,
-    scores_via_restricted,
 )
 from artcluster.simulation import (
     DgpSpec,
@@ -83,7 +77,6 @@ __all__ = [
     "NonFiniteValue",
     "ParseError",
     "SignGroup",
-    "SingularFullGram",
     "SingularSigma",
     "TestResult",
     "TooFewClusters",
@@ -94,7 +87,6 @@ __all__ = [
     "critical_value",
     "enumerate_group",
     "fit_per_cluster",
-    "fit_restricted",
     "generate",
     "interval",
     "interval_by_inversion",
@@ -105,6 +97,5 @@ __all__ = [
     "run_test",
     "run_wald_test",
     "scores_from_estimates",
-    "scores_via_restricted",
     "size_study",
 ]

@@ -421,7 +421,7 @@ def main(argv=None) -> int:
                 file=sys.stderr,
             )
         return exc.exit_code
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"artcluster: error: {exc}", file=sys.stderr)
         return EXIT_IO
     except (ValueError, KeyError) as exc:

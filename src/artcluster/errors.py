@@ -89,10 +89,6 @@ class IdentificationFailure(ArtClusterError):
         )
 
 
-class SingularFullGram(ArtClusterError):
-    """The full-sample covariate second-moment matrix is singular."""
-
-
 class DegenerateVariance(ArtClusterError):
     """The randomized standard deviation of the signed scores is zero."""
 

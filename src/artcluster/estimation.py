@@ -1,27 +1,25 @@
-"""The regression layer: per-cluster and restricted least squares.
+"""The regression layer: least squares inside each cluster.
 
-Solvers go through numpy's decomposition routines (``lstsq``, ``solve``); the
-identification checks read the singular values ``lstsq`` returns (:func:`gram_rcond`),
-and explicit matrix inversion appears only in test oracles.
+One stacked ``lstsq`` call fits a cluster in every dataset, and the
+identification check reads the singular values it returns (:func:`gram_rcond`);
+explicit matrix inversion appears only in test oracles.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from artcluster.errors import IdentificationFailure, SingularFullGram
-from artcluster.model import ClusteredDataset, LinearHypothesis, _frozen, check_contrast_length
+from artcluster.errors import IdentificationFailure
+from artcluster.model import ClusteredDataset, _frozen
 
 __all__ = [
     "RCOND_THRESHOLD",
     "ClusterEstimates",
     "fit_clusters",
     "fit_per_cluster",
-    "fit_restricted",
     "gram_rcond",
 ]
 
@@ -140,56 +138,3 @@ def fit_per_cluster(data: ClusteredDataset) -> ClusterEstimates:
     betas = fit_clusters(data.outcomes[None], data.covariates[None], data.offsets, data.labels)
     return ClusterEstimates(betas=betas[0], sizes=data.sizes, labels=data.labels)
 
-
-def fit_restricted(data: ClusteredDataset, hypothesis: LinearHypothesis) -> np.ndarray:
-    """Full-sample least squares subject to contrast'beta = value, (d_z,).
-
-    Computed in closed form by projecting the unrestricted solution:
-    beta_r = beta - A^{-1} c (c'beta - value) / (c' A^{-1} c) with A the
-    full-sample Gram matrix.  The step is scale-free in (c, value), so both
-    are scaled exactly by the power of two that puts c' A^{-1} c, of units
-    c^2 / A, near 1: neither it nor the step's factor overflows.
-
-    Raises
-    ------
-    SingularFullGram
-        When the full-sample Gram matrix is numerically singular.
-    ValueError
-        When A overflows or underflows, or beta_r is not finite.
-    """
-    Z, y = data.covariates, data.outcomes
-    check_contrast_length(hypothesis.contrast, data.d_z)
-    beta, _, _, sv = np.linalg.lstsq(Z, y, rcond=None)
-    rc = gram_rcond(sv, data.d_z)
-    if rc < RCOND_THRESHOLD:
-        raise SingularFullGram(
-            f"full-sample Gram matrix is numerically singular (rcond {rc:.3e})"
-        )
-    with np.errstate(over="ignore", invalid="ignore"):
-        A = Z.T @ Z
-    if not np.isfinite(A).all():
-        raise ValueError("the full-sample Gram matrix overflows float64; "
-                         "rescale the outcome or the covariates")
-    if A.diagonal().min() < np.finfo(np.float64).tiny:
-        raise ValueError("the full-sample Gram matrix underflows float64; rescale the covariates")
-    e = (math.frexp(float(A.diagonal().max()))[1] // 2
-         - math.frexp(float(np.abs(hypothesis.contrast).max()))[1])
-    c = np.ldexp(hypothesis.contrast, e)
-    u = np.linalg.solve(A, c)
-    # a value that overflows once scaled overflows the step; the finiteness check refuses it
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        value = float(np.ldexp(hypothesis.value, e))
-        step = u * np.divide(float(c @ beta) - value, c @ u)
-        beta_r = beta - step
-        # the size of the terms summed in c'beta_r, which bounds its rounding
-        terms = float(np.abs(c) @ (np.abs(beta) + np.abs(step)))
-    if not np.all(np.isfinite(beta_r)):  # a NaN would pass the constraint check
-        raise ValueError("restricted fit must be finite")
-    achieved = float(c @ beta_r)
-    scale = max(1.0, abs(value), terms)
-    if abs(achieved - value) > 1e-10 * scale:
-        raise SingularFullGram(
-            "restricted solution failed to satisfy the constraint "
-            f"(reached {achieved!r}, wanted {value!r}, both scaled by 2^{e})"
-        )
-    return beta_r

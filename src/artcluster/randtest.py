@@ -38,7 +38,7 @@ import numpy as np
 
 from artcluster import kernels
 from artcluster.errors import DegenerateVariance, SingularSigma
-from artcluster.estimation import ClusterEstimates, fit_per_cluster, fit_restricted, gram_rcond
+from artcluster.estimation import ClusterEstimates, fit_per_cluster, gram_rcond
 from artcluster.groups import SignGroup, check_score_sums, enumerate_group
 from artcluster.model import ClusteredDataset, LinearHypothesis, MultiHypothesis, check_contrast_length
 
@@ -51,7 +51,6 @@ __all__ = [
     "run_test_from_scores",
     "run_wald_test",
     "scores_from_estimates",
-    "scores_via_restricted",
 ]
 
 SNAP_RTOL = 1e-12
@@ -106,34 +105,6 @@ def scores_from_estimates(
     return weighted_scores(
         estimates.betas, estimates.sizes, hypothesis.contrast, hypothesis.value, scaling
     )
-
-
-def scores_via_restricted(
-    data: ClusteredDataset, hypothesis: LinearHypothesis
-) -> np.ndarray:
-    """Scores, (q,), from the restricted-residual route (single full-sample fit).
-
-    With beta_r from :func:`~artcluster.estimation.fit_restricted` and
-    residuals r = y - Z beta_r, cluster j's score is
-        c' Gram_j^{-1} (1/sqrt(n_j)) * sum_i Z_ij * r_ij,
-    which equals sqrt(n_j) * (c'beta_j - value) from the per-cluster fits
-    (:func:`scores_from_estimates`); exposed separately so the two
-    routes can be cross-checked; refuses clusters as ``fit_per_cluster`` does.
-    """
-    beta_r = fit_restricted(data, hypothesis)
-    fit_per_cluster(data)
-    residuals = data.outcomes - data.covariates @ beta_r
-    out = np.empty(data.q, dtype=np.float64)
-    for j in range(data.q):
-        s = data.cluster_slice(j)
-        Z_j = data.covariates[None, s]
-        gram = (np.matmul(Z_j.transpose(0, 2, 1), Z_j) / Z_j.shape[1])[0]
-        if gram.diagonal().min() < np.finfo(np.float64).tiny:
-            raise ValueError(f"the Gram matrix of cluster {data.labels[j]!r} underflows float64; "
-                             "rescale the covariates")
-        v = Z_j[0].T @ residuals[s] / np.sqrt(Z_j.shape[1])
-        out[j] = float(hypothesis.contrast @ np.linalg.solve(gram, v))
-    return out
 
 
 # ------------------------------------------------------------------ #

@@ -10,12 +10,17 @@ all-entries-equal +-identity mask,
 the branch-by-branch interval bounds, the full-sort order statistics,
 the one-null-at-a-time test decision, the statistics at a single sign
 vector, the score formula one entry at a time, the p-value profile of
-an interval, the restricted-residual scores with each cluster's Gram
-matrix formed alone, the Monte Carlo study that draws, fits and scores one
+an interval, the Monte Carlo study that draws, fits and scores one
 replication at a time, the blocks route that labels every row and
 canonicalizes the time-sorted rows, and the label coding that numbers
 labels one row at a time and stable-sorts the int64 codes.  The
 production code must match them bit for bit.
+
+One more is the paper's second route to the scores, which the package
+does not take: a full-sample fit under the null and each cluster's
+weighted restricted residuals (:func:`scores_via_restricted`).  It
+equals the package's route in real arithmetic, so the package's scores
+must match it to a tolerance (criterion 1), not bit for bit.
 """
 
 import math
@@ -25,8 +30,8 @@ import numpy as np
 from artcluster import kernels
 from artcluster.blocks import plan_blocks
 from artcluster.errors import DegenerateVariance, IdentificationFailure
-from artcluster.estimation import RCOND_THRESHOLD, fit_restricted
-from artcluster.model import ClusteredDataset, canonicalize
+from artcluster.estimation import RCOND_THRESHOLD, fit_per_cluster, gram_rcond
+from artcluster.model import ClusteredDataset, canonicalize, check_contrast_length
 from artcluster.randtest import _wald_ingredients, order_statistic_index
 
 
@@ -354,24 +359,6 @@ def fit_loop(y, Z, sizes) -> np.ndarray:
     return betas
 
 
-def scores_via_restricted_loop(data, hypothesis) -> np.ndarray:
-    """The restricted-residual scores, (q,), with each cluster's Gram matrix formed alone.
-
-    Cluster j's (1/n_j) Z_j'Z_j comes from one ``matmul`` of its rows as a
-    (1, n_j, d_z) stack, and its score is c' Gram_j^{-1} Z_j'r_j / sqrt(n_j)
-    with r the residuals of the restricted fit.
-    """
-    residuals = data.outcomes - data.covariates @ fit_restricted(data, hypothesis)
-    out = np.empty(data.q)
-    for j in range(data.q):
-        s = data.cluster_slice(j)
-        Z_j = data.covariates[None, s]
-        gram = (np.matmul(Z_j.transpose(0, 2, 1), Z_j) / Z_j.shape[1])[0]
-        v = Z_j[0].T @ residuals[s] / np.sqrt(Z_j.shape[1])
-        out[j] = float(hypothesis.contrast @ np.linalg.solve(gram, v))
-    return out
-
-
 def study_scores_loop(spec, contrast, value: float, replications: int) -> np.ndarray:
     """The (q, replications) scores of a study: draw, fit and score each replication."""
     weights = np.sqrt(np.asarray(spec.sizes, dtype=np.int64).astype(np.float64))
@@ -380,6 +367,100 @@ def study_scores_loop(spec, contrast, value: float, replications: int) -> np.nda
         betas = fit_loop(*generate_loop(spec, r), spec.sizes)
         scores[:, r] = weights * (betas @ np.asarray(contrast, dtype=np.float64) - value)
     return scores
+
+
+# ------------------------------------------------------------------ #
+# The restricted-residual route to the scores
+# ------------------------------------------------------------------ #
+
+
+class SingularFullGram(ValueError):
+    """The full-sample covariate second-moment matrix is singular."""
+
+
+def fit_restricted(data, hypothesis) -> np.ndarray:
+    """Full-sample least squares subject to contrast'beta = value, (d_z,).
+
+    Computed in closed form by projecting the unrestricted solution:
+    beta_r = beta - A^{-1} c (c'beta - value) / (c' A^{-1} c) with A the
+    full-sample Gram matrix.  The step is scale-free in (c, value), so both
+    are scaled exactly by the power of two that puts c' A^{-1} c, of units
+    c^2 / A, near 1: neither it nor the step's factor overflows, and the
+    result keeps its bits under a contrast and value times 2^k while both
+    stay normal floats.  With one coefficient the constraint alone pins
+    beta_r = value / c, where the projection would cancel.
+
+    Raises :class:`SingularFullGram` when A is numerically singular, and
+    ``ValueError`` when A overflows or underflows float64 or beta_r is not
+    finite (a contrast of 5e-324 with value 1 asks for 2^1074).  That is a
+    limit of this route, not of the test: on the suite's q = 6, d_z = 2
+    instance (n = 183), the covariates times 2^-515 or less make A's
+    diagonal subnormal and are refused, while the per-cluster route gives
+    p = 0.625 at every scale.
+    """
+    Z, y = data.covariates, data.outcomes
+    check_contrast_length(hypothesis.contrast, data.d_z)
+    beta, _, _, sv = np.linalg.lstsq(Z, y, rcond=None)
+    rc = gram_rcond(sv, data.d_z)
+    if rc < RCOND_THRESHOLD:
+        raise SingularFullGram(
+            f"full-sample Gram matrix is numerically singular (rcond {rc:.3e})"
+        )
+    with np.errstate(over="ignore", invalid="ignore"):
+        A = Z.T @ Z
+    if not np.isfinite(A).all():
+        raise ValueError("the full-sample Gram matrix overflows float64; "
+                         "rescale the outcome or the covariates")
+    if A.diagonal().min() < np.finfo(np.float64).tiny:
+        raise ValueError("the full-sample Gram matrix underflows float64; rescale the covariates")
+    e = (math.frexp(float(A.diagonal().max()))[1] // 2
+         - math.frexp(float(np.abs(hypothesis.contrast).max()))[1])
+    c = np.ldexp(hypothesis.contrast, e)
+    u = np.linalg.solve(A, c)
+    # a value that overflows once scaled overflows the step; the finiteness check refuses it
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        value = float(np.ldexp(hypothesis.value, e))
+        step = u * np.divide(float(c @ beta) - value, c @ u)
+        beta_r = hypothesis.value / hypothesis.contrast if data.d_z == 1 else beta - step
+        # the size of the terms summed in c'beta_r, which bounds its rounding
+        terms = float(np.abs(c) @ (np.abs(beta) + np.abs(step)))
+    if not np.all(np.isfinite(beta_r)):  # a NaN would pass the constraint check
+        raise ValueError("restricted fit must be finite")
+    achieved = float(c @ beta_r)
+    scale = max(1.0, abs(value), terms)
+    if abs(achieved - value) > 1e-10 * scale:
+        raise SingularFullGram(
+            "restricted solution failed to satisfy the constraint "
+            f"(reached {achieved!r}, wanted {value!r}, both scaled by 2^{e})"
+        )
+    return beta_r
+
+
+def scores_via_restricted(data, hypothesis) -> np.ndarray:
+    """The scores, (q,), from the residuals of one full-sample fit under the null.
+
+    With beta_r from :func:`fit_restricted` and residuals r = y - Z beta_r,
+    cluster j's score is c' Gram_j^{-1} Z_j'r_j / sqrt(n_j), with Gram_j =
+    (1/n_j) Z_j'Z_j from one ``matmul`` of its rows as a (1, n_j, d_z)
+    stack.  In real arithmetic it equals the package's sqrt(n_j) *
+    (c'beta_j - value) (``randtest.scores_from_estimates``); criterion 1
+    checks that to a tolerance.  Refuses clusters as ``fit_per_cluster``
+    does, and a cluster Gram matrix that underflows with ``ValueError``.
+    """
+    beta_r = fit_restricted(data, hypothesis)
+    fit_per_cluster(data)
+    residuals = data.outcomes - data.covariates @ beta_r
+    out = np.empty(data.q, dtype=np.float64)
+    for j in range(data.q):
+        s = data.cluster_slice(j)
+        Z_j = data.covariates[None, s]
+        gram = (np.matmul(Z_j.transpose(0, 2, 1), Z_j) / Z_j.shape[1])[0]
+        if gram.diagonal().min() < np.finfo(np.float64).tiny:
+            raise ValueError(f"the Gram matrix of cluster {data.labels[j]!r} underflows float64; "
+                             "rescale the covariates")
+        v = Z_j[0].T @ residuals[s] / np.sqrt(Z_j.shape[1])
+        out[j] = float(hypothesis.contrast @ np.linalg.solve(gram, v))
+    return out
 
 
 # ------------------------------------------------------------------ #

@@ -718,7 +718,6 @@ ERROR_EXIT_CODES = {
     "TooFewObservations": 1,
     "DegenerateGrouping": 1,
     "IdentificationFailure": 2,
-    "SingularFullGram": 2,
     "DegenerateVariance": 2,
     "SingularSigma": 2,
     "GridTooCoarse": 2,
@@ -1141,6 +1140,24 @@ def test_simulate_spec_that_is_not_an_object_exits_1(tmp_path, capsys):
     assert run_cli(capsys, ["simulate", "--spec", str(path)]) == (
         1, "", "artcluster: error: simulation spec must be a JSON object\n"
     )
+
+
+
+# a \xff byte in a CSV label or a spec is an unreadable file: exit 3, and the
+# codec's message names the byte
+@pytest.mark.parametrize("name, text, argv", [
+    ("data.csv", b"g,y,x\n\xff,1.0,2.0\na,2.0,1.0\nb,3.0,0.5\n",
+     ["test", "--cluster", "g", "--outcome", "y", "--covariates", "x", "--coef", "x",
+      "--input"]),
+    ("study.json", b'{"dgp": \xff}', ["simulate", "--spec"]),
+], ids=["test", "simulate"])
+def test_non_utf8_input_exits_3(tmp_path, capsys, name, text, argv):
+    path = tmp_path / name
+    path.write_bytes(text)
+    code, out, err = run_cli(capsys, [*argv, str(path)])
+    assert (code, out) == (3, "")
+    [line] = err.splitlines()
+    assert line.startswith("artcluster: error: ") and "byte 0xff" in line
 
 
 class TestSimulateCommand:

@@ -1,4 +1,4 @@
-"""Estimation layer: per-cluster fits, restricted fits, weighted scores."""
+"""Estimation layer: per-cluster fits and weighted scores, and the restricted-route oracle."""
 
 import math
 
@@ -11,16 +11,20 @@ from artcluster import (
     ClusteredDataset,
     IdentificationFailure,
     LinearHypothesis,
-    SingularFullGram,
     canonicalize,
     fit_per_cluster,
-    fit_restricted,
     scores_from_estimates,
-    scores_via_restricted,
 )
 from artcluster.estimation import RCOND_THRESHOLD, ClusterEstimates, fit_clusters, lstsq_stack
 from tests.conftest import random_contrast, random_dataset
-from tests.oracles import bits, fit_loop, gram_svd_rcond
+from tests.oracles import (
+    SingularFullGram,
+    bits,
+    fit_loop,
+    fit_restricted,
+    gram_svd_rcond,
+    scores_via_restricted,
+)
 
 
 def assert_restricted_route_holds(data, h):
@@ -146,6 +150,15 @@ class TestFitRestricted:
         z = 1e-16 * np.array([1.0, 2.0, -1.5, 0.5, 3.0, -2.0, 1.0, 2.5])
         data = canonicalize(np.repeat([1, 2], 4), np.arange(1.0, 9.0), z[:, None])
         assert_restricted_route_holds(data, LinearHypothesis(contrast=[1e150], value=0.0))
+
+    def test_single_coefficient_is_value_over_contrast(self):
+        # with one coefficient the constraint pins beta_r = value / c; on this
+        # z ~ 1e-16 instance the projection cancelled, to 0.0 and to 2.0
+        z = 1e-16 * np.array([1.0, 2.0, -1.5, 0.5, 3.0, -2.0, 1.0, 2.5])
+        data = canonicalize(np.repeat([1, 2], 4), np.arange(1.0, 9.0), z[:, None])
+        for c, value in ((3.0, 1.0), (1e150, 0.0)):
+            beta_r = fit_restricted(data, LinearHypothesis(contrast=[c], value=value))
+            assert bits(beta_r) == bits([value / c])
 
     # contrast and value times 2^k give the same scaled constraint, so the same bits
     @pytest.mark.parametrize("k", [-900, -600, -300, -1, 1, 300, 600, 900])

@@ -17,7 +17,6 @@ from artcluster import (
     run_test,
     run_wald_test,
     scores_from_estimates,
-    scores_via_restricted,
 )
 from artcluster.groups import SignGroup
 from artcluster.randtest import (
@@ -34,6 +33,7 @@ from tests.oracles import (
     bits,
     column_loop_means,
     decision_loop,
+    scores_via_restricted,
     statistic,
     statistic_studentized,
     statistic_wald,

@@ -57,6 +57,25 @@ def test_every_exported_name_resolves():
     assert missing == []
 
 
+# The public surface, sorted: a deletion or a new export shows in this list's diff.
+PUBLIC_NAMES = [
+    "ArtClusterError", "BlockPlan", "ClusterEstimates", "ClusteredDataset",
+    "ConfidenceInterval", "DegenerateGrouping", "DegenerateVariance", "DgpSpec",
+    "EmptyCluster", "GridTooCoarse", "GroupTooLarge", "IdentificationFailure",
+    "IntervalInputs", "LinearHypothesis", "MissingColumn", "MonteCarloReport",
+    "MultiHypothesis", "NonFiniteValue", "ParseError", "SignGroup", "SingularSigma",
+    "TestResult", "TooFewClusters", "TooFewObservations", "WidthMismatch", "blockify",
+    "canonicalize", "critical_value", "enumerate_group", "fit_per_cluster", "generate",
+    "interval", "interval_by_inversion", "interval_inputs", "merge_clusters", "plan_blocks",
+    "power_study", "run_test", "run_wald_test", "scores_from_estimates", "size_study",
+]
+
+
+def test_public_names_are_pinned():
+    assert PUBLIC_NAMES == sorted(PUBLIC_NAMES)
+    assert artcluster.__all__ == PUBLIC_NAMES
+
+
 def test_simulate_spec_runs(tmp_path, capsys):
     spec = json.loads(block_after("A `simulate` spec looks like", "```json\n"))
     path = tmp_path / "study.json"

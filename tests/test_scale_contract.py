@@ -4,7 +4,8 @@ Multiplying the outcome, the contrast, the hypothesized values or the
 covariates by a power of two is exact, and the paper's statistics are
 unit-free.  Whatever the scale, each public call either returns finite
 numbers or raises ``ArtClusterError`` or ``ValueError``; none ends in
-numpy's ``LinAlgError`` or emits a ``RuntimeWarning``.
+numpy's ``LinAlgError`` or emits a ``RuntimeWarning``.  The restricted-route
+oracle (``tests/oracles.py``) is held to the same contract.
 """
 
 import warnings
@@ -19,14 +20,13 @@ from artcluster import (
     LinearHypothesis,
     MultiHypothesis,
     fit_per_cluster,
-    fit_restricted,
     run_wald_test,
     scores_from_estimates,
-    scores_via_restricted,
 )
 from artcluster.groups import SignGroup
 from artcluster.randtest import run_test_from_scores
 from tests.conftest import random_contrast, random_dataset
+from tests.oracles import fit_restricted, scores_via_restricted
 
 # the outcome, contrast and values scale up to the largest power that keeps
 # a standard normal draw finite; the covariates from where the Gram
