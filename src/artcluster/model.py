@@ -218,7 +218,9 @@ class MultiHypothesis:
         if not (np.all(np.isfinite(R)) and np.all(np.isfinite(v))):
             raise ValueError("restriction and values must be finite")
         p, d = R.shape
-        if p > d or np.linalg.matrix_rank(R) < p:
+        # each row scaled by a power of two (exact), so a row's units cannot move the rank
+        e = np.frexp(np.abs(R).max(axis=1, initial=0.0, keepdims=True))[1]
+        if p > d or np.linalg.matrix_rank(np.ldexp(R, -e)) < p:
             raise ValueError("restriction must have full row rank with p <= d_z")
         object.__setattr__(self, "restriction", _frozen(R))
         object.__setattr__(self, "values", _frozen(v))

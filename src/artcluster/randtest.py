@@ -14,19 +14,19 @@ test's row of statistics around its critical value and counts ties only
 on the side of the partition that can reach the threshold, with no copy
 of the row.  :func:`run_wald_test` decides its statistics with it too.
 
-Tie handling: indicator comparisons use exact ``>=`` on doubles after
-snapping values within ``1e-12 * max(1, |T|)`` of the observed statistic
-onto it.  The equivalence theorems behind the engine hold exactly in
-real arithmetic; snapping keeps rounding noise from breaking them.
+Tie handling: statistics within ``SNAP_RTOL`` times the row's largest one
+of the observed statistic count as ties.  The equivalence theorems hold
+exactly in real arithmetic; snapping keeps rounding noise from breaking
+them.  A test rejects where this p-value is at most alpha.
 
 Both variants are decided on the one ``|mean|`` sweep, and ties are
 snapped on that scale.  The studentized statistic is an increasing
 function of ``|mean|`` under every sign change, so the engine maps only
 the observed statistic and the critical value onto the studentized
 scale; its p-value is the unstudentized one by construction.
-The studentized spread and the Wald form are scale-free: their values are
-scaled by 2^e, e minus the ``np.frexp`` exponent of their largest
-magnitude, so no square overflows or underflows, and nothing is scaled back.
+The studentized spread and the Wald form are scale-free: each column of
+values is scaled by 2^e, e minus the ``np.frexp`` exponent of its largest
+magnitude, so no square overflows or underflows; nothing is scaled back.
 """
 
 from __future__ import annotations
@@ -54,10 +54,6 @@ __all__ = [
 ]
 
 SNAP_RTOL = 1e-12
-
-
-def snap_tolerance(reference):
-    return SNAP_RTOL * np.maximum(1.0, np.abs(reference))
 
 
 # ------------------------------------------------------------------ #
@@ -114,21 +110,22 @@ def scores_from_estimates(
 
 def _wald_ingredients(
     estimates: ClusterEstimates, hypothesis: MultiHypothesis
-) -> tuple[np.ndarray, np.ndarray | None, int]:
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
     """Per-cluster multi-row scores weighted by sqrt(n), the inverse outer-product matrix, and e.
 
-    The matrix is built from the unsigned scores scaled by 2^e, e minus the
-    exponent of their largest magnitude, and a caller scales the swept means
-    by 2^e too.  Returns ``(scores, None, 0)`` when every score is zero, and
-    refuses non-finite scores as the sweep does (``ValueError``).
+    The matrix is built from the unsigned scores, column j scaled by 2^e_j
+    for e_j minus the exponent of its largest magnitude, so the rank check is
+    unit-free per row; a caller scales the swept means by 2^e too.  Returns
+    ``(scores, None, e)`` when every score is zero, and refuses non-finite
+    scores as the sweep does (``ValueError``).
     """
     scores = weighted_scores(  # (q, p)
         estimates.betas, estimates.sizes, hypothesis.restriction.T, hypothesis.values, "root_n"
     )
     check_score_sums(scores)
+    e = -np.frexp(np.abs(scores).max(axis=0))[1]
     if not scores.any():
-        return scores, None, 0
-    e = -int(np.frexp(np.abs(scores).max())[1])
+        return scores, None, e
     scaled = np.ldexp(scores, e)
     rc = gram_rcond(np.linalg.svd(scaled, compute_uv=False), scores.shape[1])
     if rc < 1e-12:
@@ -172,12 +169,12 @@ def critical_value(values, level: float):
 
 
 def pvalue_from_statistics(statistics: np.ndarray, observed):
-    """Fraction of group statistics >= the observed one (tie-snapped).
+    """Fraction of group statistics >= the observed one, tie-snapped as in :func:`decide`.
 
     (m,) statistics and a float observed value give a float; (k, m)
     statistics and (k,) observed values give the p-value of each row.
     """
-    thresh = observed - snap_tolerance(observed)
+    thresh = observed - SNAP_RTOL * statistics.max(axis=-1)
     p = (statistics >= thresh[..., None]).sum(axis=-1) / statistics.shape[-1]
     return float(p) if statistics.ndim == 1 else p
 
@@ -209,8 +206,8 @@ def decide(stats: np.ndarray, alpha: float) -> np.ndarray:
     the threshold above the critical value, the count is the entries past
     it that reach the threshold; otherwise it is the m - k + 1 entries at
     or above the critical value plus the entries before it that reach the
-    threshold.  The values are :func:`critical_value` and
-    :func:`pvalue_from_statistics` of each row.
+    threshold, T - ``SNAP_RTOL`` times the row's largest (tail) entry.  The
+    values are :func:`critical_value` and :func:`pvalue_from_statistics` of each row.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("level must lie in (0, 1)")
@@ -221,7 +218,7 @@ def decide(stats: np.ndarray, alpha: float) -> np.ndarray:
     observed[:] = stats[:, 0]
     stats.partition(k - 1, axis=1)
     crit[:] = stats[:, k - 1]
-    thresh = (observed - snap_tolerance(observed))[:, None]
+    thresh = (observed - SNAP_RTOL * stats[:, k - 1 :].max(axis=1))[:, None]
     above = thresh[:, 0] > crit
     for rows, side, known in ((above, slice(k, m), 0), (~above, slice(0, k - 1), m - k + 1)):
         n = np.count_nonzero(rows)
@@ -270,7 +267,7 @@ def run_test_columns(
 
     Returns a (3, k) array: the observed statistics, the critical values
     and the tie-snapped p-values; a column is rejected where its
-    statistic exceeds its critical value.  Each column gets the same
+    p-value is at most ``alpha``.  Each column gets the same
     arithmetic as a test of that column alone, so one null value or
     replication and many give the same bits.  The studentized variant
     maps the statistic and critical value of the |mean| sweep through
@@ -316,7 +313,7 @@ class TestResult:
 
     @property
     def reject(self) -> bool:
-        return self.statistic > self.critical_value
+        return self.p_value <= self.alpha
 
 
 def run_test_from_scores(
@@ -370,7 +367,7 @@ def run_wald_test(
     if sigma_inv is None:
         stats = np.zeros(group.rows, dtype=np.float64)
     else:
-        stats = kernels.group_wald_quadratic(np.ldexp(means, e), sigma_inv, estimates.q)
+        stats = kernels.group_wald_quadratic(np.ldexp(means, e[:, None]), sigma_inv, estimates.q)
     # a one-row restriction takes its p-value from the |mean| row, the last
     rows = stats[None] if hypothesis.p > 1 else np.stack([stats, np.abs(means[0])])
     decided = decide(rows, alpha)

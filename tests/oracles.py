@@ -164,15 +164,20 @@ def sort_interval_endpoints(lo_all, hi_all, alpha: float) -> tuple[float, float]
     return lower, upper
 
 
+def snapped_pvalue(t) -> float:
+    """The share of statistics t at or above t[0] snapped down by 1e-12 times the largest."""
+    t = np.asarray(t, dtype=np.float64)
+    return float(np.count_nonzero(t >= t[0] - 1e-12 * t.max())) / t.size
+
+
 def decision_loop(signs, values, alpha: float, variant: str = "unstudentized") -> np.ndarray:
     """Statistic, critical value and p-value of each column of (q, k) scores.
 
     One column at a time: the column-loop sweep, the sorted quantile and
-    a ``>=`` count against the observed statistic snapped down by
-    1e-12 * max(1, |T|).  The studentized map is scale-free, so a column
-    whose squares underflow (largest |v| below 2^-511) is mapped on v and
-    t scaled exactly by 2^-e, e the exponent of its largest |v|.
-    Returns a (3, k) array.
+    :func:`snapped_pvalue`, on the studentized scale for that variant.
+    The studentized map is scale-free, so a column whose squares underflow
+    (largest |v| below 2^-511) is mapped on v and t scaled exactly by
+    2^-e, e the exponent of its largest |v|.  Returns a (3, k) array.
     """
     q = signs.shape[1]
     out = np.empty((3, values.shape[1]))
@@ -191,13 +196,7 @@ def decision_loop(signs, values, alpha: float, variant: str = "unstudentized") -
                 t = np.where(var > 0.0, math.sqrt(q) * t / np.sqrt(var), np.inf)
             if not math.isfinite(t[0]):
                 raise DegenerateVariance("observed signed scores have zero spread")
-        observed = float(t[0])
-        thresh = observed - 1e-12 * max(1.0, abs(observed))
-        out[:, i] = (
-            observed,
-            sort_critical_value(t, 1.0 - alpha),
-            float(np.count_nonzero(t >= thresh)) / t.shape[0],
-        )
+        out[:, i] = t[0], sort_critical_value(t, 1.0 - alpha), snapped_pvalue(t)
     return out
 
 
@@ -279,14 +278,13 @@ def weighted_scores_loop(betas, sizes, contrast, values=0.0, scaling="root_nj") 
 def pvalue_profile(inputs, value: float) -> float:
     """The randomization p-value of interval inputs at a null value, found two ways.
 
-    The direct form counts the statistics |b - value*a| at or above the
-    identity's, snapped down by 1e-12 * max(1, T) as the engine does, so
-    the center gives 1 exactly; the piecewise form counts the per-group
-    bounds on the value's side of the center.  Asserts that they agree.
+    The direct form is :func:`snapped_pvalue` of the statistics
+    |b - value*a|, snapped as the engine does, so the center gives 1
+    exactly; the piecewise form counts the per-group bounds on the value's
+    side of the center.  Asserts that they agree.
     """
     value, m = float(value), inputs.a.shape[0]
-    t = np.abs(inputs.b - value * inputs.a)
-    direct = np.count_nonzero(t >= t[0] - 1e-12 * max(1.0, t[0])) / m
+    direct = snapped_pvalue(np.abs(inputs.b - value * inputs.a))
     lo_all, hi_all = kernels.interval_bounds(inputs.a, inputs.b, inputs.pm_identity)
     side = value >= lo_all if value < inputs.lambda0 else value <= hi_all
     piecewise = 1.0 if value == inputs.lambda0 else np.count_nonzero(side) / m

@@ -683,9 +683,9 @@ def test_studentized_overflowing_spread_exits_0(tmp_path, rng, capsys):
 
 
 # An outcome scaled by 2^-565 makes every square of the studentized spread
-# underflow; the spread is redone on scores scaled by a power of two, so
-# the run gives the unscaled file's statistic and critical value.  (Its
-# p-value is not compared: the tie snap's absolute floor makes it 1.)
+# underflow; the spread is redone on scores scaled by a power of two, and the
+# tie snap scales with the sweep's largest statistic, so the run gives the
+# unscaled file's statistic, critical value, p-value and decision.
 def test_studentized_underflowing_squares_exit_0(tmp_path, rng, capsys):
     path = write_random_csv(tmp_path, rng, q=6, n_j=5)
     lines = Path(path).read_text().splitlines()
@@ -699,9 +699,30 @@ def test_studentized_underflowing_squares_exit_0(tmp_path, rng, capsys):
     code, out, err = run_cli(capsys, ["test", "--input", str(tmp_path / "scaled.csv"), *argv])
     assert (code, err) == (0, "")
     _, want, _ = run_cli(capsys, ["test", "--input", path, *argv])
-    keys = ("statistic", "critical_value")
+    keys = ("statistic", "critical_value", "p_value", "reject")
     got, want = json.loads(out)["result"], json.loads(want)["result"]
     assert [got[key] for key in keys] == [want[key] for key in keys]
+
+
+# x times 2^k is exact and the test is unit-free, so every k gives one
+# p-value and one decision, also where T falls far below 1 (k = 42, 60).
+def test_covariate_units_keep_the_decision(tmp_path, capsys):
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal(320)
+    y = 1.0 + 0.8 * x + rng.standard_normal(320)
+    results = []
+    for k in (0, 17, 42, 60):
+        path = tmp_path / f"x{k}.csv"
+        path.write_text("cluster,y,x\n" + "".join(
+            f"c{i // 40},{yi!r},{xi!r}\n"
+            for i, (yi, xi) in enumerate(zip(y.tolist(), np.ldexp(x, k).tolist()))
+        ))
+        code, out, err = run_cli(capsys, ["test", "--input", str(path), "--cluster", "cluster",
+                                          "--outcome", "y", "--covariates", "x", "--coef", "x"])
+        assert (code, err) == (0, "")
+        result = json.loads(out)["result"]
+        results.append((result["p_value"], result["reject"]))
+    assert results == [(0.0078125, True)] * 4
 
 
 # The documented exit code of every package error: 3 for I/O and data

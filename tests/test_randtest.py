@@ -131,13 +131,13 @@ class TestStudentized:
     # finite), and their squares underflow from k = -511 down; the spread is
     # taken on values scaled by a power of two, exactly, so no k moves the
     # statistic or the critical value.  The p-value is the |mean| sweep's, whose
-    # tie snap has the absolute floor 1e-12: below k = -40 or so it moves
+    # tie snap scales with the sweep's largest statistic, so no k moves it either
     @pytest.mark.parametrize("k", [-1000, -600, -511, -480, 400, 512, 600, 1000])
     def test_overflowing_spread_keeps_bits(self, rng, group_cache, k):
         s = rng.standard_normal(8)
         want = run_test_from_scores(s, 0.05, group_cache(8), "studentized")
         got = run_test_from_scores(np.ldexp(s, k), 0.05, group_cache(8), "studentized")
-        for name in ("statistic", "critical_value") + ("p_value",) * (k > 0):
+        for name in ("statistic", "critical_value", "p_value"):
             assert bits(getattr(got, name)) == bits(getattr(want, name))
 
     def test_overflowing_zero_spread_still_degenerate(self, group_cache):
@@ -188,14 +188,29 @@ class TestWaldStatistic:
         with pytest.raises(SingularSigma):
             statistic_wald(est, mh, np.ones(4, dtype=np.int8))
 
-    # values near 1e300 or 1e160 swamp the estimates: one score column is
-    # constant to rounding, so the outer-product matrix is singular on any scale
-    @pytest.mark.parametrize("values", [[1e300, 1e300], [1e160, 0.0]])
+    # values near 1e300 swamp the estimates: both score columns are constant
+    # to rounding, so the outer-product matrix is singular on any scale
+    @pytest.mark.parametrize("values", [[1e300, 1e300]])
     def test_values_swamping_the_estimates_are_singular(self, rng, values):
         data = random_dataset(rng, q=8, d=3)
         mh = MultiHypothesis(restriction=np.eye(3)[1:], values=values)
         with pytest.raises(SingularSigma, match="^score outer-product matrix is numerically "):
             run_wald_test(data, mh, 0.1, SignGroup(8, "exhaustive"))
+
+    # a value of 1e160 swamps one row's estimates, so its score column is
+    # constant to rounding, but the two columns have full rank; each column is
+    # scaled by its own power of two, so the value times 2^k gives the same bits
+    @pytest.mark.parametrize("k", [-400, 10, 400])
+    def test_value_swamping_one_row_is_answered(self, rng, k):
+        data = random_dataset(rng, q=8, d=3)
+        group = SignGroup(8, "exhaustive")
+        want, got = (
+            run_wald_test(data, MultiHypothesis(np.eye(3)[1:], [value, 0.0]), 0.1, group)
+            for value in (1e160, np.ldexp(1e160, k))
+        )
+        assert np.isfinite(want.statistic)
+        for name in ("statistic", "critical_value", "p_value"):
+            assert bits(getattr(got, name)) == bits(getattr(want, name)), name
 
     # an outcome of order 1e-155 or 1e-160 gives scores whose squares fall
     # below the smallest normal float; the outer-product matrix is built from
@@ -221,13 +236,26 @@ class TestWaldStatistic:
         data = random_dataset(rng, q=8, d=3)
         scaled = ClusteredDataset(np.ldexp(data.outcomes, k), data.covariates, data.sizes,
                                   data.labels)
-        for p, fields in ((2, ("statistic", "critical_value", "p_value")),
-                          (1, ("statistic", "critical_value"))):
+        for p in (2, 1):
             mh = MultiHypothesis(restriction=np.eye(3)[3 - p:], values=np.zeros(p))
             want = run_wald_test(data, mh, 0.1, SignGroup(8, "exhaustive"))
             got = run_wald_test(scaled, mh, 0.1, SignGroup(8, "exhaustive"))
-            for name in fields:  # a one-row p-value is snapped on the |mean| scale
+            for name in ("statistic", "critical_value", "p_value"):
                 assert bits(getattr(got, name)) == bits(getattr(want, name)), (p, name)
+
+    # the Wald form is unchanged when one restriction row is rescaled, and each
+    # score column is scaled by its own power of two before the rank check, so
+    # row 2 of I_3 times 2^k gives the k = 0 bits
+    @pytest.mark.parametrize("k", [-300, -40, 20, 40, 200, 900])
+    def test_restriction_row_scale_keeps_bits(self, k):
+        data = random_dataset(np.random.default_rng(20240817), q=8, d=3)
+        group = SignGroup(8, "exhaustive")
+        rows = np.eye(3)[1:]
+        want = run_wald_test(data, MultiHypothesis(rows, np.zeros(2)), 0.1, group)
+        rows[0] = np.ldexp(rows[0], k)
+        got = run_wald_test(data, MultiHypothesis(rows, np.zeros(2)), 0.1, group)
+        for name in ("statistic", "critical_value", "p_value"):
+            assert bits(getattr(got, name)) == bits(getattr(want, name)), name
 
     def test_wrong_width_restriction_refused(self, rng):
         # the scores' one contrast-length check refuses it, after the fits
@@ -390,11 +418,13 @@ class TestRunTest:
 
 class TestResultValidation:
     def test_reject_is_derived(self):
+        # reject reads the tie-snapped p-value alone: p <= alpha
         group = SignGroup(4, "exhaustive")
-        above = RandTestResult(np.float64(3.0), 2, 0.125, 0.1, group)
-        assert above.reject is True
-        assert type(above.statistic) is float and type(above.critical_value) is float
-        assert RandTestResult(2.0, 2.0, 0.125, 0.1, group).reject is False
+        at = RandTestResult(np.float64(2.0), 2, 0.125, 0.125, group)
+        assert at.reject is True
+        assert type(at.statistic) is float and type(at.critical_value) is float
+        assert RandTestResult(3.0, 2.0, 0.25, 0.2, group).reject is False
+        assert RandTestResult(2.0, 2.0, 0.1875, 0.2, group).reject is True
 
     def test_pvalue_floor(self):
         with pytest.raises(ValueError):
@@ -425,3 +455,10 @@ class TestTieSnapping:
     def test_distant_values_do_not(self):
         stats = np.array([1.0, 1.0 - 1e-6, 0.5])
         assert pvalue_from_statistics(stats, 1.0) == pytest.approx(1.0 / 3.0)
+
+    @pytest.mark.parametrize("k", [-1000, -200, 200, 1000])
+    def test_tolerance_follows_the_largest_statistic(self, k):
+        # the snap is 1e-12 times the row's largest statistic, so it scales with the row
+        stats = np.ldexp(np.array([1.0, 1.0 - 1e-14, 4.0, 0.5]), k)
+        assert pvalue_from_statistics(stats, stats[0]) == 0.75
+        assert pvalue_from_statistics(stats[None], stats[:1]).tolist() == [0.75]

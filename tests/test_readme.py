@@ -52,6 +52,11 @@ def test_test_result_sentence_names_its_fields():
         assert (ast.literal_eval(default) if default else dataclasses.MISSING) == field.default
 
 
+def test_reject_sentence_states_the_rule():
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    assert re.search(r"derives `result.reject` as `(.*?)`", text).group(1) == "p_value <= alpha"
+
+
 def test_every_exported_name_resolves():
     missing = [name for name in artcluster.__all__ if not hasattr(artcluster, name)]
     assert missing == []

@@ -5,18 +5,22 @@ covariates by a power of two is exact, and the paper's statistics are
 unit-free.  Whatever the scale, each public call either returns finite
 numbers or raises ``ArtClusterError`` or ``ValueError``; none ends in
 numpy's ``LinAlgError`` or emits a ``RuntimeWarning``.  The restricted-route
-oracle (``tests/oracles.py``) is held to the same contract.
+oracle (``tests/oracles.py``) is held to the same contract.  A test's
+decision is unit-free too: scores times 2^k keep their p-value and
+decision, and a test rejects exactly where its p-value is at most alpha.
 """
 
 import warnings
+from functools import lru_cache
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from artcluster import (
     ArtClusterError,
     ClusteredDataset,
+    DegenerateVariance,
     LinearHypothesis,
     MultiHypothesis,
     fit_per_cluster,
@@ -109,3 +113,48 @@ def test_scaled_inputs_answer_or_refuse(instance):
     _answers_or_documented(lambda: (scores_via_restricted(dataset(), hypothesis()),))
     _answers_or_documented(wald)
     _answers_or_documented(studentized)
+
+
+@lru_cache(maxsize=None)
+def exhaustive(q: int) -> SignGroup:
+    return SignGroup(q, "exhaustive")
+
+
+@st.composite
+def score_vectors(draw):
+    """Integer, tenths, normal or near-tie scores; a near-tie moves one integer by j * 1e-12."""
+    q = draw(st.integers(4, 8))
+    kind = draw(st.sampled_from(["integer", "tenths", "normal", "near-tie"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "normal":
+        return rng.standard_normal(q)
+    ints = rng.integers(-4, 5, size=q).astype(np.float64)
+    if kind == "near-tie":
+        ints[rng.integers(q)] += int(rng.integers(1, 6)) * float(rng.choice([-1e-12, 1e-12]))
+    return 0.1 * ints if kind == "tenths" else ints
+
+
+def _decision(scores, alpha, variant):
+    """(p-value, reject) of the test of ``scores``, or the error it raises."""
+    try:
+        res = run_test_from_scores(scores, alpha, exhaustive(len(scores)), variant)
+    except DegenerateVariance as err:
+        return type(err)
+    assert res.reject == (res.p_value <= alpha), res
+    return res.p_value, res.reject
+
+
+# the example's near-tie puts T a hair above the critical value, with p = 0.25 > alpha
+@settings(max_examples=200, deadline=None)
+@given(
+    scores=score_vectors(),
+    k=st.integers(-200, 200),
+    variant=st.sampled_from(["unstudentized", "studentized"]),
+    alpha=st.sampled_from([0.05, 0.1, 0.2]),
+)
+@example(scores=np.array([-3, 2, -2, -2.000000000001, -4]), k=-150, variant="unstudentized",
+         alpha=0.2)
+@example(scores=np.array([-3, 2, -2, -2.000000000001, -4]), k=0, variant="studentized",
+         alpha=0.2)
+def test_scaled_scores_keep_the_decision(scores, k, variant, alpha):
+    assert _decision(np.ldexp(scores, k), alpha, variant) == _decision(scores, alpha, variant)
