@@ -51,10 +51,12 @@ def check_score_sums(values: np.ndarray) -> None:
     finite column sum of |values| means that no sweep overflows.  An
     exhaustive group's row g_j = sign(v_j) reaches that sum, so there the
     check refuses exactly the values whose sweep would overflow.  NaN and
-    infinite values fail it too.  It costs O(q k).
+    infinite values fail it too.  It costs O(q k) time and O(k) memory.
     """
+    total = np.zeros(values.shape[1:])
     with np.errstate(over="ignore"):
-        total = np.add.accumulate(np.abs(values), axis=0)[-1]
+        for row in values:  # row by row: no (q, k) temporary
+            total += np.abs(row)
     if not np.isfinite(total).all():
         raise ValueError(
             "scores are not finite, or their absolute sum over the clusters "
@@ -72,11 +74,13 @@ def check_seed(seed: int) -> None:
 class SignGroup:
     """An ordered collection of sign vectors acting on cluster statistics.
 
-    ``SignGroup(q, "exhaustive")`` holds all 2^q vectors in lexicographic
-    order (+1 sorts before -1): row 0 is the identity, row 2^q - 1 its
-    negation.  Its sweep returns the first ``rows`` = 2^(q-1) of them,
-    those with g_0 = +1; the rest are their negations in reverse order.
-    It raises :class:`GroupTooLarge` above q = 20.
+    ``SignGroup(q, "exhaustive")`` holds all 2^q vectors: row i has
+    g_0 = -1 where bit q - 1 of i is set, and g_j = -1 for j >= 1 where
+    bit j - 1 is set, the order in which prefix-sum doubling builds them.
+    Row 0 is the identity, and row 2^q - 1 - i is row i negated.  Its sweep
+    returns the first ``rows`` = 2^(q-1) of them, those with g_0 = +1; the
+    rest are their negations in reverse order.  It raises
+    :class:`GroupTooLarge` above q = 20.
 
     ``SignGroup(q, "sampled", seed=seed, draws=B)`` holds the identity
     followed by B - 1 i.i.d. Rademacher vectors (duplicates permitted),
@@ -86,13 +90,13 @@ class SignGroup:
     ``ValueError``, naming ``draws_name``, when the group would need more
     than 1 GiB: B * 50 bytes, plus 2^14 * (3q + 48) for one chunk's bytes,
     flips and signs and three (2, 2^14) float64 temporaries.  A sampled
-    ``ci`` holds 41 B per draw (a(g), b(g), the two bounds, the interval
-    quantile's copy and the +-identity mask) over about 9 MB for numpy's
+    ``ci`` holds 41 B per draw (a(g), b(g), the two bounds, one temporary
+    of their crossings and the +-identity mask) over about 9 MB for numpy's
     random module and the command, so 50 B per draw covers its peak from
     about 1M draws up (50 MB over the import floor at 1M draws, at every
-    q).  A sampled ``test`` holds 9 B per draw: the engine decides its
-    means in place, with no quantile copy, and compares one side of
-    them at a time.
+    q).  A sampled ``test`` holds 9 B per draw: the engine takes |means|
+    in place, counts them through a one-byte mask, and then partitions
+    them in place for the critical value.
 
     Attributes
     ----------
@@ -168,10 +172,18 @@ class SignGroup:
         group axis is last, so each value column gets one contiguous row
         of m means.  Values whose signed means could overflow raise
         ``ValueError`` (:func:`check_score_sums`), so every mean is finite.
-        This is the one-chunk case of :meth:`sweep_chunks`.
+        An exhaustive sweep doubles each value column in place in its own row.
         """
         values = np.asarray(values, dtype=np.float64)
-        (means,) = self.sweep_chunks(values[:, None] if values.ndim == 1 else values)
+        block = self._checked(values[:, None] if values.ndim == 1 else values)
+        if self.mode == "sampled":
+            means = self._sampled_means(block)
+        else:
+            means = np.empty((block.shape[1], self.rows))
+            means[:, 0] = 0.0 + block[0]
+            for sums, column in zip(means, block[1:].T):
+                kernels.double_sums(sums, column)
+            means /= self.q
         return means.reshape(*values.shape[1:], self.rows)
 
     def sweep_chunks(self, values: np.ndarray, statistics: int | None = None):
@@ -180,32 +192,44 @@ class SignGroup:
         A chunk holds w = max(1, ``statistics`` // m) columns, the last one
         fewer, and a block of no columns is one empty chunk; without
         ``statistics`` the whole block is one chunk.  The overflow guard
-        runs once on the block.  An exhaustive sweep doubles across all k
-        columns while a level holds at most ``statistics`` sums, and each
-        chunk continues the doubling from its columns of those shared
-        head rows; the means have the bits of sweeping each column alone.
+        runs once on the block.  An exhaustive sweep doubles all k columns,
+        group axis first, while a level holds at most ``statistics`` sums;
+        each chunk doubles its columns of those head rows on in one (m, w)
+        buffer that every chunk reuses, and yields its (w, m) view, so read
+        a chunk before asking for the next.  The means have the bits of
+        sweeping each column alone.
         """
-        values = np.asarray(values, dtype=np.float64)
-        if values.shape[0] != self.q:
-            raise ValueError(
-                f"values have {values.shape[0]} entries but the group acts on q = {self.q}"
-            )
-        check_score_sums(values)
+        values = self._checked(np.asarray(values, dtype=np.float64))
         k = values.shape[1]
         budget = k * self.rows if statistics is None else statistics
         width = max(1, min(budget // self.rows, k))
         if self.mode == "exhaustive":
             # the head's level over the first ``lead`` rows holds k * 2^(lead-1) sums
             lead = min(self.q, max(1, (budget // max(k, 1)).bit_length()))
-            head = kernels.exhaustive_sums(values[:lead])
+            head = np.empty((1 << (lead - 1), k))
+            head[0] = 0.0 + values[0]
+            kernels.double_sums(head, values[1:lead])
+            buffer = np.empty(self.rows * width)
         for start in range(0, max(k, 1), width):
             columns = values[:, start : start + width]
             if self.mode == "sampled":
                 yield self._sampled_means(columns)
             else:
-                means = kernels.continue_doubling(head[start : start + width], columns[lead:])
-                means /= self.q
-                yield means
+                w = columns.shape[1]
+                sums = buffer[: self.rows * w].reshape(self.rows, w)
+                sums[: len(head)] = head[:, start : start + width]
+                kernels.double_sums(sums, columns[lead:], len(head))
+                sums /= self.q
+                yield sums.T
+
+    def _checked(self, values: np.ndarray) -> np.ndarray:
+        """(q, k) values, refused unless they have q rows and cannot overflow a sweep."""
+        if values.shape[0] != self.q:
+            raise ValueError(
+                f"values have {values.shape[0]} entries but the group acts on q = {self.q}"
+            )
+        check_score_sums(values)
+        return values
 
     def _sampled_means(self, values: np.ndarray) -> np.ndarray:
         """The (p, draws) means of (q, p) values, regenerating the rows a chunk at a time."""

@@ -203,7 +203,7 @@ def inversion_scan(
     """
     column = np.reshape(contrast, (-1, 1))
     scores = weighted_scores(estimates.betas, estimates.sizes, column, grid)  # (q, k)
-    return run_test_columns(scores, alpha, group)[2] > alpha
+    return run_test_columns(scores, group)[1] > alpha
 
 
 def interval_by_inversion(

@@ -1,13 +1,12 @@
 """Hot numeric kernels: sweeping statistics over a sign group.
 
-:func:`exhaustive_sums` and :func:`continue_doubling` sweep the first
-half of the exhaustive group, the 2^(q-1) sign vectors with g_0 = +1, by
-prefix-sum doubling without ever building a sign matrix: the first
-doubles a block's leading rows for all its columns at once, the second
-finishes a chunk of columns from those shared sums.  :func:`group_means`
-sweeps an int8 sign matrix, such as one chunk of a sampled group's rows.
-Both give the signed sums or means of (q,) values as (m,), and of (q, p)
-values as (p, m), one contiguous row per value column.
+:func:`double_sums` sweeps the first half of the exhaustive group, the
+2^(q-1) sign vectors with g_0 = +1, by prefix-sum doubling in place,
+without ever building a sign matrix; it doubles one value column in a
+contiguous row, or a block of columns side by side with the group axis
+first.  :func:`group_means` sweeps an int8 sign matrix, such as one
+chunk of a sampled group's rows, and gives the signed means of (q,)
+values as (m,), and of (q, p) values as (p, m).
 :func:`group_wald_quadratic` turns swept (p, m) means into the multi-row
 quadratic form and :func:`interval_bounds` gives each row's interval
 bounds, the min and max of the two points where its V-shaped map
@@ -23,8 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "continue_doubling",
-    "exhaustive_sums",
+    "double_sums",
     "group_means",
     "group_wald_quadratic",
     "interval_bounds",
@@ -35,40 +33,29 @@ __all__ = [
 # Signed means:  out[i] = (1/q) * sum_j signs[i, j] * values[j]
 # ------------------------------------------------------------------ #
 #
-# Exhaustive rows are in lexicographic order with +1 before -1, so the
-# sums over the first k+1 columns are the sums over the first k columns
-# with +v_k and -v_k appended, interleaved:
-#     level[2i] = prev[i] + v_k,   level[2i + 1] = prev[i] - v_k.
-# Starting from +0.0 this is the column loop's left-to-right order, and
-# x - v equals x + (-v) exactly, so both sweeps give the same bits.
-# The group axis is last: (q, p) values double p rows side by side, each
-# row adding its own value, and (q,) values double one row.
+# The sums over the first k+1 values are the sums over the first k
+# values with +v_k and -v_k appended, the second copy after the first:
+#     level[i] = prev[i] + v_k,   level[r + i] = prev[i] - v_k,
+# for the r rows of prev.  Starting from +0.0 this is the column loop's
+# left-to-right order, and x - v equals x + (-v) exactly, so every sweep
+# gives the same bits for the same sign vector, in any row order.
 
 
-def exhaustive_sums(values: np.ndarray) -> np.ndarray:
-    """Signed sums of (n, p) values for the 2^(n-1) sign vectors with g_0 = +1, (p, 2^(n-1)).
+def double_sums(sums: np.ndarray, values: np.ndarray, rows: int = 1) -> None:
+    """Double the signed sums in ``sums[:rows]`` across each of ``values``, in place.
 
-    The first row's g_0 = +1 sums, doubled over rows 1..n-1; a sweep
-    divides the finished sums by q.
+    The group axis comes first: ``sums`` is (rows * 2^n,) for (n,)
+    values, or (rows * 2^n, w) for (n, w) values, each column of sums
+    taking its own value column.  Each value x writes rows [r, 2r) as
+    ``sums[:r] - x``, then adds x to rows [:r], so a row's sign of x is
+    set by bit log2(r) of its index.  Starting from
+    ``sums[0] = 0.0 + v_0``, row i of the exhaustive sweep's half has
+    g_j = -1 exactly where bit j - 1 of i is set.
     """
-    v = np.asarray(values, dtype=np.float64)
-    return continue_doubling(0.0 + v[:1].T, v[1:])
-
-
-def continue_doubling(sums: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Double (p, r) partial sums across each row of (n, p) values, to (p, r * 2^n).
-
-    ``sums`` are the signed sums over the rows before ``values``.  Each
-    value column doubles its own row of sums, so doubling a slice of the
-    columns gives that slice of the whole result, with the same bits.
-    With no rows left, ``sums`` itself is returned.
-    """
-    for x in values[..., None]:
-        level = np.empty((*sums.shape[:-1], 2 * sums.shape[-1]))
-        np.add(sums, x, out=level[..., 0::2])
-        np.subtract(sums, x, out=level[..., 1::2])
-        sums = level
-    return sums
+    for x in values:
+        np.subtract(sums[:rows], x, out=sums[rows : 2 * rows])
+        sums[:rows] += x
+        rows *= 2
 
 
 def group_means(signs: np.ndarray, values: np.ndarray) -> np.ndarray:

@@ -9,10 +9,9 @@ for itself and its negation (same bits): the whole group's k-th smallest
 is the half's ceil(k/2)-th, the half's own quantile, and tie shares agree.
 One engine, :func:`run_test_columns`, tests a (q, k) block of score
 vectors -- k null values or k replications -- in one sweep, chunk by
-chunk.  :func:`decide` decides each chunk in place: it partitions each
-test's row of statistics around its critical value and counts ties only
-on the side of the partition that can reach the threshold, with no copy
-of the row.  :func:`run_wald_test` decides its statistics with it too.
+chunk, and counts each column's tie-snapped p-value; its callers read
+only p-values, so it takes no quantile.  A single test sweeps once,
+counts, then partitions its statistics in place for the critical value.
 
 Tie handling: statistics within ``SNAP_RTOL`` times the row's largest one
 of the observed statistic count as ties.  The equivalence theorems hold
@@ -156,26 +155,35 @@ def critical_value(values, level: float):
 
     inf{u : fraction of values <= u is >= level}; equals the
     ceil(m*level)-th smallest value.  (m,) values give a float; (k, m)
-    values give the quantile of each row.
+    values give the quantile of each row.  A writeable float64 array is
+    partitioned in place, with no copy, so its entries come back reordered.
     """
     arr = np.asarray(values, dtype=np.float64)
+    if not arr.flags.writeable:
+        arr = arr.copy()
     if arr.size == 0:
         raise ValueError("need a nonempty multiset")
     if not 0.0 < level < 1.0:
         raise ValueError("level must lie in (0, 1)")
     k = order_statistic_index(arr.shape[-1], level)
-    crit = np.partition(arr, k - 1, axis=-1)[..., k - 1]
+    arr.partition(k - 1, axis=-1)
+    crit = arr[..., k - 1]
     return float(crit) if arr.ndim == 1 else crit
 
 
 def pvalue_from_statistics(statistics: np.ndarray, observed):
-    """Fraction of group statistics >= the observed one, tie-snapped as in :func:`decide`.
+    """Fraction of group statistics >= the observed one, tie-snapped.
 
-    (m,) statistics and a float observed value give a float; (k, m)
-    statistics and (k,) observed values give the p-value of each row.
+    A statistic counts where it reaches T - ``SNAP_RTOL`` times the row's
+    largest statistic, for the observed T.  (m,) statistics and a float
+    observed value give a float; (k, m) statistics and (k,) observed
+    values give the p-value of each row.
     """
+    m = statistics.shape[-1]
     thresh = observed - SNAP_RTOL * statistics.max(axis=-1)
-    p = (statistics >= thresh[..., None]).sum(axis=-1) / statistics.shape[-1]
+    # summing the mask's bytes into int32 is about twice as fast as bool.sum()
+    reached = (statistics >= thresh[..., None]).view(np.uint8)
+    p = np.add.reduce(reached, axis=-1, dtype=np.int32 if m < 2**31 else np.int64) / m
     return float(p) if statistics.ndim == 1 else p
 
 
@@ -184,51 +192,16 @@ def pvalue_from_statistics(statistics: np.ndarray, observed):
 # ------------------------------------------------------------------ #
 
 # The engine sweeps at most this many statistics at once, i.e. chunks of
-# max(1, 2^16 // m) score columns, m = ``group.rows``, so each of a chunk's
-# temporaries holds at most max(2^16, m) float64 entries: 512 kB for groups of
-# up to 2^16 rows, one column of m entries (4 MB at m = 2^19) above that.  An
-# exhaustive sweep's shared head rows (:meth:`SignGroup.sweep_chunks`) hold at
-# most as many.  A chunk's sweep is (columns, m), one contiguous row of m
-# statistics per score column, and :func:`decide` decides it in place.
-# Timing 2^12-2^18 on the perfbench ``inversion`` op (q = 10, 4001 columns,
-# 4 instances; medians of 7 rounds on a 2-vCPU container) gave passes of
-# 142, 80, 59, 50, 46, 53 and 62 ms: 2^16 is the fastest.
-_CHUNK_STATISTICS = 2**16
-
-
-def decide(stats: np.ndarray, alpha: float) -> np.ndarray:
-    """Observed statistic, critical value and p-value of each row of a (w, m) block, as (3, w).
-
-    Entry 0 of a row is its observed statistic, and no entry is NaN.  Each
-    row is partitioned in place around its critical value, its k-th
-    smallest entry for k = ``order_statistic_index(m, 1 - alpha)``, so the
-    tie-snapped count can differ from the threshold on one side only.  With
-    the threshold above the critical value, the count is the entries past
-    it that reach the threshold; otherwise it is the m - k + 1 entries at
-    or above the critical value plus the entries before it that reach the
-    threshold, T - ``SNAP_RTOL`` times the row's largest (tail) entry.  The
-    values are :func:`critical_value` and :func:`pvalue_from_statistics` of each row.
-    """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("level must lie in (0, 1)")
-    m = stats.shape[1]
-    k = order_statistic_index(m, 1.0 - alpha)
-    out = np.empty((3, stats.shape[0]))
-    observed, crit, count = out
-    observed[:] = stats[:, 0]
-    stats.partition(k - 1, axis=1)
-    crit[:] = stats[:, k - 1]
-    thresh = (observed - SNAP_RTOL * stats[:, k - 1 :].max(axis=1))[:, None]
-    above = thresh[:, 0] > crit
-    for rows, side, known in ((above, slice(k, m), 0), (~above, slice(0, k - 1), m - k + 1)):
-        n = np.count_nonzero(rows)
-        if n == len(stats):  # every row: count on views, no copy
-            np.add.reduce(stats[:, side] >= thresh, axis=1, out=count)
-            count += known
-        elif n:
-            count[rows] = known + np.add.reduce(stats[rows, side] >= thresh[rows], axis=1)
-    count /= m
-    return out
+# max(1, 2^17 // m) score columns, m = ``group.rows``, so a chunk's buffer
+# holds at most max(2^17, m) float64 entries: 1 MB for groups of up to 2^17
+# rows, one column of m entries (4 MB at m = 2^19) above that, and its
+# comparison mask one byte per entry.  An exhaustive sweep's shared head rows
+# (:meth:`SignGroup.sweep_chunks`) hold at most as many.  Timing 2^15-2^18
+# on the perfbench ``inversion`` op (q = 10, 4001 columns, 4 instances;
+# chunk sizes interleaved, medians of 15 rounds in each of 4 processes on a
+# 2-vCPU container) gave passes of 48-62, 39-59, 36-51 and 43-68 ms: 2^17
+# is the fastest in every process.
+_CHUNK_STATISTICS = 2**17
 
 
 def _studentize(values: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -259,30 +232,30 @@ def check_variant(variant: str) -> None:
 
 def run_test_columns(
     values: np.ndarray,
-    alpha: float,
     group: SignGroup,
     variant: str = "unstudentized",
 ) -> np.ndarray:
     """The randomization test of each column of a (q, k) block of scores.
 
-    Returns a (3, k) array: the observed statistics, the critical values
-    and the tie-snapped p-values; a column is rejected where its
-    p-value is at most ``alpha``.  Each column gets the same
-    arithmetic as a test of that column alone, so one null value or
-    replication and many give the same bits.  The studentized variant
-    maps the statistic and critical value of the |mean| sweep through
-    :func:`_studentize` and keeps its p-value.
+    Returns a (2, k) array: the observed statistics and the tie-snapped
+    p-values; a test at level alpha rejects a column where its p-value is
+    at most alpha.  Each column gets the same arithmetic as a test of
+    that column alone, so one null value or replication and many give the
+    same bits.  The studentized variant maps the observed statistic of
+    the |mean| sweep through :func:`_studentize` and keeps its p-value.
     """
     check_variant(variant)
     values = np.asarray(values, dtype=np.float64)
-    out = np.empty((3, values.shape[1]))
+    out = np.empty((2, values.shape[1]))
     start = 0
     for means in group.sweep_chunks(values, _CHUNK_STATISTICS):
-        stop = start + means.shape[0]
-        out[:, start:stop] = decide(np.abs(means, out=means), alpha)
+        stats = np.abs(means, out=means)
+        stop = start + len(stats)
+        out[0, start:stop] = stats[:, 0]
+        out[1, start:stop] = pvalue_from_statistics(stats, stats[:, 0])
         start = stop
     if variant == "studentized":
-        out[:2] = _studentize(values, out[:2])
+        out[:1] = _studentize(values, out[:1])
         if not np.all(np.isfinite(out[0])):
             raise DegenerateVariance("observed signed scores have zero spread")
     return out
@@ -322,9 +295,23 @@ def run_test_from_scores(
     group: SignGroup,
     variant: str = "unstudentized",
 ) -> TestResult:
-    """The engine for one (q,) score vector: sweep the group, take the quantile, count the ties."""
-    column = run_test_columns(np.reshape(scores, (-1, 1)), alpha, group, variant)[:, 0]
-    return TestResult(*column, alpha, group, variant)
+    """The test of one (q,) score vector: sweep the group, count the ties, take the quantile.
+
+    All in place, so a sampled test holds 9 B per draw: its means and one
+    comparison mask.
+    """
+    check_variant(variant)
+    values = np.reshape(np.asarray(scores, dtype=np.float64), (-1, 1))
+    (stats,) = group.sweep(values)
+    np.abs(stats, out=stats)
+    statistic = stats[0]
+    p_value = pvalue_from_statistics(stats, statistic)
+    crit = critical_value(stats, 1.0 - alpha)
+    if variant == "studentized":
+        statistic, crit = _studentize(values, np.array([[statistic], [crit]]))[:, 0]
+        if not math.isfinite(statistic):
+            raise DegenerateVariance("observed signed scores have zero spread")
+    return TestResult(statistic, crit, p_value, alpha, group, variant)
 
 
 def run_test(
@@ -368,8 +355,8 @@ def run_wald_test(
         stats = np.zeros(group.rows, dtype=np.float64)
     else:
         stats = kernels.group_wald_quadratic(np.ldexp(means, e[:, None]), sigma_inv, estimates.q)
-    # a one-row restriction takes its p-value from the |mean| row, the last
-    rows = stats[None] if hypothesis.p > 1 else np.stack([stats, np.abs(means[0])])
-    decided = decide(rows, alpha)
-    statistic, crit, p_value = decided[0, 0], decided[1, 0], decided[2, -1]
-    return TestResult(statistic, crit, p_value, alpha, group, "wald")
+    # a one-row restriction takes its p-value from the |mean| row
+    row = stats if hypothesis.p > 1 else np.abs(means[0])
+    p_value = pvalue_from_statistics(row, row[0])
+    statistic = stats[0]
+    return TestResult(statistic, critical_value(stats, 1.0 - alpha), p_value, alpha, group, "wald")

@@ -214,8 +214,8 @@ def _read(doc: dict, name: str, convert=lambda v: v, default=None):
 def check_study(q: int, alpha, replications) -> tuple[float, int]:
     """A study's level and replication count, checked as spec fields.
 
-    R replications at q clusters keep about R * 8 * (q + 12) bytes: the
-    (q, R) scores, the engine's (3, R) results, the report's p-values and
+    R replications at q clusters keep about R * 8 * (q + 11) bytes: the
+    (q, R) scores, the engine's (2, R) results, the report's p-values and
     their rendering.
     """
     alpha = _field("alpha", float, alpha)
@@ -224,7 +224,7 @@ def check_study(q: int, alpha, replications) -> tuple[float, int]:
     replications = _field("replications", integral, replications)
     if replications < 1:
         raise ValueError("need at least one replication")
-    check_bytes(f"replications {replications} at q = {q}", replications * 8 * (q + 12))
+    check_bytes(f"replications {replications} at q = {q}", replications * 8 * (q + 11))
     return alpha, replications
 
 
@@ -264,7 +264,7 @@ def _study(
         null_value = float(c @ np.asarray(spec.beta))
     hypothesis = LinearHypothesis(contrast=c, value=null_value)
     scores = _study_scores(spec, hypothesis, replications)
-    p_values = run_test_columns(scores, alpha, group, variant)[2]
+    p_values = run_test_columns(scores, group, variant)[1]
     return MonteCarloReport(
         replications=replications,
         rejections=int(np.count_nonzero(p_values <= alpha)),

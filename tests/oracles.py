@@ -36,9 +36,15 @@ from artcluster.randtest import _wald_ingredients, order_statistic_index
 
 
 def bit_expansion_signs(q: int) -> np.ndarray:
-    """All 2^q sign vectors, lexicographic with +1 first, as (2^q, q) int8."""
+    """All 2^q sign vectors as (2^q, q) int8, in the order the doubling sweep builds them.
+
+    Row i has g_0 = -1 where bit q - 1 of i is set, and g_j = -1 for
+    j >= 1 where bit j - 1 is set: the first half is the rows with
+    g_0 = +1, row i's g_1..g_{q-1} are the bits of i from the lowest up,
+    and row 2^q - 1 - i is row i negated.
+    """
     idx = np.arange(1 << q, dtype=np.uint64)
-    shifts = q - 1 - np.arange(q, dtype=np.uint64)
+    shifts = np.roll(np.arange(q, dtype=np.uint64), 1)  # q - 1, 0, 1, ..., q - 2
     bits = (idx[:, None] >> shifts[None, :]) & 1
     return (1 - 2 * bits).astype(np.int8)
 
@@ -46,8 +52,8 @@ def bit_expansion_signs(q: int) -> np.ndarray:
 def exhaustive_half(full: np.ndarray, even: bool = False) -> np.ndarray:
     """The first half of an exhaustive oracle's rows (axis 0): those with g_0 = +1.
 
-    Row m - 1 - i of the lexicographic group is row i negated, and an
-    exhaustive sweep returns only rows 0..m/2 - 1.  Asserts that the
+    Row m - 1 - i of the group is row i negated, and an exhaustive sweep
+    returns only rows 0..m/2 - 1.  Asserts that the
     second half mirrors the first: the exact negation (a zero may carry
     either sign, so equal values and equal |value| bits), or with
     ``even``, for a statistic of the row such as a quadratic form, equal bits.
@@ -197,6 +203,18 @@ def decision_loop(signs, values, alpha: float, variant: str = "unstudentized") -
             if not math.isfinite(t[0]):
                 raise DegenerateVariance("observed signed scores have zero spread")
         out[:, i] = t[0], sort_critical_value(t, 1.0 - alpha), snapped_pvalue(t)
+    return out
+
+
+def engine_loop(signs, values, variant: str = "unstudentized") -> np.ndarray:
+    """What ``run_test_columns`` gives for (q, k) scores, from :func:`decision_loop`: (2, k).
+
+    Row 0 is each column's observed statistic on the variant's scale, row 1
+    its p-value, which is the unstudentized one for either variant.
+    """
+    out = decision_loop(signs, values, 0.5)[::2]
+    if variant == "studentized":
+        out[0] = decision_loop(signs, values, 0.5, variant)[0]
     return out
 
 

@@ -1,11 +1,12 @@
 """The batched test engine against the one-null-at-a-time oracle, bit for bit.
 
 ``run_test_columns`` tests every column of a (q, k) score block, sweeping
-chunks of columns at once.  Each column must get exactly the decision
-that ``tests/oracles.decision_loop`` reaches for that column alone: the
-same statistic, critical value and tie-snapped p-value, compared on the
-float64 bit patterns.  The studentized variant takes its statistic and
-critical value from the studentized oracle and its p-value from the
+chunks of columns at once.  Each column must get exactly the statistic
+and tie-snapped p-value that ``tests/oracles.decision_loop`` gives for
+that column alone, and a single test of the column
+(``run_test_from_scores``) the oracle's critical value too, compared on
+the float64 bit patterns.  The studentized variant takes its statistic
+and critical value from the studentized oracle and its p-value from the
 unstudentized one (the p-value does not depend on studentization).
 """
 
@@ -27,12 +28,18 @@ from artcluster import (
 )
 from artcluster.groups import SignGroup
 from artcluster.intervals import default_inversion_grid, inversion_scan
-from artcluster.randtest import _wald_ingredients, run_test_columns, run_wald_test
+from artcluster.randtest import (
+    _wald_ingredients,
+    run_test_columns,
+    run_test_from_scores,
+    run_wald_test,
+)
 from tests.oracles import (
     bit_expansion_signs,
     bits,
     column_loop_means,
     decision_loop,
+    engine_loop,
     sampled_signs,
     snapped_pvalue,
     sort_critical_value,
@@ -89,7 +96,8 @@ def instances(draw):
         signs = sampled_signs(q, draws, seed)
     chunk = 2 ** draw(st.integers(2, 12))
     step = max(1, chunk // group.rows)
-    k = draw(st.sampled_from(edge_widths(step)))
+    edges = [k for k in edge_widths(step) if k <= 300]
+    k = draw(st.one_of(st.sampled_from(edges), st.integers(0, 300)))
     kind = draw(st.sampled_from(["integer", "tenths", "normal", "near-tie"]))
     variant = draw(st.sampled_from(["unstudentized", "studentized"]))
     values = score_block(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), q, k, kind)
@@ -97,25 +105,32 @@ def instances(draw):
         # an all-equal column has zero spread at the identity; that case has its own test
         flat = np.all(values == values[:1], axis=0)
         values[0, flat] += 1.0
-    else:
+    elif k:
         values[:, -1] = 0.0
+    # exact scales; the studentized oracle squares unscaled values above 2^-511
+    scale = draw(st.integers(-400, 400) if variant == "studentized" else st.integers(-1000, 1000))
     alpha = draw(st.sampled_from([0.05, 0.1, 0.32]))
-    return group, signs, values, alpha, variant, chunk
+    return group, signs, np.ldexp(values, scale), alpha, variant, chunk
 
 
 class TestEngineMatchesOracle:
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=50, deadline=None)
     @given(instance=instances())
     def test_columns_match_decision_loop(self, instance):
+        """Each column's statistic and p-value, and its single test's critical value too."""
         group, signs, values, alpha, variant, chunk = instance
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(randtest, "_CHUNK_STATISTICS", chunk)
-            got = run_test_columns(values, alpha, group, variant)
-        expected = decision_loop(signs, values, alpha)
+            got = run_test_columns(values, group, variant)
+        expected = decision_loop(signs, values, alpha, variant)
         if variant == "studentized":
-            expected[:2] = decision_loop(signs, values, alpha, variant)[:2]
-        assert got.shape == expected.shape
-        assert np.array_equal(bits(got), bits(expected))
+            expected[2] = decision_loop(signs, values, alpha)[2]
+        assert got.shape == (2, values.shape[1])
+        assert np.array_equal(bits(got), bits(expected[::2]))
+        for column, want in zip(values.T, expected.T):
+            result = run_test_from_scores(column, alpha, group, variant)
+            got = [result.statistic, result.critical_value, result.p_value]
+            assert np.array_equal(bits(got), bits(want))
 
     @pytest.mark.parametrize("q", range(2, 13))
     def test_every_chunk_edge_exhaustive(self, q, monkeypatch):
@@ -123,19 +138,19 @@ class TestEngineMatchesOracle:
         group, signs = exhaustive(q)
         widths = edge_widths(chunk_width(group))
         values = score_block(np.random.default_rng(q), q, widths[-1], "tenths")
-        expected = decision_loop(signs, values, 0.1)
+        expected = engine_loop(signs, values)
         for k in widths:
-            got = run_test_columns(values[:, :k], 0.1, group)
+            got = run_test_columns(values[:, :k], group)
             assert np.array_equal(bits(got), bits(expected[:, :k])), f"k={k}"
 
     def test_chunk_edges_at_the_shipped_chunk(self):
         group, signs = exhaustive(8)
         step = chunk_width(group)
-        assert step == 2**16 // 2**7  # a sweep returns the 2^7 rows with g_0 = +1
+        assert step == randtest._CHUNK_STATISTICS // 2**7  # the 2^7 rows with g_0 = +1
         values = score_block(np.random.default_rng(8), 8, step + 1, "tenths")
-        expected = decision_loop(signs, values, 0.1)
+        expected = engine_loop(signs, values)
         for k in (step - 1, step, step + 1):
-            got = run_test_columns(values[:, :k], 0.1, group)
+            got = run_test_columns(values[:, :k], group)
             assert np.array_equal(bits(got), bits(expected[:, :k])), f"k={k}"
 
     def test_near_ties_are_snapped(self):
@@ -144,9 +159,9 @@ class TestEngineMatchesOracle:
         # value.  Snapped, 10 of 16 count; by exact >=, only 4 would.
         values = np.array([[0.1], [0.1], [0.1], [-0.1]])
         group, signs = exhaustive(4)
-        got = run_test_columns(values, 0.1, group)
-        assert np.array_equal(bits(got), bits(decision_loop(signs, values, 0.1)))
-        assert got[2, 0] == 10 / 16
+        got = run_test_columns(values, group)
+        assert np.array_equal(bits(got), bits(engine_loop(signs, values)))
+        assert got[1, 0] == 10 / 16
 
 
     @pytest.mark.parametrize("q", range(3, 11))
@@ -157,9 +172,9 @@ class TestEngineMatchesOracle:
         studentized = decision_loop(signs, values, 0.1, "studentized")
         # snapped on the studentized scale, some of these p-values differ
         assert np.any(plain[2] != studentized[2])
-        got = run_test_columns(values, 0.1, group, "studentized")
-        assert np.array_equal(bits(got[:2]), bits(studentized[:2]))
-        assert np.array_equal(bits(got[2]), bits(plain[2]))
+        got = run_test_columns(values, group, "studentized")
+        assert np.array_equal(bits(got[0]), bits(studentized[0]))
+        assert np.array_equal(bits(got[1]), bits(plain[2]))
 
 
 def boundary_scores(q: int, gap: int) -> np.ndarray:
@@ -168,8 +183,8 @@ def boundary_scores(q: int, gap: int) -> np.ndarray:
     T = (v0 + v1) / q is the observed |mean| and c = (v0 - v1) / q is the
     tie threshold T - 1e-12 * T itself (``gap`` = 0) or the float one below
     it (``gap`` = 1).  At alpha = 0.5 the critical value is c, so the
-    threshold equals it or lies one ulp above it: the two ways
-    ``randtest.decide`` counts.  Every sum of the sweep is exact.
+    threshold equals it or lies one ulp above it, and the count must
+    include or exclude every c.  Every sum of the sweep is exact.
     """
     # T in [2^51, 2^52), where floats are spaced 0.5: steps of 2^37 move
     # the rounding of 1e-12 * T, so v0 and v1 come out whole for some j
@@ -192,12 +207,14 @@ class TestConstructedDecisions:
     def test_threshold_at_or_one_ulp_above_the_critical_value(self, q, gap):
         group, signs = exhaustive(q)
         values = boundary_scores(q, gap)[:, None]
-        got = run_test_columns(values, 0.5, group)
-        statistic, crit, p_value = got[:, 0]
+        got = run_test_columns(values, group)
+        statistic, p_value = got[:, 0]
+        crit = run_test_from_scores(values[:, 0], 0.5, group).critical_value
         thresh = statistic - 1e-12 * statistic
         assert thresh == (crit if gap == 0 else np.nextafter(crit, np.inf))
         assert p_value == (1.0 if gap == 0 else 0.5)
-        assert np.array_equal(bits(got), bits(decision_loop(signs, values, 0.5)))
+        assert bits(crit) == bits(decision_loop(signs, values, 0.5)[1, 0])
+        assert np.array_equal(bits(got), bits(engine_loop(signs, values)))
 
     def test_both_counts_in_uniform_and_mixed_chunks(self, monkeypatch):
         # chunks of two columns: (at, above) and (above, at) mix the two
@@ -206,9 +223,9 @@ class TestConstructedDecisions:
         monkeypatch.setattr(randtest, "_CHUNK_STATISTICS", 2 * group.rows)
         pattern = [0, 1, 1, 0, 0, 0, 1]
         values = np.stack([boundary_scores(8, gap) for gap in pattern], axis=1)
-        got = run_test_columns(values, 0.5, group)
-        assert np.array_equal(got[2], [1.0 if gap == 0 else 0.5 for gap in pattern])
-        assert np.array_equal(bits(got), bits(decision_loop(signs, values, 0.5)))
+        got = run_test_columns(values, group)
+        assert np.array_equal(got[1], [1.0 if gap == 0 else 0.5 for gap in pattern])
+        assert np.array_equal(bits(got), bits(engine_loop(signs, values)))
 
     @pytest.mark.parametrize(
         "q,k,chunk,lead",
@@ -225,18 +242,22 @@ class TestConstructedDecisions:
     def test_heads_and_chunks(self, q, k, chunk, lead, kind, monkeypatch):
         if chunk is not None:
             monkeypatch.setattr(randtest, "_CHUNK_STATISTICS", chunk)
-        heads, exhaustive_sums = [], kernels.exhaustive_sums
+        calls, double_sums = [], kernels.double_sums
 
-        def spy(values):
-            heads.append(values.shape[0])
-            return exhaustive_sums(values)
+        def spy(sums, values, rows=1):
+            calls.append((rows, len(values)))
+            return double_sums(sums, values, rows)
 
-        monkeypatch.setattr(kernels, "exhaustive_sums", spy)
+        monkeypatch.setattr(kernels, "double_sums", spy)
         group, signs = exhaustive(q)
         values = score_block(np.random.default_rng(q * k), q, k, kind)
-        got = run_test_columns(values, 0.1, group)
-        assert heads == [lead]
-        assert np.array_equal(bits(got), bits(decision_loop(signs, values, 0.1)))
+        got = run_test_columns(values, group)
+        # the head doubles over its first ``lead`` values once, then every
+        # chunk doubles on from its 2^(lead-1) head rows over the rest
+        width = max(1, (randtest._CHUNK_STATISTICS if chunk is None else chunk) // group.rows)
+        chunks = -(-k // min(width, k))
+        assert calls == [(1, lead - 1)] + [(2 ** (lead - 1), q - lead)] * chunks
+        assert np.array_equal(bits(got), bits(engine_loop(signs, values)))
 
     @pytest.mark.parametrize("variant", ["unstudentized", "studentized"])
     @pytest.mark.parametrize("draws", [300, 2**14 + 5])
@@ -249,11 +270,8 @@ class TestConstructedDecisions:
         signs = sampled_signs(q, draws, draws)
         values = score_block(np.random.default_rng(draws), q, 8, "integer")
         values[0, np.all(values == values[:1], axis=0)] += 1.0
-        got = run_test_columns(values, 0.1, group, variant)
-        expected = decision_loop(signs, values, 0.1)
-        if variant == "studentized":
-            expected[:2] = decision_loop(signs, values, 0.1, variant)[:2]
-        assert np.array_equal(bits(got), bits(expected))
+        got = run_test_columns(values, group, variant)
+        assert np.array_equal(bits(got), bits(engine_loop(signs, values, variant)))
 
     @pytest.mark.parametrize("p", [1, 2])
     @pytest.mark.parametrize("alpha", [0.05, 0.3])
@@ -291,23 +309,23 @@ class TestDegenerateColumns:
         values = score_block(np.random.default_rng(6), 6, 2 * step, "normal")
         values[:, 0 if position == "first" else step + 1] = 0.0
         with pytest.raises(DegenerateVariance):
-            run_test_columns(values, 0.1, group, "studentized")
+            run_test_columns(values, group, "studentized")
 
     def test_zero_column_unstudentized_accepts(self):
         group, signs = exhaustive(6)
         values = np.zeros((6, 3))
         values[:, 1] = np.arange(1.0, 7.0)
-        got = run_test_columns(values, 0.1, group)
-        assert got[2, 0] == got[2, 2] == 1.0
-        assert np.array_equal(bits(got), bits(decision_loop(signs, values, 0.1)))
+        got = run_test_columns(values, group)
+        assert got[1, 0] == got[1, 2] == 1.0
+        assert np.array_equal(bits(got), bits(engine_loop(signs, values)))
 
     def test_non_finite_scores_rejected(self):
         with pytest.raises(ValueError):
-            run_test_columns(np.array([[1.0], [np.inf]]), 0.1, exhaustive(2)[0])
+            run_test_columns(np.array([[1.0], [np.inf]]), exhaustive(2)[0])
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError, match="unknown variant"):
-            run_test_columns(np.array([[1.0], [2.0]]), 0.1, exhaustive(2)[0], "wald")
+            run_test_columns(np.array([[1.0], [2.0]]), exhaustive(2)[0], "wald")
 
 
 def test_inversion_scan_matches_oracle_loop():
@@ -320,6 +338,6 @@ def test_inversion_scan_matches_oracle_loop():
         group, signs = exhaustive(q)
         grid = default_inversion_grid(estimates, c)
         w, cbeta = np.sqrt(estimates.sizes), estimates.betas @ c
-        expected = decision_loop(signs, w[:, None] * (cbeta[:, None] - grid), alpha)
+        expected = engine_loop(signs, w[:, None] * (cbeta[:, None] - grid))
         keep = inversion_scan(estimates, c, alpha, group, grid)
-        assert np.array_equal(keep, expected[2] > alpha), f"instance {i}"
+        assert np.array_equal(keep, expected[1] > alpha), f"instance {i}"

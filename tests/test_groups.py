@@ -26,6 +26,14 @@ class TestExhaustive:
         assert (g.size, g.rows) == (2**q, 2 ** (q - 1))
         assert np.array_equal(group_rows(g), bit_expansion_signs(q)[: g.rows])
 
+    @pytest.mark.parametrize("q", [2, 3, 4, 7])
+    def test_documented_row_order(self, q):
+        # half-row i has g_0 = +1 and g_j = -1 exactly where bit j - 1 of i is set
+        rows = SignGroup(q, "exhaustive").sweep(q * np.eye(q)).T
+        want = [[1] + [-1 if i >> (j - 1) & 1 else 1 for j in range(1, q)] for i in range(len(rows))]
+        assert rows.tolist() == want
+        assert np.array_equal(bit_expansion_signs(q)[: len(rows)], want)
+
     @pytest.mark.parametrize("q", [3, 8, 12])
     def test_all_distinct(self, q):
         g = SignGroup(q, "exhaustive")

@@ -137,7 +137,7 @@ class TestIntervalInputs:
 
 
 class TestPerGBounds:
-    # the q=2 group in lexicographic order: (1,1), (1,-1), (-1,1), (-1,-1);
+    # the q=2 group in row order: (1,1), (1,-1), (-1,1), (-1,-1);
     # a sweep returns the first two
     def test_hand_example_zero_slope_case(self, micro_estimates, group_cache):
         inputs = interval_inputs(micro_estimates, [1.0], group_cache(2))
@@ -192,7 +192,7 @@ class TestPerGBounds:
         estimates, c = fit_per_cluster(data), random_contrast(rng, 2)
         whole = whole_group_inputs(estimates, c)
         lo_all, hi_all = interval_bounds(whole.a, whole.b, whole.pm_identity)
-        # lexicographic order pairs g with -g by reversal, bit for bit, and
+        # the group's row order pairs g with -g by reversal, bit for bit, and
         # the half sweep's bounds are the first half
         assert np.array_equal(bits(lo_all), bits(lo_all[::-1]))
         assert np.array_equal(bits(hi_all), bits(hi_all[::-1]))

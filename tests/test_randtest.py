@@ -1,5 +1,7 @@
 """Test engine: statistics, critical values, p-values, invariances."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,7 @@ from artcluster import (
     run_wald_test,
     scores_from_estimates,
 )
+from artcluster import groups
 from artcluster.groups import SignGroup
 from artcluster.randtest import (
     TestResult as RandTestResult,
@@ -122,10 +125,12 @@ class TestStudentized:
         # and identical ordering, ties included
         assert np.array_equal(np.argsort(plain, kind="stable"), np.argsort(stud, kind="stable"))
         # so the engine maps only the statistic and critical value of the |mean| sweep
-        got = run_test_columns(s[:, None], 0.1, group_cache(7), "studentized")
         studentized = decision_loop(signs, s[:, None], 0.1, "studentized")
-        assert np.array_equal(bits(got[:2]), bits(studentized[:2]))
-        assert np.array_equal(bits(got[2]), bits(decision_loop(signs, s[:, None], 0.1)[2]))
+        plain_p = decision_loop(signs, s[:, None], 0.1)[2]
+        got = run_test_columns(s[:, None], group_cache(7), "studentized")
+        assert np.array_equal(bits(got), bits([studentized[0], plain_p]))
+        result = run_test_from_scores(s, 0.1, group_cache(7), "studentized")
+        assert bits(result.critical_value) == bits(studentized[1, 0])
 
     # these scores' mean(v^2) overflows float64 from k = 512 on (k = 400 stays
     # finite), and their squares underflow from k = -511 down; the spread is
@@ -317,6 +322,14 @@ class TestCriticalValue:
             oracle = ordered[np.argmax(counts >= level - 1e-12)]
             assert critical_value(values, level) == oracle
 
+    def test_partitions_a_writeable_array_in_place_only(self):
+        values = np.array([3.0, 1.0, 4.0, 1.5, 2.0])
+        frozen = values.copy()
+        frozen.flags.writeable = False
+        assert critical_value(frozen, 0.5) == critical_value(values, 0.5) == 2.0
+        assert frozen.tolist() == [3.0, 1.0, 4.0, 1.5, 2.0]
+        assert sorted(values) == sorted(frozen) and values[2] == 2.0
+
     def test_product_rounding_guard(self):
         # 1000 * 0.9 must select the 900th value despite float fuzz
         values = np.arange(1000, dtype=float)
@@ -462,3 +475,21 @@ class TestTieSnapping:
         stats = np.ldexp(np.array([1.0, 1.0 - 1e-14, 4.0, 0.5]), k)
         assert pvalue_from_statistics(stats, stats[0]) == 0.75
         assert pvalue_from_statistics(stats[None], stats[:1]).tolist() == [0.75]
+
+
+class TestMemory:
+    @pytest.mark.parametrize("variant", ["unstudentized", "studentized"])
+    def test_sampled_test_holds_nine_bytes_per_draw(self, variant):
+        # the (draws,) means and one comparison mask; the critical value is
+        # taken by partitioning the means in place, with no copy
+        q, draws = 8, 10**6
+        group = SignGroup(q, "sampled", seed=3, draws=draws)
+        scores = np.random.default_rng(3).standard_normal(q)
+        chunk = groups._CHUNK_ROWS * (3 * q + 48)
+        tracemalloc.start()
+        try:
+            run_test_from_scores(scores, 0.05, group, variant)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 8 * draws < peak <= 9 * draws + chunk

@@ -310,7 +310,7 @@ class TestChunkedStudy:
         want = study_scores_loop(spec, c, value, reps)
         assert np.array_equal(bits(scores), bits(want))
         group = enumerate_group(spec.q, mode="auto", seed=spec.seed)
-        p_values = run_test_columns(want, 0.1, group, variant)[2]
+        p_values = run_test_columns(want, group, variant)[1]
         assert np.array_equal(bits(report.p_values), bits(p_values))
         assert report.rejections == np.count_nonzero(p_values <= 0.1)
 
@@ -362,7 +362,7 @@ class TestChunkedStudy:
         # check_study admits at this q.
         s = DgpSpec(sizes=(3, 4), beta=(1.0, 0.5), sigma=(1.0, 2.0), rho=0.5,
                     covariate_law="lognormal", seed=seed)
-        last = MAX_BYTES // (8 * (s.q + 12)) - 1
+        last = MAX_BYTES // (8 * (s.q + 11)) - 1
         simulation.check_study(s.q, 0.1, last + 1)
         with pytest.raises(ValueError, match="1 GiB limit"):
             simulation.check_study(s.q, 0.1, last + 2)

@@ -35,7 +35,12 @@ from artcluster.intervals import (
     interval,
     interval_inputs,
 )
-from artcluster.randtest import _wald_ingredients, order_statistic_index, run_test_columns
+from artcluster.randtest import (
+    _wald_ingredients,
+    order_statistic_index,
+    run_test_columns,
+    run_test_from_scores,
+)
 from tests.conftest import random_contrast, random_dataset
 from tests.oracles import (
     assert_same_selection,
@@ -104,22 +109,29 @@ class TestDoublingSweep:
         group = SignGroup(values.shape[0], "exhaustive")
         expected = oracle_means(group, values)
         assert np.array_equal(bits(group.sweep(values)), bits(expected))
-        # doubling on from the sums over any number of leading rows
+        # group axis first: a head over any number of leading values, then doubled on
         q = values.shape[0]
         for lead in range(1, q + 1):
-            head = kernels.exhaustive_sums(values[:lead])
-            got = kernels.continue_doubling(head, values[lead:]) / q
-            assert np.array_equal(bits(got), bits(expected)), f"lead={lead}"
+            head = np.empty((2 ** (lead - 1), 1))
+            head[0] = 0.0 + values[0]
+            kernels.double_sums(head, values[1:lead, None])
+            sums = np.empty((group.rows, 1))
+            sums[: len(head)] = head
+            kernels.double_sums(sums, values[lead:, None], len(head))
+            assert np.array_equal(bits(sums[:, 0] / q), bits(expected)), f"lead={lead}"
 
     @settings(max_examples=80, deadline=None)
     @given(values=matrices(), statistics=st.integers(1, 2**14))
     def test_chunks_match_column_loop(self, values, statistics):
         """Every head, from one row to the whole sweep, and every chunk width give the same bits."""
         group = SignGroup(values.shape[0], "exhaustive")
-        chunks = list(group.sweep_chunks(values, statistics))
+        chunks, buffers = [], set()
+        for c in group.sweep_chunks(values, statistics):
+            buffers.add(c.__array_interface__["data"][0])  # one buffer for the block
+            chunks.append(c.copy())
         width = max(1, statistics // group.rows)
         assert [len(c) for c in chunks[:-1]] == [width] * (len(chunks) - 1)
-        assert all(c.flags.c_contiguous for c in chunks)
+        assert len(buffers) == 1
         got = np.concatenate(chunks)
         assert np.array_equal(bits(got), bits(oracle_means(group, values)))
 
@@ -531,10 +543,14 @@ class TestHalfGroup:
                 expected[:2] = decision_loop(signs, values, alpha, variant)[:2]
             except DegenerateVariance:  # a spread that cancels to zero
                 with pytest.raises(DegenerateVariance):
-                    run_test_columns(values, alpha, group, variant)
+                    run_test_columns(values, group, variant)
                 return
-        got = run_test_columns(values, alpha, group, variant)
-        assert np.array_equal(bits(got), bits(expected))
+        got = run_test_columns(values, group, variant)
+        assert np.array_equal(bits(got), bits(expected[::2]))
+        for column, want in zip(values.T, expected.T):
+            result = run_test_from_scores(column, alpha, group, variant)
+            got = [result.statistic, result.critical_value, result.p_value]
+            assert np.array_equal(bits(got), bits(want))
 
     @settings(max_examples=40, deadline=None)
     @given(
