@@ -9,6 +9,8 @@ are reproducible across platforms for a given integer seed.  A group
 only sweeps: the +-identity rows are read off the swept weights.  An
 exhaustive sweep returns only the rows with g_0 = +1; the others negate
 them exactly and add nothing to a decision (see :mod:`artcluster.randtest`).
+:meth:`SignGroup.sweep` gives signed means; :meth:`SignGroup.sweep_chunks`,
+the engine's sweep, gives signed sums, which a decision never divides.
 """
 
 from __future__ import annotations
@@ -43,15 +45,16 @@ DEFAULT_DRAWS = 1000
 _CHUNK_ROWS = 2**14
 
 
-def check_score_sums(values: np.ndarray) -> None:
-    """Refuse (q,) or (q, k) values whose signed means could overflow.
+def check_score_sums(values: np.ndarray) -> np.ndarray:
+    """Refuse (q,) or (q, k) values whose signed sums could overflow; return the sums of |v_j|.
 
     Every signed partial sum of a sweep is bounded by the sum of |v_j| in
     the same left-to-right order, because rounding is monotone, so a
     finite column sum of |values| means that no sweep overflows.  An
     exhaustive group's row g_j = sign(v_j) reaches that sum, so there the
-    check refuses exactly the values whose sweep would overflow.  NaN and
-    infinite values fail it too.  It costs O(q k) time and O(k) memory.
+    check refuses exactly the values whose sweep would overflow, and the
+    returned sum, () or (k,), is the largest |signed sum| of the sweep.
+    NaN and infinite values fail it too.  It costs O(q k) time and O(k) memory.
     """
     total = np.zeros(values.shape[1:])
     with np.errstate(over="ignore"):
@@ -62,6 +65,7 @@ def check_score_sums(values: np.ndarray) -> None:
             "scores are not finite, or their absolute sum over the clusters "
             "overflows float64; rescale the outcome or the contrast"
         )
+    return total
 
 
 def check_seed(seed: int) -> None:
@@ -170,14 +174,15 @@ class SignGroup:
 
         ``values`` is (q,) or (q, p); the result is (m,) or (p, m): the
         group axis is last, so each value column gets one contiguous row
-        of m means.  Values whose signed means could overflow raise
+        of m means.  Values whose signed sums could overflow raise
         ``ValueError`` (:func:`check_score_sums`), so every mean is finite.
         An exhaustive sweep doubles each value column in place in its own row.
         """
         values = np.asarray(values, dtype=np.float64)
-        block = self._checked(values[:, None] if values.ndim == 1 else values)
+        block = values[:, None] if values.ndim == 1 else values
+        self._checked(block)
         if self.mode == "sampled":
-            means = self._sampled_means(block)
+            means = self._sampled(block, kernels.group_means)
         else:
             means = np.empty((block.shape[1], self.rows))
             means[:, 0] = 0.0 + block[0]
@@ -187,19 +192,25 @@ class SignGroup:
         return means.reshape(*values.shape[1:], self.rows)
 
     def sweep_chunks(self, values: np.ndarray, statistics: int | None = None):
-        """Sweep a (q, k) block of values in chunks of columns, yielding each chunk's (w, m) means.
+        """Sweep a (q, k) block of values in chunks of columns: each chunk's (w, m) signed sums.
 
-        A chunk holds w = max(1, ``statistics`` // m) columns, the last one
-        fewer, and a block of no columns is one empty chunk; without
-        ``statistics`` the whole block is one chunk.  The overflow guard
-        runs once on the block.  An exhaustive sweep doubles all k columns,
-        group axis first, while a level holds at most ``statistics`` sums;
-        each chunk doubles its columns of those head rows on in one (m, w)
-        buffer that every chunk reuses, and yields its (w, m) view, so read
-        a chunk before asking for the next.  The means have the bits of
-        sweeping each column alone.
+        Returns the column sums of |values| from the overflow guard
+        (:func:`check_score_sums`), which runs once, here, and an iterator
+        over the chunks.  The chunks hold sums sum_j g_j v_j, not means:
+        dividing by q cannot change their order, so a caller that only
+        ranks them never divides.  A chunk holds w = max(1, ``statistics``
+        // m) columns, the last one fewer, and a block of no columns is one
+        empty chunk; without ``statistics`` the whole block is one chunk.
+        An exhaustive sweep doubles all k columns, group axis first, while
+        a level holds at most ``statistics`` sums; each chunk doubles its
+        columns of those head rows on in one (m, w) buffer that every chunk
+        reuses, and yields its (w, m) view, so read a chunk before asking
+        for the next.  The sums have the bits of sweeping each column alone.
         """
-        values = self._checked(np.asarray(values, dtype=np.float64))
+        values = np.asarray(values, dtype=np.float64)
+        return self._checked(values), self._chunks(values, statistics)
+
+    def _chunks(self, values: np.ndarray, statistics: int | None):
         k = values.shape[1]
         budget = k * self.rows if statistics is None else statistics
         width = max(1, min(budget // self.rows, k))
@@ -213,35 +224,36 @@ class SignGroup:
         for start in range(0, max(k, 1), width):
             columns = values[:, start : start + width]
             if self.mode == "sampled":
-                yield self._sampled_means(columns)
+                yield self._sampled(columns, kernels.group_sums)
             else:
                 w = columns.shape[1]
                 sums = buffer[: self.rows * w].reshape(self.rows, w)
                 sums[: len(head)] = head[:, start : start + width]
                 kernels.double_sums(sums, columns[lead:], len(head))
-                sums /= self.q
                 yield sums.T
 
     def _checked(self, values: np.ndarray) -> np.ndarray:
-        """(q, k) values, refused unless they have q rows and cannot overflow a sweep."""
+        """Column sums of |values| (:func:`check_score_sums`), for (q, k) values with q rows."""
         if values.shape[0] != self.q:
             raise ValueError(
                 f"values have {values.shape[0]} entries but the group acts on q = {self.q}"
             )
-        check_score_sums(values)
-        return values
+        return check_score_sums(values)
 
-    def _sampled_means(self, values: np.ndarray) -> np.ndarray:
-        """The (p, draws) means of (q, p) values, regenerating the rows a chunk at a time."""
+    def _sampled(self, values: np.ndarray, kernel) -> np.ndarray:
+        """The (p, draws) signed sums or means of (q, p) values, as ``kernel`` gives them.
+
+        The rows are regenerated a chunk at a time.
+        """
         out = np.empty((values.shape[1], self.draws))
-        out[:, :1] = kernels.group_means(np.ones((1, self.q), dtype=np.int8), values)
+        out[:, :1] = kernel(np.ones((1, self.q), dtype=np.int8), values)
         bits = np.random.Philox(key=self.seed)
         for start in range(1, self.draws, _CHUNK_ROWS):
             stop = min(start + _CHUNK_ROWS, self.draws)
             n = (stop - start) * self.q
             flips = bits.random_raw(-(-n // 8)).astype("<u8", copy=False).view(np.uint8)[:n]
             flips = (flips >> 7).view(np.int8).reshape(stop - start, self.q)
-            out[:, start:stop] = kernels.group_means(1 - 2 * flips, values)
+            out[:, start:stop] = kernel(1 - 2 * flips, values)
         return out
 
 

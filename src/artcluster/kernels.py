@@ -4,9 +4,12 @@
 2^(q-1) sign vectors with g_0 = +1, by prefix-sum doubling in place,
 without ever building a sign matrix; it doubles one value column in a
 contiguous row, or a block of columns side by side with the group axis
-first.  :func:`group_means` sweeps an int8 sign matrix, such as one
-chunk of a sampled group's rows, and gives the signed means of (q,)
-values as (m,), and of (q, p) values as (p, m).
+first.  :func:`group_sums` sweeps an int8 sign matrix, such as one
+chunk of a sampled group's rows, and gives the signed sums of (q,)
+values as (m,), and of (q, p) values as (p, m); :func:`group_means`
+divides them by q.  :func:`least_dividend` finds, for a threshold t on
+the 1/q scale, the least sum whose quotient by q rounds to at least t, so
+a decision counts raw sums and never divides them.
 :func:`group_wald_quadratic` turns swept (p, m) means into the multi-row
 quadratic form and :func:`interval_bounds` gives each row's interval
 bounds, the min and max of the two points where its V-shaped map
@@ -24,13 +27,15 @@ import numpy as np
 __all__ = [
     "double_sums",
     "group_means",
+    "group_sums",
     "group_wald_quadratic",
     "interval_bounds",
+    "least_dividend",
 ]
 
 
 # ------------------------------------------------------------------ #
-# Signed means:  out[i] = (1/q) * sum_j signs[i, j] * values[j]
+# Signed sums:  out[i] = sum_j signs[i, j] * values[j]  (means: / q)
 # ------------------------------------------------------------------ #
 #
 # The sums over the first k+1 values are the sums over the first k
@@ -58,8 +63,8 @@ def double_sums(sums: np.ndarray, values: np.ndarray, rows: int = 1) -> None:
         rows *= 2
 
 
-def group_means(signs: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Mean of sign-flipped values for every row of an explicit sign matrix."""
+def group_sums(signs: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Sum of sign-flipped values for every row of an explicit sign matrix."""
     m, q = signs.shape
     v = np.asarray(values, dtype=np.float64)
     # a trailing unit axis lets one value scale a whole sign column
@@ -67,7 +72,57 @@ def group_means(signs: np.ndarray, values: np.ndarray) -> np.ndarray:
     acc = np.zeros((*v.shape[1:], m), dtype=np.float64)
     for j in range(q):
         acc += signs[:, j] * scale[j]
-    return acc / q
+    return acc
+
+
+def group_means(signs: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Mean of sign-flipped values for every row of an explicit sign matrix."""
+    return group_sums(signs, values) / signs.shape[1]
+
+
+# ------------------------------------------------------------------ #
+# Least dividend:  the smallest float a >= 0 with fl(a / q) >= t
+# ------------------------------------------------------------------ #
+#
+# fl(a / q) is nondecreasing in a, so {a >= 0 : fl(a / q) >= t} is every
+# float from one least element L on, and counting |s| >= L counts exactly
+# the quotients fl(|s| / q) >= t.  Nonnegative floats order like their
+# int64 bit patterns, so L is found by bisecting the patterns from a
+# bracket around fl(t * q), clamped to the float max where it overflows.
+# Where the quotients near t are normal, L lies within two ulps of that
+# guess, and two halvings settle it.  Where they are subnormal
+# (t < 2^-1022), many dividends share one quotient and the bracket can
+# miss; such a t is bisected over every nonnegative float instead.
+
+_FLOAT_MAX = np.finfo(np.float64).max
+_INF_BITS = np.float64(np.inf).view(np.int64)
+
+
+def least_dividend(t, q: int) -> np.ndarray:
+    """The least float a >= 0 with fl(a / q) >= t for each t > 0, and t itself for t <= 0.
+
+    So for every float a >= 0 and q >= 1, ``a >= L`` exactly where
+    ``a / q >= t``: a t above fl(max / q) gives inf, which no finite a
+    reaches, and q = 1 gives t back.
+    """
+    t = np.asarray(t, dtype=np.float64)
+    if q == 1:
+        return t
+    positive = t > 0.0
+    with np.errstate(over="ignore"):
+        guess = np.where(positive, np.minimum(t * q, _FLOAT_MAX), 0.0).view(np.int64)
+    lo = np.maximum(guess - 2, 0)
+    hi = np.minimum(guess + 2, _INF_BITS)
+    missed = positive & ((lo.view(np.float64) / q >= t) | (hi.view(np.float64) / q < t))
+    lo = np.where(missed, 0, lo)
+    hi = np.where(missed, _INF_BITS, np.where(positive, hi, 0))
+    # where t > 0: fl(lo / q) < t <= fl(hi / q); a pair one apart stays put
+    while (hi - lo > 1).any():
+        mid = lo + (hi - lo) // 2
+        reach = mid.view(np.float64) / q >= t
+        hi = np.where(reach, mid, hi)
+        lo = np.where(reach, lo, mid)
+    return np.where(positive, hi.view(np.float64), t)
 
 
 # ------------------------------------------------------------------ #

@@ -16,7 +16,13 @@ counts, then partitions its statistics in place for the critical value.
 Tie handling: statistics within ``SNAP_RTOL`` times the row's largest one
 of the observed statistic count as ties.  The equivalence theorems hold
 exactly in real arithmetic; snapping keeps rounding noise from breaking
-them.  A test rejects where this p-value is at most alpha.
+them.  A test rejects where this p-value is at most alpha.  The engine
+counts without dividing by q: fl(|s| / q) is nondecreasing in the raw
+|sum| s, so it reaches the snapped threshold exactly where |s| reaches
+one least sum per column (:func:`kernels.least_dividend`).  The largest
+statistic is read off the overflow guard's sum of |v_j| for an
+exhaustive group, and off each chunk's largest |sum| for a sampled one.
+:func:`pvalue_from_statistics` is the same count with divisor 1.
 
 Both variants are decided on the one ``|mean|`` sweep, and ties are
 snapped on that scale.  The studentized statistic is an increasing
@@ -171,19 +177,34 @@ def critical_value(values, level: float):
     return float(crit) if arr.ndim == 1 else crit
 
 
+def _snap_limits(observed, top, q: int) -> np.ndarray:
+    """The least raw |sum| whose statistic counts: the tie-snapped threshold on the sums' scale.
+
+    ``observed`` and ``top`` are each row's observed and largest statistic
+    on the 1/q scale; a statistic counts where it reaches
+    T - ``SNAP_RTOL`` * top, and fl(|s| / q) reaches that exactly where
+    |s| reaches :func:`kernels.least_dividend` of it.
+    """
+    return kernels.least_dividend(observed - SNAP_RTOL * top, q)
+
+
+def _share_reached(values: np.ndarray, limits: np.ndarray) -> np.ndarray:
+    """The share of each row of (..., m) values at or above the row's limit."""
+    m = values.shape[-1]
+    # summing the mask's bytes into int32 is about twice as fast as bool.sum()
+    reached = (values >= limits[..., None]).view(np.uint8)
+    return np.add.reduce(reached, axis=-1, dtype=np.int32 if m < 2**31 else np.int64) / m
+
+
 def pvalue_from_statistics(statistics: np.ndarray, observed):
     """Fraction of group statistics >= the observed one, tie-snapped.
 
     A statistic counts where it reaches T - ``SNAP_RTOL`` times the row's
-    largest statistic, for the observed T.  (m,) statistics and a float
-    observed value give a float; (k, m) statistics and (k,) observed
-    values give the p-value of each row.
+    largest statistic, for the observed T: the engine's count with
+    divisor 1.  (m,) statistics and a float observed value give a float;
+    (k, m) statistics and (k,) observed values give the p-value of each row.
     """
-    m = statistics.shape[-1]
-    thresh = observed - SNAP_RTOL * statistics.max(axis=-1)
-    # summing the mask's bytes into int32 is about twice as fast as bool.sum()
-    reached = (statistics >= thresh[..., None]).view(np.uint8)
-    p = np.add.reduce(reached, axis=-1, dtype=np.int32 if m < 2**31 else np.int64) / m
+    p = _share_reached(statistics, _snap_limits(observed, statistics.max(axis=-1), 1))
     return float(p) if statistics.ndim == 1 else p
 
 
@@ -199,8 +220,8 @@ def pvalue_from_statistics(statistics: np.ndarray, observed):
 # (:meth:`SignGroup.sweep_chunks`) hold at most as many.  Timing 2^15-2^18
 # on the perfbench ``inversion`` op (q = 10, 4001 columns, 4 instances;
 # chunk sizes interleaved, medians of 15 rounds in each of 4 processes on a
-# 2-vCPU container) gave passes of 48-62, 39-59, 36-51 and 43-68 ms: 2^17
-# is the fastest in every process.
+# 2-vCPU container) gave passes of 38.7-39.1, 29.9-30.3, 28.3-28.9 and
+# 35.9-36.8 ms, counting raw sums: 2^17 is the fastest in every process.
 _CHUNK_STATISTICS = 2**17
 
 
@@ -239,20 +260,38 @@ def run_test_columns(
 
     Returns a (2, k) array: the observed statistics and the tie-snapped
     p-values; a test at level alpha rejects a column where its p-value is
-    at most alpha.  Each column gets the same arithmetic as a test of
-    that column alone, so one null value or replication and many give the
-    same bits.  The studentized variant maps the observed statistic of
-    the |mean| sweep through :func:`_studentize` and keeps its p-value.
+    at most alpha.  Each column gets the same p-value as a test of that
+    column alone, so one null value or replication and many give the same
+    bits.  The chunks are counted on raw |signed sums| against each
+    column's least counting sum (:func:`_snap_limits`), with no division
+    by q.  An exhaustive group's largest |sum| is the overflow guard's sum
+    of |v_j|, so its chunks need no max either.  The studentized variant
+    maps the observed statistic through :func:`_studentize` and keeps its
+    p-value.
     """
     check_variant(variant)
     values = np.asarray(values, dtype=np.float64)
+    q = group.q
+    total, chunks = group.sweep_chunks(values, _CHUNK_STATISTICS)
     out = np.empty((2, values.shape[1]))
+    # the identity row's sums in sweep order; the sign of a zero sum is lost to abs
+    observed = out[0]
+    observed[:] = values[0]
+    for row in values[1:]:
+        observed += row
+    np.abs(observed, out=observed)
+    observed /= q
+    if group.mode == "exhaustive":
+        limits = _snap_limits(observed, total / q, q)
     start = 0
-    for means in group.sweep_chunks(values, _CHUNK_STATISTICS):
-        stats = np.abs(means, out=means)
+    for sums in chunks:
+        stats = np.abs(sums, out=sums)
         stop = start + len(stats)
-        out[0, start:stop] = stats[:, 0]
-        out[1, start:stop] = pvalue_from_statistics(stats, stats[:, 0])
+        if group.mode == "exhaustive":
+            chunk_limits = limits[start:stop]
+        else:
+            chunk_limits = _snap_limits(observed[start:stop], stats.max(axis=-1) / q, q)
+        out[1, start:stop] = _share_reached(stats, chunk_limits)
         start = stop
     if variant == "studentized":
         out[:1] = _studentize(values, out[:1])

@@ -214,9 +214,14 @@ def _read(doc: dict, name: str, convert=lambda v: v, default=None):
 def check_study(q: int, alpha, replications) -> tuple[float, int]:
     """A study's level and replication count, checked as spec fields.
 
-    R replications at q clusters keep about R * 8 * (q + 11) bytes: the
-    (q, R) scores, the engine's (2, R) results, the report's p-values and
-    their rendering.
+    R replications at q clusters are allowed R * 8 * (q + 19) bytes.  The
+    study holds the (q, R) scores, the engine's (2, R) results and its (R,)
+    column sums, about 8q + 49 B per replication (``tracemalloc``, 2 x 10^5
+    replications at q = 2, 8 and 20).  Rendering the report holds the
+    results, the p-values as Python floats and the JSON text: 159 B per
+    replication for 17-digit p-values such as 3/7, and 165 B for
+    22-character ones such as 1/7000, at every q.  So the bound is the
+    rendering's at q = 2, 168 B, and above the study's at every q.
     """
     alpha = _field("alpha", float, alpha)
     if not 0.0 < alpha < 1.0:
@@ -224,7 +229,7 @@ def check_study(q: int, alpha, replications) -> tuple[float, int]:
     replications = _field("replications", integral, replications)
     if replications < 1:
         raise ValueError("need at least one replication")
-    check_bytes(f"replications {replications} at q = {q}", replications * 8 * (q + 11))
+    check_bytes(f"replications {replications} at q = {q}", replications * 8 * (q + 19))
     return alpha, replications
 
 

@@ -328,6 +328,133 @@ class TestDegenerateColumns:
             run_test_columns(np.array([[1.0], [2.0]]), exhaustive(2)[0], "wald")
 
 
+FLOAT_MAX = np.finfo(np.float64).max
+
+
+def division_boundary_scores(q: int) -> np.ndarray:
+    """Columns (1, y, 0, ..., 0) whose row 1 - y sits on a division boundary.
+
+    The identity sums to 1 + y, which is also the largest |sum|, so the
+    tie threshold is T - 1e-12 * T for T = fl((1 + y) / q).  Scanning y in
+    steps of 2^-53 near 5e-13 finds sums a = 1 - y (exact) with
+    fl(a / q) >= T - 1e-12 * T > fl(nextafter(a, 0) / q), which count,
+    and sums one float below such a boundary, which do not.
+    """
+    on, below = [], []
+    for n in range(4000, 5000):
+        y = n * 2.0**-53
+        a, big = 1.0 - y, (1.0 + y) / q
+        thresh = big - 1e-12 * big
+        if a / q >= thresh > float(np.nextafter(a, 0.0)) / q:
+            on.append(y)
+        elif a / q < thresh <= float(np.nextafter(a, 2.0)) / q:
+            below.append(y)
+    assert on and below, "no division boundary found"
+    values = np.zeros((q, len(on) + len(below)))
+    values[0], values[1] = 1.0, on + below
+    return values
+
+
+def sum_edge_scores(q: int) -> np.ndarray:
+    """Columns whose sum of |v_j| is the float max, or just below it: the guard's edge."""
+    half = FLOAT_MAX / 2  # exact: the two halves sum to the max
+    columns = [
+        [half, half] + [0.0] * (q - 2),
+        [half, -half] + [0.0] * (q - 2),
+        [half, -np.nextafter(half, 0.0)] + [0.0] * (q - 2),
+        [FLOAT_MAX / q] * (q - 1) + [np.nextafter(FLOAT_MAX / q, 0.0)],
+    ]
+    values = np.array(columns).T
+    assert np.all(np.isfinite(np.abs(values).sum(axis=0)))
+    return values
+
+
+def zero_scores(q: int) -> np.ndarray:
+    """All-zero columns: +0.0, -0.0, and both mixed."""
+    values = np.zeros((q, 3))
+    values[:, 1] = -0.0
+    values[::2, 2] = -0.0
+    return values
+
+
+def subnormal_scores(q: int) -> np.ndarray:
+    """Integer multiples of 2^-1074: every sum is exact and subnormal."""
+    ints = np.random.default_rng(q).integers(-40, 41, size=(q, 40)).astype(np.float64)
+    ints[0, np.all(ints == ints[:1], axis=0)] += 1.0
+    return np.ldexp(ints, -1074)
+
+
+class TestRawSumCounts:
+    """Counting raw |sums| against each column's least counting sum, at the arithmetic's edges."""
+
+    @pytest.mark.parametrize("variant", ["unstudentized", "studentized"])
+    @pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
+    @pytest.mark.parametrize(
+        "make", [division_boundary_scores, zero_scores, sum_edge_scores, subnormal_scores],
+        ids=["division-boundary", "zero", "sum-edge", "subnormal"],
+    )
+    @pytest.mark.parametrize("q", [2, 3, 7, 10])
+    def test_columns_match_engine_loop(self, q, make, mode, variant):
+        if mode == "exhaustive":
+            group, signs = exhaustive(q)
+        else:
+            group, signs = SignGroup(q, "sampled", seed=q, draws=64), sampled_signs(q, 64, q)
+        values = make(q)
+        expected = engine_loop(signs, values)
+        if variant == "unstudentized":
+            assert np.array_equal(bits(run_test_columns(values, group)), bits(expected))
+            return
+        # one column at a time: a zero spread at the identity raises for its block
+        for column, want in zip(values.T, expected.T):
+            column = column[:, None]
+            # the statistic is unchanged by an exact 2^k scale; the oracle
+            # squares unscaled values, which overflow at the sum's edge
+            scaled = np.ldexp(column, -600) if make is sum_edge_scores else column
+            try:
+                want[0] = engine_loop(signs, scaled, variant)[0, 0]
+            except DegenerateVariance:
+                with pytest.raises(DegenerateVariance):
+                    run_test_columns(column, group, variant)
+                continue
+            got = run_test_columns(column, group, variant)[:, 0]
+            assert np.array_equal(bits(got), bits(want))
+
+    def test_boundary_sums_decide_the_count(self):
+        # at q = 2 the two rows sum to 1 + y and 1 - y: a boundary sum
+        # counts, giving p = 1, and the float below one does not, p = 1/2
+        group, signs = exhaustive(2)
+        values = division_boundary_scores(2)
+        big = (1.0 + values[1]) / 2
+        counts = (1.0 - values[1]) / 2 >= big - 1e-12 * big
+        got = run_test_columns(values, group)
+        assert counts.any() and not counts.all()
+        assert np.array_equal(got[1], np.where(counts, 1.0, 0.5))
+        assert np.array_equal(bits(got), bits(engine_loop(signs, values)))
+
+    def test_sampled_tolerance_follows_the_drawn_rows(self):
+        # Two columns i, j with the same signs in every drawn row carry +-2^41,
+        # which cancels in every drawn sum but not in the sum of |v_j|, about
+        # 4.4e12.  The drawn |sums| are 4 and 2: a tolerance of 1e-12 times the
+        # sum of |v_j| would count the 2s as ties of the observed 4.
+        q, draws = 12, 4
+        group, signs = SignGroup(q, "sampled", seed=1, draws=draws), sampled_signs(q, draws, 1)
+        patterns = {}
+        for col in range(q):
+            patterns.setdefault(tuple(signs[1:, col]), []).append(col)
+        i, j = next(cols for cols in patterns.values() if len(cols) > 1)[:2]
+        row = next(r for r in range(1, draws) if len(set(np.delete(signs[r], [i, j]))) == 2)
+        rest = [c for c in range(q) if c not in (i, j)]
+        k = next(c for c in rest if signs[row, c] == 1)
+        ell = next(c for c in rest if signs[row, c] == -1)
+        values = np.zeros((q, 1))
+        values[[i, j, k, ell], 0] = 2.0**41, -(2.0**41), 3.0, 1.0
+        drawn = np.abs(signs @ values[:, 0])
+        assert drawn[0] == 4.0 and 2.0 in drawn and set(drawn) <= {2.0, 4.0}
+        got = run_test_columns(values, group)
+        assert got[1, 0] == np.count_nonzero(drawn == 4.0) / draws
+        assert np.array_equal(bits(got), bits(engine_loop(signs, values)))
+
+
 def test_inversion_scan_matches_oracle_loop():
     """Criterion 3's first 20 instances: batched keep masks equal the per-null loop."""
     alphas = (0.05, 0.10, 0.32)

@@ -1,7 +1,11 @@
 """Kernel correctness against dense oracles and the literal interval formulas."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from artcluster import kernels
 from artcluster.groups import SignGroup
@@ -32,6 +36,81 @@ class TestGroupMeans:
         assert kernels.group_means(signs, values)[0] == pytest.approx(
             values.mean(), rel=1e-13
         )
+
+
+    def test_means_are_the_sums_over_q(self, payload):
+        group, signs, _, _, scores, _ = payload
+        sums = kernels.group_sums(signs, scores)
+        assert np.array_equal(kernels.group_means(signs, scores), sums / group.q)
+
+
+FLOAT_MAX = float(np.finfo(np.float64).max)
+
+
+def scan_least_dividend(t: float, q: int, steps: int = 8):
+    """The least a with a / q >= t, walked by nextafter steps from fl(t * q) (max if it overflows).
+
+    Python floats divide with IEEE rounding.  Returns None where the walk
+    needs more than ``steps`` steps, as it can where a / q is subnormal.
+    """
+    a = min(t * q, FLOAT_MAX)
+    for _ in range(steps):
+        if a / q < t:
+            a = math.nextafter(a, math.inf)
+        elif math.nextafter(a, 0.0) / q >= t:
+            a = math.nextafter(a, 0.0)
+        else:
+            return a
+    return None
+
+
+def ulps_from(x: float, k: int) -> float:
+    """The float k steps above x (below it for k < 0)."""
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.copysign(math.inf, k))
+    return x
+
+
+@st.composite
+def dividend_thresholds(draw):
+    """A divisor q in [2, 2^20] and thresholds of every kind for it, in one array."""
+    q = draw(st.one_of(st.integers(2, 2**20), st.sampled_from([2, 3, 10, 2**20 - 1, 2**20])))
+    edge = FLOAT_MAX / q
+    kinds = st.one_of(
+        st.floats(max_value=0.0, allow_nan=False),  # -0.0 and -inf included
+        st.integers(1, 2**52 - 1).map(lambda b: float(np.int64(b).view(np.float64))),  # subnormal
+        st.floats(min_value=2.0**-1022, max_value=edge),
+        # around fl(max / q), where t * q overflows, and above it, where no finite a reaches
+        st.integers(-3, 3).map(lambda k: ulps_from(edge, k)),
+        st.floats(min_value=edge, max_value=FLOAT_MAX),
+    )
+    return q, draw(st.lists(kinds, min_size=1, max_size=20))
+
+
+class TestLeastDividend:
+    @settings(max_examples=150, deadline=None)
+    @given(case=dividend_thresholds())
+    @example(case=(2, [1.0, 5e-324, 2.0**-1022, FLOAT_MAX / 2, FLOAT_MAX, -0.0, 0.0, -1.0]))
+    @example(case=(2**20, [5e-324, 1e-310, 2.2250738585072014e-308, 0.1]))
+    def test_least_float_whose_quotient_reaches_t(self, case):
+        """fl(L / q) >= t > fl(nextafter(L, 0) / q), and the nextafter walk agrees where it ends."""
+        q, ts = case
+        got = kernels.least_dividend(np.array(ts), q)
+        for t, limit in zip(ts, got.tolist()):
+            if t <= 0.0:  # every a >= 0 reaches t
+                assert limit == t
+                continue
+            assert limit / q >= t > math.nextafter(limit, 0.0) / q, (t, q, limit)
+            walked = scan_least_dividend(t, q)
+            if t >= 2.0**-1022:  # a normal quotient: L lies a few steps from fl(t * q)
+                assert walked is not None, (t, q)
+            if walked is not None:
+                assert limit == walked, (t, q)
+            assert kernels.least_dividend(t, q) == limit  # alone, as a 0-d threshold
+
+    @pytest.mark.parametrize("t", [0.5, 5e-324, -2.0, -0.0])
+    def test_divisor_one_is_the_identity(self, t):
+        assert kernels.least_dividend(t, 1) == t
 
 
 class TestWaldQuadratic:

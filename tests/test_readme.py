@@ -128,7 +128,7 @@ def _blocks_accepted(q) -> bool:
 README_LIMITS = [
     ("about 21.4 million draws at q = 20",
      lambda b: _accepted(lambda: SignGroup(20, "sampled", seed=0, draws=b))),
-    ("about 7.1 million replications at q = 8",
+    ("about 5.0 million replications at q = 8",
      lambda r: _accepted(lambda: simulation.check_study(8, 0.05, r))),
     ("about 16.8 million rows at d_z = 1",
      lambda n: _accepted(lambda: simulation.generate(

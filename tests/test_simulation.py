@@ -1,5 +1,7 @@
 """Monte Carlo harness: determinism, DGP structure, size and power."""
 
+import json
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -18,7 +20,7 @@ from artcluster import (
     power_study,
     size_study,
 )
-from artcluster import simulation
+from artcluster import cli, simulation
 from artcluster.errors import MAX_BYTES
 from artcluster.groups import enumerate_group
 from artcluster.randtest import run_test_columns
@@ -362,7 +364,7 @@ class TestChunkedStudy:
         # check_study admits at this q.
         s = DgpSpec(sizes=(3, 4), beta=(1.0, 0.5), sigma=(1.0, 2.0), rho=0.5,
                     covariate_law="lognormal", seed=seed)
-        last = MAX_BYTES // (8 * (s.q + 11)) - 1
+        last = MAX_BYTES // (8 * (s.q + 19)) - 1
         simulation.check_study(s.q, 0.1, last + 1)
         with pytest.raises(ValueError, match="1 GiB limit"):
             simulation.check_study(s.q, 0.1, last + 2)
@@ -407,6 +409,37 @@ class TestChunkedStudy:
             size_study(args["spec"], [1.0], args["alpha"], args["replications"])
         with pytest.raises(ValueError, match=message):
             power_study(args["spec"], [1.0], 0.5, args["alpha"], args["replications"])
+
+    def test_small_q_report_stays_under_the_bound(self, monkeypatch, tmp_path):
+        """A q = 2 ``simulate`` run, rendering included, peaks under R * 8 * (q + 19) bytes.
+
+        Positive scores tie only the +-identity rows, and the seed-5 group
+        of 7 draws holds 3 of them, so every p-value is 3/7, 17 digits.
+        The scores are stubbed: drawing and fitting keep far less.
+        """
+        q, reps = 2, 10**5
+        monkeypatch.setattr(simulation, "_study_scores",
+                            lambda spec, hypothesis, replications: np.ones((q, replications)))
+        doc = {"dgp": {"sizes": [3, 3], "beta": [0.0], "sigma": [1.0, 1.0]}, "study": "size",
+               "contrast": [1.0], "alpha": 0.1, "replications": reps,
+               "group": {"mode": "sampled", "draws": 7, "seed": 5}}
+        path, out = tmp_path / "study.json", tmp_path / "report.json"
+        path.write_text(json.dumps(doc))
+        tracemalloc.start()
+        try:
+            code = cli.main(["simulate", "--spec", str(path), "--output", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert json.loads(out.read_text())["result"]["p_values"] == [3 / 7] * reps
+        assert repr(3 / 7) == "0.42857142857142855"
+        # the bound is check_study's: it admits exactly this many bytes per replication
+        per_rep = 8 * (q + 19)
+        simulation.check_study(q, 0.1, MAX_BYTES // per_rep)
+        with pytest.raises(ValueError, match="1 GiB limit"):
+            simulation.check_study(q, 0.1, MAX_BYTES // per_rep + 1)
+        assert peak <= reps * per_rep
 
     def test_generate_refuses_sizes_before_drawing(self, monkeypatch):
         monkeypatch.setattr(simulation, "_draw", None)

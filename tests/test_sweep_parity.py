@@ -123,17 +123,23 @@ class TestDoublingSweep:
     @settings(max_examples=80, deadline=None)
     @given(values=matrices(), statistics=st.integers(1, 2**14))
     def test_chunks_match_column_loop(self, values, statistics):
-        """Every head, from one row to the whole sweep, and every chunk width give the same bits."""
+        """Every head, from one row to the whole sweep, and every chunk width give the same bits.
+
+        The chunks hold signed sums, the means times q, and the guard's sum
+        of |v_j| is each column's largest |sum|.
+        """
         group = SignGroup(values.shape[0], "exhaustive")
         chunks, buffers = [], set()
-        for c in group.sweep_chunks(values, statistics):
+        total, sweep = group.sweep_chunks(values, statistics)
+        for c in sweep:
             buffers.add(c.__array_interface__["data"][0])  # one buffer for the block
             chunks.append(c.copy())
         width = max(1, statistics // group.rows)
         assert [len(c) for c in chunks[:-1]] == [width] * (len(chunks) - 1)
         assert len(buffers) == 1
         got = np.concatenate(chunks)
-        assert np.array_equal(bits(got), bits(oracle_means(group, values)))
+        assert np.array_equal(bits(got / group.q), bits(oracle_means(group, values)))
+        assert np.array_equal(bits(total), bits(np.abs(got).max(axis=1)))
 
     @settings(max_examples=80, deadline=None)
     @given(values=matrices())
